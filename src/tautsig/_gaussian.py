@@ -173,10 +173,6 @@ class QiMatrix:
             for i, v in col.items():
                 yield i, j, v
 
-    @property
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.cols.values())
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "QiMatrix") -> "QiMatrix":

@@ -30,10 +30,12 @@ from ._gaussian import (
     GaussianRational,
     QiMatrix,
     anticommutator,
+    column_space_basis,
     commutator,
     i_power,
     kernel_basis,
     restrict_operator,
+    rref,
 )
 
 __all__ = [
@@ -170,14 +172,6 @@ class CliffordModule:
             for b in range(a + 1, len(self.generators)):
                 if not anticommutator(ga, self.generators[b]).is_zero():
                     raise CliffordError(f"generators {a}, {b} do not anticommute")
-
-    def operator_parity(self, op: QiMatrix) -> int:
-        """0 for even, 1 for odd; error if the operator is not homogeneous."""
-        if commutator(op, self.iota).is_zero():
-            return 0
-        if anticommutator(op, self.iota).is_zero():
-            return 1
-        raise CliffordError("operator has no definite parity")
 
 
 def build_exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeData]:
@@ -390,19 +384,13 @@ def bott_reduce(module: CliffordModule, operator: QiMatrix) -> BottReduction:
     iota_signs: list[int] = []
     for sign in (1, -1):
         proj = (epsilon + ident) @ (module.iota.scale(sign) + ident)
-        for vec in _column_basis(proj):
+        for vec in column_space_basis(proj):
             basis.append(vec)
             iota_signs.append(sign)
     op_r = restrict_operator(operator, basis)
     iota_r = QiMatrix.diagonal([Fraction(s) for s in iota_signs])
     index = _graded_kernel_index(op_r, iota_signs)
     return BottReduction(basis=basis, operator=op_r, iota=iota_r, graded_index=index)
-
-
-def _column_basis(matrix: QiMatrix) -> list:
-    from ._gaussian import column_space_basis
-
-    return column_space_basis(matrix)
 
 
 def _graded_kernel_index(op: QiMatrix, iota_signs: Sequence[int]) -> int:
@@ -417,8 +405,6 @@ def _graded_kernel_index(op: QiMatrix, iota_signs: Sequence[int]) -> int:
         rows = [[v[i] for i in idx] for v in kern]
         if not rows:
             continue
-        from ._gaussian import rref
-
         _, pivots = rref(rows)
         if sign == 1:
             plus = len(pivots)

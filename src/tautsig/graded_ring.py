@@ -1,16 +1,19 @@
 """Exact graded-commutative cohomology rings of model spaces.
 
-Supported spaces are finite presentations (point, circle, torus, closed
-oriented surface) and flattened products of those.  Classes are stored by
+Every space is a :class:`ProductSpace`: a flattened product of finite
+presentations (:class:`ModelSpace`).  The presets circle, torus and closed
+oriented surface, and spaces loaded from descriptors, are one-factor
+products; the point is the empty product.  Classes are stored by
 homogeneous components with exact rational coefficients; no floating point
 enters this module.
 
 Sign conventions
 ----------------
-* Monomials in a presented space are tuples of generator indices in
+* Monomials of a presentation are tuples of generator indices in
   nondecreasing order; sorting a product into normal form accumulates a
   Koszul sign (one flip per transposition of two odd-degree generators).
-* A product-space monomial is one factor monomial per factor; the product
+* A monomial of a product space is one presentation monomial per factor,
+  so the cross product of monomials is tuple concatenation.  The product
   of two such monomials carries the Koszul sign
   ``(-1)**sum(|b_i| * |a_j| for i < j)``.
 * Fiber integration along a projection collapses the fiber factors in
@@ -33,8 +36,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "SpaceError",
@@ -67,11 +69,11 @@ class SpaceError(ValueError):
     pass
 
 
-Monomial = tuple  # generator-index tuple (ModelSpace) or factor tuple (ProductSpace)
+Monomial = tuple  # generator-index tuple (ModelSpace) or one per factor (ProductSpace)
 
 
 class ModelSpace:
-    """Finitely presented graded-commutative Q-algebra.
+    """Finitely presented graded-commutative Q-algebra: one product factor.
 
     ``relations`` maps a sorted tuple of generator indices to the normal
     form of that product, expressed as ``{monomial: coefficient}``.  A
@@ -202,17 +204,11 @@ class ModelSpace:
                 result = {}
                 for sub, coeff in self.relations[lhs].items():
                     for m2, c2 in self.normalize(sub + remaining, _depth + 1).items():
-                        acc = result.get(m2, Fraction(0)) + sign * esign * coeff * c2
-                        if acc:
-                            result[m2] = acc
-                        else:
-                            result.pop(m2, None)
+                        result[m2] = result.get(m2, 0) + sign * esign * coeff * c2
+                result = {m: c for m, c in result.items() if c}
         if _depth == 0:
             self._norm_cache[key] = dict(result)
         return result
-
-    def mul_monomials(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
-        return self.normalize(tuple(m1) + tuple(m2))
 
     # -- basis ------------------------------------------------------------
 
@@ -241,21 +237,6 @@ class ModelSpace:
                     break
                 for rest in self._candidate_monomials(degree - rep * d, i + 1):
                     yield (i,) * rep + rest
-
-    # -- class constructors -----------------------------------------------
-
-    def zero(self) -> "GradedClass":
-        return GradedClass(self, {})
-
-    def one(self) -> "GradedClass":
-        return GradedClass(self, {0: {(): Fraction(1)}})
-
-    def gen(self, symbol: str) -> "GradedClass":
-        idx = self.gen_index.get(symbol)
-        if idx is None:
-            raise SpaceError(f"unknown generator {symbol!r} on {self.name}")
-        deg = self.gen_degree(idx)
-        return GradedClass(self, {deg: {(idx,): Fraction(1)}})
 
     # -- equality ----------------------------------------------------------
 
@@ -293,11 +274,13 @@ def _is_submultiset(sub: tuple, mon: tuple) -> bool:
 
 
 class ProductSpace:
-    """Flattened product of model spaces with Koszul multiplication."""
+    """Flattened product of presentations with Koszul multiplication.
+
+    The only space a :class:`GradedClass` lives on; the point is the empty
+    product.
+    """
 
     def __init__(self, factors: Sequence[ModelSpace]):
-        if not factors:
-            raise SpaceError("a product needs at least one factor")
         self.factors = tuple(factors)
         if not all(isinstance(f, ModelSpace) for f in self.factors):
             raise SpaceError("product factors must be model spaces")
@@ -308,39 +291,31 @@ class ProductSpace:
             )
         else:
             self.fundamental_monomial = None
-        self.name = " x ".join(f.name for f in self.factors)
+        self.name = " x ".join(f.name for f in self.factors) or "point"
+        self._key = ("product", tuple(f._key() for f in self.factors))
 
     def monomial_degree(self, mon: Monomial) -> int:
         return sum(f.monomial_degree(m) for f, m in zip(self.factors, mon))
 
     def monomial_str(self, mon: Monomial) -> str:
-        return " x ".join(f.monomial_str(m) for f, m in zip(self.factors, mon))
+        return " x ".join(f.monomial_str(m) for f, m in zip(self.factors, mon)) or "1"
 
     def mul_monomials(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
-        # Koszul sign for interleaving: each m2[i] passes every m1[j], j > i.
-        exp = 0
-        for i, f in enumerate(self.factors):
-            d2 = f.monomial_degree(m2[i])
-            if d2 % 2 == 0:
-                continue
-            exp += sum(
-                self.factors[j].monomial_degree(m1[j]) for j in range(i + 1, len(self.factors))
-            )
-        sign = Fraction(-1 if exp % 2 else 1)
-        partials = [
-            f.mul_monomials(a, b) for f, a, b in zip(self.factors, m1, m2)
-        ]
-        result: dict[Monomial, Fraction] = {}
-        for combo in iter_product(*(p.items() for p in partials)):
-            mon = tuple(m for m, _ in combo)
-            coeff = sign
-            for _, c in combo:
-                coeff *= c
-            acc = result.get(mon, Fraction(0)) + coeff
-            if acc:
-                result[mon] = acc
-            else:
-                result.pop(mon, None)
+        # Koszul sign for interleaving: each m2[i] passes every m1[j], j > i,
+        # which flips the sign when m2[i] and the m1 parts right of i are odd.
+        negate = right_odd = False
+        for f, a, b in zip(reversed(self.factors), reversed(m1), reversed(m2)):
+            if right_odd and f.monomial_degree(b) % 2:
+                negate = not negate
+            right_odd ^= f.monomial_degree(a) % 2 == 1
+        # Each factor's normal form has distinct monomials, so the products
+        # of their terms are distinct too and need no accumulation.
+        result: dict[Monomial, Fraction] = {(): Fraction(-1 if negate else 1)}
+        for f, a, b in zip(self.factors, m1, m2):
+            part = f.normalize(a + b)
+            result = {
+                mon + (m,): c * pc for mon, c in result.items() for m, pc in part.items()
+            }
         return result
 
     def basis(self, degree: int) -> list[Monomial]:
@@ -366,20 +341,26 @@ class ProductSpace:
         unit = tuple(() for _ in self.factors)
         return GradedClass(self, {0: {unit: Fraction(1)}})
 
-    def _key(self):
-        return ("product", tuple(f._key() for f in self.factors))
+    def gen(self, symbol: str) -> "GradedClass":
+        """The generator ``symbol`` of a one-factor space."""
+        if len(self.factors) != 1:
+            raise SpaceError(f"{self.name} is not a one-factor space")
+        (f,) = self.factors
+        idx = f.gen_index.get(symbol)
+        if idx is None:
+            raise SpaceError(f"unknown generator {symbol!r} on {self.name}")
+        return GradedClass(self, {f.gen_degree(idx): {((idx,),): Fraction(1)}})
 
     def __eq__(self, other):
-        return isinstance(other, ProductSpace) and self._key() == other._key()
+        if self is other:
+            return True
+        return isinstance(other, ProductSpace) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"ProductSpace({self.name!r})"
-
-
-Space = Union[ModelSpace, ProductSpace]
 
 
 class GradedClass:
@@ -387,7 +368,9 @@ class GradedClass:
 
     __slots__ = ("space", "components")
 
-    def __init__(self, space: Space, components: Mapping[int, Mapping[Monomial, Fraction]]):
+    def __init__(
+        self, space: ProductSpace, components: Mapping[int, Mapping[Monomial, Fraction]]
+    ):
         self.space = space
         comps: dict[int, dict[Monomial, Fraction]] = {}
         for deg, mons in components.items():
@@ -401,7 +384,7 @@ class GradedClass:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_monomial(cls, space: Space, mon: Monomial, coeff=1) -> "GradedClass":
+    def from_monomial(cls, space: ProductSpace, mon: Monomial, coeff=1) -> "GradedClass":
         deg = space.monomial_degree(mon)
         return cls(space, {deg: {tuple(mon): Fraction(coeff)}})
 
@@ -448,11 +431,7 @@ class GradedClass:
         for d, mons in other.components.items():
             dst = comps.setdefault(d, {})
             for m, c in mons.items():
-                acc = dst.get(m, Fraction(0)) + c
-                if acc:
-                    dst[m] = acc
-                else:
-                    dst.pop(m, None)
+                dst[m] = dst.get(m, 0) + c
         return GradedClass(self.space, comps)
 
     __radd__ = __add__
@@ -479,6 +458,7 @@ class GradedClass:
                 },
             )
         self._require_same_space(other)
+        mul = self.space.mul_monomials
         comps: dict[int, dict[Monomial, Fraction]] = {}
         for d1, m1s in self.components.items():
             for d2, m2s in other.components.items():
@@ -488,12 +468,9 @@ class GradedClass:
                 dst = comps.setdefault(d, {})
                 for m1, c1 in m1s.items():
                     for m2, c2 in m2s.items():
-                        for m, c in self.space.mul_monomials(m1, m2).items():
-                            acc = dst.get(m, Fraction(0)) + c1 * c2 * c
-                            if acc:
-                                dst[m] = acc
-                            else:
-                                dst.pop(m, None)
+                        c12 = c1 * c2
+                        for m, c in mul(m1, m2).items():
+                            dst[m] = dst.get(m, 0) + c12 * c
         return GradedClass(self.space, comps)
 
     __rmul__ = __mul__
@@ -531,70 +508,26 @@ class GradedClass:
 # ---------------------------------------------------------------------------
 
 
-def _factor_list(space: Space) -> tuple[ModelSpace, ...]:
-    return space.factors if isinstance(space, ProductSpace) else (space,)
-
-
-def _as_product_monomial(space: Space, mon: Monomial) -> tuple:
-    return mon if isinstance(space, ProductSpace) else (mon,)
-
-
-def _collapse(factors: Sequence[ModelSpace]) -> Space:
-    """Drop unit (point) factors; a product of nothing is the point."""
-    kept = [f for f in factors if f != point()]
-    if not kept:
-        return point()
-    if len(kept) == 1:
-        return kept[0]
-    return ProductSpace(kept)
-
-
-def _recompose_monomial(target: Space, parts: Sequence[Monomial]) -> Monomial:
-    if isinstance(target, ProductSpace):
-        return tuple(parts)
-    if parts:
-        return parts[0]
-    return ()
-
-
-def product_space(*spaces: Space) -> Space:
-    factors: list[ModelSpace] = []
-    for s in spaces:
-        factors.extend(_factor_list(s))
-    return _collapse(factors)
+def product_space(*spaces: ProductSpace) -> ProductSpace:
+    return ProductSpace([f for s in spaces for f in s.factors])
 
 
 def cross(a: GradedClass, b: GradedClass) -> GradedClass:
     """External product; lands on the flattened product of the two spaces."""
-
-    def nonpoint_parts(space: Space, mon: Monomial) -> list[Monomial]:
-        return [
-            m
-            for f, m in zip(_factor_list(space), _as_product_monomial(space, mon))
-            if f != point()
-        ]
-
-    target = product_space(a.space, b.space)
     comps: dict[int, dict[Monomial, Fraction]] = {}
     for d1, m1s in a.components.items():
         for d2, m2s in b.components.items():
             dst = comps.setdefault(d1 + d2, {})
             for m1, c1 in m1s.items():
                 for m2, c2 in m2s.items():
-                    parts = nonpoint_parts(a.space, m1) + nonpoint_parts(b.space, m2)
-                    mon = _recompose_monomial(target, parts)
-                    acc = dst.get(mon, Fraction(0)) + c1 * c2
-                    if acc:
-                        dst[mon] = acc
-                    else:
-                        dst.pop(mon, None)
-    return GradedClass(target, comps)
+                    dst[m1 + m2] = c1 * c2
+    return GradedClass(product_space(a.space, b.space), comps)
 
 
 def gysin_project(x: GradedClass, fiber_indices: Iterable[int]) -> GradedClass:
     """Fiber integration along the projection that drops the given factors."""
     fiber = tuple(sorted(set(int(i) for i in fiber_indices)))
-    factors = _factor_list(x.space)
+    factors = x.space.factors
     for j in fiber:
         if j < 0 or j >= len(factors):
             raise SpaceError(f"factor index {j} out of range")
@@ -602,44 +535,32 @@ def gysin_project(x: GradedClass, fiber_indices: Iterable[int]) -> GradedClass:
             raise SpaceError(
                 f"factor {factors[j].name} has no fundamental class"
             )
-    kept = [i for i in range(len(factors)) if i not in fiber]
-    target = _collapse([factors[i] for i in kept])
+    target = ProductSpace([f for i, f in enumerate(factors) if i not in fiber])
+    # A surviving monomial is its kept parts plus the fundamental fiber
+    # parts, so distinct monomials project to distinct monomials.
     comps: dict[int, dict[Monomial, Fraction]] = {}
     for mons in x.components.values():
         for mon, coeff in mons.items():
-            pmon = _as_product_monomial(x.space, mon)
             sign_exp = 0
-            kept_left_deg = 0
+            kept_deg = 0
             kept_parts: list = []
-            dead = False
-            for i, f in enumerate(factors):
-                part = pmon[i]
+            for i, (f, part) in enumerate(zip(factors, mon)):
                 if i in fiber:
                     if part != f.fundamental_monomial:
-                        dead = True
                         break
-                    sign_exp += f.top_degree * kept_left_deg
+                    sign_exp += f.top_degree * kept_deg
                 else:
-                    kept_left_deg += f.monomial_degree(part)
-                    if f != point():
-                        kept_parts.append(part)
-            if dead:
-                continue
-            out_mon = _recompose_monomial(target, kept_parts)
-            c = coeff if sign_exp % 2 == 0 else -coeff
-            deg = target.monomial_degree(out_mon)
-            dst = comps.setdefault(deg, {})
-            acc = dst.get(out_mon, Fraction(0)) + c
-            if acc:
-                dst[out_mon] = acc
+                    kept_deg += f.monomial_degree(part)
+                    kept_parts.append(part)
             else:
-                dst.pop(out_mon, None)
+                c = coeff if sign_exp % 2 == 0 else -coeff
+                comps.setdefault(kept_deg, {})[tuple(kept_parts)] = c
     return GradedClass(target, comps)
 
 
 def pullback(y: GradedClass, target: ProductSpace, positions: Sequence[int]) -> GradedClass:
     """Pull a class back along the projection keeping the given positions."""
-    src_factors = _factor_list(y.space)
+    src_factors = y.space.factors
     positions = tuple(int(p) for p in positions)
     if len(positions) != len(src_factors):
         raise SpaceError("one target position per source factor is required")
@@ -650,9 +571,8 @@ def pullback(y: GradedClass, target: ProductSpace, positions: Sequence[int]) -> 
     for d, mons in y.components.items():
         dst = comps.setdefault(d, {})
         for mon, c in mons.items():
-            pmon = _as_product_monomial(y.space, mon)
             out = [() for _ in target.factors]
-            for p, part in zip(positions, pmon):
+            for p, part in zip(positions, mon):
                 out[p] = part
             dst[tuple(out)] = c
     return GradedClass(target, comps)
@@ -672,30 +592,30 @@ def evaluate(x: GradedClass) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def point() -> ModelSpace:
-    return ModelSpace("point", [], {}, top_degree=0, fundamental_class=())
+def point() -> ProductSpace:
+    return ProductSpace(())
 
 
 @lru_cache(maxsize=None)
-def circle() -> ModelSpace:
-    return ModelSpace(
-        "circle", [("u", 1)], {}, top_degree=1, fundamental_class=(0,)
+def circle() -> ProductSpace:
+    return ProductSpace(
+        [ModelSpace("circle", [("u", 1)], {}, top_degree=1, fundamental_class=(0,))]
     )
 
 
 @lru_cache(maxsize=None)
-def torus(n: int) -> ModelSpace:
+def torus(n: int) -> ProductSpace:
     """Exterior algebra on n degree-one generators u1..un."""
     if n < 1:
         raise SpaceError("torus dimension must be >= 1")
     gens = [(f"u{i + 1}", 1) for i in range(n)]
-    return ModelSpace(
-        f"torus({n})", gens, {}, top_degree=n, fundamental_class=tuple(range(n))
+    return ProductSpace(
+        [ModelSpace(f"torus({n})", gens, {}, top_degree=n, fundamental_class=tuple(range(n)))]
     )
 
 
 @lru_cache(maxsize=None)
-def surface(g: int) -> ModelSpace:
+def surface(g: int) -> ProductSpace:
     """Closed oriented genus-g surface with its intersection form."""
     if g < 1:
         raise SpaceError("surface genus must be >= 1")
@@ -712,12 +632,12 @@ def surface(g: int) -> ModelSpace:
                 relations[(i, j)] = {(z,): Fraction(1)}  # a_k b_k = z
             else:
                 relations[(i, j)] = {}
-    return ModelSpace(
-        f"surface({g})", gens, relations, top_degree=2, fundamental_class=(z,)
+    return ProductSpace(
+        [ModelSpace(f"surface({g})", gens, relations, top_degree=2, fundamental_class=(z,))]
     )
 
 
-def model_space(preset: str) -> ModelSpace:
+def model_space(preset: str) -> ProductSpace:
     """Resolve a preset name: point | circle | torus(n) | surface(g)."""
     preset = preset.strip()
     if preset == "point":
@@ -734,30 +654,30 @@ def model_space(preset: str) -> ModelSpace:
     raise SpaceError(f"unknown model space {preset!r}")
 
 
-def space_from_descriptor(data: Mapping) -> ModelSpace:
-    """Build a model space from its JSON descriptor dictionary."""
+def space_from_descriptor(data: Mapping) -> ProductSpace:
+    """Build a one-factor space from its JSON descriptor dictionary."""
     try:
         name = data["name"]
         generators = [(g["symbol"], int(g["degree"])) for g in data["generators"]]
         top = int(data["top_degree"])
-    except (KeyError, TypeError) as exc:
+        index = {s: i for i, (s, _) in enumerate(generators)}
+        relations: dict[tuple, dict[tuple, Fraction]] = {}
+        for rel in data.get("relations", []):
+            lhs = tuple(sorted(index[s] for s in rel["lhs"]))
+            rhs: dict[tuple, Fraction] = {}
+            for mon_str, coeff in rel.get("rhs", {}).items():
+                mon = () if mon_str == "1" else tuple(
+                    index[s] for s in mon_str.split("*")
+                )
+                rhs[mon] = Fraction(coeff)
+            relations[lhs] = rhs
+        fund = data.get("fundamental_class")
+        fund_mon = tuple(index[s] for s in fund) if fund is not None else None
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SpaceError(f"malformed space descriptor: {exc}") from exc
-    index = {s: i for i, (s, _) in enumerate(generators)}
-    relations: dict[tuple, dict[tuple, Fraction]] = {}
-    for rel in data.get("relations", []):
-        lhs = tuple(sorted(index[s] for s in rel["lhs"]))
-        rhs: dict[tuple, Fraction] = {}
-        for mon_str, coeff in rel.get("rhs", {}).items():
-            mon = () if mon_str == "1" else tuple(
-                index[s] for s in mon_str.split("*")
-            )
-            rhs[mon] = Fraction(coeff)
-        relations[lhs] = rhs
-    fund = data.get("fundamental_class")
-    fund_mon = tuple(index[s] for s in fund) if fund is not None else None
-    return ModelSpace(name, generators, relations, top, fund_mon)
+    return ProductSpace([ModelSpace(name, generators, relations, top, fund_mon)])
 
 
-def load_model_space(path) -> ModelSpace:
+def load_model_space(path) -> ProductSpace:
     with open(path, "r", encoding="utf-8") as fh:
         return space_from_descriptor(json.load(fh))

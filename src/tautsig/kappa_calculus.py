@@ -23,8 +23,7 @@ from typing import Optional
 
 from .graded_ring import (
     GradedClass,
-    Space,
-    _factor_list,
+    ProductSpace,
     circle,
     cross,
     evaluate,
@@ -75,9 +74,6 @@ class SignAmbiguousClass:
 
     magnitude: GradedClass
 
-    def candidates(self) -> tuple[GradedClass, GradedClass]:
-        return (self.magnitude, -self.magnitude)
-
     def matches(self, other: GradedClass) -> bool:
         return other == self.magnitude or other == -self.magnitude
 
@@ -90,7 +86,7 @@ class BundleModel:
     """Product bundle pi: total -> base with named pulled-back classes."""
 
     label: str
-    total: Space
+    total: ProductSpace
     fiber_indices: tuple
     vertical_tangent: BundleData
     pullbacks: dict = field(default_factory=dict)
@@ -100,7 +96,7 @@ class BundleModel:
     globally_flat: bool = False
 
     def __post_init__(self):
-        factors = _factor_list(self.total)
+        factors = self.total.factors
         self.fiber_indices = tuple(sorted(int(i) for i in self.fiber_indices))
         for i in self.fiber_indices:
             if i < 0 or i >= len(factors):
@@ -117,14 +113,13 @@ class BundleModel:
 
     @property
     def fiber_dimension(self) -> int:
-        factors = _factor_list(self.total)
+        factors = self.total.factors
         return sum(factors[i].top_degree for i in self.fiber_indices)
 
     @property
-    def base_space(self) -> Space:
-        factors = _factor_list(self.total)
-        kept = [f for i, f in enumerate(factors) if i not in self.fiber_indices]
-        return product_space(*kept) if kept else point()
+    def base_space(self) -> ProductSpace:
+        factors = self.total.factors
+        return ProductSpace([f for i, f in enumerate(factors) if i not in self.fiber_indices])
 
     def pullback_class(self, name: str) -> GradedClass:
         if name == "1":
@@ -136,21 +131,16 @@ class BundleModel:
 
 def bundle_model(
     label: str,
-    base: Space,
-    fiber: Space,
+    base: ProductSpace,
+    fiber: ProductSpace,
     vertical_tangent: Optional[BundleData] = None,
     pullbacks: Optional[dict] = None,
     sch_class: Optional[GradedClass] = None,
     **flags,
 ) -> BundleModel:
     """Model of the trivial bundle base x fiber -> base."""
-    base_factors = [f for f in _factor_list(base) if f != point()]
-    fiber_factors = [f for f in _factor_list(fiber) if f != point()]
-    factors = base_factors + fiber_factors
-    total = product_space(*factors) if factors else point()
-    fiber_indices = tuple(
-        range(len(base_factors), len(base_factors) + len(fiber_factors))
-    )
+    total = product_space(base, fiber)
+    fiber_indices = tuple(range(len(base.factors), len(total.factors)))
     if vertical_tangent is None:
         vertical_tangent = BundleData.trivial_real(total)
     return BundleModel(
@@ -165,7 +155,7 @@ def bundle_model(
 
 
 def _whitney_pontryagin(
-    b0: BundleModel, b1: BundleModel, target: Space
+    b0: BundleModel, b1: BundleModel, target: ProductSpace
 ) -> list[GradedClass]:
     """Pontryagin classes of T_v(E0) (+) T_v(E1) on the product total space."""
 
@@ -192,10 +182,8 @@ def _whitney_pontryagin(
 
 def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleModel:
     """The product bundle E0 x E1 -> X0 x X1 with Whitney vertical data."""
-    factors0 = _factor_list(b0.total) if b0.total != point() else ()
-    factors1 = _factor_list(b1.total) if b1.total != point() else ()
-    total = product_space(*(list(factors0) + list(factors1)))
-    shift = len(factors0)
+    total = product_space(b0.total, b1.total)
+    shift = len(b0.total.factors)
     fiber_indices = tuple(b0.fiber_indices) + tuple(
         i + shift for i in b1.fiber_indices
     )
@@ -270,7 +258,7 @@ def kappa(
 
 @dataclass
 class HigherSignatureInput:
-    manifold: Space
+    manifold: ProductSpace
     tangent: BundleData
     u: GradedClass
     k: int
@@ -488,7 +476,7 @@ def lusztig_squared_model() -> BundleModel:
     return product_model(lusztig_model(), lusztig_model(), label="lusztig (x) lusztig")
 
 
-def globally_flat_surface_model(g: int, base: Optional[Space] = None) -> BundleModel:
+def globally_flat_surface_model(g: int, base: Optional[ProductSpace] = None) -> BundleModel:
     """Odd product model with hyperbolic flat (1,1) coefficients.
 
     Fiber surface(g) x circle carries the globally flat coefficient bundle
@@ -504,17 +492,14 @@ def globally_flat_surface_model(g: int, base: Optional[Space] = None) -> BundleM
         fibrewise_flat=True,
         globally_flat=True,
     )
-    factors = _factor_list(model.total)
-    surf_pos = next(
-        i for i, f in enumerate(factors) if f == surface(g)
-    )
+    surf_pos = model.total.factors.index(surface(g).factors[0])
     sch1 = pullback(surface_coefficient_class(g), model.total, [surf_pos])
     model.sch_class = sch1  # degree-0 part p - q = 0 for signature (1,1)
     model.pullbacks["sch1"] = sch1
     return model
 
 
-def trivial_flat_model(rank: int, base: Space, fiber: Space,
+def trivial_flat_model(rank: int, base: ProductSpace, fiber: ProductSpace,
                        label: str = "") -> BundleModel:
     model = bundle_model(
         label or f"trivial-rank-{rank}",

@@ -15,14 +15,12 @@ Newton identities.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .graded_ring import GradedClass, Space
+from .graded_ring import GradedClass, ProductSpace
 
 __all__ = [
     "SeriesError",
@@ -168,19 +166,7 @@ def expand_series(name: str, order: int) -> FormalSeries:
         raise SeriesError(f"unknown series {name!r}")
     if order < 0 or order > ORDER_CAP:
         raise SeriesError(f"order {order} outside [0, {ORDER_CAP}]")
-    cache_dir = os.environ.get("TAUTSIG_CACHE")
-    cache_path = None
-    if cache_dir:
-        cache_path = os.path.join(cache_dir, f"series_{name}_{order}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                return FormalSeries([Fraction(c) for c in json.load(fh)])
-    series = _SERIES_BUILDERS[name](order)
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump([str(c) for c in series.coeffs], fh)
-    return series
+    return _SERIES_BUILDERS[name](order)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +295,7 @@ class CharClassPolynomial:
             self.weight, self.variable, {e: c * s for e, c in self.terms.items() if c * s}
         )
 
-    def evaluate(self, classes: Sequence[GradedClass], space: Space) -> GradedClass:
+    def evaluate(self, classes: Sequence[GradedClass], space: ProductSpace) -> GradedClass:
         """Plug graded classes in for the variables (index i -> v_{i+1})."""
         result = space.zero()
         for exps, coeff in self.terms.items():
@@ -377,7 +363,7 @@ class BundleData:
     which matches stably trivial bundles; ``l_class`` flags the padding.
     """
 
-    space: Space
+    space: ProductSpace
     kind: str  # "complex" | "real-oriented"
     rank: int = 0
     chern_classes: list = field(default_factory=list)
@@ -396,11 +382,11 @@ class BundleData:
                 raise SeriesError(f"p_{i + 1} must have degree {4 * (i + 1)}")
 
     @classmethod
-    def trivial_real(cls, space: Space, rank: int = 0) -> "BundleData":
+    def trivial_real(cls, space: ProductSpace, rank: int = 0) -> "BundleData":
         return cls(space=space, kind="real-oriented", rank=rank)
 
     @classmethod
-    def line(cls, space: Space, c1: GradedClass) -> "BundleData":
+    def line(cls, space: ProductSpace, c1: GradedClass) -> "BundleData":
         return cls(space=space, kind="complex", rank=1, chern_classes=[c1])
 
 

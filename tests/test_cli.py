@@ -98,9 +98,27 @@ def test_descriptor_bundle_run(tmp_path):
     assert any("flow" in d for d in details)
 
 
-def test_descriptor_parse_failure_exit_two(tmp_path):
+_OPEN_SPACE = {
+    "name": "open",
+    "generators": [{"symbol": "x", "degree": 1}],
+    "top_degree": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({**_OPEN_SPACE, "relations": [{"lhs": ["x", "y"]}]}),
+        json.dumps({**_OPEN_SPACE, "fundamental_class": ["y"]}),
+        json.dumps({**_OPEN_SPACE, "relations": [{"rhs": {}}]}),
+    ],
+    ids=["not-json", "relation-unknown-symbol", "fundamental-unknown-symbol",
+         "relation-without-lhs"],
+)
+def test_descriptor_parse_failure_exit_two(tmp_path, text):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_text(text)
     assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
 
 

@@ -234,6 +234,18 @@ def test_evaluate_needs_fundamental_class():
         evaluate(open_space.gen("x"))
 
 
+# -- printed form ---------------------------------------------------------------
+
+
+def test_class_repr_pinned():
+    # Reports embed these strings verbatim.
+    assert repr(point().one() * 3) == "3*1"
+    assert repr(circle().gen("u")) == "1*u"
+    s1 = circle()
+    u = s1.gen("u")
+    assert repr(cross(s1.one(), u) + cross(u, s1.one()) * 2) == "1*1 x u + 2*u x 1"
+
+
 # -- torus model vs product of circles ---------------------------------------
 
 
@@ -242,7 +254,7 @@ def test_torus_matches_circle_product():
     p3 = product_space(circle(), circle(), circle())
 
     def to_product(mon):
-        return tuple((0,) if i in mon else () for i in range(3))
+        return tuple((0,) if i in mon[0] else () for i in range(3))
 
     rng = random.Random(5)
     for _ in range(50):

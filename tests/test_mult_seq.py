@@ -53,14 +53,6 @@ def test_series_order_cap():
         expand_series("nope", 4)
 
 
-def test_series_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUTSIG_CACHE", str(tmp_path))
-    first = expand_series("L-hirzebruch", 6)
-    cached = expand_series("L-hirzebruch", 6)
-    assert first == cached
-    assert any(p.name.startswith("series_") for p in tmp_path.iterdir())
-
-
 def test_series_arithmetic():
     f = FormalSeries([1, 1, F(1, 2), F(1, 6)])
     g = f.log()
@@ -148,15 +140,16 @@ def test_trivial_rank_n_character():
 def test_character_multiplicative_on_line_bundles():
     rng = random.Random(3)
     t4 = torus(4)
-    deg2 = t4.basis(2)
+    syms = [s for s, _ in t4.factors[0].generators]
+    deg2 = [m for (m,) in t4.basis(2)]
     for _ in range(20):
         c1a = sum(
-            (F(rng.randint(-2, 2)) * t4.gen(t4.generators[m[0]][0]) * t4.gen(t4.generators[m[1]][0])
+            (F(rng.randint(-2, 2)) * t4.gen(syms[m[0]]) * t4.gen(syms[m[1]])
              for m in deg2),
             t4.zero(),
         )
         c1b = sum(
-            (F(rng.randint(-2, 2)) * t4.gen(t4.generators[m[0]][0]) * t4.gen(t4.generators[m[1]][0])
+            (F(rng.randint(-2, 2)) * t4.gen(syms[m[0]]) * t4.gen(syms[m[1]])
              for m in deg2),
             t4.zero(),
         )
