@@ -1,10 +1,20 @@
 """Exact arithmetic over the Gaussian rationals, and sparse matrices thereof.
 
 Every sign identity checked by :mod:`tautsig.clifford` is a statement about
-matrices whose entries are rational multiples of powers of i.  Scalars are
-therefore pairs of :class:`fractions.Fraction`; matrices are stored column
-sparse, which keeps products of signed permutation-like operators (exterior
-multiplications, Hodge stars, gradings) linear in the number of nonzeros.
+matrices whose entries are rational multiples of powers of i; nearly all of
+them are 0, ±1 or ±i.  A scalar is a pair of exact parts, each a plain
+``int`` when it is integral and a :class:`fractions.Fraction` only when a
+real denominator appears (the 3/5 and 4/5 of a reflection, a quotient in
+:func:`rref`).  A ``Fraction`` result with denominator 1 goes back to
+``int``, and division always goes through ``Fraction``, so no part is ever
+a ``float``.
+
+Matrices are stored column sparse, which keeps products of signed
+permutation-like operators (exterior multiplications, Hodge stars,
+gradings) linear in the number of nonzeros.  The storage is canonical: no
+stored zero and no empty column.  Every constructor and operation produces
+this form, and :meth:`QiMatrix.__eq__` and :meth:`QiMatrix.is_zero` rely
+on it.
 """
 
 from __future__ import annotations
@@ -13,36 +23,44 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
+def _exact(x):
+    """x as an ``int`` when integral, else as a ``Fraction``."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class GaussianRational:
-    """a + b*i with exact rational a, b."""
+    """a + b*i; each part is an ``int``, or a ``Fraction`` when not integral."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is int else _exact(re)
+        self.im = im if type(im) is int else _exact(im)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        other = as_gaussian(other)
+        if type(other) is not GaussianRational:
+            other = as_gaussian(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_gaussian(other)
+        if type(other) is not GaussianRational:
+            other = as_gaussian(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return as_gaussian(other) - self
 
     def __mul__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = as_gaussian(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -52,8 +70,8 @@ class GaussianRational:
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            Fraction(self.re * other.re + self.im * other.im, d),
+            Fraction(self.im * other.re - self.re * other.im, d),
         )
 
     def __neg__(self):
@@ -65,14 +83,18 @@ class GaussianRational:
     # -- predicates -----------------------------------------------------
 
     def __eq__(self, other):
-        other = as_gaussian(other)
+        if type(other) is not GaussianRational:
+            try:
+                other = as_gaussian(other)
+            except TypeError:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re or self.im)
 
     def __complex__(self):
         return float(self.re) + 1j * float(self.im)
@@ -179,15 +201,17 @@ class QiMatrix:
         self._check_shape(other)
         out = QiMatrix(self.nrows, self.ncols)
         for j in set(self.cols) | set(other.cols):
-            col: dict[int, GaussianRational] = {}
-            for i, v in self.cols.get(j, {}).items():
-                col[i] = v
+            col = dict(self.cols.get(j, ()))
             for i, v in other.cols.get(j, {}).items():
-                w = col.get(i, G_ZERO) + v
-                if w:
-                    col[i] = w
+                w = col.get(i)
+                if w is None:
+                    col[i] = v
+                    continue
+                re, im = w.re + v.re, w.im + v.im
+                if re or im:
+                    col[i] = GaussianRational(re, im)
                 else:
-                    col.pop(i, None)
+                    del col[i]
             if col:
                 out.cols[j] = col
         return out
@@ -217,15 +241,27 @@ class QiMatrix:
                 f"({other.nrows},{other.ncols})"
             )
         out = QiMatrix(self.nrows, other.ncols)
+        acols = self.cols
         for j, bcol in other.cols.items():
             acc: dict[int, GaussianRational] = {}
-            for k, bval in bcol.items():
-                for i, aval in self.cols.get(k, {}).items():
-                    w = acc.get(i, G_ZERO) + aval * bval
-                    if w:
-                        acc[i] = w
-                    else:
-                        acc.pop(i, None)
+            for k, b in bcol.items():
+                acol = acols.get(k)
+                if acol is None:
+                    continue
+                br, bi = b.re, b.im
+                for i, a in acol.items():
+                    ar, ai = a.re, a.im
+                    re = ar * br - ai * bi
+                    im = ar * bi + ai * br
+                    w = acc.get(i)
+                    if w is not None:
+                        # A sum that cancels leaves the column (canonical form).
+                        re += w.re
+                        im += w.im
+                        if not (re or im):
+                            del acc[i]
+                            continue
+                    acc[i] = GaussianRational(re, im)
             if acc:
                 out.cols[j] = acc
         return out
@@ -233,39 +269,43 @@ class QiMatrix:
     def adjoint(self) -> "QiMatrix":
         """Conjugate transpose."""
         out = QiMatrix(self.ncols, self.nrows)
+        cols = out.cols
         for j, col in self.cols.items():
             for i, v in col.items():
-                out.put(j, i, v.conj())
+                cols.setdefault(i, {})[j] = v.conj()
         return out
 
     def transpose(self) -> "QiMatrix":
         out = QiMatrix(self.ncols, self.nrows)
+        cols = out.cols
         for j, col in self.cols.items():
             for i, v in col.items():
-                out.put(j, i, v)
+                cols.setdefault(i, {})[j] = v
         return out
 
     def kron(self, other: "QiMatrix") -> "QiMatrix":
         out = QiMatrix(self.nrows * other.nrows, self.ncols * other.ncols)
+        bn, bm = other.nrows, other.ncols
         for aj, acol in self.cols.items():
             for bj, bcol in other.cols.items():
-                col = out.cols.setdefault(aj * other.ncols + bj, {})
+                col = out.cols[aj * bm + bj] = {}
                 for ai, av in acol.items():
+                    base = ai * bn
                     for bi, bv in bcol.items():
-                        col[ai * other.nrows + bi] = av * bv
+                        col[base + bi] = av * bv
         return out
 
     # -- predicates and conversion ----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not v for col in self.cols.values() for v in col.values())
+        return not self.cols
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QiMatrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        return (self - other).is_zero()
+        return self.cols == other.cols
 
     def __hash__(self):
         raise TypeError("QiMatrix is unhashable")

@@ -717,7 +717,9 @@ def kernel_constancy_report(
         "constant": constant,
         "indeterminate_points": flagged,
     }
-    if constant and family.loop:
+    # Spectral flow is defined through the odd restriction, so only odd tori
+    # have a flow to check; ``op`` is the last node's operator.
+    if constant and family.loop and op.bundle.n % 2 == 1:
         result = spectral_flow_both(family, tol)
         report["flow_plus"] = result.flow_plus
         report["flow_minus"] = result.flow_minus

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautsig._gaussian import G_I, G_ONE, GaussianRational, QiMatrix
 from tautsig.clifford import (
@@ -271,3 +273,151 @@ def test_gaussian_rational_field_ops():
     assert a + (-a) == GaussianRational(0, 0)
     assert (G_I * G_I) == GaussianRational(-1, 0)
     assert a.conj().conj() == a
+
+
+def test_gaussian_rational_eq_non_exact_operand():
+    assert not G_ONE == None  # noqa: E711
+    assert G_ONE != "x"
+    assert not G_ONE == 1.0
+    assert G_ONE in [None, G_ONE]
+    with pytest.raises(TypeError):
+        G_ONE + 1.0
+
+
+# -- exact kernel properties --------------------------------------------------------
+
+PARTS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def assert_exact_parts(g):
+    """Each part is an int, or a Fraction only when it is not integral."""
+    for part in (g.re, g.im):
+        assert type(part) is int or (type(part) is F and part.denominator != 1)
+
+
+def assert_pair(g, re, im):
+    assert_exact_parts(g)
+    assert (g.re, g.im) == (re, im)
+
+
+@PROPERTY
+@given(PARTS, PARTS, PARTS, PARTS, st.integers(-5, 5).filter(bool))
+def test_gaussian_rational_matches_fraction_pairs(a, b, c, d, k):
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    a, b, c, d = F(a), F(b), F(c), F(d)
+    assert_pair(x, a, b)
+    assert_pair(x + y, a + c, b + d)
+    assert_pair(x - y, a - c, b - d)
+    assert_pair(x * y, a * c - b * d, a * d + b * c)
+    assert_pair(-x, -a, -b)
+    assert_pair(x.conj(), a, -b)
+    assert_pair(x / k, a / k, b / k)
+    assert_pair(x * k, a * k, b * k)
+    assert_pair(x + k, a + k, b)
+    assert_pair(k - x, k - a, -b)
+    norm = c * c + d * d
+    if norm:
+        assert_pair(x / y, (a * c + b * d) / norm, (b * c - a * d) / norm)
+
+
+@PROPERTY
+@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-5, 5).filter(bool))
+def test_integral_gaussian_division_stays_exact(a, b, k):
+    assert_pair(GaussianRational(a, b) / k, F(a, k), F(b, k))
+    assert_pair(GaussianRational(a, b) / GaussianRational(0, k), F(b, k), F(-a, k))
+
+
+ENTRIES = [
+    0, 1, -1, G_I, -G_I,
+    F(3, 5), F(-3, 5), GaussianRational(0, F(4, 5)), GaussianRational(0, F(-4, 5)),
+]
+
+
+def sparse_rows(nrows, ncols):
+    """Dense rows, mostly zero, drawn from the structural entries."""
+    entry = st.one_of(st.just(0), st.sampled_from(ENTRIES))
+    return st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    )
+
+
+def matrix(nrows, ncols):
+    return sparse_rows(nrows, ncols).map(QiMatrix.from_rows)
+
+
+def assert_canonical(m):
+    """No stored zero, no empty column, indices in range, exact parts."""
+    for j, col in m.cols.items():
+        assert 0 <= j < m.ncols and col
+        for i, v in col.items():
+            assert 0 <= i < m.nrows and (v.re or v.im)
+            assert_exact_parts(v)
+
+
+def dense_equal(a, b):
+    return all(
+        a.entry(i, j) == b.entry(i, j) for i in range(a.nrows) for j in range(a.ncols)
+    )
+
+
+def dense_product(a, b):
+    return [
+        [sum((a.entry(i, k) * b.entry(k, j) for k in range(a.ncols)), GaussianRational())
+         for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+DIM = st.integers(1, 4)
+
+
+@PROPERTY
+@given(st.data(), DIM, DIM, DIM)
+def test_qimatrix_operations_stay_canonical(data, p, q, r):
+    a = data.draw(matrix(p, q))
+    b = data.draw(matrix(p, q))
+    c = data.draw(matrix(q, r))
+    s = data.draw(st.sampled_from(ENTRIES))
+    entries = [(i, j, v) for j, col in a.cols.items() for i, v in col.items()]
+    entries += [(i, j, 0) for i in range(p) for j in range(q)][: data.draw(st.integers(0, 3))]
+    results = {
+        "from_rows": a,
+        "from_entries": QiMatrix.from_entries(p, q, entries),
+        "matmul": a @ c,
+        "add": a + b,
+        "sub": a - b,
+        "neg": -a,
+        "kron": a.kron(c),
+        "scale": a.scale(s),
+        "adjoint": a.adjoint(),
+        "transpose": a.transpose(),
+    }
+    for m in results.values():
+        assert_canonical(m)
+    assert dense_equal(results["matmul"], QiMatrix.from_rows(dense_product(a, c)))
+    assert dense_equal(results["add"], QiMatrix.from_rows(
+        [[a.entry(i, j) + b.entry(i, j) for j in range(q)] for i in range(p)]))
+    assert dense_equal(results["kron"], QiMatrix.from_rows(
+        [[a.entry(i // c.nrows, j // c.ncols) * c.entry(i % c.nrows, j % c.ncols)
+          for j in range(q * r)] for i in range(p * q)]))
+
+
+@PROPERTY
+@given(st.data(), DIM, DIM)
+def test_qimatrix_equality_agrees_with_entries(data, p, q):
+    rows = data.draw(sparse_rows(p, q))
+    a = QiMatrix.from_rows(rows)
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, q - 1))
+        rows[i][j] = data.draw(st.sampled_from(ENTRIES))
+    b = QiMatrix.from_rows(rows)
+    diff = a - b
+    equal = dense_equal(a, b)
+    assert (a == b) is equal
+    assert (a != b) is not equal
+    assert diff.is_zero() is equal
+    assert all(not diff.entry(i, j) for i in range(p) for j in range(q)) is equal

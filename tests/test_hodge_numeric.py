@@ -304,6 +304,16 @@ def test_globally_flat_report_constant():
     assert all(d == 2 for d in report["profile"])
 
 
+def test_even_torus_report_has_no_flow():
+    for thetas, dim in (([0.25, 0.35], 0), ([0.0, 0.0], 4)):
+        fam = constant_family(line_bundle(thetas, globally_flat=True),
+                              cutoff=3, resolution=8)
+        report = kernel_constancy_report(fam)
+        assert report["constant"]
+        assert report["profile"] == [dim] * 9
+        assert "flow_plus" not in report and "flow_minus" not in report
+
+
 def test_lusztig_report_profile():
     report = kernel_constancy_report(lusztig_family(cutoff=8, resolution=16))
     profile = report["profile"]
