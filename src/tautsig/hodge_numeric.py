@@ -18,13 +18,25 @@ Spectral flow follows the restriction of alpha(e_1) D to the even-parity
 subspace, a self-adjoint family with no residual symmetry.  Crossings are
 counted through ordered spectra on an adaptively refined grid; zeros at
 the endpoints of a loop must be pushed off zero by a reported +- shift.
+
+Spectral work is done once per process for each distinct input.  The
+structural arrays (ext_j, the parity vector, tau) are cached per n and the
+frequency lattice per (n, cutoff); both are read-only.  An operator family
+keeps its last operator and reuses it while ``bundle(t)`` returns the same
+bundle object, as every node of a constant family does, and it keeps the
+sorted odd spectrum of each node, which both endpoint-shift passes of
+:func:`spectral_flow_both` read.  An assembly whose blocks would exceed
+``MAX_ASSEMBLY_BYTES`` is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
+import ast
 import cmath
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -32,7 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .clifford import build_exterior, compatible_pair
+from .clifford import _ext_matrix, build_exterior, compatible_pair
 
 __all__ = [
     "HodgeError",
@@ -64,6 +76,8 @@ __all__ = [
 UNIT = 2.0 * math.pi
 DEFAULT_CUTOFF = 8
 DEFAULT_TOL = 1e-8
+# Refuse assemblies whose stacked complex blocks would exceed this many bytes.
+MAX_ASSEMBLY_BYTES = 256 << 20
 
 
 class HodgeError(ValueError):
@@ -208,10 +222,27 @@ def lusztig_bundle(t) -> MonodromyBundle:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=None)
 def _frequency_lattice(n: int, cutoff: int) -> np.ndarray:
     axes = [np.arange(-cutoff, cutoff + 1)] * n
     grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _read_only(np.stack([g.ravel() for g in grids], axis=-1))
+
+
+@functools.lru_cache(maxsize=None)
+def _structure(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Exterior multiplications ext_j, parity vector and tau on Lambda^*(R^n)."""
+    _, hodge = build_exterior(n)
+    ext = tuple(_read_only(_ext_matrix(n, j).to_numpy()) for j in range(n))
+    iota = np.array(
+        [1.0 if bin(s).count("1") % 2 == 0 else -1.0 for s in range(1 << n)]
+    )
+    return ext, _read_only(iota), _read_only(hodge.tau.to_numpy())
 
 
 def _pick_pair(eta: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +272,7 @@ class TruncatedOperator:
     h: np.ndarray              # (r, r) coefficient metric
     form_dim: int
     _eig: Optional[tuple] = field(default=None, repr=False)
+    _odd: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def block_count(self) -> int:
@@ -308,6 +340,13 @@ class TruncatedOperator:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
         return restricted
 
+    def odd_spectrum(self) -> np.ndarray:
+        """Sorted eigenvalues of the odd restriction in physical units."""
+        if self._odd is None:
+            vals = np.linalg.eigvalsh(self.restricted_odd_stack())
+            self._odd = _read_only(np.sort(vals.ravel()) * UNIT)
+        return self._odd
+
     def ellipticity_profile(self) -> dict[int, float]:
         """Smallest |eigenvalue| per sup-norm frequency shell (physical units)."""
         vals, _ = self.eigen_system()
@@ -325,14 +364,14 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
     if cutoff < 1:
         raise HodgeError("cutoff must be >= 1")
     n, r = bundle.n, bundle.rank
-    from .clifford import _ext_matrix
-
-    _, hodge = build_exterior(n)
-    ext_np = [_ext_matrix(n, j).to_numpy() for j in range(n)]
-    iota_vec = np.array(
-        [1.0 if bin(s).count("1") % 2 == 0 else -1.0 for s in range(1 << n)]
-    )
-    tau_np = hodge.tau.to_numpy()
+    block_bytes = (2 * cutoff + 1) ** n * ((1 << n) * r) ** 2 * 16
+    if block_bytes > MAX_ASSEMBLY_BYTES:
+        raise HodgeError(
+            f"truncation too large: n={n}, rank {r}, cutoff {cutoff} needs "
+            f"about {block_bytes / 2**20:.3g} MiB of blocks, over the "
+            f"{MAX_ASSEMBLY_BYTES >> 20} MiB limit"
+        )
+    ext_np, iota_vec, tau_np = _structure(n)
     h, sigma = _pick_pair(bundle.eta, bundle.atol)
     metric = np.kron(np.eye(1 << n, dtype=complex), h)
     tau_v = np.kron(tau_np, sigma)
@@ -451,12 +490,27 @@ class OperatorFamily:
     loop: bool = False
     cutoff: int = DEFAULT_CUTOFF
     label: str = ""
+    # (bundle, cutoff, operator) of the last assembly; reused for the same bundle.
+    _last: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (node, cutoff) -> sorted odd spectrum.
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bundle(self, t) -> MonodromyBundle:
         return self.generator(Fraction(t))
 
     def operator(self, t) -> TruncatedOperator:
-        return assemble(self.bundle(t), self.cutoff)
+        bundle = self.bundle(t)
+        last = self._last
+        if last is None or last[0] is not bundle or last[1] != self.cutoff:
+            self._last = last = (bundle, self.cutoff, assemble(bundle, self.cutoff))
+        return last[2]
+
+    def spectrum(self, t) -> np.ndarray:
+        """Sorted odd-restricted spectrum at node t, computed once per node."""
+        key = (Fraction(t), self.cutoff)
+        if key not in self._spectra:
+            self._spectra[key] = self.operator(t).odd_spectrum()
+        return self._spectra[key]
 
     def verify_loop(self, atol: float = 1e-8) -> None:
         """Exhibit a conjugating map between the endpoint bundles.
@@ -595,19 +649,6 @@ class SpectralFlowResult:
         return abs(self.flow_plus)
 
 
-def _family_spectra(family: OperatorFamily):
-    cache: dict[Fraction, np.ndarray] = {}
-
-    def spectra(t: Fraction) -> np.ndarray:
-        if t not in cache:
-            op = family.operator(t)
-            stack = op.restricted_odd_stack()
-            cache[t] = np.sort(np.linalg.eigvalsh(stack).ravel()) * UNIT
-        return cache[t]
-
-    return spectra
-
-
 def _distinct_gap(values: np.ndarray, cluster: float) -> float:
     diffs = np.diff(values)
     real = diffs[diffs > cluster]
@@ -631,7 +672,7 @@ def spectral_flow(
     if not family.loop:
         raise HodgeError("spectral flow is defined for loop families")
     family.verify_loop()
-    spectra = _family_spectra(family)
+    spectra = family.spectrum
     shift = 0.0
     ends = [spectra(Fraction(0)), spectra(Fraction(1))]
     if any(np.min(np.abs(e)) < tol for e in ends):
@@ -735,35 +776,108 @@ def kernel_constancy_report(
 # Descriptors
 # ---------------------------------------------------------------------------
 
-_EVAL_NAMESPACE = {
-    "exp": cmath.exp,
-    "cos": cmath.cos,
-    "sin": cmath.sin,
-    "sqrt": cmath.sqrt,
-    "pi": math.pi,
-    "i": 1j,
-    "j": 1j,
+_CONSTANTS = {"pi": math.pi, "i": 1j, "j": 1j}
+_FUNCTIONS = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin, "sqrt": cmath.sqrt}
+# Python ints are unbounded; larger ones cannot become a float anyway.
+_MAX_INT_BITS = 4096
+
+
+def _bounded(value):
+    if isinstance(value, int) and value.bit_length() > _MAX_INT_BITS:
+        raise HodgeError(f"integer of {value.bit_length()} bits is too large")
+    return value
+
+
+def _power(base, exponent):
+    if isinstance(base, int) and isinstance(exponent, int) and (
+        abs(exponent) * base.bit_length() > _MAX_INT_BITS
+    ):
+        raise HodgeError(f"power {base}**{exponent} is too large")
+    return base ** exponent
+
+
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: _power,
 }
 
 
-def _eval_entry(entry, t: Optional[float] = None) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(entry[0], entry[1])
+def _read_t(t):
+    if t is None:
+        raise HodgeError("the parameter t is only defined in family entries")
+    return t
+
+
+def _compile_node(node: ast.AST) -> Callable:
+    """Closure t -> value for a whitelisted expression node; anything else raises."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        value = _bounded(node.value)
+        return lambda t: value
+    if isinstance(node, ast.Name) and node.id == "t":
+        return _read_t
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        value = _CONSTANTS[node.id]
+        return lambda t: value
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        left, right = _compile_node(node.left), _compile_node(node.right)
+        return lambda t: _bounded(op(left(t), right(t)))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _compile_node(node.operand)
+        return lambda t: -operand(t)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _FUNCTIONS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        fn, arg = _FUNCTIONS[node.func.id], _compile_node(node.args[0])
+        return lambda t: fn(arg(t))
+    raise HodgeError(f"disallowed expression {ast.unparse(node)!r}")
+
+
+def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
+    """Parse one matrix entry into a function of the family parameter t.
+
+    Entries are numbers, [re, im] pairs or strings.  Strings may use
+    numbers, + - * / **, unary minus, the names pi, i, j and t, and calls
+    to exp, cos, sin and sqrt; nothing else is evaluated.
+    """
     if isinstance(entry, str):
-        namespace = dict(_EVAL_NAMESPACE)
-        if t is not None:
-            namespace["t"] = t
         try:
-            return complex(eval(entry, {"__builtins__": {}}, namespace))
-        except Exception as exc:
+            fn = _compile_node(ast.parse(entry, mode="eval").body)
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+            raise HodgeError(f"cannot parse entry {entry!r}: {exc}") from exc
+    elif isinstance(entry, (int, float)) or (
+        isinstance(entry, (list, tuple)) and len(entry) == 2
+    ):
+        parts = tuple(entry) if isinstance(entry, (list, tuple)) else (entry,)
+        fn = lambda t: complex(*parts)
+    else:
+        raise HodgeError(f"unsupported matrix entry {entry!r}")
+
+    def evaluate(t: Optional[float]) -> complex:
+        try:
+            return complex(fn(t))
+        except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
             raise HodgeError(f"cannot evaluate entry {entry!r}: {exc}") from exc
-    raise HodgeError(f"unsupported matrix entry {entry!r}")
+
+    return evaluate
 
 
-def _eval_matrix(rows, t: Optional[float] = None) -> np.ndarray:
-    return np.array([[_eval_entry(e, t) for e in row] for row in rows], dtype=complex)
+def _compile_matrix(rows) -> Callable[[Optional[float]], np.ndarray]:
+    entries = [[_compile_entry(e) for e in row] for row in rows]
+    return lambda t=None: np.array(
+        [[f(t) for f in row] for row in entries], dtype=complex
+    )
+
+
+def _eval_matrix(rows) -> np.ndarray:
+    return _compile_matrix(rows)()
 
 
 def bundle_from_descriptor(data: dict) -> MonodromyBundle:
@@ -806,17 +920,17 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
     }
 
     if "connection" in fam:
-        rows = fam["connection"]
+        matrices = [_compile_matrix(m) for m in fam["connection"]]
 
         def gen(t: Fraction) -> MonodromyBundle:
-            conn = [_eval_matrix(m, float(t)) for m in rows]
+            conn = [m(float(t)) for m in matrices]
             return MonodromyBundle.from_connection(eta, conn, **flags)
 
     elif "monodromies" in fam:
-        rows = fam["monodromies"]
+        matrices = [_compile_matrix(m) for m in fam["monodromies"]]
 
         def gen(t: Fraction) -> MonodromyBundle:
-            mons = [_eval_matrix(m, float(t)) for m in rows]
+            mons = [m(float(t)) for m in matrices]
             for m in mons:
                 if not np.allclose(m, np.diag(np.diag(m)), atol=1e-12):
                     raise HodgeError(

@@ -42,6 +42,20 @@ def test_deterministic_reports(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_deterministic_spectral_reports_with_warm_caches(tmp_path):
+    from tautsig import hodge_numeric
+
+    hodge_numeric._structure.cache_clear()
+    hodge_numeric._frequency_lattice.cache_clear()
+    args = ["run", "--suite", "stability,vanishing,lusztig", "--out"]
+    cold, warm, fresh = (tmp_path / f"{name}.json" for name in ("cold", "warm", "fresh"))
+    assert main([*args, str(cold)]) == 0
+    assert hodge_numeric._structure.cache_info().currsize > 0
+    assert main([*args, str(warm)]) == 0
+    assert run_cli([*args, str(fresh)]).returncode == 0
+    assert cold.read_bytes() == warm.read_bytes() == fresh.read_bytes()
+
+
 def test_csv_and_text_formats(tmp_path):
     csv_path = tmp_path / "report.csv"
     assert main(["run", "--suite", "bott-reduction", "--out", str(csv_path),
@@ -119,6 +133,36 @@ _OPEN_SPACE = {
 def test_descriptor_parse_failure_exit_two(tmp_path, text):
     path = tmp_path / "broken.json"
     path.write_text(text)
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "[c for c in ().__class__.__mro__[1].__subclasses__() "
+        "if c.__name__=='BuiltinImporter'][0].load_module('os').getpid()",
+        "t.real",
+        "log(2)",
+    ],
+    ids=["subclass-escape", "attribute", "unknown-name"],
+)
+def test_descriptor_hostile_entry_exit_two(tmp_path, entry):
+    desc = {
+        "n": 1,
+        "eta": [[1]],
+        "monodromies": [[[1]]],
+        "family": {"connection": [[[entry]]], "grid": 4, "loop": True},
+    }
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(desc))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path),
+                 "--cutoff", "2"]) == 2
+
+
+def test_descriptor_oversized_truncation_exit_two(tmp_path):
+    desc = {"n": 8, "eta": [[1]], "monodromies": [[[1]]] * 8}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(desc))
     assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
 
 

@@ -22,6 +22,7 @@ from tautsig.hodge_numeric import (
     line_bundle,
     lusztig_bundle,
     lusztig_family,
+    load_descriptor,
     lusztig_pair_family,
     spectral_flow,
     spectral_flow_both,
@@ -384,3 +385,183 @@ def test_family_descriptor_diagonal_monodromies():
 def test_grid_nodes_span():
     nodes = grid_nodes(4)
     assert nodes[0] == 0 and nodes[-1] == 1 and len(nodes) == 5
+
+
+def test_hostile_entries_rejected():
+    from tautsig.hodge_numeric import _compile_entry
+
+    for entry in (
+        "[c for c in ().__class__.__mro__[1].__subclasses__() "
+        "if c.__name__=='BuiltinImporter'][0].load_module('os').getpid()",
+        "pi.real",
+        "log(2)",
+        "__import__('os')",
+        "exp(t, 1)",
+        "9**9**9",
+        "2**4000 * 2**4000",
+        ["1", 2],
+        {"re": 1},
+    ):
+        with pytest.raises(HodgeError):
+            _compile_entry(entry)(0.5)
+    with pytest.raises(HodgeError):
+        _compile_entry("2*t")(None)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["t", "2*t", "-3*t", "exp(2*pi*i*0.25)", "exp(2*pi*j*t/3)", "cos(t)**2 + sin(t)**2",
+     "sqrt(-1) - 1/3", "-(t - 0.5)**3", "2**-1", "1e-3*t"],
+)
+def test_entry_values_match_python_arithmetic(entry):
+    import cmath
+    from tautsig.hodge_numeric import _compile_entry
+
+    names = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin,
+             "sqrt": cmath.sqrt, "pi": math.pi, "i": 1j, "j": 1j}
+    for t in (0.0, 0.125, 1.0 / 3.0, 1.0):
+        want = complex(eval(entry, {"__builtins__": {}}, dict(names, t=t)))
+        assert _compile_entry(entry)(t) == want
+
+
+def test_shipped_descriptors_evaluate_as_python():
+    import cmath
+    import glob
+    import os
+    from tautsig.hodge_numeric import _compile_entry
+
+    names = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin,
+             "sqrt": cmath.sqrt, "pi": math.pi, "i": 1j, "j": 1j}
+
+    def entries(node):
+        if isinstance(node, str):
+            yield node
+        elif isinstance(node, list):
+            for item in node:
+                yield from entries(item)
+
+    root = os.path.join(os.path.dirname(__file__), "..", "descriptors")
+    seen = 0
+    for path in sorted(glob.glob(os.path.join(root, "*.json"))):
+        data = load_descriptor(path)
+        if "generators" in data:
+            continue
+        sections = [data["eta"], data["monodromies"], data.get("connection", [])]
+        sections += list(data.get("family", {}).values())
+        for entry in entries(sections):
+            for t in (0.0, 0.25, 1.0):
+                want = complex(eval(entry, {"__builtins__": {}}, dict(names, t=t)))
+                assert _compile_entry(entry)(t) == want
+                seen += 1
+    assert seen
+
+
+def test_descriptor_family_parses_entries_once(monkeypatch):
+    import tautsig.hodge_numeric as hn
+
+    calls = []
+    real = hn._compile_entry
+    monkeypatch.setattr(hn, "_compile_entry", lambda e: calls.append(e) or real(e))
+    data = {
+        "n": 1,
+        "eta": [[1]],
+        "monodromies": [[[1]]],
+        "family": {"connection": [[["t"]]], "grid": 8, "loop": True},
+    }
+    fam = family_from_descriptor(data, cutoff=4)
+    spectral_flow_both(fam)
+    assert calls.count("t") == 1
+
+
+# ---------------------------------------------------------------------------
+# Reuse and budgets
+# ---------------------------------------------------------------------------
+
+
+def _count_assemble(monkeypatch):
+    import tautsig.hodge_numeric as hn
+
+    calls = []
+    real = hn.assemble
+
+    def counting(bundle, cutoff=hn.DEFAULT_CUTOFF):
+        calls.append((bundle, cutoff))
+        return real(bundle, cutoff)
+
+    monkeypatch.setattr(hn, "assemble", counting)
+    return calls
+
+
+@pytest.mark.parametrize("thetas,cutoff", [([0.0], 8), ([0.4], 6), ([0.0, 0.25, 0.5], 3)])
+def test_constant_family_assembles_once(monkeypatch, thetas, cutoff):
+    calls = _count_assemble(monkeypatch)
+    fam = constant_family(line_bundle(thetas, globally_flat=True),
+                          cutoff=cutoff, resolution=16)
+    report = kernel_constancy_report(fam)
+    assert report["constant"]
+    assert report["flow_plus"] == 0 and report["flow_minus"] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "make,flow",
+    [(lambda: lusztig_family(cutoff=6, resolution=16), 1),
+     (lambda: lusztig_pair_family(cutoff=6, resolution=8), 0)],
+    ids=["line", "pair-refined"],
+)
+def test_endpoint_shift_passes_share_spectra(monkeypatch, make, flow):
+    calls = _count_assemble(monkeypatch)
+    fam = make()
+    with pytest.raises(EndpointKernelError):
+        spectral_flow(fam)
+    result = spectral_flow_both(fam)
+    assert abs(result.flow_plus) == abs(result.flow_minus) == flow
+    assert len(calls) == result.nodes_used
+
+
+def test_cached_structure_is_read_only():
+    from tautsig.hodge_numeric import _frequency_lattice, _structure
+
+    ext, iota, tau = _structure(3)
+    lattice = _frequency_lattice(3, 2)
+    assert _structure(3)[0] is ext and _frequency_lattice(3, 2) is lattice
+    for arr in (*ext, iota, tau, lattice):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    spectrum = constant_family(line_bundle([0.4]), cutoff=4, resolution=4).spectrum(0)
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+
+
+def test_cached_operator_matches_fresh_assembly():
+    bundle = line_bundle([0.0, 0.25, 0.5], globally_flat=True)
+    fam = constant_family(bundle, cutoff=3, resolution=8)
+    first = fam.operator(0)
+    kernel_constancy_report(fam)
+    cached = fam.operator(F(1, 2))
+    assert cached is first
+    fresh = assemble(bundle, 3)
+    assert np.array_equal(cached.blocks, fresh.blocks)
+    assert np.array_equal(cached.eigen_system()[0], fresh.eigen_system()[0])
+    assert np.array_equal(cached.odd_spectrum(), fresh.odd_spectrum())
+    assert np.array_equal(fam.spectrum(F(3, 8)), fresh.odd_spectrum())
+
+
+def test_assembly_budget_refused_before_allocation(monkeypatch):
+    import tracemalloc
+    import tautsig.hodge_numeric as hn
+
+    def forbidden(*args):
+        raise AssertionError("allocation reached")
+
+    monkeypatch.setattr(hn, "_frequency_lattice", forbidden)
+    monkeypatch.setattr(hn, "_structure", forbidden)
+    bundle = line_bundle([0.0] * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HodgeError, match="too large"):
+            assemble(bundle, cutoff=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
