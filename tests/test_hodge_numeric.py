@@ -1,5 +1,7 @@
+import cmath
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,30 +410,27 @@ def test_hostile_entries_rejected():
         _compile_entry("2*t")(None)
 
 
+def _python_value(entry, t):
+    """The entry as Python arithmetic computes it (trusted strings only)."""
+    names = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin,
+             "sqrt": cmath.sqrt, "pi": math.pi, "i": 1j, "j": 1j, "t": t}
+    return complex(eval(entry, {"__builtins__": {}}, names))
+
+
 @pytest.mark.parametrize(
     "entry",
     ["t", "2*t", "-3*t", "exp(2*pi*i*0.25)", "exp(2*pi*j*t/3)", "cos(t)**2 + sin(t)**2",
      "sqrt(-1) - 1/3", "-(t - 0.5)**3", "2**-1", "1e-3*t"],
 )
 def test_entry_values_match_python_arithmetic(entry):
-    import cmath
     from tautsig.hodge_numeric import _compile_entry
 
-    names = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin,
-             "sqrt": cmath.sqrt, "pi": math.pi, "i": 1j, "j": 1j}
     for t in (0.0, 0.125, 1.0 / 3.0, 1.0):
-        want = complex(eval(entry, {"__builtins__": {}}, dict(names, t=t)))
-        assert _compile_entry(entry)(t) == want
+        assert _compile_entry(entry)(t) == _python_value(entry, t)
 
 
 def test_shipped_descriptors_evaluate_as_python():
-    import cmath
-    import glob
-    import os
     from tautsig.hodge_numeric import _compile_entry
-
-    names = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin,
-             "sqrt": cmath.sqrt, "pi": math.pi, "i": 1j, "j": 1j}
 
     def entries(node):
         if isinstance(node, str):
@@ -440,9 +439,8 @@ def test_shipped_descriptors_evaluate_as_python():
             for item in node:
                 yield from entries(item)
 
-    root = os.path.join(os.path.dirname(__file__), "..", "descriptors")
     seen = 0
-    for path in sorted(glob.glob(os.path.join(root, "*.json"))):
+    for path in sorted((Path(__file__).parent.parent / "descriptors").glob("*.json")):
         data = load_descriptor(path)
         if "generators" in data:
             continue
@@ -450,8 +448,7 @@ def test_shipped_descriptors_evaluate_as_python():
         sections += list(data.get("family", {}).values())
         for entry in entries(sections):
             for t in (0.0, 0.25, 1.0):
-                want = complex(eval(entry, {"__builtins__": {}}, dict(names, t=t)))
-                assert _compile_entry(entry)(t) == want
+                assert _compile_entry(entry)(t) == _python_value(entry, t)
                 seen += 1
     assert seen
 
