@@ -19,13 +19,28 @@ subspace, a self-adjoint family with no residual symmetry.  Crossings are
 counted through ordered spectra on an adaptively refined grid; zeros at
 the endpoints of a loop must be pushed off zero by a reported +- shift.
 
-Spectral work is done once per process for each distinct input.  The
-structural arrays (ext_j, the parity vector, tau) are cached per n and the
-frequency lattice per (n, cutoff); both are read-only.  An operator family
-keeps its last operator and reuses it while ``bundle(t)`` returns the same
-bundle object, as every node of a constant family does, and it keeps the
-sorted odd spectrum of each node, which both endpoint-shift passes of
-:func:`spectral_flow_both` read.  An assembly whose blocks would exceed
+Spectral work is done once per process for each distinct input, and all
+cached arrays are read-only:
+
+* per n: the structural arrays (ext_j, the parity vector, tau);
+* per (n, cutoff): the frequency lattice;
+* per eta: the hermitian and singularity checks and the signature (p, q);
+  a bad eta is not cached and raises on every construction;
+* per (n, eta): the assembly frame -- the pair (h, sigma), the metric and
+  its inverse, tau (x) sigma, the lattice generators ext_j (x) i and the odd
+  restriction's alpha_1 and even-parity indices.  Nothing in it grows with
+  the cutoff.
+
+What depends on the node is still checked at every node: each bundle's
+monodromies must preserve eta and commute, a connection given together
+with monodromies must exponentiate to them, and each odd restriction must
+be self-adjoint.  Monodromies derived from a connection are not checked
+against it again.  An operator family keeps its last operator and reuses it
+for the same node, or while ``bundle(t)`` returns the same bundle object, as
+every node of a constant family does.  It verifies its loop once and keeps
+the sorted odd spectrum of each node, which both endpoint-shift passes of
+:func:`spectral_flow_both` read; within one pass each node's shifted
+spectrum and gap are computed once.  An assembly whose blocks would exceed
 ``MAX_ASSEMBLY_BYTES`` is refused before anything is allocated.
 """
 
@@ -39,7 +54,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -108,6 +123,21 @@ def _as_complex_matrix(m) -> np.ndarray:
     return arr
 
 
+@functools.lru_cache(maxsize=256)
+def _eta_signature(eta_bytes: bytes, r: int, atol: float) -> tuple[int, int]:
+    """Signature (p, q) of a hermitian, nonsingular eta; raises otherwise.
+
+    Failures are not cached, so a bad eta raises on every call.
+    """
+    eta = np.frombuffer(eta_bytes, dtype=complex).reshape(r, r)
+    if not np.allclose(eta, eta.conj().T, atol=atol):
+        raise HodgeError("eta must be hermitian")
+    eigs = np.linalg.eigvalsh(eta)
+    if np.min(np.abs(eigs)) < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(eigs))):
+        raise HodgeError("eta is singular")
+    return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+
+
 @dataclass
 class MonodromyBundle:
     """Flat U(p,q)-bundle on T^n given by commuting eta-preserving monodromies.
@@ -118,7 +148,7 @@ class MonodromyBundle:
 
     n: int
     eta: np.ndarray
-    monodromies: list
+    monodromies: Optional[list] = None
     connection: Optional[list] = None
     p: int = 0
     q: int = 0
@@ -129,18 +159,24 @@ class MonodromyBundle:
 
     def __post_init__(self):
         self.eta = _as_complex_matrix(self.eta)
-        self.monodromies = [_as_complex_matrix(m) for m in self.monodromies]
+        # Monodromies derived from the connection exponentiate to it by
+        # construction; only given ones are checked against a given connection.
+        derived = self.monodromies is None
+        if derived:
+            if self.connection is None:
+                raise HodgeError("a bundle needs monodromies or a connection")
+            self.connection = [_as_complex_matrix(a) for a in self.connection]
+            self.monodromies = [
+                scipy.linalg.expm(2j * math.pi * a) for a in self.connection
+            ]
+        else:
+            self.monodromies = [_as_complex_matrix(m) for m in self.monodromies]
         if len(self.monodromies) != self.n:
             raise HodgeError("one monodromy per circle factor is required")
         r = self.eta.shape[0]
-        if not np.allclose(self.eta, self.eta.conj().T, atol=self.atol):
-            raise HodgeError("eta must be hermitian")
-        eigs = np.linalg.eigvalsh(self.eta)
-        if np.min(np.abs(eigs)) < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(eigs))):
-            raise HodgeError("eta is singular")
+        p, q = _eta_signature(self.eta.tobytes(), r, self.atol)
         if not (self.p or self.q):
-            self.p = int(np.sum(eigs > 0))
-            self.q = int(np.sum(eigs < 0))
+            self.p, self.q = p, q
         if self.p + self.q != r:
             raise HodgeError("signature does not match the rank of eta")
         for a, m in enumerate(self.monodromies):
@@ -152,15 +188,15 @@ class MonodromyBundle:
                 other = self.monodromies[b]
                 if not np.allclose(m @ other, other @ m, atol=self.atol):
                     raise HodgeError(f"monodromies {a + 1}, {b + 1} do not commute")
-        if self.connection is not None:
+        if self.connection is None:
+            self.connection = self._derive_connection()
+        elif not derived:
             self.connection = [_as_complex_matrix(a) for a in self.connection]
             for a_mat, m in zip(self.connection, self.monodromies):
                 if not np.allclose(
                     scipy.linalg.expm(2j * math.pi * a_mat), m, atol=1e-8
                 ):
                     raise HodgeError("connection does not exponentiate to monodromy")
-        else:
-            self.connection = self._derive_connection()
 
     @property
     def rank(self) -> int:
@@ -191,15 +227,7 @@ class MonodromyBundle:
 
     @classmethod
     def from_connection(cls, eta, connection, **kwargs) -> "MonodromyBundle":
-        connection = [_as_complex_matrix(a) for a in connection]
-        monodromies = [scipy.linalg.expm(2j * math.pi * a) for a in connection]
-        return cls(
-            n=len(connection),
-            eta=eta,
-            monodromies=monodromies,
-            connection=connection,
-            **kwargs,
-        )
+        return cls(n=len(connection), eta=eta, connection=connection, **kwargs)
 
 
 def line_bundle(thetas: Sequence[float], globally_flat: bool = True,
@@ -258,6 +286,42 @@ def _pick_pair(eta: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
     return pair.h, pair.sigma
 
 
+class _Frame(NamedTuple):
+    """Arrays of an assembly fixed by (n, eta); read-only, none sized by the cutoff."""
+
+    metric: np.ndarray           # (d, d) positive inner product G = 1 (x) h
+    ginv: Optional[np.ndarray]   # (d, d) G^{-1}, or None when G is the identity
+    tau_v: np.ndarray            # (d, d) tau (x) sigma
+    iota: np.ndarray             # (d,) +-1 parity vector
+    lattice: np.ndarray          # (n, d, d) ext_j (x) i, the coefficient of k_j
+    alpha1: np.ndarray           # (d, d) diag(iota) tau_v
+    even: np.ndarray             # indices of the even-parity subspace
+
+
+@functools.lru_cache(maxsize=16)
+def _frame(n: int, r: int, eta_bytes: bytes, atol: float) -> _Frame:
+    eta = np.frombuffer(eta_bytes, dtype=complex).reshape(r, r)
+    ext_np, iota_vec, tau_np = _structure(n)
+    h, sigma = _pick_pair(eta, atol)
+    metric = np.kron(np.eye(1 << n, dtype=complex), h)
+    standard = np.allclose(metric, np.eye(metric.shape[0]), atol=1e-14)
+    tau_v = np.kron(tau_np, sigma)
+    iota = np.repeat(iota_vec, r)
+    frame = _Frame(
+        metric=metric,
+        ginv=None if standard else np.linalg.inv(metric),
+        tau_v=tau_v,
+        iota=iota,
+        lattice=np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np]),
+        alpha1=np.diag(iota).astype(complex) @ tau_v,
+        even=np.where(iota > 0)[0],
+    )
+    for arr in frame:
+        if arr is not None:
+            _read_only(arr)
+    return frame
+
+
 @dataclass
 class TruncatedOperator:
     """Blockwise Fourier truncation of D = d + d^* with its gradings."""
@@ -266,13 +330,21 @@ class TruncatedOperator:
     cutoff: int
     freqs: np.ndarray          # (B, n) integer lattice points
     blocks: np.ndarray         # (B, d, d) stacked D in lattice units
-    iota: np.ndarray           # (d,) +-1 parity vector
-    tau_v: np.ndarray          # (d, d)
-    metric: np.ndarray         # (d, d) positive inner product G
-    h: np.ndarray              # (r, r) coefficient metric
-    form_dim: int
+    frame: _Frame = field(repr=False)
     _eig: Optional[tuple] = field(default=None, repr=False)
     _odd: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def iota(self) -> np.ndarray:
+        return self.frame.iota
+
+    @property
+    def tau_v(self) -> np.ndarray:
+        return self.frame.tau_v
+
+    @property
+    def metric(self) -> np.ndarray:
+        return self.frame.metric
 
     @property
     def block_count(self) -> int:
@@ -331,9 +403,8 @@ class TruncatedOperator:
         """(alpha_1 D) restricted to the even-parity subspace, per block."""
         if self.bundle.n % 2 == 0:
             raise HodgeError("the odd restriction needs an odd-dimensional torus")
-        alpha1 = np.diag(self.iota).astype(complex) @ self.tau_v
-        even = np.where(self.iota > 0)[0]
-        stack = alpha1[None, :, :] @ self.blocks
+        even = self.frame.even
+        stack = self.frame.alpha1[None, :, :] @ self.blocks
         restricted = stack[:, even][:, :, even]
         herm = np.max(np.abs(restricted - np.conj(np.swapaxes(restricted, 1, 2))))
         if herm > 1e-10:
@@ -371,35 +442,20 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
             f"about {block_bytes / 2**20:.3g} MiB of blocks, over the "
             f"{MAX_ASSEMBLY_BYTES >> 20} MiB limit"
         )
-    ext_np, iota_vec, tau_np = _structure(n)
-    h, sigma = _pick_pair(bundle.eta, bundle.atol)
-    metric = np.kron(np.eye(1 << n, dtype=complex), h)
-    tau_v = np.kron(tau_np, sigma)
-    iota_full = np.repeat(iota_vec, r)
-
+    ext_np = _structure(n)[0]
+    frame = _frame(n, r, bundle.eta.tobytes(), bundle.atol)
     freqs = _frequency_lattice(n, cutoff)
     d_const = sum(
         np.kron(e, 1j * a) for e, a in zip(ext_np, bundle.connection)
     )
-    d_lattice = np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np])
     k = freqs.astype(float)
-    d_stack = d_const[None, :, :] + np.einsum("bj,jkl->bkl", k, d_lattice)
-    if np.allclose(metric, np.eye(metric.shape[0]), atol=1e-14):
-        adj = np.conj(np.swapaxes(d_stack, 1, 2))
-    else:
-        ginv = np.linalg.inv(metric)
-        adj = ginv[None] @ np.conj(np.swapaxes(d_stack, 1, 2)) @ metric[None]
+    d_stack = d_const[None, :, :] + np.einsum("bj,jkl->bkl", k, frame.lattice)
+    adj = np.conj(np.swapaxes(d_stack, 1, 2))
+    if frame.ginv is not None:
+        adj = frame.ginv[None] @ adj @ frame.metric[None]
     blocks = d_stack + adj
     return TruncatedOperator(
-        bundle=bundle,
-        cutoff=cutoff,
-        freqs=freqs,
-        blocks=blocks,
-        iota=iota_full,
-        tau_v=tau_v,
-        metric=metric,
-        h=h,
-        form_dim=1 << n,
+        bundle=bundle, cutoff=cutoff, freqs=freqs, blocks=blocks, frame=frame
     )
 
 
@@ -490,20 +546,30 @@ class OperatorFamily:
     loop: bool = False
     cutoff: int = DEFAULT_CUTOFF
     label: str = ""
-    # (bundle, cutoff, operator) of the last assembly; reused for the same bundle.
+    # ((node, cutoff), bundle, operator) of the last assembly; reused for the
+    # same node, or for the same bundle object at the same cutoff.
     _last: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     # (node, cutoff) -> sorted odd spectrum.
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Tolerances at which verify_loop has passed.
+    _loop_verified: set = field(default_factory=set, init=False, repr=False,
+                                compare=False)
 
     def bundle(self, t) -> MonodromyBundle:
         return self.generator(Fraction(t))
 
     def operator(self, t) -> TruncatedOperator:
-        bundle = self.bundle(t)
+        key = (Fraction(t), self.cutoff)
         last = self._last
-        if last is None or last[0] is not bundle or last[1] != self.cutoff:
-            self._last = last = (bundle, self.cutoff, assemble(bundle, self.cutoff))
-        return last[2]
+        if last is not None and last[0] == key:
+            return last[2]
+        bundle = self.bundle(t)
+        if last is not None and last[1] is bundle and last[0][1] == self.cutoff:
+            op = last[2]
+        else:
+            op = assemble(bundle, self.cutoff)
+        self._last = (key, bundle, op)
+        return op
 
     def spectrum(self, t) -> np.ndarray:
         """Sorted odd-restricted spectrum at node t, computed once per node."""
@@ -517,21 +583,24 @@ class OperatorFamily:
 
         Equal monodromies conjugate by the identity; otherwise a joint
         eigenbasis match produces an explicit intertwiner, which must also
-        preserve the hermitian form.
+        preserve the hermitian form.  A pass is remembered per tolerance; a
+        failure raises again on every call.
         """
+        if atol in self._loop_verified:
+            return
         b0, b1 = self.bundle(0), self.bundle(1)
-        if all(
+        if not all(
             np.allclose(m0, m1, atol=atol)
             for m0, m1 in zip(b0.monodromies, b1.monodromies)
         ):
-            return
-        conjugator = _match_joint_eigensystem(b0, b1, atol)
-        if conjugator is None:
-            raise HodgeError("family endpoints are not conjugate: not a loop")
-        if not np.allclose(
-            conjugator.conj().T @ b1.eta @ conjugator, b0.eta, atol=1e-6
-        ):
-            raise HodgeError("endpoint conjugator does not preserve eta")
+            conjugator = _match_joint_eigensystem(b0, b1, atol)
+            if conjugator is None:
+                raise HodgeError("family endpoints are not conjugate: not a loop")
+            if not np.allclose(
+                conjugator.conj().T @ b1.eta @ conjugator, b0.eta, atol=1e-6
+            ):
+                raise HodgeError("endpoint conjugator does not preserve eta")
+        self._loop_verified.add(atol)
 
 
 def _match_joint_eigensystem(b0: MonodromyBundle, b1: MonodromyBundle,
@@ -688,14 +757,23 @@ def spectral_flow(
     nodes = [Fraction(t) for t in family.grid]
     if nodes[0] != 0 or nodes[-1] != 1:
         raise HodgeError("family grid must span [0, 1]")
+    shifted: dict = {}
+
+    def node(t: Fraction) -> tuple[np.ndarray, float]:
+        """Shifted spectrum at t and its distinct gap, once per node in this pass."""
+        if t not in shifted:
+            values = spectra(t) + shift
+            shifted[t] = (values, _distinct_gap(values, tol))
+        return shifted[t]
+
     refinements = 0
     flow = 0
     i = 0
     while i < len(nodes) - 1:
         a, b = nodes[i], nodes[i + 1]
-        va, vb = spectra(a) + shift, spectra(b) + shift
+        (va, gap_a), (vb, gap_b) = node(a), node(b)
         move = float(np.max(np.abs(va - vb)))
-        gap = min(_distinct_gap(va, tol), _distinct_gap(vb, tol))
+        gap = min(gap_a, gap_b)
         if move > gap / 2 and len(nodes) < max_nodes:
             nodes.insert(i + 1, (a + b) / 2)
             refinements += 1
@@ -744,6 +822,11 @@ def kernel_constancy_report(
     flagged: list = []
     for t in nodes:
         op = family.operator(t)
+        if family.loop and op.bundle.n % 2 == 1:
+            # An odd loop family's flow is computed below when the profile
+            # is constant, and by callers such as the descriptor suite when it
+            # is not; both read this spectrum instead of assembling again.
+            family.spectrum(t)
         try:
             profile.append(kernel_dimension(op, tol))
         except IndeterminateKernelError:

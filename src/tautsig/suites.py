@@ -379,8 +379,12 @@ def _suite_vanishing(config: SuiteConfig) -> list[dict]:
                 cutoff=fam.cutoff,
             )
         )
-    fam = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=16)
-    report = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
+    # One family serves the profile and the flow, so the flow reads the
+    # spectra of the profile's nodes wherever they are flow grid nodes.
+    fam = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid)
+    report = hodge_numeric.kernel_constancy_report(
+        fam, grid=hodge_numeric.grid_nodes(16), tol=config.tol
+    )
     profile = report["profile"]
     shape_ok = (
         profile[0] == 2
@@ -388,10 +392,7 @@ def _suite_vanishing(config: SuiteConfig) -> list[dict]:
         and all(d == 0 for d in profile[1:-1])
         and not report["constant"]
     )
-    flow = hodge_numeric.spectral_flow_both(
-        hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid),
-        tol=config.tol,
-    )
+    flow = hodge_numeric.spectral_flow_both(fam, tol=config.tol)
     cases.append(
         _case(
             "vanishing",

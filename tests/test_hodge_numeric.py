@@ -562,3 +562,119 @@ def test_assembly_budget_refused_before_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Per-family invariants
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "eta,message",
+    [(np.array([[1.0, 1.0], [0.0, 1.0]]), "hermitian"), (np.zeros((2, 2)), "singular")],
+    ids=["non-hermitian", "singular"],
+)
+def test_bad_eta_raises_on_every_construction(eta, message):
+    for _ in range(2):
+        with pytest.raises(HodgeError, match=message):
+            MonodromyBundle(n=1, eta=eta, monodromies=[np.eye(2)])
+
+
+def test_given_connection_checked_against_given_monodromies():
+    with pytest.raises(HodgeError, match="exponentiate"):
+        MonodromyBundle(n=1, eta=np.eye(1), monodromies=[np.eye(1)],
+                        connection=[np.array([[0.25]])])
+
+
+def test_from_connection_monodromies_are_exponentials():
+    import scipy.linalg
+
+    conn = [np.diag([0.3, -0.7]).astype(complex), np.array([[0.1, 0.2], [0.2, 0.1]])]
+    bundle = MonodromyBundle.from_connection(np.eye(2), conn)
+    for a, m in zip(conn, bundle.monodromies):
+        assert np.array_equal(m, scipy.linalg.expm(2j * math.pi * a))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: line_bundle([0.25, 0.5]),
+     lambda: MonodromyBundle.from_connection(np.diag([1.0, -1.0]),
+                                             [np.diag([0.2, 0.3])]),
+     lambda: MonodromyBundle.from_connection(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                             [0.2 * np.eye(2)])],
+    ids=["line", "indefinite", "offdiagonal"],
+)
+def test_cached_frame_read_only_and_cutoff_free(make):
+    bundle = make()
+    frames = [assemble(bundle, cutoff).frame for cutoff in (2, 8)]
+    sizes = [sum(a.nbytes for a in f if a is not None) for f in frames]
+    assert sizes[0] == sizes[1]
+    for arr in frames[1]:
+        if arr is not None:
+            assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make,pinned",
+    [(lambda: lusztig_family(speed=1), (1, 1, 65, 0)),
+     (lambda: lusztig_family(speed=2), (2, 2, 65, 0)),
+     (lambda: lusztig_family(speed=3), (3, 3, 65, 0)),
+     (lambda: lusztig_pair_family(cutoff=8), (0, 0, 261, 196)),
+     (lambda: lusztig_pair_family(cutoff=12), (0, 0, 265, 200))],
+    ids=["line-x1", "line-x2", "line-x3", "pair-8", "pair-12"],
+)
+def test_flow_results_pinned(make, pinned):
+    result = spectral_flow_both(make())
+    assert (result.flow_plus, result.flow_minus, result.nodes_used,
+            result.refinements) == pinned
+
+
+def test_flow_validates_per_family_invariants_once(monkeypatch):
+    import tautsig.hodge_numeric as hn
+
+    counts = {"expm": 0, "eta_eigvalsh": 0, "bundles": 0}
+    real_expm, real_eigvalsh = hn.scipy.linalg.expm, hn.np.linalg.eigvalsh
+    real_post_init = hn.MonodromyBundle.__post_init__
+
+    def expm(a):
+        counts["expm"] += 1
+        return real_expm(a)
+
+    def eigvalsh(a, *args, **kwargs):
+        counts["eta_eigvalsh"] += np.ndim(a) == 2  # spectra solve (B, d, d) stacks
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def post_init(self):
+        counts["bundles"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(hn.scipy.linalg, "expm", expm)
+    monkeypatch.setattr(hn.np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(hn.MonodromyBundle, "__post_init__", post_init)
+    hn._eta_signature.cache_clear()
+    fam = lusztig_family(cutoff=8, resolution=64)
+    spectral_flow_both(fam)
+    # One bundle per distinct node, plus the t = 0 and t = 1 pair that
+    # verify_loop builds once per family.
+    assert counts["bundles"] == len(fam._spectra) + 2
+    assert counts["expm"] == counts["bundles"]
+    assert counts["eta_eigvalsh"] <= 1
+
+
+@pytest.mark.parametrize(
+    "suite,descriptor,expected",
+    # descriptor: the bundle, then each node of the 32-step family grid.
+    # vanishing: four constant families, then each node of the 64-step line
+    # grid, whose profile nodes are among the flow nodes.
+    [("descriptor", "lusztig_family.json", 34), ("vanishing", None, 69)],
+)
+def test_suite_assembles_each_node_once(monkeypatch, suite, descriptor, expected):
+    from tautsig import suites
+
+    calls = _count_assemble(monkeypatch)
+    root = Path(__file__).resolve().parents[1]
+    config = suites.SuiteConfig(
+        suites=[suite], descriptor=descriptor and str(root / "descriptors" / descriptor)
+    )
+    assert suites.run_suites(config)["ok"]
+    assert len(calls) == expected
