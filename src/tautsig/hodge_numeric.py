@@ -15,9 +15,9 @@ k_j + A_j, which keeps the structural anticommutation identities exact in
 floating point.
 
 Spectral flow follows the restriction of alpha(e_1) D to the even-parity
-subspace, a self-adjoint family with no residual symmetry.  Crossings are
-counted through ordered spectra on an adaptively refined grid; zeros at
-the endpoints of a loop must be pushed off zero by a reported +- shift.
+subspace, a self-adjoint family with no residual symmetry.  Its flow is
+the change in positive index from t = 0 to t = 1; zeros at these
+endpoints must be pushed off zero by a reported +- shift.
 
 Spectral work is done once per process for each distinct input, and all
 cached arrays are read-only:
@@ -31,17 +31,18 @@ cached arrays are read-only:
   restriction's alpha_1 and even-parity indices.  Nothing in it grows with
   the cutoff.
 
-What depends on the node is still checked at every node: each bundle's
-monodromies must preserve eta and commute, a connection given together
-with monodromies must exponentiate to them, and each odd restriction must
-be self-adjoint.  Monodromies derived from a connection are not checked
-against it again.  An operator family keeps its last operator and reuses it
-for the same node, or while ``bundle(t)`` returns the same bundle object, as
-every node of a constant family does.  It verifies its loop once and keeps
-the sorted odd spectrum of each node, which both endpoint-shift passes of
-:func:`spectral_flow_both` read; within one pass each node's shifted
-spectrum and gap are computed once.  An assembly whose blocks would exceed
-``MAX_ASSEMBLY_BYTES`` is refused before anything is allocated.
+What depends on the node is still checked at every grid node: each
+bundle's monodromies must preserve eta and commute, a connection given
+together with monodromies must exponentiate to them, and each odd
+restriction must be self-adjoint.  Monodromies derived from a connection
+are not checked against it again.  An operator family keeps its last
+operator and reuses it for the same node, or while ``bundle(t)`` returns
+the same bundle object, as every node of a constant family does.  It
+verifies its loop once and keeps each solved spectrum and each passed
+node check, which both endpoint-shift passes of :func:`spectral_flow_both`
+and a preceding :func:`kernel_constancy_report` share.  An assembly whose
+blocks would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "HodgeError",
     "IndeterminateKernelError",
     "EndpointKernelError",
-    "RefinementBudgetError",
     "MonodromyBundle",
     "TruncatedOperator",
     "OperatorFamily",
@@ -107,10 +107,6 @@ class EndpointKernelError(HodgeError):
     pass
 
 
-class RefinementBudgetError(HodgeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Bundles
 # ---------------------------------------------------------------------------
@@ -121,6 +117,14 @@ def _as_complex_matrix(m) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise HodgeError("expected a square matrix")
     return arr
+
+
+def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """``np.allclose(a, b, atol=atol)``; finite inputs skip its generic machinery."""
+    diff = np.abs(a - b)
+    if np.isfinite(diff).all():
+        return bool((diff <= atol + 1e-5 * np.abs(b)).all())
+    return bool(np.allclose(a, b, atol=atol))
 
 
 @functools.lru_cache(maxsize=256)
@@ -182,11 +186,11 @@ class MonodromyBundle:
         for a, m in enumerate(self.monodromies):
             if m.shape != (r, r):
                 raise HodgeError("monodromy rank mismatch")
-            if not np.allclose(m.conj().T @ self.eta @ m, self.eta, atol=self.atol):
+            if not _allclose(m.conj().T @ self.eta @ m, self.eta, self.atol):
                 raise HodgeError(f"monodromy {a + 1} does not preserve eta")
             for b in range(a + 1, self.n):
                 other = self.monodromies[b]
-                if not np.allclose(m @ other, other @ m, atol=self.atol):
+                if not _allclose(m @ other, other @ m, self.atol):
                     raise HodgeError(f"monodromies {a + 1}, {b + 1} do not commute")
         if self.connection is None:
             self.connection = self._derive_connection()
@@ -333,6 +337,7 @@ class TruncatedOperator:
     frame: _Frame = field(repr=False)
     _eig: Optional[tuple] = field(default=None, repr=False)
     _odd: Optional[np.ndarray] = field(default=None, repr=False)
+    _odd_checked: bool = field(default=False, repr=False)
 
     @property
     def iota(self) -> np.ndarray:
@@ -409,7 +414,13 @@ class TruncatedOperator:
         herm = np.max(np.abs(restricted - np.conj(np.swapaxes(restricted, 1, 2))))
         if herm > 1e-10:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
+        self._odd_checked = True
         return restricted
+
+    def check_odd(self) -> None:
+        """The odd restriction's self-adjointness check, once, with no eigensolve."""
+        if not self._odd_checked:
+            self.restricted_odd_stack()
 
     def odd_spectrum(self) -> np.ndarray:
         """Sorted eigenvalues of the odd restriction in physical units."""
@@ -537,6 +548,10 @@ def grid_nodes(resolution: int) -> list[Fraction]:
     return [Fraction(i, resolution) for i in range(resolution + 1)]
 
 
+def _node(t) -> Fraction:
+    return t if type(t) is Fraction else Fraction(t)
+
+
 @dataclass
 class OperatorFamily:
     """One-parameter family t in [0,1] of monodromy bundles."""
@@ -551,15 +566,17 @@ class OperatorFamily:
     _last: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     # (node, cutoff) -> sorted odd spectrum.
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (node, cutoff) keys whose odd restriction passed check() without a spectrum.
+    _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
     # Tolerances at which verify_loop has passed.
     _loop_verified: set = field(default_factory=set, init=False, repr=False,
                                 compare=False)
 
     def bundle(self, t) -> MonodromyBundle:
-        return self.generator(Fraction(t))
+        return self.generator(_node(t))
 
     def operator(self, t) -> TruncatedOperator:
-        key = (Fraction(t), self.cutoff)
+        key = (_node(t), self.cutoff)
         last = self._last
         if last is not None and last[0] == key:
             return last[2]
@@ -573,10 +590,17 @@ class OperatorFamily:
 
     def spectrum(self, t) -> np.ndarray:
         """Sorted odd-restricted spectrum at node t, computed once per node."""
-        key = (Fraction(t), self.cutoff)
+        key = (_node(t), self.cutoff)
         if key not in self._spectra:
             self._spectra[key] = self.operator(t).odd_spectrum()
         return self._spectra[key]
+
+    def check(self, t) -> None:
+        """Build node t and check its odd restriction once; a solved node has passed."""
+        key = (_node(t), self.cutoff)
+        if key not in self._spectra and key not in self._checked:
+            self.operator(t).check_odd()
+            self._checked.add(key)
 
     def verify_loop(self, atol: float = 1e-8) -> None:
         """Exhibit a conjugating map between the endpoint bundles.
@@ -707,7 +731,6 @@ class SpectralFlowResult:
     flow_plus: int
     flow_minus: int
     nodes_used: int
-    refinements: int
 
     @property
     def magnitude(self) -> int:
@@ -718,32 +741,27 @@ class SpectralFlowResult:
         return abs(self.flow_plus)
 
 
-def _distinct_gap(values: np.ndarray, cluster: float) -> float:
-    diffs = np.diff(values)
-    real = diffs[diffs > cluster]
-    return float(np.min(real)) if real.size else math.inf
-
-
 def spectral_flow(
     family: OperatorFamily,
     tol: float = DEFAULT_TOL,
     endpoint_shift: Optional[int] = None,
-    max_nodes: int = 4096,
     _counters: Optional[dict] = None,
 ) -> int:
     """Net signed zero crossings of the restricted odd family over [0,1].
 
-    A positive-slope crossing counts +1.  If an endpoint eigenvalue sits
-    within tol of zero, the whole family must be shifted off zero by
-    ``endpoint_shift`` (+1 or -1) times 10*tol; with no shift requested
-    this raises :class:`EndpointKernelError`.
+    A positive-slope crossing counts +1.  For a path of hermitian matrices
+    the net count is the change in positive index from t = 0 to t = 1
+    (Phillips, Canad. Math. Bull. 39, 1996), so only those two spectra are
+    solved; interior grid nodes are built and checked with no eigensolve.
+    If an endpoint eigenvalue sits within tol of zero, the whole family must
+    be shifted off zero by ``endpoint_shift`` (+1 or -1) times 10*tol; with
+    no shift requested this raises :class:`EndpointKernelError`.
     """
     if not family.loop:
         raise HodgeError("spectral flow is defined for loop families")
     family.verify_loop()
-    spectra = family.spectrum
     shift = 0.0
-    ends = [spectra(Fraction(0)), spectra(Fraction(1))]
+    ends = [family.spectrum(0), family.spectrum(1)]
     if any(np.min(np.abs(e)) < tol for e in ends):
         if endpoint_shift is None:
             raise EndpointKernelError(
@@ -754,61 +772,28 @@ def spectral_flow(
         if np.min(np.abs(e + shift)) < tol:
             raise EndpointKernelError("endpoint shift failed to clear the kernel")
 
-    nodes = [Fraction(t) for t in family.grid]
+    nodes = family.grid
     if nodes[0] != 0 or nodes[-1] != 1:
         raise HodgeError("family grid must span [0, 1]")
-    shifted: dict = {}
-
-    def node(t: Fraction) -> tuple[np.ndarray, float]:
-        """Shifted spectrum at t and its distinct gap, once per node in this pass."""
-        if t not in shifted:
-            values = spectra(t) + shift
-            shifted[t] = (values, _distinct_gap(values, tol))
-        return shifted[t]
-
-    refinements = 0
-    flow = 0
-    i = 0
-    while i < len(nodes) - 1:
-        a, b = nodes[i], nodes[i + 1]
-        (va, gap_a), (vb, gap_b) = node(a), node(b)
-        move = float(np.max(np.abs(va - vb)))
-        gap = min(gap_a, gap_b)
-        if move > gap / 2 and len(nodes) < max_nodes:
-            nodes.insert(i + 1, (a + b) / 2)
-            refinements += 1
-            continue
-        if move > gap / 2:
-            raise RefinementBudgetError(
-                f"refinement budget exhausted between t={a} and t={b}"
-            )
-        flow += int(np.sum(vb > 0)) - int(np.sum(va > 0))
-        i += 1
+    for t in nodes[1:-1]:
+        family.check(t)
     if _counters is not None:
         _counters["nodes"] = len(nodes)
-        _counters["refinements"] = refinements
-    return flow
+    start, end = (int(np.sum(e + shift > 0)) for e in ends)
+    return end - start
 
 
-def spectral_flow_both(
-    family: OperatorFamily, tol: float = DEFAULT_TOL, max_nodes: int = 4096
-) -> SpectralFlowResult:
+def spectral_flow_both(family: OperatorFamily, tol: float = DEFAULT_TOL
+                       ) -> SpectralFlowResult:
     """Flow with both endpoint shifts; equal magnitudes are the robust output."""
-    counters: dict = {}
     try:
-        plus = spectral_flow(family, tol, endpoint_shift=None, max_nodes=max_nodes,
-                             _counters=counters)
+        plus = spectral_flow(family, tol, endpoint_shift=None)
         minus = plus
     except EndpointKernelError:
-        plus = spectral_flow(family, tol, endpoint_shift=+1, max_nodes=max_nodes,
-                             _counters=counters)
-        minus = spectral_flow(family, tol, endpoint_shift=-1, max_nodes=max_nodes)
-    return SpectralFlowResult(
-        flow_plus=plus,
-        flow_minus=minus,
-        nodes_used=counters.get("nodes", len(family.grid)),
-        refinements=counters.get("refinements", 0),
-    )
+        plus = spectral_flow(family, tol, endpoint_shift=+1)
+        minus = spectral_flow(family, tol, endpoint_shift=-1)
+    return SpectralFlowResult(flow_plus=plus, flow_minus=minus,
+                              nodes_used=len(family.grid))
 
 
 def kernel_constancy_report(
@@ -817,16 +802,18 @@ def kernel_constancy_report(
     tol: float = DEFAULT_TOL,
 ) -> dict:
     """Kernel dimension along the grid; constancy forces zero flow."""
-    nodes = [Fraction(t) for t in (grid if grid is not None else family.grid)]
+    nodes = [_node(t) for t in (grid if grid is not None else family.grid)]
     profile: list = []
     flagged: list = []
     for t in nodes:
         op = family.operator(t)
         if family.loop and op.bundle.n % 2 == 1:
-            # An odd loop family's flow is computed below when the profile
-            # is constant, and by callers such as the descriptor suite when it
-            # is not; both read this spectrum instead of assembling again.
-            family.spectrum(t)
+            # The flow, below or in callers such as the descriptor suite,
+            # reads these endpoint spectra and node checks.
+            if t == 0 or t == 1:
+                family.spectrum(t)
+            else:
+                family.check(t)
         try:
             profile.append(kernel_dimension(op, tol))
         except IndeterminateKernelError:

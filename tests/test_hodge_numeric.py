@@ -1,10 +1,13 @@
 import cmath
 import math
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautsig.hodge_numeric import (
     UNIT,
@@ -63,6 +66,43 @@ def test_connection_derivation_principal_branch():
         monodromies=[np.array([[np.exp(2j * math.pi * 0.25)]])],
     )
     assert np.allclose(bundle.connection[0], [[0.25]])
+
+
+_ATOL = 1e-10
+_B = np.array([[0.0, 1.0], [-2.0j, 3.0 + 4.0j]])
+_INF, _NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize(
+    "a,b,close",
+    [(_B, _B, True),
+     # With b = 0 the bound is atol exactly.
+     (np.array([[_ATOL]]), np.zeros((1, 1)), True),
+     (np.array([[np.nextafter(_ATOL, 1.0)]]), np.zeros((1, 1)), False),
+     (_B + 0.999 * (_ATOL + 1e-5 * np.abs(_B)), _B, True),
+     (_B + 1.001 * (_ATOL + 1e-5 * np.abs(_B)), _B, False),
+     (_B, _B + 0.999 * (_ATOL + 1e-5 * np.abs(_B)), True),
+     (np.array([[_NAN]]), np.array([[_NAN]]), False),
+     (np.array([[_NAN, 0.0]]), np.array([[1.0, 0.0]]), False),
+     (np.array([[1.0]]), np.array([[_NAN]]), False),
+     (np.array([[_INF, 1.0]]), np.array([[_INF, 1.0]]), True),
+     (np.array([[-_INF]]), np.array([[_INF]]), False),
+     (np.array([[1.0]]), np.array([[_INF]]), False),
+     (np.array([[_INF]]), np.array([[1.0]]), False),
+     (np.array([[complex(_INF, 1.0)]]), np.array([[complex(_INF, 1.0)]]), True),
+     (np.array([[complex(_INF, 1.0)]]), np.array([[complex(_INF, 2.0)]]), False),
+     (np.array([[1e308]]), np.array([[-1e308]]), False)],
+    ids=["equal", "atol-edge", "past-atol-edge", "inside-rtol", "outside-rtol",
+         "inside-rtol-swapped", "nan-nan", "nan-left", "nan-right", "inf-inf",
+         "inf-opposite", "inf-right", "inf-left", "complex-inf", "complex-inf-differ",
+         "overflow"],
+)
+def test_allclose_helper_matches_numpy(a, b, close):
+    from tautsig.hodge_numeric import _allclose
+
+    with np.errstate(all="ignore"):
+        assert np.allclose(a, b, atol=_ATOL) is close
+        assert _allclose(a, b, _ATOL) is close
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +333,63 @@ def test_constant_family_guard():
         constant_family(lusztig_bundle(F(1, 4)), cutoff=4)
 
 
+@pytest.mark.parametrize(
+    "connection,message",
+    [([[0, "t*(1-t)"], [0, 1]], "restricted operator is not self-adjoint (0.109375)"),
+     ([["t + 0*1/(4*t-2)"]], "cannot evaluate entry 't + 0*1/(4*t-2)': float division by zero")],
+    ids=["not-self-adjoint", "division-by-zero"],
+)
+def test_flow_rejects_bad_interior_nodes(connection, message):
+    # Both families are valid at t = 0 and t = 1; only interior nodes fail,
+    # and the first bad node in grid order (t = 1/8, t = 1/2) is reported.
+    eye = np.eye(len(connection)).tolist()
+    data = {"n": 1, "eta": eye, "monodromies": [eye],
+            "family": {"connection": [connection], "grid": 8, "loop": True}}
+    with pytest.raises(HodgeError, match=re.escape(message)) as exc:
+        spectral_flow_both(family_from_descriptor(data, cutoff=4))
+    assert type(exc.value) is HodgeError
+
+
+def _grid_walk_flows(fam, tol=1e-8):
+    """(plus, minus) flows as sums of #pos changes over consecutive grid nodes."""
+    spectra = [assemble(fam.bundle(t), fam.cutoff).odd_spectrum() for t in fam.grid]
+    at_zero = min(np.min(np.abs(spectra[0])), np.min(np.abs(spectra[-1]))) < tol
+    flows = []
+    for sign in (1, -1):
+        shift = sign * 10 * tol if at_zero else 0.0
+        flows.append(sum(
+            int(np.sum(b + shift > 0)) - int(np.sum(a + shift > 0))
+            for a, b in zip(spectra, spectra[1:])
+        ))
+    return tuple(flows)
+
+
+@st.composite
+def _diagonal_loops(draw):
+    rank = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(2, 6))
+    etas = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    speeds = draw(st.lists(st.integers(-cutoff, cutoff), min_size=rank, max_size=rank))
+    return etas, speeds, draw(st.integers(2, 32)), cutoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(_diagonal_loops())
+def test_flow_matches_grid_walk_and_speeds(loop):
+    etas, speeds, grid, cutoff = loop
+    diag = lambda vals: [[vals[i] if i == j else 0 for j in range(len(vals))]
+                         for i in range(len(vals))]
+    data = {"n": 1, "eta": diag(etas), "monodromies": [diag([1] * len(etas))],
+            "family": {"connection": [diag([f"{k}*t" for k in speeds])],
+                       "grid": grid, "loop": True}}
+    result = spectral_flow_both(family_from_descriptor(data, cutoff=cutoff))
+    flows = (result.flow_plus, result.flow_minus)
+    assert flows == _grid_walk_flows(family_from_descriptor(data, cutoff=cutoff))
+    expected = sum(s * k for s, k in zip(etas, speeds))
+    assert flows == (expected, expected)
+    assert result.nodes_used == grid + 1
+
+
 # ---------------------------------------------------------------------------
 # Constancy reports
 # ---------------------------------------------------------------------------
@@ -516,6 +613,42 @@ def test_endpoint_shift_passes_share_spectra(monkeypatch, make, flow):
     assert len(calls) == result.nodes_used
 
 
+def _profile_then_flow(fam):
+    assert not kernel_constancy_report(fam)["constant"]
+    return spectral_flow_both(fam)
+
+
+@pytest.mark.parametrize(
+    "run,stacks,solves",
+    # The line family solves its two endpoints and checks 15 interior nodes,
+    # also when its profile comes first; the constant family's one operator
+    # is checked and solved once.
+    [(lambda: spectral_flow_both(lusztig_family(cutoff=6, resolution=16)), 17, 2),
+     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 17, 2),
+     (lambda: kernel_constancy_report(
+         constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1, 1)],
+    ids=["line", "line-profile", "constant"],
+)
+def test_flow_solves_only_endpoint_spectra(monkeypatch, run, stacks, solves):
+    import tautsig.hodge_numeric as hn
+
+    counts = {"stacks": 0, "solves": 0}
+    real_stack, real_eigvalsh = hn.TruncatedOperator.restricted_odd_stack, np.linalg.eigvalsh
+
+    def stack(self):
+        counts["stacks"] += 1
+        return real_stack(self)
+
+    def eigvalsh(a, *args, **kwargs):
+        counts["solves"] += np.ndim(a) == 3  # eta checks solve 2-D matrices
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(hn.TruncatedOperator, "restricted_odd_stack", stack)
+    monkeypatch.setattr(hn.np.linalg, "eigvalsh", eigvalsh)
+    run()
+    assert counts == {"stacks": stacks, "solves": solves}
+
+
 def test_cached_structure_is_read_only():
     from tautsig.hodge_numeric import _frequency_lattice, _structure
 
@@ -616,17 +749,16 @@ def test_cached_frame_read_only_and_cutoff_free(make):
 
 @pytest.mark.parametrize(
     "make,pinned",
-    [(lambda: lusztig_family(speed=1), (1, 1, 65, 0)),
-     (lambda: lusztig_family(speed=2), (2, 2, 65, 0)),
-     (lambda: lusztig_family(speed=3), (3, 3, 65, 0)),
-     (lambda: lusztig_pair_family(cutoff=8), (0, 0, 261, 196)),
-     (lambda: lusztig_pair_family(cutoff=12), (0, 0, 265, 200))],
+    [(lambda: lusztig_family(speed=1), (1, 1, 65)),
+     (lambda: lusztig_family(speed=2), (2, 2, 65)),
+     (lambda: lusztig_family(speed=3), (3, 3, 65)),
+     (lambda: lusztig_pair_family(cutoff=8), (0, 0, 65)),
+     (lambda: lusztig_pair_family(cutoff=12), (0, 0, 65))],
     ids=["line-x1", "line-x2", "line-x3", "pair-8", "pair-12"],
 )
 def test_flow_results_pinned(make, pinned):
     result = spectral_flow_both(make())
-    assert (result.flow_plus, result.flow_minus, result.nodes_used,
-            result.refinements) == pinned
+    assert (result.flow_plus, result.flow_minus, result.nodes_used) == pinned
 
 
 def test_flow_validates_per_family_invariants_once(monkeypatch):
@@ -654,9 +786,9 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
     hn._eta_signature.cache_clear()
     fam = lusztig_family(cutoff=8, resolution=64)
     spectral_flow_both(fam)
-    # One bundle per distinct node, plus the t = 0 and t = 1 pair that
+    # One bundle per grid node, plus the t = 0 and t = 1 pair that
     # verify_loop builds once per family.
-    assert counts["bundles"] == len(fam._spectra) + 2
+    assert counts["bundles"] == len(fam.grid) + 2
     assert counts["expm"] == counts["bundles"]
     assert counts["eta_eigvalsh"] <= 1
 
