@@ -440,6 +440,18 @@ class CompatiblePair:
             raise CliffordError("sigma is not an h-isometry")
 
 
+def _reduced_eigh(a: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of A v = l G v for hermitian A and G = L L^H, given L^-1.
+
+    The problem reduces to the hermitian L^-1 A L^-H u = l u with v = L^-H u,
+    so that V^H G V = 1, as ``scipy.linalg.eigh(A, G)`` normalises.  A may
+    carry leading batch axes.
+    """
+    linv_h = linv.conj().T
+    vals, u = np.linalg.eigh(linv @ a @ linv_h)
+    return vals, linv_h @ u
+
+
 def compatible_pair(eta: np.ndarray, h0: np.ndarray | None = None,
                     tolerance: float = 1e-12) -> CompatiblePair:
     """Polar-decomposition pair (h, sigma) with h = eta(. , sigma .).
@@ -459,10 +471,8 @@ def compatible_pair(eta: np.ndarray, h0: np.ndarray | None = None,
     # Forms are conjugate-linear in the first slot: h0(x, y) = x^H H0 y,
     # so h0(S x, y) = eta(x, y) forces S = H0^{-1} eta.
     s_mat = np.linalg.solve(h0, eta)
-    # S is h0-selfadjoint: diagonalize via the generalized problem N v = l H0 v.
-    import scipy.linalg
-
-    eigvals, eigvecs = scipy.linalg.eigh(eta, h0)
+    # S is h0-selfadjoint: diagonalize via the generalized problem eta v = l H0 v.
+    eigvals, eigvecs = _reduced_eigh(eta, np.linalg.inv(np.linalg.cholesky(h0)))
     abs_s = eigvecs @ np.diag(np.abs(eigvals)) @ np.linalg.inv(eigvecs)
     sigma = s_mat @ np.linalg.inv(abs_s)
     h = abs_s.conj().T @ h0  # h(x, y) = h0(|S| x, y) = x^H |S|^H H0 y

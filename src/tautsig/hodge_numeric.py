@@ -19,17 +19,25 @@ subspace, a self-adjoint family with no residual symmetry.  Its flow is
 the change in positive index from t = 0 to t = 1; zeros at these
 endpoints must be pushed off zero by a reported +- shift.
 
+The numerics are numpy's.  Monodromies exp(2*pi*i*A) are the elementwise
+exponential of a diagonal A, as in every built-in family.  The generalized
+problem G D v = l G v of a metric G other than the identity is reduced by
+the Cholesky factor G = L L^H to one batched ``np.linalg.eigh`` of
+L^-1 G D L^-H, with eigenvectors normalised to V^H G V = 1.  scipy is
+imported only when a connection that is not diagonal must be
+exponentiated, through the module attribute ``scipy`` (PEP 562).
+
 Spectral work is done once per process for each distinct input, and all
 cached arrays are read-only:
 
-* per n: the structural arrays (ext_j, the parity vector, tau);
+* per n: the structural arrays (the stacked ext_j, the parity vector, tau);
 * per (n, cutoff): the frequency lattice;
 * per eta: the hermitian and singularity checks and the signature (p, q);
   a bad eta is not cached and raises on every construction;
 * per (n, eta): the assembly frame -- the pair (h, sigma), the metric and
-  its inverse, tau (x) sigma, the lattice generators ext_j (x) i and the odd
-  restriction's alpha_1 and even-parity indices.  Nothing in it grows with
-  the cutoff.
+  its inverse Cholesky factor, tau (x) sigma, the lattice generators
+  ext_j (x) i and the odd restriction's alpha_1 rows and even-parity
+  indices.  Nothing in it grows with the cutoff.
 
 What depends on the node is still checked at every grid node: each
 bundle's monodromies must preserve eta and commute, a connection given
@@ -58,9 +66,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .clifford import _ext_matrix, build_exterior, compatible_pair
+from .clifford import _ext_matrix, _reduced_eigh, build_exterior, compatible_pair
 
 __all__ = [
     "HodgeError",
@@ -95,6 +102,15 @@ DEFAULT_TOL = 1e-8
 MAX_ASSEMBLY_BYTES = 256 << 20
 
 
+def __getattr__(name: str):
+    """``scipy``, imported on first access, for :func:`_expm_2pi_i`'s fallback."""
+    if name == "scipy":
+        import scipy.linalg
+
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class HodgeError(ValueError):
     pass
 
@@ -117,6 +133,18 @@ def _as_complex_matrix(m) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise HodgeError("expected a square matrix")
     return arr
+
+
+def _expm_2pi_i(a: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*A): elementwise for diagonal A.
+
+    Any other A goes to ``scipy.linalg.expm``, imported here on first use.
+    """
+    x = 2j * math.pi * a
+    diag = np.diagonal(x)
+    if not np.any(x - np.diag(diag)):
+        return np.diag(np.exp(diag))
+    return __getattr__("scipy").linalg.expm(x)
 
 
 def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
@@ -170,9 +198,7 @@ class MonodromyBundle:
             if self.connection is None:
                 raise HodgeError("a bundle needs monodromies or a connection")
             self.connection = [_as_complex_matrix(a) for a in self.connection]
-            self.monodromies = [
-                scipy.linalg.expm(2j * math.pi * a) for a in self.connection
-            ]
+            self.monodromies = [_expm_2pi_i(a) for a in self.connection]
         else:
             self.monodromies = [_as_complex_matrix(m) for m in self.monodromies]
         if len(self.monodromies) != self.n:
@@ -196,10 +222,14 @@ class MonodromyBundle:
             self.connection = self._derive_connection()
         elif not derived:
             self.connection = [_as_complex_matrix(a) for a in self.connection]
+            if len(self.connection) != self.n or any(
+                a.shape != (r, r) for a in self.connection
+            ):
+                raise HodgeError(
+                    f"one {r}x{r} connection matrix per circle factor is required"
+                )
             for a_mat, m in zip(self.connection, self.monodromies):
-                if not np.allclose(
-                    scipy.linalg.expm(2j * math.pi * a_mat), m, atol=1e-8
-                ):
+                if not np.allclose(_expm_2pi_i(a_mat), m, atol=1e-8):
                     raise HodgeError("connection does not exponentiate to monodromy")
 
     @property
@@ -267,10 +297,10 @@ def _frequency_lattice(n: int, cutoff: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _structure(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Exterior multiplications ext_j, parity vector and tau on Lambda^*(R^n)."""
+def _structure(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exterior multiplications ext_j stacked (n, 2^n, 2^n), parity vector and tau."""
     _, hodge = build_exterior(n)
-    ext = tuple(_read_only(_ext_matrix(n, j).to_numpy()) for j in range(n))
+    ext = _read_only(np.stack([_ext_matrix(n, j).to_numpy() for j in range(n)]))
     iota = np.array(
         [1.0 if bin(s).count("1") % 2 == 0 else -1.0 for s in range(1 << n)]
     )
@@ -294,11 +324,11 @@ class _Frame(NamedTuple):
     """Arrays of an assembly fixed by (n, eta); read-only, none sized by the cutoff."""
 
     metric: np.ndarray           # (d, d) positive inner product G = 1 (x) h
-    ginv: Optional[np.ndarray]   # (d, d) G^{-1}, or None when G is the identity
+    linv: Optional[np.ndarray]   # (d, d) L^{-1} for G = L L^H, or None when G = 1
     tau_v: np.ndarray            # (d, d) tau (x) sigma
     iota: np.ndarray             # (d,) +-1 parity vector
     lattice: np.ndarray          # (n, d, d) ext_j (x) i, the coefficient of k_j
-    alpha1: np.ndarray           # (d, d) diag(iota) tau_v
+    alpha1_even: np.ndarray      # (d/2, d) the even-parity rows of diag(iota) tau_v
     even: np.ndarray             # indices of the even-parity subspace
 
 
@@ -311,14 +341,15 @@ def _frame(n: int, r: int, eta_bytes: bytes, atol: float) -> _Frame:
     standard = np.allclose(metric, np.eye(metric.shape[0]), atol=1e-14)
     tau_v = np.kron(tau_np, sigma)
     iota = np.repeat(iota_vec, r)
+    even = np.where(iota > 0)[0]
     frame = _Frame(
         metric=metric,
-        ginv=None if standard else np.linalg.inv(metric),
+        linv=None if standard else np.linalg.inv(np.linalg.cholesky(metric)),
         tau_v=tau_v,
         iota=iota,
         lattice=np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np]),
-        alpha1=np.diag(iota).astype(complex) @ tau_v,
-        even=np.where(iota > 0)[0],
+        alpha1_even=(np.diag(iota).astype(complex) @ tau_v)[even],
+        even=even,
     )
     for arr in frame:
         if arr is not None:
@@ -368,12 +399,7 @@ class TruncatedOperator:
             if self._metric_is_standard():
                 vals, vecs = np.linalg.eigh(self.blocks)
             else:
-                vals_list, vecs_list = [], []
-                for blk in self.blocks:
-                    v, w = scipy.linalg.eigh(self.metric @ blk, self.metric)
-                    vals_list.append(v)
-                    vecs_list.append(w)
-                vals, vecs = np.array(vals_list), np.array(vecs_list)
+                vals, vecs = _reduced_eigh(self.metric @ self.blocks, self.frame.linv)
             self._eig = (vals * UNIT, vecs)
         return self._eig
 
@@ -408,9 +434,7 @@ class TruncatedOperator:
         """(alpha_1 D) restricted to the even-parity subspace, per block."""
         if self.bundle.n % 2 == 0:
             raise HodgeError("the odd restriction needs an odd-dimensional torus")
-        even = self.frame.even
-        stack = self.frame.alpha1[None, :, :] @ self.blocks
-        restricted = stack[:, even][:, :, even]
+        restricted = self.frame.alpha1_even @ self.blocks[:, :, self.frame.even]
         herm = np.max(np.abs(restricted - np.conj(np.swapaxes(restricted, 1, 2))))
         if herm > 1e-10:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
@@ -453,17 +477,19 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
             f"about {block_bytes / 2**20:.3g} MiB of blocks, over the "
             f"{MAX_ASSEMBLY_BYTES >> 20} MiB limit"
         )
-    ext_np = _structure(n)[0]
+    ext = _structure(n)[0]
     frame = _frame(n, r, bundle.eta.tobytes(), bundle.atol)
     freqs = _frequency_lattice(n, cutoff)
-    d_const = sum(
-        np.kron(e, 1j * a) for e, a in zip(ext_np, bundle.connection)
-    )
+    d = (1 << n) * r
+    # sum_j ext_j (x) i A_j, entry (k a, l b) = sum_j ext_j[k, l] * i A_j[a, b].
+    d_const = np.einsum("jkl,jab->kalb", ext, 1j * np.array(bundle.connection)
+                        ).reshape(d, d)
     k = freqs.astype(float)
     d_stack = d_const[None, :, :] + np.einsum("bj,jkl->bkl", k, frame.lattice)
     adj = np.conj(np.swapaxes(d_stack, 1, 2))
-    if frame.ginv is not None:
-        adj = frame.ginv[None] @ adj @ frame.metric[None]
+    if frame.linv is not None:
+        ginv = frame.linv.conj().T @ frame.linv  # G^-1 = L^-H L^-1
+        adj = ginv[None] @ adj @ frame.metric[None]
     blocks = d_stack + adj
     return TruncatedOperator(
         bundle=bundle, cutoff=cutoff, freqs=freqs, blocks=blocks, frame=frame

@@ -191,3 +191,22 @@ def test_describe_text_mentions_all_anchors():
     for name in ("vanishing", "even-index", "stability"):
         text = describe_suite(name)
         assert name in text
+
+
+def test_program_runs_without_importing_scipy():
+    # scipy is only the exponential fallback for connections that are not diagonal.
+    code = (
+        "import contextlib, importlib, io, pkgutil, sys\n"
+        "import tautsig\n"
+        "for mod in pkgutil.iter_modules(tautsig.__path__):\n"
+        "    importlib.import_module('tautsig.' + mod.name)\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "from tautsig import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['run', '--suite', 'all']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'run'\n"
+        "from tautsig import hodge_numeric\n"
+        "assert hodge_numeric.scipy.linalg.expm is sys.modules['scipy.linalg'].expm\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -232,6 +232,24 @@ def test_pair_random_signature_one_one():
         assert np.allclose(pair.h, eta @ pair.sigma, atol=1e-12)
 
 
+def test_pair_matches_scipy_generalized_eigh():
+    import scipy.linalg
+
+    rng = np.random.default_rng(12)
+    h0s = (np.eye(2), np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
+    for _ in range(5):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        eta = g @ np.diag([1.0, -1.0]) @ g.conj().T
+        for h0 in h0s:
+            eigvals, eigvecs = scipy.linalg.eigh(eta, h0)
+            abs_s = eigvecs @ np.diag(np.abs(eigvals)) @ np.linalg.inv(eigvecs)
+            pair = compatible_pair(eta, h0=h0)
+            scale = np.max(np.abs(abs_s))
+            assert np.max(np.abs(pair.h - abs_s.conj().T @ h0)) <= 1e-12 * scale
+            sigma = np.linalg.solve(h0, eta) @ np.linalg.inv(abs_s)
+            assert np.max(np.abs(pair.sigma - sigma)) <= 1e-12 * np.max(np.abs(sigma))
+
+
 def test_pair_continuity_under_h0_perturbation():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(2, 2))

@@ -719,6 +719,15 @@ def test_given_connection_checked_against_given_monodromies():
                         connection=[np.array([[0.25]])])
 
 
+@pytest.mark.parametrize("connection", [[[[0.5]]], [[[0.5]], [[0.0]], [[0.0]]],
+                                        [[[0.5]], np.zeros((2, 2))]],
+                         ids=["too-few", "too-many", "wrong-rank"])
+def test_given_connection_needs_one_matrix_per_factor(connection):
+    with pytest.raises(HodgeError, match="connection matrix per circle factor"):
+        MonodromyBundle(n=2, eta=np.eye(1), monodromies=[-np.eye(1), np.eye(1)],
+                        connection=connection)
+
+
 def test_from_connection_monodromies_are_exponentials():
     import scipy.linalg
 
@@ -765,7 +774,7 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
     import tautsig.hodge_numeric as hn
 
     counts = {"expm": 0, "eta_eigvalsh": 0, "bundles": 0}
-    real_expm, real_eigvalsh = hn.scipy.linalg.expm, hn.np.linalg.eigvalsh
+    real_expm, real_eigvalsh = hn._expm_2pi_i, hn.np.linalg.eigvalsh
     real_post_init = hn.MonodromyBundle.__post_init__
 
     def expm(a):
@@ -780,7 +789,7 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
         counts["bundles"] += 1
         real_post_init(self)
 
-    monkeypatch.setattr(hn.scipy.linalg, "expm", expm)
+    monkeypatch.setattr(hn, "_expm_2pi_i", expm)
     monkeypatch.setattr(hn.np.linalg, "eigvalsh", eigvalsh)
     monkeypatch.setattr(hn.MonodromyBundle, "__post_init__", post_init)
     hn._eta_signature.cache_clear()
@@ -810,3 +819,99 @@ def test_suite_assembles_each_node_once(monkeypatch, suite, descriptor, expected
     )
     assert suites.run_suites(config)["ok"]
     assert len(calls) == expected
+
+
+# ---------------------------------------------------------------------------
+# numpy exponentials, eigensolves and assembly against references
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    """Equal arrays whose zeros also carry the same sign."""
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+        for part in (np.real, np.imag))
+
+
+def _random_unitary(rng, r):
+    g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    return np.linalg.qr(g)[0]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_exponential_of_diagonal_is_scipy_bit_for_bit(r):
+    import scipy.linalg
+    from tautsig.hodge_numeric import _expm_2pi_i
+
+    rng = np.random.default_rng(r)
+    for a in (np.diag(rng.normal(size=r)).astype(complex),
+              np.diag(rng.normal(size=r) + 1j * rng.normal(size=r)),
+              np.diag(-rng.integers(0, 3, size=r)).astype(complex)):
+        assert _same_bits(_expm_2pi_i(a), scipy.linalg.expm(2j * math.pi * a))
+
+
+def test_non_diagonal_connection_falls_back_to_scipy():
+    import scipy.linalg
+    from tautsig.hodge_numeric import _expm_2pi_i
+
+    eta = np.diag([1.0, -1.0])
+    # A = eta^-1 S with S hermitian is eta-self-adjoint, so exp(2 pi i A)
+    # preserves eta, but A is not diagonal (nor hermitian).
+    a = np.linalg.inv(eta) @ np.array([[0.2, 0.3], [0.3, 0.1]], dtype=complex)
+    assert not np.array_equal(a, a.conj().T)
+    m = _expm_2pi_i(a)
+    assert _same_bits(m, scipy.linalg.expm(2j * math.pi * a))
+    bundle = MonodromyBundle.from_connection(eta, [a])
+    assert _same_bits(bundle.monodromies[0], m)
+
+
+def test_eigen_system_with_indefinite_metric_matches_scipy():
+    import scipy.linalg
+
+    eta = np.array([[2.0, 1.0], [1.0, -1.0]])
+    s = np.array([[0.3, 0.1], [0.1, 0.2]])
+    bundle = MonodromyBundle.from_connection(eta, [np.linalg.solve(eta, s)])
+    op = assemble(bundle, cutoff=3)
+    g = op.metric
+    assert not np.allclose(g, np.eye(len(g)))
+    vals, vecs = op.eigen_system()
+    ref = np.array([scipy.linalg.eigh(g @ blk, g, eigvals_only=True)
+                    for blk in op.blocks]) * UNIT
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+    gram = np.conj(np.swapaxes(vecs, 1, 2)) @ g @ vecs
+    assert np.max(np.abs(gram - np.eye(len(g)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_connection_term_matches_kron_sum(n, r):
+    from tautsig.clifford import _ext_matrix
+
+    rng = np.random.default_rng(10 * n + r)
+    u = _random_unitary(rng, r)
+    # Commuting hermitian connections with complex entries.
+    conn = [u @ np.diag(rng.normal(size=r)) @ u.conj().T for _ in range(n)]
+    conn = [(a + a.conj().T) / 2 for a in conn]
+    op = assemble(MonodromyBundle.from_connection(np.eye(r), conn), cutoff=1)
+    ext = [_ext_matrix(n, j).to_numpy() for j in range(n)]
+    d_const = sum(np.kron(e, 1j * a) for e, a in zip(ext, op.bundle.connection))
+    d_stack = d_const[None] + np.einsum("bj,jkl->bkl", op.freqs.astype(float),
+                                        op.frame.lattice)
+    ref = d_stack + np.conj(np.swapaxes(d_stack, 1, 2))
+    assert _same_bits(op.blocks, ref)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: lusztig_pair_family(cutoff=12), lambda: lusztig_family(speed=3),
+     lambda: constant_family(MonodromyBundle.from_connection(
+         np.diag([1.0, -1.0]), [np.diag([0.2, 0.3])], globally_flat=True), cutoff=4)],
+    ids=["pair-12", "line-x3", "indefinite"],
+)
+def test_odd_stack_matches_full_product(make):
+    fam = make()
+    for t in (F(0), F(1, 3), F(1)):
+        op = fam.operator(t)
+        iota, even = op.frame.iota, op.frame.even
+        full = (np.diag(iota).astype(complex) @ op.tau_v)[None] @ op.blocks
+        assert _same_bits(op.restricted_odd_stack(), full[:, even][:, :, even])
