@@ -29,6 +29,15 @@ Sign conventions
   leftover orientation ambiguity of products shows up only as the global
   sign of values such as ``(proj_1)_!(u x u) = -u``, which is recorded in
   :data:`GYSIN_CIRCLE_SIGN` and asserted by the test suite.
+
+Caching
+-------
+Spaces are not mutated after construction, so pure per-space values are
+computed once and live as long as their space: each :class:`ModelSpace`
+keeps the normal forms of the raw products it has normalized and its basis
+per degree, and each :class:`ProductSpace` keeps the products of the
+monomial pairs it has multiplied.  Cached values are returned as fresh
+copies, tuples or read-only mappings, so no caller can change them.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -113,7 +123,16 @@ class ModelSpace:
             if self.monomial_degree(self.fundamental_monomial) != self.top_degree:
                 raise SpaceError("fundamental class must live in the top degree")
         self._norm_cache: dict[tuple, dict] = {}
+        self._basis_cache: dict[int, tuple] = {}
         self._check_graded_relations()
+        self._key = (
+            "model",
+            self.name,
+            self.generators,
+            tuple(sorted((l, tuple(sorted(r.items()))) for l, r in self.relations.items())),
+            self.top_degree,
+            self.fundamental_monomial,
+        )
 
     # -- structure ------------------------------------------------------
 
@@ -212,15 +231,17 @@ class ModelSpace:
 
     # -- basis ------------------------------------------------------------
 
-    def basis(self, degree: int) -> list[Monomial]:
+    def basis(self, degree: int) -> tuple[Monomial, ...]:
         """Normal-form basis monomials of the given degree."""
         if degree < 0 or degree > self.top_degree:
-            return []
-        found: list[Monomial] = []
-        for mon in self._candidate_monomials(degree):
-            norm = self.normalize(mon)
-            if norm == {mon: Fraction(1)}:
-                found.append(mon)
+            return ()
+        found = self._basis_cache.get(degree)
+        if found is None:
+            found = tuple(
+                mon for mon in self._candidate_monomials(degree)
+                if self.normalize(mon) == {mon: Fraction(1)}
+            )
+            self._basis_cache[degree] = found
         return found
 
     def _candidate_monomials(self, degree: int, start: int = 0):
@@ -240,21 +261,11 @@ class ModelSpace:
 
     # -- equality ----------------------------------------------------------
 
-    def _key(self):
-        return (
-            "model",
-            self.name,
-            self.generators,
-            tuple(sorted((l, tuple(sorted(r.items()))) for l, r in self.relations.items())),
-            self.top_degree,
-            self.fundamental_monomial,
-        )
-
     def __eq__(self, other):
-        return isinstance(other, ModelSpace) and self._key() == other._key()
+        return isinstance(other, ModelSpace) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"ModelSpace({self.name!r})"
@@ -292,7 +303,9 @@ class ProductSpace:
         else:
             self.fundamental_monomial = None
         self.name = " x ".join(f.name for f in self.factors) or "point"
-        self._key = ("product", tuple(f._key() for f in self.factors))
+        self._key = ("product", tuple(f._key for f in self.factors))
+        # (m1, m2) -> read-only product of the two monomials.
+        self._mul_cache: dict[tuple, Mapping[Monomial, Fraction]] = {}
 
     def monomial_degree(self, mon: Monomial) -> int:
         return sum(f.monomial_degree(m) for f, m in zip(self.factors, mon))
@@ -300,7 +313,11 @@ class ProductSpace:
     def monomial_str(self, mon: Monomial) -> str:
         return " x ".join(f.monomial_str(m) for f, m in zip(self.factors, mon)) or "1"
 
-    def mul_monomials(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
+    def mul_monomials(self, m1: Monomial, m2: Monomial) -> Mapping[Monomial, Fraction]:
+        """Product of two monomials as a read-only {monomial: coefficient}."""
+        cached = self._mul_cache.get((m1, m2))
+        if cached is not None:
+            return cached
         # Koszul sign for interleaving: each m2[i] passes every m1[j], j > i,
         # which flips the sign when m2[i] and the m1 parts right of i are odd.
         negate = right_odd = False
@@ -316,22 +333,27 @@ class ProductSpace:
             result = {
                 mon + (m,): c * pc for mon, c in result.items() for m, pc in part.items()
             }
-        return result
+        cached = self._mul_cache[(m1, m2)] = MappingProxyType(result)
+        return cached
 
     def basis(self, degree: int) -> list[Monomial]:
         out: list[Monomial] = []
+        # reach[i]: the largest degree factors i, i+1, ... can make up together.
+        reach = [0] * (len(self.factors) + 1)
+        for i in reversed(range(len(self.factors))):
+            reach[i] = reach[i + 1] + self.factors[i].top_degree
 
         def rec(i: int, deg_left: int, prefix: tuple):
             if i == len(self.factors):
-                if deg_left == 0:
-                    out.append(prefix)
+                out.append(prefix)
                 return
             f = self.factors[i]
-            for d in range(0, min(deg_left, f.top_degree) + 1):
+            for d in range(max(0, deg_left - reach[i + 1]), min(deg_left, f.top_degree) + 1):
                 for m in f.basis(d):
                     rec(i + 1, deg_left - d, prefix + (m,))
 
-        rec(0, degree, ())
+        if 0 <= degree <= reach[0]:
+            rec(0, degree, ())
         return out
 
     def zero(self) -> "GradedClass":

@@ -831,6 +831,10 @@ def kernel_constancy_report(
     nodes = [_node(t) for t in (grid if grid is not None else family.grid)]
     profile: list = []
     flagged: list = []
+    # A constant family hands out one operator for every node; its kernel
+    # dimension (None when indeterminate) is computed once per run of nodes
+    # that share an operator.
+    last_op = dim = None
     for t in nodes:
         op = family.operator(t)
         if family.loop and op.bundle.n % 2 == 1:
@@ -840,10 +844,14 @@ def kernel_constancy_report(
                 family.spectrum(t)
             else:
                 family.check(t)
-        try:
-            profile.append(kernel_dimension(op, tol))
-        except IndeterminateKernelError:
-            profile.append(None)
+        if op is not last_op:
+            last_op = op
+            try:
+                dim = kernel_dimension(op, tol)
+            except IndeterminateKernelError:
+                dim = None
+        profile.append(dim)
+        if dim is None:
             flagged.append(str(t))
     known = [d for d in profile if d is not None]
     constant = bool(known) and all(d == known[0] for d in known) and not flagged

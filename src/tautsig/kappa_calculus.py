@@ -314,13 +314,17 @@ def kappa_product(
 
     if max_weight is None:
         max_weight = min(prod.total.top_degree // 4 + 1, GENUS_WEIGHT_CAP)
+    weights = range(0, max_weight + 1)
+    kappa0 = [kappa(b0, k=kk, u=u0) for kk in weights]
+    kappa1 = [kappa(b1, k=kk, u=u1) for kk in weights]
+    kappa01 = [kappa(prod, k=m, u=u01) for m in weights]
     components = []
     all_ok = True
-    for m in range(0, max_weight + 1):
-        lhs = kappa(prod, k=m, u=u01)
+    for m in weights:
+        lhs = kappa01[m]
         rhs = None
         for kk in range(0, m + 1):
-            term = cross(kappa(b0, k=kk, u=u0), kappa(b1, k=m - kk, u=u1)) * sign
+            term = cross(kappa0[kk], kappa1[m - kk]) * sign
             rhs = term if rhs is None else rhs + term
         ok = lhs == rhs
         all_ok = all_ok and ok
@@ -354,8 +358,8 @@ def kappa_product(
             collapse_ok = True
             rows = []
             for m in range(ll, max_weight + 1):
-                lhs = kappa(prod, k=m, u=u01)
-                rhs = kappa(b0, k=m - ll, u=u0) * (sign * sig_n)
+                lhs = kappa01[m]
+                rhs = kappa0[m - ll] * (sign * sig_n)
                 ok = lhs == rhs
                 collapse_ok = collapse_ok and ok
                 rows.append({"weight": m, "ok": ok})

@@ -11,13 +11,24 @@ with log f(x) = sum_j c_j x^(2j) and p_j the elementary symmetric
 functions of the squared formal roots, the total class is
 exp(sum_j c_j s_j(p)) where s_j is the j-th power sum rewritten via the
 Newton identities.
+
+Caching
+-------
+:func:`expand_series` and :func:`genus_components` are pure, so each
+``(name, order)`` and each ``(series, weight)`` is computed once and kept
+for the life of the process (``functools.lru_cache``; clear with
+``cache_clear()``).  Their results are immutable: a :class:`FormalSeries`
+is a tuple of coefficients, and the ``terms`` of every
+:class:`CharClassPolynomial` are a read-only mapping.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .graded_ring import GradedClass, ProductSpace
@@ -54,7 +65,7 @@ class GenusError(ValueError):
 class FormalSeries:
     """Truncated one-variable power series with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Sequence):
         self.coeffs = tuple(Fraction(c) for c in coeffs)
@@ -82,7 +93,12 @@ class FormalSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # Computed once: the series is a cache key of genus_components.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.coeffs)
+            return self._hash
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         n = min(self.order, other.order)
@@ -160,6 +176,7 @@ _SERIES_BUILDERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def expand_series(name: str, order: int) -> FormalSeries:
     """Exact truncated expansion of a named genus series."""
     if name not in _SERIES_BUILDERS:
@@ -250,13 +267,17 @@ def power_sum_polynomial(m: int) -> dict[ExpVector, Fraction]:
 
 @dataclass(frozen=True)
 class CharClassPolynomial:
-    """Homogeneous weight-k polynomial in p_1..p_k (or c_1..c_k)."""
+    """Homogeneous weight-k polynomial in p_1..p_k (or c_1..c_k).
+
+    ``terms`` is copied into a read-only mapping.
+    """
 
     weight: int
     variable: str  # "p" or "c"
     terms: Mapping[ExpVector, Fraction]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         for e in self.terms:
             if _weight(e) != self.weight:
                 raise SeriesError(
@@ -311,6 +332,7 @@ class CharClassPolynomial:
         return result
 
 
+@functools.lru_cache(maxsize=None)
 def genus_components(f: FormalSeries, k: int) -> CharClassPolynomial:
     """Weight-k Pontryagin polynomial of the genus generated by f."""
     if f[0] != 1:

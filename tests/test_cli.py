@@ -56,6 +56,21 @@ def test_deterministic_spectral_reports_with_warm_caches(tmp_path):
     assert cold.read_bytes() == warm.read_bytes() == fresh.read_bytes()
 
 
+def test_deterministic_ring_reports_with_warm_caches(tmp_path):
+    from tautsig import mult_seq
+
+    mult_seq.expand_series.cache_clear()
+    mult_seq.genus_components.cache_clear()
+    args = ["run", "--suite", "genus,kappa-products,product-signs,surface,even-index", "--out"]
+    cold, warm, fresh = (tmp_path / f"{name}.json" for name in ("cold", "warm", "fresh"))
+    assert main([*args, str(cold)]) == 0
+    assert mult_seq.genus_components.cache_info().currsize > 0
+    assert main([*args, str(warm)]) == 0
+    assert mult_seq.genus_components.cache_info().hits > 0
+    assert run_cli([*args, str(fresh)]).returncode == 0
+    assert cold.read_bytes() == warm.read_bytes() == fresh.read_bytes()
+
+
 def test_csv_and_text_formats(tmp_path):
     csv_path = tmp_path / "report.csv"
     assert main(["run", "--suite", "bott-reduction", "--out", str(csv_path),

@@ -3,10 +3,14 @@ from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautsig.graded_ring import (
     GYSIN_CIRCLE_SIGN,
     GradedClass,
+    ModelSpace,
+    ProductSpace,
     SpaceError,
     circle,
     cross,
@@ -308,3 +312,112 @@ def test_presets_by_name():
     assert model_space("surface(3)") == surface(3)
     with pytest.raises(SpaceError):
         model_space("sphere(2)")
+
+
+# -- cached ring: properties on random products of presets ---------------------
+
+PRESETS = ["point", "circle", "torus(1)", "torus(2)", "torus(3)", "surface(1)", "surface(2)"]
+
+preset_lists = st.lists(st.sampled_from(PRESETS), min_size=1, max_size=3)
+
+
+def presets_space(names):
+    return product_space(*(model_space(n) for n in names))
+
+
+@st.composite
+def homogeneous_classes(draw, space):
+    """A homogeneous class with at most three terms and small coefficients."""
+    basis = space.basis(draw(st.integers(0, space.top_degree)))
+    mons = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                           min_size=len(mons), max_size=len(mons)))
+    return GradedClass(space, {space.monomial_degree(mons[0]): dict(zip(mons, map(F, coeffs)))})
+
+
+def fresh_copy(space):
+    """An equal space built from new presentations, so every cache is cold."""
+    return ProductSpace([
+        ModelSpace(f.name, f.generators, f.relations, f.top_degree, f.fundamental_monomial)
+        for f in space.factors
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), preset_lists)
+def test_associativity_random_products(data, names):
+    space = presets_space(names)
+    x, y, z = (data.draw(homogeneous_classes(space)) for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), preset_lists)
+def test_koszul_commutativity_random_products(data, names):
+    space = presets_space(names)
+    x, y = data.draw(homogeneous_classes(space)), data.draw(homogeneous_classes(space))
+    sign = -1 if x.degree() * y.degree() % 2 else 1
+    assert x * y == (y * x) * sign
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), preset_lists, preset_lists)
+def test_projection_formula_random_products(data, base_names, fiber_names):
+    base = presets_space(base_names)
+    total = product_space(base, presets_space(fiber_names))
+    kept = range(len(base.factors))
+    fiber = range(len(base.factors), len(total.factors))
+    x = data.draw(homogeneous_classes(total))
+    y = data.draw(homogeneous_classes(base))
+    lhs = gysin_project(x * pullback(y, total, kept), fiber)
+    assert lhs == gysin_project(x, fiber) * y
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), preset_lists)
+def test_warm_product_cache_matches_fresh_space(data, names):
+    space = presets_space(names)
+    x, y = data.draw(homogeneous_classes(space)), data.draw(homogeneous_classes(space))
+    first = x * y
+    warm = x * y
+    fresh = fresh_copy(space)
+    assert fresh == space and hash(fresh) == hash(space)
+    cold = GradedClass(fresh, x.components) * GradedClass(fresh, y.components)
+    assert warm.components == first.components == cold.components
+
+
+def brute_force_basis(space, degree):
+    """Every combination of factor basis monomials, filtered by total degree."""
+    per_factor = [
+        [m for d in range(f.top_degree + 1) for m in f._candidate_monomials(d)
+         if f.normalize(m) == {m: F(1)}]
+        for f in space.factors
+    ]
+    return [mon for mon in iproduct(*per_factor) if space.monomial_degree(mon) == degree]
+
+
+@settings(max_examples=40, deadline=None)
+@given(preset_lists)
+def test_product_basis_matches_brute_force(names):
+    space = presets_space(names)
+    for degree in range(-1, space.top_degree + 2):
+        assert space.basis(degree) == brute_force_basis(space, degree), degree
+
+
+def test_cached_basis_and_products_are_read_only():
+    (f,) = surface(2).factors
+    assert f.basis(1) is f.basis(1) and isinstance(f.basis(1), tuple)
+    t3 = torus(3)
+    prod = t3.mul_monomials(((0,),), ((1,),))
+    assert prod is t3.mul_monomials(((0,),), ((1,),))
+    with pytest.raises(TypeError):
+        prod[((0, 1),)] = F(5)
+    assert dict(prod) == {((0, 1),): F(1)}
+
+
+def test_model_space_equality_and_hash_from_key():
+    (f,) = surface(2).factors
+    copy = ModelSpace(f.name, f.generators, f.relations, f.top_degree, f.fundamental_monomial)
+    assert copy == f and hash(copy) == hash(f)
+    other = ModelSpace(f.name, f.generators, {}, f.top_degree, f.fundamental_monomial)
+    assert other != f

@@ -428,6 +428,45 @@ def test_pair_family_doubles_endpoints():
     assert all(d == 0 for d in report["profile"][1:-1])
 
 
+def _count_kernel_dimension(monkeypatch):
+    import tautsig.hodge_numeric as hn
+
+    ops = []  # holds every operator alive, so their ids stay distinct
+
+    def counted(op, tol=hn.DEFAULT_TOL):
+        ops.append(op)
+        return kernel_dimension(op, tol)
+
+    monkeypatch.setattr(hn, "kernel_dimension", counted)
+    return ops
+
+
+@pytest.mark.parametrize("theta,tol,dim", [(0.0, 1e-8, 2), (0.4, 1e-8, 0), (5e-9, 1e-8, None)],
+                         ids=["kernel", "no-kernel", "indeterminate"])
+def test_constant_report_sizes_its_operator_once(monkeypatch, theta, tol, dim):
+    ops = _count_kernel_dimension(monkeypatch)
+    report = kernel_constancy_report(
+        constant_family(line_bundle([theta]), cutoff=6, resolution=16), tol=tol)
+    assert len(ops) == 1
+    assert report["profile"] == [dim] * 17
+    assert report["indeterminate_points"] == ([] if dim is not None else report["grid"])
+
+
+def test_loop_report_sizes_every_node(monkeypatch):
+    fam = lusztig_family(cutoff=8, resolution=16)
+    expected = []
+    for t in fam.grid:
+        try:
+            expected.append(kernel_dimension(assemble(fam.bundle(t), 8)))
+        except IndeterminateKernelError:
+            expected.append(None)
+    ops = _count_kernel_dimension(monkeypatch)
+    report = kernel_constancy_report(fam)
+    assert len({id(op) for op in ops}) == len(ops) == 17
+    assert report["profile"] == expected
+    assert report["indeterminate_points"] == []
+
+
 def test_kernel_profile_stable_under_cutoff():
     for cutoff in (8, 12):
         report = kernel_constancy_report(lusztig_family(cutoff=cutoff, resolution=8))

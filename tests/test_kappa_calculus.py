@@ -166,6 +166,38 @@ def test_collapse_formula_surface_over_point():
     assert cert["collapse"]["ok"]
 
 
+def _surface_over_point():
+    return bundle_model(
+        "surface-over-point",
+        base=point(),
+        fiber=surface(2),
+        pullbacks={"w": surface_coefficient_class(2)},
+        signature=(1, 1),
+    )
+
+
+@pytest.mark.parametrize("max_weight", [None, 1, 3])
+@pytest.mark.parametrize("collapse", [False, True])
+def test_kappa_product_computes_each_kappa_once(monkeypatch, collapse, max_weight):
+    import tautsig.kappa_calculus as kc
+
+    calls = []
+    real = kc.kappa
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kc, "kappa", counted)
+    b1, u1 = (_surface_over_point(), "w") if collapse else (lusztig_model(), "c1_L")
+    cert = kappa_product(lusztig_model(), b1, "c1_L", u1, max_weight=max_weight)
+    assert cert["ok"]
+    assert ("collapse" in cert) is collapse
+    weights = len(cert["components"])  # max_weight + 1
+    assert len(calls) == 3 * weights + 3
+    assert calls.count(None) == 3
+
+
 def test_randomized_two_path_models():
     rng = random.Random(991)
     bases = [point(), circle(), torus(2)]

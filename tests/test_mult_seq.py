@@ -76,6 +76,33 @@ def test_weight_zero_is_unit():
     assert dict(genus_components(f, 0).terms) == {(): F(1)}
 
 
+def test_series_and_genus_values_are_computed_once():
+    f = expand_series("L-atiyah-singer", 6)
+    assert expand_series("L-atiyah-singer", 6) is f
+    for k in (0, 3):
+        assert genus_components(f, k) is genus_components(f, k)
+    # An equal series built elsewhere finds the same cached polynomial.
+    assert genus_components(FormalSeries(f.coeffs), 3) is genus_components(f, 3)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_cached_genus_terms_are_read_only(k):
+    poly = genus_components(expand_series("L-hirzebruch", 4), k)
+    before = dict(poly.terms)
+    with pytest.raises(TypeError):
+        poly.terms[(k,)] = F(0)
+    with pytest.raises(TypeError):
+        del poly.terms[next(iter(before))]
+    assert dict(genus_components(expand_series("L-hirzebruch", 4), k).terms) == before
+
+
+def test_polynomial_terms_do_not_alias_the_input():
+    terms = {(1,): F(1, 3)}
+    poly = CharClassPolynomial(1, "p", terms)
+    terms[(1,)] = F(5)
+    assert dict(poly.terms) == {(1,): F(1, 3)}
+
+
 def test_genus_requires_unit_constant_term():
     with pytest.raises(GenusError, match="not a genus"):
         genus_components(FormalSeries([2, 0, 1]), 1)
