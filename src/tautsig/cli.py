@@ -35,13 +35,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="suite name or 'all' (repeatable, or comma separated)",
     )
-    run_p.add_argument("--order", type=int, default=12,
+    run_p.add_argument("--order", type=int, default=SuiteConfig.order,
                        help="series truncation order")
-    run_p.add_argument("--cutoff", type=int, default=8,
+    run_p.add_argument("--cutoff", type=int, default=SuiteConfig.cutoff,
                        help="Fourier cutoff for spectral suites")
-    run_p.add_argument("--tol", type=float, default=1e-8,
+    run_p.add_argument("--tol", type=float, default=SuiteConfig.tol,
                        help="kernel/eigenvalue tolerance")
-    run_p.add_argument("--grid", type=int, default=64,
+    run_p.add_argument("--grid", type=int, default=SuiteConfig.grid,
                        help="family grid resolution")
     run_p.add_argument("--out", default=None, help="report output path")
     run_p.add_argument("--format", dest="fmt", default="json",
@@ -113,7 +113,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         descriptor=args.descriptor,
     )
     try:
-        config.validate()
         report = run_suites(config)
     except (SuiteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

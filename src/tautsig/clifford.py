@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ._gaussian import (
     G_ONE,
@@ -42,7 +40,6 @@ __all__ = [
     "CliffordError",
     "CliffordModule",
     "HodgeData",
-    "CompatiblePair",
     "build_exterior",
     "volume_element",
     "graded_tensor",
@@ -50,7 +47,6 @@ __all__ = [
     "epsilon_sign",
     "bott_reduce",
     "BottReduction",
-    "compatible_pair",
     "bott_generator_module",
     "verify_exterior_identities",
     "verify_twisted_involution",
@@ -135,7 +131,7 @@ class HodgeData:
     star: QiMatrix
     tau: QiMatrix
     clifford: list  # c(e_1), ..., c(e_n)
-    volume_word: tuple
+    ext: list  # exterior multiplications e_1 ^, ..., e_n ^
 
     def degree_projector(self, p: int) -> QiMatrix:
         dim = 1 << self.n
@@ -155,7 +151,6 @@ class CliffordModule:
     dim: int
     iota: QiMatrix
     generators: list
-    tau: Optional[QiMatrix] = None
     label: str = ""
 
     def verify_contract(self) -> None:
@@ -183,21 +178,26 @@ def build_exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeD
         raise CliffordError(f"dimension {n} outside [1, {MAX_EXTERIOR_DIM}]")
     if orientation not in (1, -1):
         raise CliffordError("orientation must be +1 or -1")
+    return _exterior(n, orientation)
+
+
+def _exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeData]:
+    """:func:`build_exterior` without its dimension cap.
+
+    The sparse structural matrices are cheap at any n; the product sign
+    chain needs dimensions up to 10.
+    """
     exts = [_ext_matrix(n, j) for j in range(n)]
     cliff = [e - e.adjoint() for e in exts]
     star = _star_matrix(n)
     if orientation < 0:
         star = -star
-    iota = _iota_matrix(n)
     tau = _tau_matrix(n, star)
     module = CliffordModule(
-        dim=1 << n, iota=iota, generators=list(cliff), tau=tau,
+        dim=1 << n, iota=_iota_matrix(n), generators=list(cliff),
         label=f"Lambda*(R^{n})",
     )
-    hodge = HodgeData(
-        n=n, star=star, tau=tau, clifford=list(cliff),
-        volume_word=tuple(range(1, n + 1)),
-    )
+    hodge = HodgeData(n=n, star=star, tau=tau, clifford=list(cliff), ext=exts)
     return module, hodge
 
 
@@ -276,16 +276,12 @@ def epsilon_sign(m0: int, m1: int) -> tuple[int, dict]:
     id1 = QiMatrix.identity(mod1.dim)
     epsilon = (alpha0.kron(id1) @ mod0.iota.kron(alpha1)).scale(i_power(1))
 
-    # The combined dimension may exceed the public constructor cap; the
-    # sparse structural matrices are cheap at any n, so build them directly.
+    # The combined dimension may exceed the public constructor cap.
     n_big = n0 + n1
     iso = exterior_tensor_iso(n0, n1)
     iso_inv = iso.transpose()
-    star_big = _star_matrix(n_big)
-    tau_big = iso_inv @ _tau_matrix(n_big, star_big) @ iso
-    cliff_big = [
-        (lambda e: e - e.adjoint())(_ext_matrix(n_big, j)) for j in range(n_big)
-    ]
+    _, h_big = _exterior(n_big)
+    tau_big = iso_inv @ h_big.tau @ iso
     iota_tensor = mod0.iota.kron(mod1.iota)
     target = iota_tensor @ tau_big
 
@@ -306,10 +302,7 @@ def epsilon_sign(m0: int, m1: int) -> tuple[int, dict]:
     omega_tensor = graded_operator_tensor(
         volume_element(h0), volume_element(h1), mod0.iota, parity_b=n1
     )
-    omega_raw = QiMatrix.identity(1 << n_big)
-    for c in cliff_big:
-        omega_raw = omega_raw @ c
-    omega_big = iso_inv @ omega_raw @ iso
+    omega_big = iso_inv @ volume_element(h_big) @ iso
     volume_ok = omega_tensor == omega_big
 
     expected = 1 if (m0 + m1) % 2 == 0 else -1
@@ -414,71 +407,8 @@ def _graded_kernel_index(op: QiMatrix, iota_signs: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compatible pairs (numeric: the polar decomposition has irrational spectrum)
+# Compatible pairs (exact; the numeric polar pair is hodge_numeric's)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CompatiblePair:
-    h: np.ndarray
-    sigma: np.ndarray
-    eta: np.ndarray
-    tolerance: float = 1e-12
-
-    def verify(self) -> None:
-        h, sigma, eta = self.h, self.sigma, self.eta
-        tol = self.tolerance
-        if not np.allclose(h, h.conj().T, atol=tol):
-            raise CliffordError("h is not hermitian")
-        if np.linalg.eigvalsh(h).min() <= tol:
-            raise CliffordError("h is not positive definite")
-        if not np.allclose(sigma @ sigma, np.eye(len(h)), atol=tol):
-            raise CliffordError("sigma is not an involution")
-        if not np.allclose(h, eta @ sigma, atol=tol):
-            raise CliffordError("h != eta(. , sigma .)")
-        if not np.allclose(sigma.conj().T @ h @ sigma, h, atol=tol):
-            raise CliffordError("sigma is not an h-isometry")
-
-
-def _reduced_eigh(a: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of A v = l G v for hermitian A and G = L L^H, given L^-1.
-
-    The problem reduces to the hermitian L^-1 A L^-H u = l u with v = L^-H u,
-    so that V^H G V = 1, as ``scipy.linalg.eigh(A, G)`` normalises.  A may
-    carry leading batch axes.
-    """
-    linv_h = linv.conj().T
-    vals, u = np.linalg.eigh(linv @ a @ linv_h)
-    return vals, linv_h @ u
-
-
-def compatible_pair(eta: np.ndarray, h0: np.ndarray | None = None,
-                    tolerance: float = 1e-12) -> CompatiblePair:
-    """Polar-decomposition pair (h, sigma) with h = eta(. , sigma .).
-
-    With S the h0-selfadjoint operator defined by h0(S x, y) = eta(x, y),
-    returns sigma = S |S|^{-1} and h = h0(|S| . , .).
-    """
-    eta = np.asarray(eta, dtype=complex)
-    r = eta.shape[0]
-    if not np.allclose(eta, eta.conj().T, atol=tolerance):
-        raise CliffordError("eta must be hermitian")
-    if min(abs(np.linalg.eigvalsh(eta))) < 1e3 * np.finfo(float).eps * max(
-        1.0, abs(np.linalg.eigvalsh(eta)).max()
-    ):
-        raise CliffordError("eta is singular")
-    h0 = np.eye(r, dtype=complex) if h0 is None else np.asarray(h0, dtype=complex)
-    # Forms are conjugate-linear in the first slot: h0(x, y) = x^H H0 y,
-    # so h0(S x, y) = eta(x, y) forces S = H0^{-1} eta.
-    s_mat = np.linalg.solve(h0, eta)
-    # S is h0-selfadjoint: diagonalize via the generalized problem eta v = l H0 v.
-    eigvals, eigvecs = _reduced_eigh(eta, np.linalg.inv(np.linalg.cholesky(h0)))
-    abs_s = eigvecs @ np.diag(np.abs(eigvals)) @ np.linalg.inv(eigvecs)
-    sigma = s_mat @ np.linalg.inv(abs_s)
-    h = abs_s.conj().T @ h0  # h(x, y) = h0(|S| x, y) = x^H |S|^H H0 y
-    pair = CompatiblePair(h=h, sigma=sigma, eta=eta, tolerance=tolerance)
-    pair.verify()
-    return pair
 
 
 def standard_indefinite_pair(p: int, q: int) -> tuple[QiMatrix, QiMatrix]:

@@ -42,7 +42,6 @@ copies, tuples or read-only mappings, so no caller can change them.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -63,7 +62,6 @@ __all__ = [
     "surface",
     "model_space",
     "space_from_descriptor",
-    "load_model_space",
     "product_space",
     "GYSIN_CIRCLE_SIGN",
 ]
@@ -680,6 +678,8 @@ def space_from_descriptor(data: Mapping) -> ProductSpace:
     """Build a one-factor space from its JSON descriptor dictionary."""
     try:
         name = data["name"]
+        if not isinstance(name, str):
+            raise SpaceError("space name must be a string")
         generators = [(g["symbol"], int(g["degree"])) for g in data["generators"]]
         top = int(data["top_degree"])
         index = {s: i for i, (s, _) in enumerate(generators)}
@@ -695,11 +695,7 @@ def space_from_descriptor(data: Mapping) -> ProductSpace:
             relations[lhs] = rhs
         fund = data.get("fundamental_class")
         fund_mon = tuple(index[s] for s in fund) if fund is not None else None
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise SpaceError(f"malformed space descriptor: {exc}") from exc
     return ProductSpace([ModelSpace(name, generators, relations, top, fund_mon)])
 
-
-def load_model_space(path) -> ProductSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_descriptor(json.load(fh))

@@ -19,10 +19,12 @@ subspace, a self-adjoint family with no residual symmetry.  Its flow is
 the change in positive index from t = 0 to t = 1; zeros at these
 endpoints must be pushed off zero by a reported +- shift.
 
-The numerics are numpy's.  Monodromies exp(2*pi*i*A) are the elementwise
-exponential of a diagonal A, as in every built-in family.  The generalized
-problem G D v = l G v of a metric G other than the identity is reduced by
-the Cholesky factor G = L L^H to one batched ``np.linalg.eigh`` of
+The numerics are numpy's, and every floating-point decision about eta is
+made here: its hermitian and nonsingular rule and its compatible pair
+(h, sigma).  Monodromies exp(2*pi*i*A) are the elementwise exponential of
+a diagonal A, as in every built-in family.  The generalized problem
+G D v = l G v of a metric G other than the identity is reduced by the
+Cholesky factor G = L L^H to one batched ``np.linalg.eigh`` of
 L^-1 G D L^-H, with eigenvectors normalised to V^H G V = 1.  scipy is
 imported only when a connection that is not diagonal must be
 exponentiated, through the module attribute ``scipy`` (PEP 562).
@@ -35,9 +37,10 @@ cached arrays are read-only:
 * per eta: the hermitian and singularity checks and the signature (p, q);
   a bad eta is not cached and raises on every construction;
 * per (n, eta): the assembly frame -- the pair (h, sigma), the metric and
-  its inverse Cholesky factor, tau (x) sigma, the lattice generators
-  ext_j (x) i and the odd restriction's alpha_1 rows and even-parity
-  indices.  Nothing in it grows with the cutoff.
+  its inverse Cholesky factor (None for the identity metric), tau (x)
+  sigma, the lattice generators ext_j (x) i and the odd restriction's
+  alpha_1 rows and even-parity indices.  Nothing in it grows with the
+  cutoff.
 
 What depends on the node is still checked at every grid node: each
 bundle's monodromies must preserve eta and commute, a connection given
@@ -51,6 +54,10 @@ node check, which both endpoint-shift passes of :func:`spectral_flow_both`
 and a preceding :func:`kernel_constancy_report` share.  An assembly whose
 blocks would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything is
 allocated.
+
+Descriptors are JSON objects.  Their matrices are non-empty lists of
+equal-length rows, a declared signature (p, q) must be eta's, and a family
+grid must lie in [2, MAX_GRID]; anything else raises :class:`HodgeError`.
 """
 
 from __future__ import annotations
@@ -67,13 +74,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .clifford import _ext_matrix, _reduced_eigh, build_exterior, compatible_pair
+from .clifford import build_exterior
 
 __all__ = [
     "HodgeError",
     "IndeterminateKernelError",
     "EndpointKernelError",
     "MonodromyBundle",
+    "CompatiblePair",
+    "compatible_pair",
     "TruncatedOperator",
     "OperatorFamily",
     "SpectralFlowResult",
@@ -98,6 +107,12 @@ __all__ = [
 UNIT = 2.0 * math.pi
 DEFAULT_CUTOFF = 8
 DEFAULT_TOL = 1e-8
+# Tolerance of every bundle invariant: eta hermitian, monodromies preserving
+# eta and commuting, diagonal monodromies.
+BUNDLE_ATOL = 1e-10
+# Largest family grid resolution a descriptor or run may ask for; the
+# stability suite doubles the run's grid.
+MAX_GRID = 4096
 # Refuse assemblies whose stacked complex blocks would exceed this many bytes.
 MAX_ASSEMBLY_BYTES = 256 << 20
 
@@ -155,18 +170,28 @@ def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     return bool(np.allclose(a, b, atol=atol))
 
 
-@functools.lru_cache(maxsize=256)
-def _eta_signature(eta_bytes: bytes, r: int, atol: float) -> tuple[int, int]:
-    """Signature (p, q) of a hermitian, nonsingular eta; raises otherwise.
+def _is_diagonal(m: np.ndarray, atol: float) -> bool:
+    return bool(np.allclose(m, np.diag(np.diag(m)), atol=atol))
 
-    Failures are not cached, so a bad eta raises on every call.
-    """
-    eta = np.frombuffer(eta_bytes, dtype=complex).reshape(r, r)
+
+def _eta_eigenvalues(eta: np.ndarray, atol: float) -> np.ndarray:
+    """Eigenvalues of a hermitian, nonsingular eta; raises otherwise."""
     if not np.allclose(eta, eta.conj().T, atol=atol):
         raise HodgeError("eta must be hermitian")
     eigs = np.linalg.eigvalsh(eta)
     if np.min(np.abs(eigs)) < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(eigs))):
         raise HodgeError("eta is singular")
+    return eigs
+
+
+@functools.lru_cache(maxsize=256)
+def _eta_signature(eta_bytes: bytes, r: int) -> tuple[int, int]:
+    """Signature (p, q) of a hermitian, nonsingular eta; raises otherwise.
+
+    Failures are not cached, so a bad eta raises on every call.
+    """
+    eigs = _eta_eigenvalues(np.frombuffer(eta_bytes, dtype=complex).reshape(r, r),
+                            BUNDLE_ATOL)
     return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
 
 
@@ -175,7 +200,8 @@ class MonodromyBundle:
     """Flat U(p,q)-bundle on T^n given by commuting eta-preserving monodromies.
 
     ``connection`` holds the commuting logarithms A_j; if omitted they are
-    derived by simultaneous diagonalization (principal branch).
+    derived by simultaneous diagonalization (principal branch).  (p, q) is
+    eta's signature; a nonzero declared (p, q) must equal it.
     """
 
     n: int
@@ -184,9 +210,7 @@ class MonodromyBundle:
     connection: Optional[list] = None
     p: int = 0
     q: int = 0
-    fibrewise_flat: bool = True
     globally_flat: bool = False
-    atol: float = 1e-10
     label: str = ""
 
     def __post_init__(self):
@@ -204,19 +228,18 @@ class MonodromyBundle:
         if len(self.monodromies) != self.n:
             raise HodgeError("one monodromy per circle factor is required")
         r = self.eta.shape[0]
-        p, q = _eta_signature(self.eta.tobytes(), r, self.atol)
-        if not (self.p or self.q):
-            self.p, self.q = p, q
-        if self.p + self.q != r:
-            raise HodgeError("signature does not match the rank of eta")
+        signature = _eta_signature(self.eta.tobytes(), r)
+        if (self.p or self.q) and (self.p, self.q) != signature:
+            raise HodgeError(f"declared signature {(self.p, self.q)} is not eta's {signature}")
+        self.p, self.q = signature
         for a, m in enumerate(self.monodromies):
             if m.shape != (r, r):
                 raise HodgeError("monodromy rank mismatch")
-            if not _allclose(m.conj().T @ self.eta @ m, self.eta, self.atol):
+            if not _allclose(m.conj().T @ self.eta @ m, self.eta, BUNDLE_ATOL):
                 raise HodgeError(f"monodromy {a + 1} does not preserve eta")
             for b in range(a + 1, self.n):
                 other = self.monodromies[b]
-                if not _allclose(m @ other, other @ m, self.atol):
+                if not _allclose(m @ other, other @ m, BUNDLE_ATOL):
                     raise HodgeError(f"monodromies {a + 1}, {b + 1} do not commute")
         if self.connection is None:
             self.connection = self._derive_connection()
@@ -237,20 +260,13 @@ class MonodromyBundle:
         return self.p + self.q
 
     def _derive_connection(self) -> list:
-        r = self.rank
-        if all(np.allclose(m, np.diag(np.diag(m)), atol=self.atol) for m in self.monodromies):
-            vecs = np.eye(r, dtype=complex)
-        else:
-            rng = np.random.default_rng(0)
-            combo = sum(c * m for c, m in zip(rng.normal(size=self.n), self.monodromies))
-            _, vecs = np.linalg.eig(combo)
-            for m in self.monodromies:
-                test = np.linalg.solve(vecs, m @ vecs)
-                if not np.allclose(test, np.diag(np.diag(test)), atol=1e-8):
-                    raise HodgeError(
-                        "monodromies are not simultaneously diagonalizable; "
-                        "provide connection matrices explicitly"
-                    )
+        vecs = _joint_eigenbasis(self)
+        for m in self.monodromies:
+            if not _is_diagonal(np.linalg.solve(vecs, m @ vecs), 1e-8):
+                raise HodgeError(
+                    "monodromies are not simultaneously diagonalizable; "
+                    "provide connection matrices explicitly"
+                )
         inv = np.linalg.inv(vecs)
         out = []
         for m in self.monodromies:
@@ -262,6 +278,16 @@ class MonodromyBundle:
     @classmethod
     def from_connection(cls, eta, connection, **kwargs) -> "MonodromyBundle":
         return cls(n=len(connection), eta=eta, connection=connection, **kwargs)
+
+
+def _joint_eigenbasis(bundle: MonodromyBundle) -> np.ndarray:
+    """Common eigenvectors of the commuting monodromies: the identity when all
+    are diagonal, else those of a seeded random combination."""
+    if all(_is_diagonal(m, BUNDLE_ATOL) for m in bundle.monodromies):
+        return np.eye(bundle.rank, dtype=complex)
+    rng = np.random.default_rng(0)
+    combo = sum(c * m for c, m in zip(rng.normal(size=bundle.n), bundle.monodromies))
+    return np.linalg.eig(combo)[1]
 
 
 def line_bundle(thetas: Sequence[float], globally_flat: bool = True,
@@ -277,6 +303,74 @@ def line_bundle(thetas: Sequence[float], globally_flat: bool = True,
 def lusztig_bundle(t) -> MonodromyBundle:
     """Fiber of the monodromy-z line family on the circle at parameter t."""
     return line_bundle([float(t)], globally_flat=False, label=f"lusztig(t={t})")
+
+
+# ---------------------------------------------------------------------------
+# Compatible pairs (the polar decomposition has irrational spectrum)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CompatiblePair:
+    h: np.ndarray
+    sigma: np.ndarray
+    eta: np.ndarray
+    tolerance: float = 1e-12
+
+    def verify(self) -> None:
+        h, sigma, eta = self.h, self.sigma, self.eta
+        tol = self.tolerance
+        if not np.allclose(h, h.conj().T, atol=tol):
+            raise HodgeError("h is not hermitian")
+        if np.linalg.eigvalsh(h).min() <= tol:
+            raise HodgeError("h is not positive definite")
+        if not np.allclose(sigma @ sigma, np.eye(len(h)), atol=tol):
+            raise HodgeError("sigma is not an involution")
+        if not np.allclose(h, eta @ sigma, atol=tol):
+            raise HodgeError("h != eta(. , sigma .)")
+        if not np.allclose(sigma.conj().T @ h @ sigma, h, atol=tol):
+            raise HodgeError("sigma is not an h-isometry")
+
+
+def _reduced_eigh(a: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of A v = l G v for hermitian A and G = L L^H, given L^-1.
+
+    The problem reduces to the hermitian L^-1 A L^-H u = l u with v = L^-H u,
+    so that V^H G V = 1, as ``scipy.linalg.eigh(A, G)`` normalises.  A may
+    carry leading batch axes.
+    """
+    linv_h = linv.conj().T
+    vals, u = np.linalg.eigh(linv @ a @ linv_h)
+    return vals, linv_h @ u
+
+
+def compatible_pair(eta: np.ndarray, h0: np.ndarray | None = None,
+                    tolerance: float = 1e-12) -> CompatiblePair:
+    """Polar-decomposition pair (h, sigma) with h = eta(. , sigma .).
+
+    With S the h0-selfadjoint operator defined by h0(S x, y) = eta(x, y),
+    returns sigma = S |S|^{-1} and h = h0(|S| . , .).  A real diagonal eta
+    of entries +-1, with the standard h0, has the exact pair (1, eta).
+    """
+    eta = np.asarray(eta, dtype=complex)
+    r = eta.shape[0]
+    diag = np.diag(eta)
+    if h0 is None and _is_diagonal(eta, 0.0) and np.all((diag == 1) | (diag == -1)):
+        return CompatiblePair(h=np.eye(r, dtype=complex), sigma=np.diag(diag),
+                              eta=eta, tolerance=tolerance)
+    _eta_eigenvalues(eta, tolerance)
+    h0 = np.eye(r, dtype=complex) if h0 is None else np.asarray(h0, dtype=complex)
+    # Forms are conjugate-linear in the first slot: h0(x, y) = x^H H0 y,
+    # so h0(S x, y) = eta(x, y) forces S = H0^{-1} eta.
+    s_mat = np.linalg.solve(h0, eta)
+    # S is h0-selfadjoint: diagonalize via the generalized problem eta v = l H0 v.
+    eigvals, eigvecs = _reduced_eigh(eta, np.linalg.inv(np.linalg.cholesky(h0)))
+    abs_s = eigvecs @ np.diag(np.abs(eigvals)) @ np.linalg.inv(eigvecs)
+    sigma = s_mat @ np.linalg.inv(abs_s)
+    h = abs_s.conj().T @ h0  # h(x, y) = h0(|S| x, y) = x^H |S|^H H0 y
+    pair = CompatiblePair(h=h, sigma=sigma, eta=eta, tolerance=tolerance)
+    pair.verify()
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +393,10 @@ def _frequency_lattice(n: int, cutoff: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _structure(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exterior multiplications ext_j stacked (n, 2^n, 2^n), parity vector and tau."""
-    _, hodge = build_exterior(n)
-    ext = _read_only(np.stack([_ext_matrix(n, j).to_numpy() for j in range(n)]))
-    iota = np.array(
-        [1.0 if bin(s).count("1") % 2 == 0 else -1.0 for s in range(1 << n)]
-    )
+    module, hodge = build_exterior(n)
+    ext = _read_only(np.stack([e.to_numpy() for e in hodge.ext]))
+    iota = np.diag(module.iota.to_numpy()).real.copy()
     return ext, _read_only(iota), _read_only(hodge.tau.to_numpy())
-
-
-def _pick_pair(eta: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
-    r = eta.shape[0]
-    if np.allclose(eta, np.eye(r), atol=atol):
-        return np.eye(r, dtype=complex), np.eye(r, dtype=complex)
-    diag = np.diag(eta)
-    if np.allclose(eta, np.diag(diag), atol=atol) and np.allclose(
-        np.abs(diag), 1.0, atol=atol
-    ):
-        return np.eye(r, dtype=complex), np.diag(diag).astype(complex)
-    pair = compatible_pair(eta)
-    return pair.h, pair.sigma
 
 
 class _Frame(NamedTuple):
@@ -333,13 +412,13 @@ class _Frame(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _frame(n: int, r: int, eta_bytes: bytes, atol: float) -> _Frame:
+def _frame(n: int, r: int, eta_bytes: bytes) -> _Frame:
     eta = np.frombuffer(eta_bytes, dtype=complex).reshape(r, r)
     ext_np, iota_vec, tau_np = _structure(n)
-    h, sigma = _pick_pair(eta, atol)
-    metric = np.kron(np.eye(1 << n, dtype=complex), h)
+    pair = compatible_pair(eta)
+    metric = np.kron(np.eye(1 << n, dtype=complex), pair.h)
     standard = np.allclose(metric, np.eye(metric.shape[0]), atol=1e-14)
-    tau_v = np.kron(tau_np, sigma)
+    tau_v = np.kron(tau_np, pair.sigma)
     iota = np.repeat(iota_vec, r)
     even = np.where(iota > 0)[0]
     frame = _Frame(
@@ -390,13 +469,10 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
 
-    def _metric_is_standard(self) -> bool:
-        return np.allclose(self.metric, np.eye(self.metric.shape[0]), atol=1e-12)
-
     def eigen_system(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block eigenvalues (B, d) in physical units and eigenvectors."""
         if self._eig is None:
-            if self._metric_is_standard():
+            if self.frame.linv is None:
                 vals, vecs = np.linalg.eigh(self.blocks)
             else:
                 vals, vecs = _reduced_eigh(self.metric @ self.blocks, self.frame.linv)
@@ -412,7 +488,7 @@ class TruncatedOperator:
         d = self.blocks
         iota = self.iota
         adj = np.conj(np.swapaxes(d, 1, 2))
-        if self._metric_is_standard():
+        if self.frame.linv is None:
             selfadj = float(np.max(np.abs(d - adj)))
         else:
             g = self.metric
@@ -478,7 +554,7 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
             f"{MAX_ASSEMBLY_BYTES >> 20} MiB limit"
         )
     ext = _structure(n)[0]
-    frame = _frame(n, r, bundle.eta.tobytes(), bundle.atol)
+    frame = _frame(n, r, bundle.eta.tobytes())
     freqs = _frequency_lattice(n, cutoff)
     d = (1 << n) * r
     # sum_j ext_j (x) i A_j, entry (k a, l b) = sum_j ext_j[k, l] * i A_j[a, b].
@@ -594,9 +670,8 @@ class OperatorFamily:
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (node, cutoff) keys whose odd restriction passed check() without a spectrum.
     _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
-    # Tolerances at which verify_loop has passed.
-    _loop_verified: set = field(default_factory=set, init=False, repr=False,
-                                compare=False)
+    # Whether verify_loop has passed.
+    _loop_verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def bundle(self, t) -> MonodromyBundle:
         return self.generator(_node(t))
@@ -628,47 +703,38 @@ class OperatorFamily:
             self.operator(t).check_odd()
             self._checked.add(key)
 
-    def verify_loop(self, atol: float = 1e-8) -> None:
+    def verify_loop(self) -> None:
         """Exhibit a conjugating map between the endpoint bundles.
 
         Equal monodromies conjugate by the identity; otherwise a joint
         eigenbasis match produces an explicit intertwiner, which must also
-        preserve the hermitian form.  A pass is remembered per tolerance; a
-        failure raises again on every call.
+        preserve the hermitian form.  A pass is remembered; a failure raises
+        again on every call.
         """
-        if atol in self._loop_verified:
+        if self._loop_verified:
             return
         b0, b1 = self.bundle(0), self.bundle(1)
         if not all(
-            np.allclose(m0, m1, atol=atol)
+            np.allclose(m0, m1, atol=1e-8)
             for m0, m1 in zip(b0.monodromies, b1.monodromies)
         ):
-            conjugator = _match_joint_eigensystem(b0, b1, atol)
+            conjugator = _match_joint_eigensystem(b0, b1)
             if conjugator is None:
                 raise HodgeError("family endpoints are not conjugate: not a loop")
             if not np.allclose(
                 conjugator.conj().T @ b1.eta @ conjugator, b0.eta, atol=1e-6
             ):
                 raise HodgeError("endpoint conjugator does not preserve eta")
-        self._loop_verified.add(atol)
+        self._loop_verified = True
 
 
-def _match_joint_eigensystem(b0: MonodromyBundle, b1: MonodromyBundle,
-                             atol: float):
+def _match_joint_eigensystem(b0: MonodromyBundle, b1: MonodromyBundle):
     """Invertible map U with U M_j(0) U^{-1} = M_j(1), or None."""
     if b0.rank != b1.rank:
         return None
 
     def joint_basis(bundle):
-        vecs = np.eye(bundle.rank, dtype=complex)
-        if not all(
-            np.allclose(m, np.diag(np.diag(m)), atol=atol) for m in bundle.monodromies
-        ):
-            rng = np.random.default_rng(1)
-            combo = sum(
-                c * m for c, m in zip(rng.normal(size=bundle.n), bundle.monodromies)
-            )
-            _, vecs = np.linalg.eig(combo)
+        vecs = _joint_eigenbasis(bundle)
         inv = np.linalg.inv(vecs)
         tuples = [
             tuple(np.round(np.diag(inv @ m @ vecs), 8)) for m in bundle.monodromies
@@ -974,34 +1040,50 @@ def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
 
 
 def _compile_matrix(rows) -> Callable[[Optional[float]], np.ndarray]:
+    if not (
+        isinstance(rows, list) and rows
+        and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+    ):
+        raise HodgeError("a matrix must be a non-empty list of equal-length rows")
     entries = [[_compile_entry(e) for e in row] for row in rows]
     return lambda t=None: np.array(
         [[f(t) for f in row] for row in entries], dtype=complex
     )
 
 
+def _compile_matrices(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise HodgeError(f"{what} must be a list of matrices")
+    return [_compile_matrix(m) for m in value]
+
+
 def _eval_matrix(rows) -> np.ndarray:
     return _compile_matrix(rows)()
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise HodgeError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def bundle_from_descriptor(data: dict) -> MonodromyBundle:
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "n")
         eta = _eval_matrix(data["eta"])
-        monodromies = [_eval_matrix(m) for m in data["monodromies"]]
+        monodromies = [m() for m in _compile_matrices(data["monodromies"], "monodromies")]
     except KeyError as exc:
         raise HodgeError(f"descriptor missing field {exc}") from exc
     connection = None
     if "connection" in data:
-        connection = [_eval_matrix(m) for m in data["connection"]]
+        connection = [m() for m in _compile_matrices(data["connection"], "connection")]
     return MonodromyBundle(
         n=n,
         eta=eta,
         monodromies=monodromies,
         connection=connection,
-        p=int(data.get("p", 0)),
-        q=int(data.get("q", 0)),
-        fibrewise_flat=bool(data.get("fibrewise_flat", True)),
+        p=_integer(data.get("p", 0), "p"),
+        q=_integer(data.get("q", 0), "q"),
         globally_flat=bool(data.get("globally_flat", False)),
         label=str(data.get("label", "descriptor")),
     )
@@ -1012,43 +1094,47 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
     """Family whose entries are expressions in the parameter t.
 
     Families may present either ``connection`` entries (preferred; no
-    branch ambiguity) or diagonal ``monodromies``.
+    branch ambiguity) or diagonal ``monodromies``.  The grid resolution
+    must lie in [2, MAX_GRID].
     """
     fam = data.get("family")
     if not fam:
         raise HodgeError("descriptor has no family section")
+    if not isinstance(fam, dict):
+        raise HodgeError("the family section must be an object")
+    grid = _integer(fam.get("grid", resolution), "family grid")
+    if not 2 <= grid <= MAX_GRID:
+        raise HodgeError(f"family grid {grid} outside [2, {MAX_GRID}]")
     eta = _eval_matrix(data["eta"])
-    flags = {
-        "fibrewise_flat": bool(data.get("fibrewise_flat", True)),
-        "globally_flat": bool(data.get("globally_flat", False)),
-    }
+    globally_flat = bool(data.get("globally_flat", False))
 
     if "connection" in fam:
-        matrices = [_compile_matrix(m) for m in fam["connection"]]
+        matrices = _compile_matrices(fam["connection"], "family connection")
 
         def gen(t: Fraction) -> MonodromyBundle:
             conn = [m(float(t)) for m in matrices]
-            return MonodromyBundle.from_connection(eta, conn, **flags)
+            return MonodromyBundle.from_connection(eta, conn, globally_flat=globally_flat)
 
     elif "monodromies" in fam:
-        matrices = [_compile_matrix(m) for m in fam["monodromies"]]
+        matrices = _compile_matrices(fam["monodromies"], "family monodromies")
 
         def gen(t: Fraction) -> MonodromyBundle:
             mons = [m(float(t)) for m in matrices]
             for m in mons:
-                if not np.allclose(m, np.diag(np.diag(m)), atol=1e-12):
+                if not _is_diagonal(m, 1e-12):
                     raise HodgeError(
                         "family monodromies must be diagonal; provide a "
                         "connection section for the general case"
                     )
-            return MonodromyBundle(n=len(mons), eta=eta, monodromies=mons, **flags)
+            return MonodromyBundle(n=len(mons), eta=eta, monodromies=mons,
+                                   globally_flat=globally_flat)
 
     else:
         raise HodgeError("family section needs connection or monodromies entries")
 
     return OperatorFamily(
         generator=gen,
-        grid=grid_nodes(int(fam.get("grid", resolution))),
+        grid=grid_nodes(grid),
         loop=bool(fam.get("loop", False)),
         cutoff=cutoff,
         label=str(data.get("label", "descriptor-family")),
@@ -1056,5 +1142,12 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
 
 
 def load_descriptor(path) -> dict:
+    """Read a descriptor file, which must hold one JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise HodgeError("descriptor nests too deeply") from None
+    if not isinstance(data, dict):
+        raise HodgeError("a descriptor must be a JSON object")
+    return data

@@ -100,26 +100,6 @@ class FormalSeries:
             self._hash = hash(self.coeffs)
             return self._hash
 
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(self.order, other.order)
-        return FormalSeries([self[k] + other[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(self.order, other.order)
-        return FormalSeries([self[k] - other[k] for k in range(n + 1)])
-
-    def __mul__(self, other) -> "FormalSeries":
-        if isinstance(other, (int, Fraction)):
-            return FormalSeries([c * Fraction(other) for c in self.coeffs])
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                out[i + j] += self[i] * other[j]
-        return FormalSeries(out)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other: "FormalSeries") -> "FormalSeries":
         if other[0] == 0:
             raise SeriesError("division requires an invertible constant term")

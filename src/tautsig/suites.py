@@ -50,8 +50,8 @@ class SuiteConfig:
             raise SuiteError("cutoff must be >= 1")
         if not (0.0 < self.tol <= 1e-4):
             raise SuiteError("tolerance must lie in (0, 1e-4]")
-        if self.grid < 2:
-            raise SuiteError("grid resolution must be >= 2")
+        if not 2 <= self.grid <= hodge_numeric.MAX_GRID:
+            raise SuiteError(f"grid resolution must lie in [2, {hodge_numeric.MAX_GRID}]")
         if self.fmt not in ("json", "csv", "text"):
             raise SuiteError(f"unknown format {self.fmt!r}")
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tautsig.cli import main
 from tautsig.suites import SuiteConfig, SuiteError, describe_suite, run_suites
@@ -134,6 +136,9 @@ _OPEN_SPACE = {
 }
 
 
+_LINE = {"n": 1, "eta": [[1]], "monodromies": [[[1]]]}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -141,14 +146,62 @@ _OPEN_SPACE = {
         json.dumps({**_OPEN_SPACE, "relations": [{"lhs": ["x", "y"]}]}),
         json.dumps({**_OPEN_SPACE, "fundamental_class": ["y"]}),
         json.dumps({**_OPEN_SPACE, "relations": [{"rhs": {}}]}),
+        json.dumps([_LINE]),
+        json.dumps("descriptor"),
+        "[" * 100000 + "]" * 100000,
+        json.dumps({**_LINE, "eta": 5}),
+        json.dumps({**_LINE, "eta": [[1, 0], [0]]}),
+        json.dumps({**_LINE, "n": [1]}),
+        json.dumps({**_LINE, "monodromies": 3}),
+        json.dumps({**_LINE, "family": {"connection": 3}}),
+        json.dumps({**_LINE, "family": 5}),
+        json.dumps({"n": 1, "p": 2, "q": 0, "eta": [[1, 0], [0, -1]],
+                    "monodromies": [[[1, 0], [0, 1]]]}),
     ],
     ids=["not-json", "relation-unknown-symbol", "fundamental-unknown-symbol",
-         "relation-without-lhs"],
+         "relation-without-lhs", "array", "string", "deep-nesting", "eta-number",
+         "eta-ragged", "n-list", "monodromies-number", "family-connection-number",
+         "family-number", "signature-mismatch"],
 )
-def test_descriptor_parse_failure_exit_two(tmp_path, text):
+def test_descriptor_parse_failure_exit_two(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
     path.write_text(text)
     assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args,grid",
+    [(["--suite", "lusztig", "--grid", "100000000"], None),
+     (["--suite", "stability", "--grid", "1"], None),
+     (["--suite", "descriptor"], 0),
+     (["--suite", "descriptor"], 1),
+     (["--suite", "descriptor"], 3000000)],
+    ids=["run-huge", "run-one", "descriptor-zero", "descriptor-one", "descriptor-huge"],
+)
+def test_grid_out_of_bounds_exit_two_before_allocation(tmp_path, monkeypatch, capsys,
+                                                       args, grid):
+    import tracemalloc
+
+    from tautsig import hodge_numeric
+
+    def forbidden(resolution):
+        raise AssertionError(f"grid of {resolution} built")
+
+    monkeypatch.setattr(hodge_numeric, "grid_nodes", forbidden)
+    if grid is not None:
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(
+            {**_LINE, "family": {"connection": [[["t"]]], "grid": grid, "loop": True}}))
+        args = [*args, "--descriptor", str(path), "--cutoff", "2"]
+    tracemalloc.start()
+    try:
+        assert main(["run", *args]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -225,3 +278,115 @@ def test_program_runs_without_importing_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_side_imports_without_numpy():
+    code = (
+        "import sys\n"
+        "import tautsig._gaussian, tautsig.clifford, tautsig.graded_ring\n"
+        "import tautsig.mult_seq, tautsig.kappa_calculus\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Generated descriptors
+# ---------------------------------------------------------------------------
+
+# Whitelisted atoms and calls, names the whitelist rejects, and literals that
+# overflow.
+_ATOMS = st.sampled_from(["t", "pi", "i", "j", "0", "1", "2.5", "1e308", "x", "os",
+                          "__import__", "()", "'s'", "[1]"])
+_CALLS = st.sampled_from(["exp", "cos", "sin", "sqrt", "log", "eval", "open"])
+_REJECTED = st.sampled_from([
+    "9**9**9", "2**100000", "10.0**400", "(-8)**0.5", "0**-1", "(1).__class__",
+    "t.real", "t[0]", "(lambda: 1)()", "__import__('os').getpid()",
+    "[c for c in ()]", "{}", "1 if t else 0", "not t", "t < 1", "",
+])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner).map(
+            lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(_CALLS, inner).map(lambda p: f"{p[0]}({p[1]})"),
+        inner.map(lambda e: f"({e}).real"),
+        inner.map(lambda e: f"({e})[0]"),
+        inner.map(lambda e: f"(lambda: {e})()"),
+    )
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _compound, max_leaves=6) | _REJECTED
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | _EXPRESSIONS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_ENTRIES = (st.sampled_from([0, 1, -1, 0.25, "t", "2*t", "-t", "exp(2*pi*i*0.25)",
+                             "exp(2*pi*i*t)", [0, 1]])
+            | st.floats(-2, 2) | _EXPRESSIONS | _JSON)
+_NAMES = st.sampled_from(["x", "y", "z"])
+_SPACES = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=4) | _JSON,
+        "generators": st.lists(st.fixed_dictionaries(
+            {"symbol": _NAMES | _JSON, "degree": st.integers(-1, 3) | _JSON}),
+            max_size=3) | _JSON,
+        "top_degree": st.integers(-1, 3) | _JSON,
+    },
+    optional={
+        "relations": st.lists(st.fixed_dictionaries(
+            {"lhs": st.lists(_NAMES, max_size=3) | _JSON},
+            optional={"rhs": st.dictionaries(st.sampled_from(["1", "x", "x*y", "z"]),
+                                             st.integers(-1, 1) | _JSON, max_size=2)
+                      | _JSON},
+        ), max_size=2) | _JSON,
+        "fundamental_class": st.lists(_NAMES, max_size=2) | _JSON,
+    },
+)
+
+
+@st.composite
+def _bundle_descriptors(draw):
+    """Rank-r bundles on T^n with plausible fields, a few replaced by any JSON."""
+    r, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    matrix = st.lists(st.lists(_ENTRIES, min_size=r, max_size=r), min_size=r, max_size=r)
+    matrices = st.lists(matrix, min_size=n, max_size=n)
+    required = {"n": st.just(n), "eta": matrix, "monodromies": matrices}
+    optional = {
+        "connection": matrices, "p": st.integers(0, 2), "q": st.integers(0, 2),
+        "globally_flat": st.booleans(), "label": st.text(max_size=4),
+        "family": st.fixed_dictionaries({}, optional={
+            "connection": matrices, "monodromies": matrices,
+            "grid": st.integers(-1, 6), "loop": st.booleans()}),
+    }
+    descriptor = draw(st.fixed_dictionaries(required, optional=optional))
+    for key in draw(st.sets(st.sampled_from(sorted({**required, **optional})),
+                            max_size=2)):
+        descriptor[key] = draw(_JSON)
+    return descriptor
+
+
+_DESCRIPTORS = _bundle_descriptors() | _SPACES | _JSON
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(descriptor=_DESCRIPTORS)
+@example(descriptor=[])
+@example(descriptor={**_LINE, "eta": 5})
+@example(descriptor={**_LINE, "family": 5})
+@example(descriptor={"name": None, "generators": [], "top_degree": 0})
+@example(descriptor={"name": "s", "generators": [], "top_degree": float("inf")})
+def test_generated_descriptors_end_with_an_exit_code(tmp_path, descriptor):
+    path, out = tmp_path / "generated.json", tmp_path / "report.json"
+    path.write_text(json.dumps(descriptor))
+    rc = main(["run", "--suite", "descriptor", "--descriptor", str(path),
+               "--cutoff", "2", "--grid", "4", "--out", str(out)])
+    assert rc in (0, 1, 2)

@@ -12,7 +12,6 @@ from tautsig.clifford import (
     bott_generator_module,
     bott_reduce,
     build_exterior,
-    compatible_pair,
     epsilon_sign,
     exterior_tensor_iso,
     graded_operator_tensor,
@@ -22,6 +21,7 @@ from tautsig.clifford import (
     verify_twisted_involution,
     volume_element,
 )
+from tautsig.hodge_numeric import HodgeError, compatible_pair
 
 
 def direct_sum(a, b):
@@ -206,7 +206,7 @@ def test_bott_rejects_bad_operator():
         bott_reduce(module, bad)
 
 
-# -- compatible pairs ---------------------------------------------------------------
+# -- compatible pairs (numeric, owned by hodge_numeric) ----------------------------
 
 
 def test_pair_definite_identity():
@@ -263,7 +263,7 @@ def test_pair_continuity_under_h0_perturbation():
 
 
 def test_pair_rejects_singular_eta():
-    with pytest.raises(CliffordError):
+    with pytest.raises(HodgeError):
         compatible_pair(np.zeros((2, 2)))
 
 

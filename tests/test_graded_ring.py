@@ -16,7 +16,6 @@ from tautsig.graded_ring import (
     cross,
     evaluate,
     gysin_project,
-    load_model_space,
     model_space,
     point,
     product_space,
@@ -25,6 +24,7 @@ from tautsig.graded_ring import (
     surface,
     torus,
 )
+from tautsig.hodge_numeric import load_descriptor
 
 
 def rand_class(rng, space, maxdeg=None, density=0.5):
@@ -296,7 +296,7 @@ def test_descriptor_surface_round_trip(tmp_path):
     }
     path = tmp_path / "sigma2.json"
     path.write_text(json.dumps(desc))
-    loaded = load_model_space(path)
+    loaded = space_from_descriptor(load_descriptor(path))
     ref = surface(2)
     for d in range(3):
         for m1 in ref.basis(d):

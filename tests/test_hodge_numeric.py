@@ -752,6 +752,17 @@ def test_bad_eta_raises_on_every_construction(eta, message):
             MonodromyBundle(n=1, eta=eta, monodromies=[np.eye(2)])
 
 
+@pytest.mark.parametrize("p,q", [(0, 0), (1, 1), (2, 0), (0, 2), (1, 0)])
+def test_declared_signature_must_match_eta(p, q):
+    eta, monodromies = np.diag([1.0, -1.0]), [np.eye(2)]
+    if (p, q) in ((0, 0), (1, 1)):
+        bundle = MonodromyBundle(n=1, eta=eta, monodromies=monodromies, p=p, q=q)
+        assert (bundle.p, bundle.q) == (1, 1)
+    else:
+        with pytest.raises(HodgeError, match="declared signature"):
+            MonodromyBundle(n=1, eta=eta, monodromies=monodromies, p=p, q=q)
+
+
 def test_given_connection_checked_against_given_monodromies():
     with pytest.raises(HodgeError, match="exponentiate"):
         MonodromyBundle(n=1, eta=np.eye(1), monodromies=[np.eye(1)],
