@@ -9,12 +9,23 @@ real denominator appears (the 3/5 and 4/5 of a reflection, a quotient in
 ``int``, and division always goes through ``Fraction``, so no part is ever
 a ``float``.
 
-Matrices are stored column sparse, which keeps products of signed
-permutation-like operators (exterior multiplications, Hodge stars,
-gradings) linear in the number of nonzeros.  The storage is canonical: no
-stored zero and no empty column.  Every constructor and operation produces
-this form, and :meth:`QiMatrix.__eq__` and :meth:`QiMatrix.is_zero` rely
-on it.
+Two matrix types hold them.  :class:`PhaseMatrix` is a monomial matrix
+(at most one nonzero per row and per column) whose entries are powers of
+i: a row index and a phase exponent mod 4 per column, so products,
+Kronecker products, adjoints and equality are integer work linear in the
+dimension.  The structural operators of an exterior algebra (exterior and
+Clifford multiplication, Hodge star, tau, the grading, degree projections)
+all live there.  :class:`QiMatrix` is the general sparse matrix over Q(i),
+stored by columns, for everything else: real rational twists, sums of
+operators, and the row reductions of :func:`rref`.  The one way from the
+first to the second is :meth:`PhaseMatrix.to_qi`; every operation that
+leaves the monomial class (a sum, a non-unit scale, a QiMatrix operand)
+goes through it and returns a QiMatrix.
+
+QiMatrix storage is canonical: no stored zero and no empty column.  Every
+constructor and operation produces this form, and :meth:`QiMatrix.__eq__`
+and :meth:`QiMatrix.is_zero` rely on it.  PhaseMatrix is canonical too: a
+zero column has row -1 and phase 0, so equality is a tuple compare.
 """
 
 from __future__ import annotations
@@ -198,6 +209,7 @@ class QiMatrix:
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "QiMatrix") -> "QiMatrix":
+        other = _qi(other)
         self._check_shape(other)
         out = QiMatrix(self.nrows, self.ncols)
         for j in set(self.cols) | set(other.cols):
@@ -235,6 +247,7 @@ class QiMatrix:
         return out
 
     def __matmul__(self, other: "QiMatrix") -> "QiMatrix":
+        other = _qi(other)
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: ({self.nrows},{self.ncols}) @ "
@@ -284,6 +297,7 @@ class QiMatrix:
         return out
 
     def kron(self, other: "QiMatrix") -> "QiMatrix":
+        other = _qi(other)
         out = QiMatrix(self.nrows * other.nrows, self.ncols * other.ncols)
         bn, bm = other.nrows, other.ncols
         for aj, acol in self.cols.items():
@@ -326,6 +340,172 @@ class QiMatrix:
         arr = np.zeros((self.nrows, self.ncols), dtype=complex)
         for i, j, v in self.entries():
             arr[i, j] = complex(v)
+        return arr
+
+
+def _qi(m) -> QiMatrix:
+    """A QiMatrix operand as itself, a PhaseMatrix one through its bridge."""
+    return m if type(m) is QiMatrix else m.to_qi()
+
+
+# ---------------------------------------------------------------------------
+# Monomial matrices with entries in {0, 1, i, -1, -i}
+# ---------------------------------------------------------------------------
+
+_UNIT_PHASE = {G_ONE: 0, G_I: 1, -G_ONE: 2, -G_I: 3}
+# complex(i**k), so to_numpy matches QiMatrix.to_numpy bit for bit.
+_PHASE_COMPLEX = tuple(complex(i_power(k)) for k in range(4))
+
+
+class PhaseMatrix:
+    """Monomial matrix whose nonzero entries are powers of i.
+
+    Column j holds i**phase[j] in row perm[j], or nothing when perm[j] is
+    -1 (its phase is then 0).  Rows are distinct, so products, Kronecker
+    products, adjoints and unit scalings stay in the class.  Instances are
+    immutable; every operation returns a new matrix.
+    """
+
+    __slots__ = ("nrows", "ncols", "perm", "phase")
+
+    def __init__(self, nrows: int, perm: Iterable[int], phase: Iterable[int]):
+        perm, phase = tuple(perm), list(phase)
+        if len(phase) != len(perm):
+            raise ValueError("perm and phase differ in length")
+        zeros = perm.count(-1)
+        if perm and (min(perm) < -1 or max(perm) >= nrows
+                     or len(set(perm)) != len(perm) - max(zeros - 1, 0)):
+            raise ValueError("not a monomial matrix")
+        if zeros:
+            phase = [k if r >= 0 else 0 for r, k in zip(perm, phase)]
+        self._set(nrows, perm, tuple([k & 3 for k in phase]))
+
+    def _set(self, nrows: int, perm: tuple, phase: tuple) -> "PhaseMatrix":
+        self.nrows = nrows
+        self.ncols = len(perm)
+        self.perm = perm
+        self.phase = phase
+        return self
+
+    @classmethod
+    def _of(cls, nrows: int, perm: tuple, phase: tuple) -> "PhaseMatrix":
+        """Trusted constructor: perm and phase are already canonical tuples."""
+        return object.__new__(cls)._set(nrows, perm, phase)
+
+    @classmethod
+    def identity(cls, n: int) -> "PhaseMatrix":
+        return cls._of(n, tuple(range(n)), (0,) * n)
+
+    # -- element access -------------------------------------------------
+
+    def entry(self, i: int, j: int) -> GaussianRational:
+        return i_power(self.phase[j]) if self.perm[j] == i else G_ZERO
+
+    def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
+        for j, (r, k) in enumerate(zip(self.perm, self.phase)):
+            if r >= 0:
+                yield r, j, i_power(k)
+
+    # -- algebra within the class ----------------------------------------
+
+    def _shift(self, k: int) -> "PhaseMatrix":
+        perm = self.perm
+        if -1 in perm:
+            phase = [(h + k) & 3 if r >= 0 else 0 for r, h in zip(perm, self.phase)]
+        else:
+            phase = [(h + k) & 3 for h in self.phase]
+        return PhaseMatrix._of(self.nrows, perm, tuple(phase))
+
+    def __neg__(self) -> "PhaseMatrix":
+        return self._shift(2)
+
+    def scale(self, s):
+        """s * self; a QiMatrix unless s is 1, i, -1 or -i."""
+        k = _UNIT_PHASE.get(as_gaussian(s))
+        return self.to_qi().scale(s) if k is None else self._shift(k)
+
+    def __matmul__(self, other):
+        if type(other) is not PhaseMatrix:
+            return self.to_qi() @ other
+        if self.ncols != other.nrows:
+            raise ValueError(
+                f"shape mismatch: ({self.nrows},{self.ncols}) @ "
+                f"({other.nrows},{other.ncols})"
+            )
+        # A row of -1 indexes the appended sentinel column, which is zero.
+        pa, ha = self.perm + (-1,), self.phase + (0,)
+        perm = tuple([pa[r] for r in other.perm])
+        if -1 in perm:
+            phase = [(ha[r] + k) & 3 if p >= 0 else 0
+                     for r, k, p in zip(other.perm, other.phase, perm)]
+        else:
+            phase = [(ha[r] + k) & 3 for r, k in zip(other.perm, other.phase)]
+        return PhaseMatrix._of(self.nrows, perm, tuple(phase))
+
+    def kron(self, other):
+        if type(other) is not PhaseMatrix:
+            return self.to_qi().kron(other)
+        bn = other.nrows
+        perm, phase = [], []
+        for ra, ka in zip(self.perm, self.phase):
+            for rb, kb in zip(other.perm, other.phase):
+                if ra < 0 or rb < 0:
+                    perm.append(-1)
+                    phase.append(0)
+                else:
+                    perm.append(ra * bn + rb)
+                    phase.append((ka + kb) & 3)
+        return PhaseMatrix._of(self.nrows * bn, tuple(perm), tuple(phase))
+
+    def _flip(self, conj: bool) -> "PhaseMatrix":
+        perm, phase = [-1] * self.nrows, [0] * self.nrows
+        for j, (r, k) in enumerate(zip(self.perm, self.phase)):
+            if r >= 0:
+                perm[r] = j
+                phase[r] = -k & 3 if conj else k
+        return PhaseMatrix._of(self.ncols, tuple(perm), tuple(phase))
+
+    def adjoint(self) -> "PhaseMatrix":
+        """Conjugate transpose."""
+        return self._flip(True)
+
+    def transpose(self) -> "PhaseMatrix":
+        return self._flip(False)
+
+    # -- leaving the class --------------------------------------------------
+
+    def __add__(self, other) -> QiMatrix:
+        return self.to_qi() + other
+
+    def __sub__(self, other) -> QiMatrix:
+        return self.to_qi() - other
+
+    def to_qi(self) -> QiMatrix:
+        out = QiMatrix(self.nrows, self.ncols)
+        for i, j, v in self.entries():
+            out.cols[j] = {i: v}
+        return out
+
+    # -- predicates and conversion ----------------------------------------
+
+    def is_zero(self) -> bool:
+        return max(self.perm, default=-1) < 0
+
+    def __eq__(self, other) -> bool:
+        if type(other) is PhaseMatrix:
+            return (self.nrows == other.nrows and self.perm == other.perm
+                    and self.phase == other.phase)
+        if isinstance(other, QiMatrix):
+            return self.to_qi() == other
+        return NotImplemented
+
+    def to_numpy(self):
+        import numpy as np
+
+        arr = np.zeros((self.nrows, self.ncols), dtype=complex)
+        for j, (r, k) in enumerate(zip(self.perm, self.phase)):
+            if r >= 0:
+                arr[r, j] = _PHASE_COMPLEX[k]
         return arr
 
 

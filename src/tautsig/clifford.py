@@ -1,14 +1,19 @@
 """Exact Clifford-module structures on exterior algebras.
 
 The basis of Lambda^*(R^n) is indexed by bitmasks S in [0, 2^n); bit j set
-means e_{j+1} divides the basis form.  All structural operators (exterior
-multiplication, insertion, Clifford action, Hodge star, the modified star
-tau, parity grading) are sparse matrices over the Gaussian rationals, so
-every relation among them is decided exactly.
+means e_{j+1} divides the basis form.  Every structural operator (exterior
+multiplication, the Clifford action, Hodge star, the modified star tau,
+parity grading, degree projections, volume elements, the tensor
+isomorphism) sends each basis form to a power of i times another basis form
+or to zero, so each is a :class:`~tautsig._gaussian.PhaseMatrix` and every
+relation among them is decided exactly by integer work.  QiMatrix appears
+only where real rationals do: the coefficient involution sigma and the Bott
+reduction's row reductions.
 
 Conventions:
 
-* c(e_j) = ext_j - ext_j^* has square -1 and is skew-adjoint.
+* c(e_j) = ext_j - ext_j^* has square -1 and is skew-adjoint; it sends e_S
+  to +-e_{S xor {j}}.
 * star e_S = sign(S, S^c) e_{S^c}, where the sign is that of the shuffle
   permutation sorting (S, S^c) into (1..n); so e_S ^ star e_S = vol.
 * tau = i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms.
@@ -24,8 +29,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._gaussian import (
-    G_ONE,
     GaussianRational,
+    PhaseMatrix,
     QiMatrix,
     anticommutator,
     column_space_basis,
@@ -65,62 +70,47 @@ class CliffordError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _ext_matrix(n: int, j: int) -> QiMatrix:
+def _ext_matrix(n: int, j: int) -> PhaseMatrix:
     """Exterior multiplication by e_{j+1} on Lambda^*(R^n)."""
-    dim = 1 << n
-    m = QiMatrix(dim, dim)
-    bit = 1 << j
+    dim, bit = 1 << n, 1 << j
+    below = bit - 1
+    perm = [-1] * dim
+    phase = [0] * dim
     for s in range(dim):
-        if s & bit:
-            continue
-        below = _popcount(s & (bit - 1))
-        m.put(s | bit, s, G_ONE if below % 2 == 0 else -G_ONE)
-    return m
+        if not s & bit:
+            perm[s] = s | bit
+            phase[s] = 2 * ((s & below).bit_count() & 1)
+    return PhaseMatrix(dim, perm, phase)
 
 
-def _shuffle_sign(s: int, n: int) -> int:
-    """Sign of the permutation (sorted S, sorted S^c) of (1..n)."""
-    members = [j for j in range(n) if s >> j & 1]
-    inversions = 0
-    for j in range(n):
-        if s >> j & 1:
-            continue
-        inversions += sum(1 for m in members if m > j)
-    return -1 if inversions % 2 else 1
+def _clifford_matrix(n: int, j: int) -> PhaseMatrix:
+    """c(e_{j+1}) = ext - ext^*, sending e_S to +-e_{S xor {j+1}}.
 
-
-def _star_matrix(n: int) -> QiMatrix:
-    dim = 1 << n
-    full = dim - 1
-    m = QiMatrix(dim, dim)
-    for s in range(dim):
-        sign = _shuffle_sign(s, n)
-        m.put(full ^ s, s, G_ONE if sign > 0 else -G_ONE)
-    return m
-
-
-def _iota_matrix(n: int) -> QiMatrix:
-    dim = 1 << n
-    return QiMatrix.diagonal(
-        [G_ONE if _popcount(s) % 2 == 0 else -G_ONE for s in range(dim)]
+    The sign is that of moving e_{j+1} past the members of S below it,
+    negated when j+1 is in S.
+    """
+    dim, bit = 1 << n, 1 << j
+    below = bit - 1
+    return PhaseMatrix(
+        dim,
+        [s ^ bit for s in range(dim)],
+        [2 * ((s & below).bit_count() + (s >> j & 1)) for s in range(dim)],
     )
 
 
-def _tau_matrix(n: int, star: QiMatrix) -> QiMatrix:
-    dim = 1 << n
-    m = QiMatrix(dim, dim)
-    base = n * (n + 1) // 2
-    for s in range(dim):
-        p = _popcount(s)
-        scalar = i_power(base + 2 * n * p + p * (p - 1))
-        col = star.cols.get(s, {})
-        for r, v in col.items():
-            m.put(r, s, scalar * v)
-    return m
+def _shuffle_parities(n: int) -> list:
+    """Parity of the permutation (sorted S, sorted S^c) of (1..n), for every S.
+
+    Each member m of S is inverted with every non-member below it.  For
+    the top member t of S those number t - |S minus t|, and the members
+    below t see the same non-members with or without t.
+    """
+    parity = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        t = s.bit_length() - 1
+        rest = s ^ (1 << t)
+        parity[s] = parity[rest] ^ ((t - rest.bit_count()) & 1)
+    return parity
 
 
 @dataclass
@@ -128,15 +118,19 @@ class HodgeData:
     """Star, tau and Clifford actions on one exterior algebra."""
 
     n: int
-    star: QiMatrix
-    tau: QiMatrix
+    star: PhaseMatrix
+    tau: PhaseMatrix
     clifford: list  # c(e_1), ..., c(e_n)
-    ext: list  # exterior multiplications e_1 ^, ..., e_n ^
 
-    def degree_projector(self, p: int) -> QiMatrix:
+    @property
+    def ext(self) -> list:
+        """Exterior multiplications e_1 ^, ..., e_n ^ (built on each access)."""
+        return [_ext_matrix(self.n, j) for j in range(self.n)]
+
+    def degree_projector(self, p: int) -> PhaseMatrix:
         dim = 1 << self.n
-        return QiMatrix.diagonal(
-            [G_ONE if _popcount(s) == p else 0 for s in range(dim)]
+        return PhaseMatrix(
+            dim, [s if s.bit_count() == p else -1 for s in range(dim)], [0] * dim
         )
 
 
@@ -149,23 +143,25 @@ class CliffordModule:
     """
 
     dim: int
-    iota: QiMatrix
+    iota: PhaseMatrix
     generators: list
     label: str = ""
 
     def verify_contract(self) -> None:
-        ident = QiMatrix.identity(self.dim)
-        if not (self.iota @ self.iota == ident):
+        ident = PhaseMatrix.identity(self.dim)
+        iota = self.iota
+        if not (iota @ iota == ident):
             raise CliffordError("iota is not an involution")
         for a, ga in enumerate(self.generators):
             if not (ga @ ga == -ident):
                 raise CliffordError(f"generator {a} does not square to -1")
-            if not anticommutator(ga, self.iota).is_zero():
+            if not (ga @ iota == -(iota @ ga)):
                 raise CliffordError(f"generator {a} does not anticommute with iota")
             if not (ga.adjoint() == -ga):
                 raise CliffordError(f"generator {a} is not skew-adjoint")
             for b in range(a + 1, len(self.generators)):
-                if not anticommutator(ga, self.generators[b]).is_zero():
+                gb = self.generators[b]
+                if not (ga @ gb == -(gb @ ga)):
                     raise CliffordError(f"generators {a}, {b} do not anticommute")
 
 
@@ -184,26 +180,39 @@ def build_exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeD
 def _exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeData]:
     """:func:`build_exterior` without its dimension cap.
 
-    The sparse structural matrices are cheap at any n; the product sign
-    chain needs dimensions up to 10.
+    The structural matrices are cheap at any n; the product sign chain
+    needs dimensions up to 10.
     """
-    exts = [_ext_matrix(n, j) for j in range(n)]
-    cliff = [e - e.adjoint() for e in exts]
-    star = _star_matrix(n)
-    if orientation < 0:
-        star = -star
-    tau = _tau_matrix(n, star)
+    dim = 1 << n
+    full = dim - 1
+    cliff = [_clifford_matrix(n, j) for j in range(n)]
+    flip = 2 if orientation < 0 else 0
+    star_phase = [2 * parity + flip for parity in _shuffle_parities(n)]
+    # tau = i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms.
+    base = n * (n + 1) // 2
+    tau_phase = []
+    for s, k in enumerate(star_phase):
+        p = s.bit_count()
+        tau_phase.append(base + 2 * n * p + p * (p - 1) + k)
+    swap = [full ^ s for s in range(dim)]
     module = CliffordModule(
-        dim=1 << n, iota=_iota_matrix(n), generators=list(cliff),
+        dim=dim,
+        iota=PhaseMatrix(dim, range(dim), [2 * (s.bit_count() & 1) for s in range(dim)]),
+        generators=list(cliff),
         label=f"Lambda*(R^{n})",
     )
-    hodge = HodgeData(n=n, star=star, tau=tau, clifford=list(cliff), ext=exts)
+    hodge = HodgeData(
+        n=n,
+        star=PhaseMatrix(dim, swap, star_phase),
+        tau=PhaseMatrix(dim, swap, tau_phase),
+        clifford=list(cliff),
+    )
     return module, hodge
 
 
-def volume_element(hodge: HodgeData) -> QiMatrix:
+def volume_element(hodge: HodgeData) -> PhaseMatrix:
     """c(omega) for the Clifford volume word e_1 ... e_n."""
-    out = QiMatrix.identity(1 << hodge.n)
+    out = PhaseMatrix.identity(1 << hodge.n)
     for c in hodge.clifford:
         out = out @ c
     return out
@@ -215,8 +224,8 @@ def volume_element(hodge: HodgeData) -> QiMatrix:
 
 
 def graded_operator_tensor(
-    a: QiMatrix, b: QiMatrix, iota_a: QiMatrix, parity_b: int
-) -> QiMatrix:
+    a: PhaseMatrix, b: PhaseMatrix, iota_a: PhaseMatrix, parity_b: int
+) -> PhaseMatrix:
     """a (x) b on the tensor module, with the Koszul sign folded into a."""
     left = a if parity_b % 2 == 0 else a @ iota_a
     return left.kron(b)
@@ -224,8 +233,8 @@ def graded_operator_tensor(
 
 def graded_tensor(a: CliffordModule, b: CliffordModule) -> CliffordModule:
     """Module with k + l generators acting on the graded tensor product."""
-    id_a = QiMatrix.identity(a.dim)
-    gens = [g.kron(QiMatrix.identity(b.dim)) for g in a.generators]
+    id_b = PhaseMatrix.identity(b.dim)
+    gens = [g.kron(id_b) for g in a.generators]
     gens += [a.iota.kron(g) for g in b.generators]
     return CliffordModule(
         dim=a.dim * b.dim,
@@ -235,20 +244,15 @@ def graded_tensor(a: CliffordModule, b: CliffordModule) -> CliffordModule:
     )
 
 
-def exterior_tensor_iso(n0: int, n1: int) -> QiMatrix:
+def exterior_tensor_iso(n0: int, n1: int) -> PhaseMatrix:
     """Basis map Lambda^*(R^n0) (x) Lambda^*(R^n1) -> Lambda^*(R^(n0+n1)).
 
     Sends e_{S0} (x) e_{S1} to e_{S0 u (S1 + n0)}; in the canonical subset
     ordering no sign appears.
     """
     dim0, dim1 = 1 << n0, 1 << n1
-    m = QiMatrix(dim0 * dim1, dim0 * dim1)
-    for s0 in range(dim0):
-        for s1 in range(dim1):
-            tensor_index = s0 * dim1 + s1
-            big_index = s0 | (s1 << n0)
-            m.put(big_index, tensor_index, G_ONE)
-    return m
+    perm = [s0 | (s1 << n0) for s0 in range(dim0) for s1 in range(dim1)]
+    return PhaseMatrix(dim0 * dim1, perm, [0] * len(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +277,7 @@ def epsilon_sign(m0: int, m1: int) -> tuple[int, dict]:
     alpha0 = mod0.iota @ h0.tau
     alpha1 = mod1.iota @ h1.tau
 
-    id1 = QiMatrix.identity(mod1.dim)
+    id1 = PhaseMatrix.identity(mod1.dim)
     epsilon = (alpha0.kron(id1) @ mod0.iota.kron(alpha1)).scale(i_power(1))
 
     # The combined dimension may exceed the public constructor cap.
@@ -437,14 +441,14 @@ def verify_exterior_identities(n: int) -> list[dict]:
     module, hodge = build_exterior(n)
     module.verify_contract()
     results: list[dict] = []
-    dim = 1 << n
-    ident = QiMatrix.identity(dim)
+    ident = PhaseMatrix.identity(1 << n)
+    iota, tau = module.iota, hodge.tau
 
     star2 = hodge.star @ hodge.star
     ok = True
     for p in range(n + 1):
         proj = hodge.degree_projector(p)
-        want = proj.scale(Fraction((-1) ** ((p * (n - p)) % 2)))
+        want = proj.scale((-1) ** (p * (n - p)))
         if not (star2 @ proj == want):
             ok = False
     _record(results, "eqn:starsquare", f"star^2 on Lambda*(R^{n})", ok, n=n)
@@ -453,21 +457,18 @@ def verify_exterior_identities(n: int) -> list[dict]:
         results,
         "lem:signatureoperator(1)",
         f"tau^2 = 1 in dim {n}",
-        hodge.tau @ hodge.tau == ident,
+        tau @ tau == ident,
         n=n,
     )
-    sign_n = Fraction((-1) ** (n % 2))
     _record(
         results,
         "lem:signatureoperator(2)",
         f"iota tau = (-1)^n tau iota in dim {n}",
-        module.iota @ hodge.tau == (hodge.tau @ module.iota).scale(sign_n),
+        iota @ tau == (tau @ iota).scale((-1) ** n),
         n=n,
     )
     # Symbol level: s(xi) = c(xi) for each basis covector.
-    ok_iota = all(
-        anticommutator(c, module.iota).is_zero() for c in hodge.clifford
-    )
+    ok_iota = all(c @ iota == -(iota @ c) for c in hodge.clifford)
     _record(
         results,
         "lem:signatureoperator(3)",
@@ -475,9 +476,8 @@ def verify_exterior_identities(n: int) -> list[dict]:
         ok_iota,
         n=n,
     )
-    sign_next = Fraction((-1) ** ((n + 1) % 2))
     ok_tau = all(
-        hodge.tau @ c == (c @ hodge.tau).scale(sign_next) for c in hodge.clifford
+        tau @ c == (c @ tau).scale((-1) ** (n + 1)) for c in hodge.clifford
     )
     _record(
         results,
@@ -488,7 +488,7 @@ def verify_exterior_identities(n: int) -> list[dict]:
     )
 
     omega = volume_element(hodge)
-    want_sq = ident.scale(Fraction((-1) ** ((n * (n + 1) // 2) % 2)))
+    want_sq = ident.scale((-1) ** (n * (n + 1) // 2))
     _record(
         results,
         "lem:cliffordvolume(1)",
@@ -499,7 +499,7 @@ def verify_exterior_identities(n: int) -> list[dict]:
     ok = True
     for p in range(n + 1):
         proj = hodge.degree_projector(p)
-        sign = Fraction((-1) ** ((p * (p - 1) // 2 + n * p) % 2))
+        sign = (-1) ** (p * (p - 1) // 2 + n * p)
         if not (omega @ proj == (hodge.star @ proj).scale(sign)):
             ok = False
     _record(results, "lem:cliffordvolume(2)", f"c(omega) vs star in dim {n}", ok, n=n)
@@ -507,25 +507,44 @@ def verify_exterior_identities(n: int) -> list[dict]:
         results,
         "lem:cliffordvolume(3)",
         f"tau = i^(n(n+1)/2) c(omega) in dim {n}",
-        hodge.tau == omega.scale(i_power(n * (n + 1) // 2)),
+        tau == omega.scale(i_power(n * (n + 1) // 2)),
         n=n,
     )
     return results
 
 
+def _kron_equal(a: PhaseMatrix, x: QiMatrix, b: PhaseMatrix, y: QiMatrix) -> bool:
+    """a (x) x == b (x) y, exactly, for unitary phase matrices a and b.
+
+    b (x) 1 is invertible, so the question is m (x) x == 1 (x) y with the
+    unitary m = b^* a.  Column c of m has one unit u_c, in row r_c; block
+    (r_c, c) reads u_c x against y when r_c = c and against 0 otherwise.
+    So it holds iff x = y = 0, or m = i^k * 1 and i^k x = y.
+    """
+    if x.is_zero() and y.is_zero():
+        return True
+    m = b.adjoint() @ a
+    k = m.phase[0]
+    return m == PhaseMatrix.identity(m.nrows).scale(i_power(k)) and x.scale(i_power(k)) == y
+
+
 def verify_twisted_involution(
     n: int, sigma: QiMatrix, label: str = "coefficient"
 ) -> dict:
-    """iota_V tau_V = (-1)^n tau_V iota_V on Lambda^*(R^n) (x) V, exactly."""
+    """iota_V tau_V = (-1)^n tau_V iota_V on Lambda^*(R^n) (x) V, exactly.
+
+    iota_V = iota (x) 1 and tau_V = tau (x) sigma; by the mixed-product rule
+    (A (x) B)(C (x) D) = AC (x) BD every product splits into a phase product
+    on Lambda^* and an r x r product on V, so no Kronecker product is formed.
+    """
     module, hodge = build_exterior(n)
+    iota, tau = module.iota, hodge.tau
+    ident = PhaseMatrix.identity(iota.nrows)
     ident_v = QiMatrix.identity(sigma.nrows)
-    iota_v = module.iota.kron(ident_v)
-    tau_v = hodge.tau.kron(sigma)
-    sign_n = Fraction((-1) ** (n % 2))
     ok = (
-        iota_v @ iota_v == QiMatrix.identity(iota_v.nrows)
-        and tau_v @ tau_v == QiMatrix.identity(tau_v.nrows)
-        and iota_v @ tau_v == (tau_v @ iota_v).scale(sign_n)
+        _kron_equal(iota @ iota, ident_v, ident, ident_v)
+        and _kron_equal(tau @ tau, sigma @ sigma, ident, ident_v)
+        and _kron_equal(iota @ tau, sigma, tau @ iota, sigma.scale((-1) ** n))
     )
     return {
         "anchor": "prop:twistedsignatureoperator(1)",

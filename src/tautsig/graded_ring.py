@@ -396,7 +396,8 @@ class GradedClass:
         for deg, mons in components.items():
             if deg < 0 or deg > space.top_degree:
                 continue
-            clean = {tuple(m): Fraction(c) for m, c in mons.items() if c}
+            clean = {tuple(m): c if type(c) is Fraction else Fraction(c)
+                     for m, c in mons.items() if c}
             if clean:
                 comps[int(deg)] = clean
         self.components = comps
@@ -490,7 +491,13 @@ class GradedClass:
                     for m2, c2 in m2s.items():
                         c12 = c1 * c2
                         for m, c in mul(m1, m2).items():
-                            dst[m] = dst.get(m, 0) + c12 * c
+                            # Koszul and relation coefficients are mostly +-1.
+                            if c == 1:
+                                dst[m] = dst.get(m, 0) + c12
+                            elif c == -1:
+                                dst[m] = dst.get(m, 0) - c12
+                            else:
+                                dst[m] = dst.get(m, 0) + c12 * c
         return GradedClass(self.space, comps)
 
     __rmul__ = __mul__
@@ -674,14 +681,22 @@ def model_space(preset: str) -> ProductSpace:
     raise SpaceError(f"unknown model space {preset!r}")
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise SpaceError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def space_from_descriptor(data: Mapping) -> ProductSpace:
     """Build a one-factor space from its JSON descriptor dictionary."""
     try:
         name = data["name"]
         if not isinstance(name, str):
             raise SpaceError("space name must be a string")
-        generators = [(g["symbol"], int(g["degree"])) for g in data["generators"]]
-        top = int(data["top_degree"])
+        generators = [(g["symbol"], _json_int(g["degree"], "degree"))
+                      for g in data["generators"]]
+        top = _json_int(data["top_degree"], "top_degree")
         index = {s: i for i, (s, _) in enumerate(generators)}
         relations: dict[tuple, dict[tuple, Fraction]] = {}
         for rel in data.get("relations", []):

@@ -56,8 +56,9 @@ blocks would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything is
 allocated.
 
 Descriptors are JSON objects.  Their matrices are non-empty lists of
-equal-length rows, a declared signature (p, q) must be eta's, and a family
-grid must lie in [2, MAX_GRID]; anything else raises :class:`HodgeError`.
+equal-length rows, a declared signature (p, q) must be eta's, a family
+grid must lie in [2, MAX_GRID] and its cutoff in [1, MAX_CUTOFF]; anything
+else raises :class:`HodgeError`.
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ BUNDLE_ATOL = 1e-10
 # Largest family grid resolution a descriptor or run may ask for; the
 # stability suite doubles the run's grid.
 MAX_GRID = 4096
+# Largest Fourier cutoff a descriptor family or run may ask for.  On a
+# 2-vCPU host, `tautsig run --suite all` at 1024 and MAX_GRID took 3.3 s and
+# 39 MB; the cost grows linearly in the cutoff (n = 1 families).
+MAX_CUTOFF = 1024
 # Refuse assemblies whose stacked complex blocks would exceed this many bytes.
 MAX_ASSEMBLY_BYTES = 256 << 20
 
@@ -1105,6 +1110,8 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
     grid = _integer(fam.get("grid", resolution), "family grid")
     if not 2 <= grid <= MAX_GRID:
         raise HodgeError(f"family grid {grid} outside [2, {MAX_GRID}]")
+    if not 1 <= cutoff <= MAX_CUTOFF:
+        raise HodgeError(f"cutoff {cutoff} outside [1, {MAX_CUTOFF}]")
     eta = _eval_matrix(data["eta"])
     globally_flat = bool(data.get("globally_flat", False))
 

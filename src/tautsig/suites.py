@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import clifford, graded_ring, hodge_numeric, kappa_calculus, mult_seq
+from ._gaussian import G_I, PhaseMatrix
 from .graded_ring import (
     GradedClass,
     circle,
@@ -46,8 +47,8 @@ class SuiteConfig:
     descriptor: Optional[str] = None
 
     def validate(self) -> None:
-        if self.cutoff < 1:
-            raise SuiteError("cutoff must be >= 1")
+        if not 1 <= self.cutoff <= hodge_numeric.MAX_CUTOFF:
+            raise SuiteError(f"cutoff must lie in [1, {hodge_numeric.MAX_CUTOFF}]")
         if not (0.0 < self.tol <= 1e-4):
             raise SuiteError("tolerance must lie in (0, 1e-4]")
         if not 2 <= self.grid <= hodge_numeric.MAX_GRID:
@@ -149,15 +150,12 @@ def _suite_product_signs(config: SuiteConfig) -> list[dict]:
     a, ha = clifford.build_exterior(1)
     b, hb = clifford.build_exterior(2)
     d_op, b_op = ha.clifford[0], hb.clifford[1]
-    lhs = clifford.graded_operator_tensor(
-        d_op, clifford.QiMatrix.identity(b.dim), a.iota, 0
-    ) + clifford.graded_operator_tensor(
-        clifford.QiMatrix.identity(a.dim), b_op, a.iota, 1
-    )
+    id_a, id_b = PhaseMatrix.identity(a.dim), PhaseMatrix.identity(b.dim)
+    # Each term is a phase matrix; their sums are QiMatrix.
+    lhs = (clifford.graded_operator_tensor(d_op, id_b, a.iota, 0)
+           + clifford.graded_operator_tensor(id_a, b_op, a.iota, 1))
     square = lhs @ lhs
-    rhs = (d_op @ d_op).kron(clifford.QiMatrix.identity(b.dim)) + clifford.QiMatrix.identity(
-        a.dim
-    ).kron(b_op @ b_op)
+    rhs = (d_op @ d_op).kron(id_b) + id_a.kron(b_op @ b_op)
     cases.append(
         _case(
             "product-signs",
@@ -186,9 +184,7 @@ def _suite_bott(config: SuiteConfig) -> list[dict]:
     two_gen = clifford.CliffordModule(
         dim=m3.dim, iota=m3.iota, generators=h3.clifford[:2]
     )
-    from ._gaussian import GaussianRational
-
-    inv = clifford.bott_reduce(two_gen, h3.clifford[2].scale(GaussianRational(0, 1)))
+    inv = clifford.bott_reduce(two_gen, h3.clifford[2].scale(G_I))
     cases.append(
         _case(
             "bott-reduction",

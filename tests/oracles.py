@@ -121,3 +121,37 @@ def circle_spectrum_oracle(theta, cutoff):
 def twisted_circle_cohomology_oracle(theta):
     """Total twisted cohomology rank of the circle, character exp(2*pi*i*theta)."""
     return 2 if abs(theta - round(theta)) < 1e-12 else 0
+
+
+def exterior_oracle(n, orientation=1):
+    """Dense c(e_j), e_j ^, star, tau and iota on Lambda^*(R^n), from the definitions.
+
+    Basis forms are sorted index tuples, numbered by the bitmask of their
+    indices.  e_j ^ e_S moves e_j past the members of S below j; c(e_j) is
+    e_j ^ minus its adjoint; star e_S is the sign of the permutation
+    (S, S^c), counted by inversions, times e_{S^c}; tau is
+    i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms; iota is (-1)^p.
+    """
+    dim = 2 ** n
+    forms = [tuple(j for j in range(n) if s >> j & 1) for s in range(dim)]
+    index = {f: s for s, f in enumerate(forms)}
+    ext = []
+    for j in range(n):
+        m = np.zeros((dim, dim), dtype=complex)
+        for s, f in enumerate(forms):
+            if j not in f:
+                m[index[tuple(sorted(f + (j,)))], s] = (-1) ** sum(1 for k in f if k < j)
+        ext.append(m)
+    cliff = [e - e.conj().T for e in ext]
+    star = np.zeros((dim, dim), dtype=complex)
+    tau = np.zeros((dim, dim), dtype=complex)
+    for s, f in enumerate(forms):
+        rest = tuple(j for j in range(n) if j not in f)
+        word = f + rest
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if word[a] > word[b])
+        sign = orientation * (-1) ** inversions
+        p = len(f)
+        star[index[rest], s] = sign
+        tau[index[rest], s] = sign * 1j ** ((n * (n + 1) // 2 + 2 * n * p + p * (p - 1)) % 4)
+    iota = np.diag([(-1.0) ** len(f) for f in forms]).astype(complex)
+    return {"ext": ext, "clifford": cliff, "star": star, "tau": tau, "iota": iota}

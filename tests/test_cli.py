@@ -157,11 +157,16 @@ _LINE = {"n": 1, "eta": [[1]], "monodromies": [[[1]]]}
         json.dumps({**_LINE, "family": 5}),
         json.dumps({"n": 1, "p": 2, "q": 0, "eta": [[1, 0], [0, -1]],
                     "monodromies": [[[1, 0], [0, 1]]]}),
+        json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": 1.7}]}),
+        json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": "2"}]}),
+        json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": True}]}),
+        json.dumps({**_OPEN_SPACE, "top_degree": 2.9}),
     ],
     ids=["not-json", "relation-unknown-symbol", "fundamental-unknown-symbol",
          "relation-without-lhs", "array", "string", "deep-nesting", "eta-number",
          "eta-ragged", "n-list", "monodromies-number", "family-connection-number",
-         "family-number", "signature-mismatch"],
+         "family-number", "signature-mismatch", "degree-float", "degree-string",
+         "degree-bool", "top-degree-float"],
 )
 def test_descriptor_parse_failure_exit_two(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
@@ -236,6 +241,32 @@ def test_descriptor_oversized_truncation_exit_two(tmp_path):
 
 def test_missing_descriptor_exit_two():
     assert main(["run", "--suite", "descriptor"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args", [["--suite", "lusztig"], ["--suite", "all"], ["--suite", "descriptor"]],
+    ids=["lusztig", "all", "descriptor"])
+def test_cutoff_above_bound_exit_two_before_assembly(tmp_path, monkeypatch, capsys, args):
+    from tautsig import hodge_numeric
+    from tautsig.suites import _STABILITY_CAP
+
+    assert hodge_numeric.MAX_CUTOFF >= _STABILITY_CAP
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(hodge_numeric, "assemble", forbidden)
+    if "descriptor" in args:
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(
+            {**_LINE, "family": {"connection": [[["t"]]], "grid": 4, "loop": True}}))
+        args = [*args, "--descriptor", str(path)]
+    assert main(["run", *args, "--cutoff", "1000000"]) == 2
+    assert "cutoff" in capsys.readouterr().err
+    with pytest.raises(hodge_numeric.HodgeError, match="cutoff"):
+        hodge_numeric.family_from_descriptor(
+            {**_LINE, "family": {"connection": [[["t"]]], "grid": 4}},
+            cutoff=hodge_numeric.MAX_CUTOFF + 1)
 
 
 def test_cli_subprocess_entry():
