@@ -36,6 +36,8 @@ from typing import Iterable, Iterator
 
 def _exact(x):
     """x as an ``int`` when integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x

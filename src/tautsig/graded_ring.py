@@ -4,7 +4,12 @@ Every space is a :class:`ProductSpace`: a flattened product of finite
 presentations (:class:`ModelSpace`).  The presets circle, torus and closed
 oriented surface, and spaces loaded from descriptors, are one-factor
 products; the point is the empty product.  Classes are stored by
-homogeneous components with exact rational coefficients; no floating point
+homogeneous components with exact rational coefficients: a coefficient is
+a plain ``int`` when it is integral, which is nearly always (Koszul signs,
+relation coefficients and presets are all integers), and a
+:class:`fractions.Fraction` only when a real denominator appears, as in the
+coefficients of a genus.  :meth:`GradedClass.coefficient` and
+:func:`evaluate` return a ``Fraction`` either way.  No floating point
 enters this module.
 
 Sign conventions
@@ -42,10 +47,13 @@ copies, tuples or read-only mappings, so no caller can change them.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+from ._gaussian import _exact
 
 __all__ = [
     "SpaceError",
@@ -71,6 +79,11 @@ __all__ = [
 GYSIN_CIRCLE_SIGN = -1
 
 _MAX_REWRITE_DEPTH = 64
+# Descriptor coefficients are capped like the integers of bundle
+# descriptors; a 4096-bit integer has at most 1234 decimal digits.
+_MAX_COEFF_BITS = 4096
+_MAX_COEFF_DIGITS = 1234
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class SpaceError(ValueError):
@@ -78,23 +91,25 @@ class SpaceError(ValueError):
 
 
 Monomial = tuple  # generator-index tuple (ModelSpace) or one per factor (ProductSpace)
+Coeff = int | Fraction  # an int when integral, a Fraction only for a real denominator
 
 
 class ModelSpace:
     """Finitely presented graded-commutative Q-algebra: one product factor.
 
-    ``relations`` maps a sorted tuple of generator indices to the normal
-    form of that product, expressed as ``{monomial: coefficient}``.  A
-    product of two odd generators not listed in any relation is a basis
-    monomial; odd squares vanish automatically and so does anything above
-    ``top_degree``.
+    ``relations`` maps a tuple of generator indices to the normal form of
+    that product, expressed as ``{monomial: coefficient}``; each product is
+    stored sorted, with the Koszul sign of the sort, and may be given only
+    once.  A product of two odd generators not listed in any relation is a
+    basis monomial; odd squares vanish automatically and so does anything
+    above ``top_degree``.
     """
 
     def __init__(
         self,
         name: str,
         generators: Sequence[tuple[str, int]],
-        relations: Mapping[tuple, Mapping[tuple, Fraction]] | None = None,
+        relations: Mapping[tuple, Mapping[tuple, Coeff]] | None = None,
         top_degree: int = 0,
         fundamental_class: tuple | None = None,
     ):
@@ -107,13 +122,18 @@ class ModelSpace:
         if len(self.gen_index) != len(self.generators):
             raise SpaceError("duplicate generator symbols")
         self.top_degree = int(top_degree)
-        self.relations = {
-            tuple(sorted(lhs)): {tuple(m): Fraction(c) for m, c in rhs.items() if c}
-            for lhs, rhs in (relations or {}).items()
-        }
-        for lhs in self.relations:
+        if self.top_degree < 0:
+            raise SpaceError("top degree must be >= 0")
+        self.relations = {}
+        for lhs, rhs in (relations or {}).items():
             if len(lhs) < 2:
                 raise SpaceError("relation left-hand sides need at least two factors")
+            # A left-hand side is a product in the order given: sorting it
+            # past odd generators flips the sign of its normal form.
+            key, sign = self._sort_with_sign(lhs)
+            if key in self.relations:
+                raise SpaceError(f"two relations for the product {self.monomial_str(key)}")
+            self.relations[key] = {tuple(m): sign * _exact(c) for m, c in rhs.items() if c}
         self.fundamental_monomial = (
             tuple(fundamental_class) if fundamental_class is not None else None
         )
@@ -196,7 +216,7 @@ class ModelSpace:
             del remaining[pos]
         return tuple(remaining), sign
 
-    def normalize(self, seq: Sequence[int], _depth: int = 0) -> dict[tuple, Fraction]:
+    def normalize(self, seq: Sequence[int], _depth: int = 0) -> dict[tuple, Coeff]:
         """Normal form of a raw generator product, as {monomial: coefficient}."""
         if _depth > _MAX_REWRITE_DEPTH:
             raise SpaceError("relation rewriting does not terminate")
@@ -205,7 +225,7 @@ class ModelSpace:
         if cached is not None:
             return dict(cached)
         mon, sign = self._sort_with_sign(seq)
-        result: dict[tuple, Fraction]
+        result: dict[tuple, Coeff]
         if self.monomial_degree(mon) > self.top_degree:
             result = {}
         elif any(
@@ -215,14 +235,14 @@ class ModelSpace:
         else:
             lhs = self._find_relation(mon)
             if lhs is None:
-                result = {mon: Fraction(sign)}
+                result = {mon: sign}
             else:
                 remaining, esign = self._extract(mon, lhs)
                 result = {}
                 for sub, coeff in self.relations[lhs].items():
                     for m2, c2 in self.normalize(sub + remaining, _depth + 1).items():
                         result[m2] = result.get(m2, 0) + sign * esign * coeff * c2
-                result = {m: c for m, c in result.items() if c}
+                result = {m: _exact(c) for m, c in result.items() if c}
         if _depth == 0:
             self._norm_cache[key] = dict(result)
         return result
@@ -237,7 +257,7 @@ class ModelSpace:
         if found is None:
             found = tuple(
                 mon for mon in self._candidate_monomials(degree)
-                if self.normalize(mon) == {mon: Fraction(1)}
+                if self.normalize(mon) == {mon: 1}
             )
             self._basis_cache[degree] = found
         return found
@@ -303,7 +323,7 @@ class ProductSpace:
         self.name = " x ".join(f.name for f in self.factors) or "point"
         self._key = ("product", tuple(f._key for f in self.factors))
         # (m1, m2) -> read-only product of the two monomials.
-        self._mul_cache: dict[tuple, Mapping[Monomial, Fraction]] = {}
+        self._mul_cache: dict[tuple, Mapping[Monomial, Coeff]] = {}
 
     def monomial_degree(self, mon: Monomial) -> int:
         return sum(f.monomial_degree(m) for f, m in zip(self.factors, mon))
@@ -311,7 +331,7 @@ class ProductSpace:
     def monomial_str(self, mon: Monomial) -> str:
         return " x ".join(f.monomial_str(m) for f, m in zip(self.factors, mon)) or "1"
 
-    def mul_monomials(self, m1: Monomial, m2: Monomial) -> Mapping[Monomial, Fraction]:
+    def mul_monomials(self, m1: Monomial, m2: Monomial) -> Mapping[Monomial, Coeff]:
         """Product of two monomials as a read-only {monomial: coefficient}."""
         cached = self._mul_cache.get((m1, m2))
         if cached is not None:
@@ -325,7 +345,7 @@ class ProductSpace:
             right_odd ^= f.monomial_degree(a) % 2 == 1
         # Each factor's normal form has distinct monomials, so the products
         # of their terms are distinct too and need no accumulation.
-        result: dict[Monomial, Fraction] = {(): Fraction(-1 if negate else 1)}
+        result: dict[Monomial, Coeff] = {(): -1 if negate else 1}
         for f, a, b in zip(self.factors, m1, m2):
             part = f.normalize(a + b)
             result = {
@@ -359,7 +379,7 @@ class ProductSpace:
 
     def one(self) -> "GradedClass":
         unit = tuple(() for _ in self.factors)
-        return GradedClass(self, {0: {unit: Fraction(1)}})
+        return GradedClass(self, {0: {unit: 1}})
 
     def gen(self, symbol: str) -> "GradedClass":
         """The generator ``symbol`` of a one-factor space."""
@@ -369,7 +389,7 @@ class ProductSpace:
         idx = f.gen_index.get(symbol)
         if idx is None:
             raise SpaceError(f"unknown generator {symbol!r} on {self.name}")
-        return GradedClass(self, {f.gen_degree(idx): {((idx,),): Fraction(1)}})
+        return GradedClass(self, {f.gen_degree(idx): {((idx,),): 1}})
 
     def __eq__(self, other):
         if self is other:
@@ -384,19 +404,23 @@ class ProductSpace:
 
 
 class GradedClass:
-    """Cohomology class on a model space, stored by homogeneous components."""
+    """Cohomology class on a model space, stored by homogeneous components.
+
+    Every stored coefficient is nonzero, and an ``int`` unless it has a
+    real denominator, in which case it is a ``Fraction``.
+    """
 
     __slots__ = ("space", "components")
 
     def __init__(
-        self, space: ProductSpace, components: Mapping[int, Mapping[Monomial, Fraction]]
+        self, space: ProductSpace, components: Mapping[int, Mapping[Monomial, Coeff]]
     ):
         self.space = space
-        comps: dict[int, dict[Monomial, Fraction]] = {}
+        comps: dict[int, dict[Monomial, Coeff]] = {}
         for deg, mons in components.items():
             if deg < 0 or deg > space.top_degree:
                 continue
-            clean = {tuple(m): c if type(c) is Fraction else Fraction(c)
+            clean = {tuple(m): c if type(c) is int else _exact(c)
                      for m, c in mons.items() if c}
             if clean:
                 comps[int(deg)] = clean
@@ -406,8 +430,7 @@ class GradedClass:
 
     @classmethod
     def from_monomial(cls, space: ProductSpace, mon: Monomial, coeff=1) -> "GradedClass":
-        deg = space.monomial_degree(mon)
-        return cls(space, {deg: {tuple(mon): Fraction(coeff)}})
+        return cls(space, {space.monomial_degree(mon): {tuple(mon): coeff}})
 
     # -- inspection ---------------------------------------------------------
 
@@ -434,7 +457,7 @@ class GradedClass:
 
     def coefficient(self, mon: Monomial) -> Fraction:
         deg = self.space.monomial_degree(mon)
-        return self.components.get(deg, {}).get(tuple(mon), Fraction(0))
+        return Fraction(self.components.get(deg, {}).get(tuple(mon), 0))
 
     # -- ring operations --------------------------------------------------
 
@@ -446,7 +469,7 @@ class GradedClass:
         if isinstance(other, (int, Fraction)):
             other = self.space.one() * other
         self._require_same_space(other)
-        comps: dict[int, dict[Monomial, Fraction]] = {
+        comps: dict[int, dict[Monomial, Coeff]] = {
             d: dict(m) for d, m in self.components.items()
         }
         for d, mons in other.components.items():
@@ -458,7 +481,7 @@ class GradedClass:
     __radd__ = __add__
 
     def __neg__(self):
-        return self * Fraction(-1)
+        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -470,7 +493,7 @@ class GradedClass:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
+            s = _exact(other)
             return GradedClass(
                 self.space,
                 {
@@ -480,7 +503,7 @@ class GradedClass:
             )
         self._require_same_space(other)
         mul = self.space.mul_monomials
-        comps: dict[int, dict[Monomial, Fraction]] = {}
+        comps: dict[int, dict[Monomial, Coeff]] = {}
         for d1, m1s in self.components.items():
             for d2, m2s in other.components.items():
                 d = d1 + d2
@@ -505,8 +528,15 @@ class GradedClass:
     def __pow__(self, n: int):
         if n < 0:
             raise SpaceError("negative powers are not defined")
-        out = self.space.one()
-        for _ in range(n):
+        if n == 0:
+            return self.space.one()
+        # Every term of the n-th power has degree >= n * (lowest degree).
+        if n * min(self.components, default=0) > self.space.top_degree:
+            return self.space.zero()
+        out = self
+        for _ in range(n - 1):
+            if out.is_zero():
+                break
             out = out * self
         return out
 
@@ -541,7 +571,7 @@ def product_space(*spaces: ProductSpace) -> ProductSpace:
 
 def cross(a: GradedClass, b: GradedClass) -> GradedClass:
     """External product; lands on the flattened product of the two spaces."""
-    comps: dict[int, dict[Monomial, Fraction]] = {}
+    comps: dict[int, dict[Monomial, Coeff]] = {}
     for d1, m1s in a.components.items():
         for d2, m2s in b.components.items():
             dst = comps.setdefault(d1 + d2, {})
@@ -565,7 +595,7 @@ def gysin_project(x: GradedClass, fiber_indices: Iterable[int]) -> GradedClass:
     target = ProductSpace([f for i, f in enumerate(factors) if i not in fiber])
     # A surviving monomial is its kept parts plus the fundamental fiber
     # parts, so distinct monomials project to distinct monomials.
-    comps: dict[int, dict[Monomial, Fraction]] = {}
+    comps: dict[int, dict[Monomial, Coeff]] = {}
     for mons in x.components.values():
         for mon, coeff in mons.items():
             sign_exp = 0
@@ -594,7 +624,7 @@ def pullback(y: GradedClass, target: ProductSpace, positions: Sequence[int]) -> 
     for p, f in zip(positions, src_factors):
         if target.factors[p] != f:
             raise SpaceError("space mismatch")
-    comps: dict[int, dict[Monomial, Fraction]] = {}
+    comps: dict[int, dict[Monomial, Coeff]] = {}
     for d, mons in y.components.items():
         dst = comps.setdefault(d, {})
         for mon, c in mons.items():
@@ -610,7 +640,7 @@ def evaluate(x: GradedClass) -> Fraction:
     fund = x.space.fundamental_monomial
     if fund is None:
         raise SpaceError(f"{x.space.name} has no fundamental class")
-    return x.components.get(x.space.top_degree, {}).get(fund, Fraction(0))
+    return Fraction(x.components.get(x.space.top_degree, {}).get(fund, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +682,11 @@ def surface(g: int) -> ProductSpace:
         gens.append((f"b{i + 1}", 1))
     gens.append(("z", 2))
     z = 2 * g
-    relations: dict[tuple, dict[tuple, Fraction]] = {}
+    relations: dict[tuple, dict[tuple, Coeff]] = {}
     for i in range(2 * g):
         for j in range(i + 1, 2 * g):
             if j == i + 1 and i % 2 == 0:
-                relations[(i, j)] = {(z,): Fraction(1)}  # a_k b_k = z
+                relations[(i, j)] = {(z,): 1}  # a_k b_k = z
             else:
                 relations[(i, j)] = {}
     return ProductSpace(
@@ -688,6 +718,32 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_rational(value) -> Coeff:
+    """A relation coefficient: a JSON integer, or a string ``[-]p`` or ``[-]p/q``.
+
+    Floats, booleans, exponents and decimals are refused, and so is a
+    numerator or denominator beyond :data:`_MAX_COEFF_BITS`, so no input
+    can make the conversion itself expensive.
+    """
+    if type(value) is int:
+        num, den = value, 1
+    elif type(value) is str and (match := _RATIONAL.fullmatch(value)):
+        num_digits, den_digits = match.group(1), match.group(2) or "1"
+        if max(len(num_digits), len(den_digits)) > _MAX_COEFF_DIGITS:
+            raise SpaceError("relation coefficient is too large")
+        num, den = int(num_digits), int(den_digits)
+    else:
+        raise SpaceError(
+            "relation coefficients must be integers or strings p or p/q, "
+            f"not {str(value)[:40]!r}"
+        )
+    if max(num.bit_length(), den.bit_length()) > _MAX_COEFF_BITS:
+        raise SpaceError("relation coefficient is too large")
+    if den == 0:
+        raise SpaceError(f"relation coefficient {value!r} has a zero denominator")
+    return _exact(Fraction(num, den))
+
+
 def space_from_descriptor(data: Mapping) -> ProductSpace:
     """Build a one-factor space from its JSON descriptor dictionary."""
     try:
@@ -698,15 +754,17 @@ def space_from_descriptor(data: Mapping) -> ProductSpace:
                       for g in data["generators"]]
         top = _json_int(data["top_degree"], "top_degree")
         index = {s: i for i, (s, _) in enumerate(generators)}
-        relations: dict[tuple, dict[tuple, Fraction]] = {}
+        relations: dict[tuple, dict[tuple, Coeff]] = {}
         for rel in data.get("relations", []):
-            lhs = tuple(sorted(index[s] for s in rel["lhs"]))
-            rhs: dict[tuple, Fraction] = {}
+            lhs = tuple(index[s] for s in rel["lhs"])
+            if lhs in relations:
+                raise SpaceError(f"two relations for the product {rel['lhs']}")
+            rhs: dict[tuple, Coeff] = {}
             for mon_str, coeff in rel.get("rhs", {}).items():
                 mon = () if mon_str == "1" else tuple(
                     index[s] for s in mon_str.split("*")
                 )
-                rhs[mon] = Fraction(coeff)
+                rhs[mon] = _json_rational(coeff)
             relations[lhs] = rhs
         fund = data.get("fundamental_class")
         fund_mon = tuple(index[s] for s in fund) if fund is not None else None

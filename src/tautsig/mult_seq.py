@@ -297,18 +297,28 @@ class CharClassPolynomial:
         )
 
     def evaluate(self, classes: Sequence[GradedClass], space: ProductSpace) -> GradedClass:
-        """Plug graded classes in for the variables (index i -> v_{i+1})."""
+        """Plug graded classes in for the variables (index i -> v_{i+1}).
+
+        A variable beyond ``classes`` counts as zero.  Each power
+        ``classes[i] ** e`` is computed once per call.
+        """
+        powers: dict[tuple[int, int], GradedClass] = {}
         result = space.zero()
         for exps, coeff in self.terms.items():
-            term = space.one() * coeff
+            if any(exps[len(classes):]):
+                continue
+            term = space.one()
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                if i >= len(classes):
-                    term = space.zero()
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[(i, e)] = classes[i] ** e
+                term = term * power
+                if term.is_zero():
                     break
-                term = term * (classes[i] ** e)
-            result = result + term
+            else:
+                result = result + term * coeff
         return result
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -42,6 +43,20 @@ def test_deterministic_reports(tmp_path):
     assert main(["run", "--suite", "genus,kappa-products", "--out", str(a)]) == 0
     assert main(["run", "--suite", "genus,kappa-products", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+EXACT_SUITES = "genus,surface,kappa-products,clifford-signs,product-signs,bott-reduction"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_exact_suites_match_golden_report(tmp_path):
+    # The exact suites' only float is the config tol, so their report is the
+    # same on every machine.  Regenerate the file only for a change that
+    # means to alter the report:
+    #   tautsig run --suite <EXACT_SUITES> --format json --out tests/golden/exact-suites.json
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", EXACT_SUITES, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "exact-suites.json").read_bytes()
 
 
 def test_deterministic_spectral_reports_with_warm_caches(tmp_path):
@@ -139,6 +154,18 @@ _OPEN_SPACE = {
 _LINE = {"n": 1, "eta": [[1]], "monodromies": [[[1]]]}
 
 
+def _space_with_relations(relations):
+    """Odd x and y, even z = x*y in the top degree, with the given relations."""
+    return {
+        "name": "xyz",
+        "generators": [{"symbol": "x", "degree": 1}, {"symbol": "y", "degree": 1},
+                       {"symbol": "z", "degree": 2}],
+        "relations": list(relations),
+        "top_degree": 2,
+        "fundamental_class": ["z"],
+    }
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -161,12 +188,20 @@ _LINE = {"n": 1, "eta": [[1]], "monodromies": [[[1]]]}
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": "2"}]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": True}]}),
         json.dumps({**_OPEN_SPACE, "top_degree": 2.9}),
+        json.dumps({**_OPEN_SPACE, "top_degree": -1}),
+        json.dumps(_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": 1}},
+                                          {"lhs": ["y", "x"], "rhs": {"z": -1}}))),
+        json.dumps(_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": "1e100000000"}},))),
+        json.dumps(_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": "1/0"}},))),
+        json.dumps(_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": 0.5}},))),
     ],
     ids=["not-json", "relation-unknown-symbol", "fundamental-unknown-symbol",
          "relation-without-lhs", "array", "string", "deep-nesting", "eta-number",
          "eta-ragged", "n-list", "monodromies-number", "family-connection-number",
          "family-number", "signature-mismatch", "degree-float", "degree-string",
-         "degree-bool", "top-degree-float"],
+         "degree-bool", "top-degree-float", "top-degree-negative",
+         "relation-given-twice", "coefficient-exponent", "coefficient-zero-denominator",
+         "coefficient-float"],
 )
 def test_descriptor_parse_failure_exit_two(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
@@ -415,6 +450,8 @@ _DESCRIPTORS = _bundle_descriptors() | _SPACES | _JSON
 @example(descriptor={**_LINE, "family": 5})
 @example(descriptor={"name": None, "generators": [], "top_degree": 0})
 @example(descriptor={"name": "s", "generators": [], "top_degree": float("inf")})
+@example(descriptor=_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": "1e100000000"}},)))
+@example(descriptor=_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": "1/0"}},)))
 def test_generated_descriptors_end_with_an_exit_code(tmp_path, descriptor):
     path, out = tmp_path / "generated.json", tmp_path / "report.json"
     path.write_text(json.dumps(descriptor))

@@ -421,3 +421,194 @@ def test_model_space_equality_and_hash_from_key():
     assert copy == f and hash(copy) == hash(f)
     other = ModelSpace(f.name, f.generators, {}, f.top_degree, f.fundamental_monomial)
     assert other != f
+
+
+# -- coefficient representation: ints, Fractions only for real denominators --
+
+COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+def assert_canonical(x):
+    """Nonzero stored coefficients: an int, or a Fraction with a denominator > 1."""
+    for mons in x.components.values():
+        for c in mons.values():
+            assert c != 0
+            assert type(c) is int or (type(c) is F and c.denominator > 1), repr(c)
+
+
+def as_reference(x):
+    """The class as {monomial: Fraction}, the form every reference op works on."""
+    return {m: F(c) for mons in x.components.values() for m, c in mons.items()}
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, F(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(space, a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            for m, c in space.mul_monomials(m1, m2).items():
+                out[m] = out.get(m, F(0)) + c1 * c2 * F(c)
+    return ref_clean(out)
+
+
+def ref_gysin(space, a, fiber):
+    """Collapse fiber factors in ascending order, with the sign (-1)**(n_j * d)."""
+    out = {}
+    for mon, c in a.items():
+        kept, left_deg, sign = [], 0, 1
+        for i, (f, part) in enumerate(zip(space.factors, mon)):
+            if i not in fiber:
+                kept.append(part)
+                left_deg += f.monomial_degree(part)
+            elif part == f.fundamental_monomial:
+                sign *= (-1) ** (f.top_degree * left_deg)
+            else:
+                break
+        else:
+            out[tuple(kept)] = sign * c
+    return ref_clean(out)
+
+
+@st.composite
+def mixed_classes(draw, space):
+    """A class of up to four terms in any degrees, with rational coefficients."""
+    mons = [m for d in range(space.top_degree + 1) for m in space.basis(d)]
+    picks = draw(st.lists(st.sampled_from(mons), max_size=4, unique=True))
+    comps = {}
+    for m in picks:
+        comps.setdefault(space.monomial_degree(m), {})[m] = draw(COEFFS)
+    return GradedClass(space, comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), preset_lists, preset_lists)
+def test_int_backed_ring_matches_fraction_reference(data, base_names, fiber_names):
+    base = presets_space(base_names)
+    space = product_space(base, presets_space(fiber_names))
+    fiber = set(range(len(base.factors), len(space.factors)))
+    x, y = data.draw(mixed_classes(space)), data.draw(mixed_classes(space))
+    s = data.draw(COEFFS)
+    n = data.draw(st.integers(0, 4))
+    rx, ry = as_reference(x), as_reference(y)
+    rpow = {tuple(() for _ in space.factors): F(1)}
+    for _ in range(n):
+        rpow = ref_mul(space, rpow, rx)
+    cases = [
+        (x + y, ref_add(rx, ry)),
+        (x * y, ref_mul(space, rx, ry)),
+        (x * s, ref_clean({m: c * s for m, c in rx.items()})),
+        (x ** n, rpow),
+        (gysin_project(x, fiber), ref_gysin(space, rx, fiber)),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert as_reference(got) == want
+        absent = [m for d in range(got.space.top_degree + 1) for m in got.space.basis(d)][:3]
+        for m in [*want, *absent]:
+            assert type(got.coefficient(m)) is F
+            assert got.coefficient(m) == want.get(m, 0)
+        if got.space.fundamental_monomial is not None:
+            value = evaluate(got)
+            assert type(value) is F
+            assert value == want.get(got.space.fundamental_monomial, 0)
+
+
+def test_integral_fractions_are_stored_as_ints():
+    t2 = torus(2)
+    half = t2.gen("u1") * F(1, 2)
+    assert half.components == {1: {((0,),): F(1, 2)}}
+    whole = half + half
+    assert whole == t2.gen("u1")
+    assert type(whole.components[1][((0,),)]) is int
+    assert type((half * 4).components[1][((0,),)]) is int
+    assert type(evaluate(t2.gen("u1") * t2.gen("u2"))) is F
+    assert type(t2.one().coefficient(((),))) is F
+
+
+def test_power_beyond_top_degree_is_zero_without_multiplying(monkeypatch):
+    t8 = torus(8)
+    u = [t8.gen(f"u{i + 1}") for i in range(8)]
+    p1 = u[0] * u[1] * u[2] * u[3] + u[4] * u[5] * u[6] * u[7]
+    assert (p1 ** 2).coefficient((tuple(range(8)),)) == 2
+    assert p1 ** 1 == p1 and p1 ** 0 == t8.one()
+
+    def forbidden(self, other):
+        raise AssertionError("__mul__ called")
+
+    monkeypatch.setattr(GradedClass, "__mul__", forbidden)
+    cube = p1 ** 3
+    assert cube.is_zero() and cube.space == t8
+
+
+# -- hostile or inconsistent space descriptors ---------------------------------
+
+_SIGMA1 = {
+    "name": "sigma1",
+    "generators": [{"symbol": "a", "degree": 1}, {"symbol": "b", "degree": 1},
+                   {"symbol": "z", "degree": 2}],
+    "top_degree": 2,
+    "fundamental_class": ["z"],
+}
+
+
+@pytest.mark.parametrize(
+    "lhs,coeff", [(["a", "b"], 1), (["b", "a"], -1), (["a", "b"], "1"), (["b", "a"], "-2/2")])
+def test_descriptor_relation_is_a_product_in_the_given_order(lhs, coeff):
+    # b*a = -z is the same relation as a*b = z, since a and b are odd.
+    space = space_from_descriptor({**_SIGMA1, "relations": [{"lhs": lhs, "rhs": {"z": coeff}}]})
+    for m1, m2 in iproduct(space.basis(1), repeat=2):
+        assert space.mul_monomials(m1, m2) == surface(1).mul_monomials(m1, m2)
+    a, b = space.gen("a"), space.gen("b")
+    assert evaluate(a * b) == 1 and evaluate(b * a) == -1
+
+
+@pytest.mark.parametrize(
+    "descriptor,match",
+    [
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 1}},
+                                   {"lhs": ["b", "a"], "rhs": {"z": -1}}]}, "two relations"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 1}},
+                                   {"lhs": ["a", "b"], "rhs": {"z": 1}}]}, "two relations"),
+        ({**_SIGMA1, "top_degree": -1, "fundamental_class": None}, "top degree"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "1/0"}}]}, "zero denominator"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "1e100000000"}}]},
+         "integers or strings"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "9" * 1300}}]}, "too large"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 2 ** 4096}}]}, "too large"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "1/" + "9" * 1300}}]},
+         "too large"),
+    ],
+    ids=["reordered-twice", "repeated", "negative-top-degree", "zero-denominator",
+         "exponent-string", "long-numerator", "wide-integer", "long-denominator"],
+)
+def test_descriptor_inconsistent_or_hostile_space_raises(descriptor, match):
+    with pytest.raises(SpaceError, match=match):
+        space_from_descriptor(descriptor)
+
+
+@pytest.mark.parametrize(
+    "coeff", [1.0, 0.5, float("nan"), True, "1.5", "1e3", " 1", "+1", "1/-2", "٣", [1], None])
+def test_descriptor_coefficient_grammar_refuses(coeff):
+    with pytest.raises(SpaceError, match="integers or strings"):
+        space_from_descriptor(
+            {**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": coeff}}]})
+
+
+@pytest.mark.parametrize(
+    "coeff,want", [(3, 3), (-7, -7), ("12", 12), ("-6/4", F(-3, 2)), ("0", 0), ("4/2", 2)])
+def test_descriptor_coefficient_grammar_accepts(coeff, want):
+    space = space_from_descriptor(
+        {**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": coeff}}]})
+    (f,) = space.factors
+    assert f.relations[(0, 1)] == ({(2,): want} if want else {})
+    assert all(type(c) is int or c.denominator > 1 for c in f.relations[(0, 1)].values())

@@ -3,8 +3,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tautsig.graded_ring import circle, cross, product_space, torus
+from tautsig.graded_ring import (
+    GradedClass,
+    circle,
+    cross,
+    model_space,
+    point,
+    product_space,
+    torus,
+)
 from tautsig.mult_seq import (
     BundleData,
     CharClassPolynomial,
@@ -234,9 +244,104 @@ def test_genus_multiplicative_on_whitney_sums():
 
 
 def GradedClassFrom(space, mon):
-    from tautsig.graded_ring import GradedClass
-
     return GradedClass.from_monomial(space, mon)
+
+
+WHITNEY_PRESETS = ["torus(2)", "torus(3)", "torus(4)", "surface(2)", "surface(3)"]
+WHITNEY_BASES = st.lists(st.sampled_from(WHITNEY_PRESETS), min_size=1, max_size=2)
+P1_COEFFS = st.lists(st.integers(-2, 2), min_size=70, max_size=70)  # H^4(T^4 x T^4) has rank 70
+
+
+def p1_class(names, coeffs):
+    """A product of presets and sum(coeffs[i] * basis[i]) in degree 4 (zero where H^4 is)."""
+    space = product_space(*(model_space(n) for n in names))
+    return space, GradedClass(space, {4: dict(zip(space.basis(4), coeffs))})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["L-hirzebruch", "L-atiyah-singer"]),
+       st.tuples(WHITNEY_BASES, WHITNEY_BASES).filter(
+           lambda bases: sum(model_space(n).top_degree for ns in bases for n in ns) <= 12),
+       P1_COEFFS, P1_COEFFS)
+# p1(E0)^2 != 0 on T^4 x T^4, so the weight-3 component is exercised.
+@example(series="L-hirzebruch", bases=(["torus(4)", "torus(4)"], ["torus(4)"]),
+         c0=[1] * 70, c1=[1] * 70)
+def test_genus_multiplicative_on_random_whitney_sums(series, bases, c0, c1):
+    (x0, p0), (x1, p1) = p1_class(bases[0], c0), p1_class(bases[1], c1)
+    v0 = BundleData(space=x0, kind="real-oriented", pontryagin_classes=[p0])
+    v1 = BundleData(space=x1, kind="real-oriented", pontryagin_classes=[p1])
+    # p(E0 + E1) = p(E0) x p(E1); each summand's p2 vanishes or is not given.
+    vsum = BundleData(
+        space=product_space(x0, x1),
+        kind="real-oriented",
+        pontryagin_classes=[cross(p0, x1.one()) + cross(x0.one(), p1), cross(p0, p1)],
+    )
+    lhs = l_class(vsum, series=series)
+    assert lhs == cross(l_class(v0, series=series), l_class(v1, series=series))
+
+
+# ---------------------------------------------------------------------------
+# Evaluating polynomials on classes
+# ---------------------------------------------------------------------------
+
+
+def _count_powers(monkeypatch):
+    """Count GradedClass powers by (base class, exponent)."""
+    counts = {}
+    real_pow = GradedClass.__pow__
+
+    def counting_pow(self, n):
+        counts[(id(self), n)] = counts.get((id(self), n), 0) + 1
+        return real_pow(self, n)
+
+    monkeypatch.setattr(GradedClass, "__pow__", counting_pow)
+    return counts
+
+
+@pytest.mark.parametrize("poly", [
+    genus_components(expand_series("L-hirzebruch", 10), 5),
+    chern_character_polynomial(5),
+], ids=["L5", "ch5"])
+def test_evaluate_computes_each_power_once(monkeypatch, poly):
+    # p1*p2^2 and p1*p4 share p1; p1^3*p2 and p2*p3 share p2.
+    uses = {}
+    for exps in poly.terms:
+        for i, e in enumerate(exps):
+            if e:
+                uses[(i, e)] = uses.get((i, e), 0) + 1
+    assert max(uses.values()) > 1
+    pt = point()
+    values = [F(2), F(-3), F(1, 2), F(5), F(-1, 3)]
+    classes = [pt.one() * v for v in values]
+    counts = _count_powers(monkeypatch)
+    result = poly.evaluate(classes, pt)
+    assert set(counts.values()) == {1}
+    assert set(counts) == {(id(classes[i]), e) for i, e in uses}
+    want = sum(c * math.prod(v ** e for v, e in zip(values, exps))
+               for exps, c in poly.terms.items())
+    assert result == pt.one() * want
+
+
+def test_evaluate_skips_terms_beyond_the_given_classes(monkeypatch):
+    poly = genus_components(expand_series("L-hirzebruch", 10), 5)
+    pt = point()
+    counts = _count_powers(monkeypatch)
+    p1 = pt.one() * 2
+    assert poly.evaluate([p1], pt) == pt.one() * (poly.terms[(5,)] * 2 ** 5)
+    assert counts == {(id(p1), 5): 1}
+    assert poly.evaluate([], pt).is_zero()
+
+
+def test_evaluate_stops_a_term_once_it_is_zero(monkeypatch):
+    # On T^8, p1^2 vanishes, so the term p1^2 * p2 never raises p2.
+    t8 = torus(8)
+    u = [t8.gen(f"u{i + 1}") for i in range(8)]
+    p1 = u[0] * u[1] * u[2] * u[3]
+    p2 = u[4] * u[5] + u[6] * u[7]
+    poly = CharClassPolynomial(4, "p", {(2, 1): F(5), (0, 2): F(7)})
+    counts = _count_powers(monkeypatch)
+    assert poly.evaluate([p1, p2], t8) == u[4] * u[5] * u[6] * u[7] * 14
+    assert counts == {(id(p1), 2): 1, (id(p2), 2): 1}
 
 
 # ---------------------------------------------------------------------------
