@@ -137,12 +137,20 @@ class ModelSpace:
         self.fundamental_monomial = (
             tuple(fundamental_class) if fundamental_class is not None else None
         )
-        if self.fundamental_monomial is not None:
-            if self.monomial_degree(self.fundamental_monomial) != self.top_degree:
-                raise SpaceError("fundamental class must live in the top degree")
         self._norm_cache: dict[tuple, dict] = {}
         self._basis_cache: dict[int, tuple] = {}
         self._check_graded_relations()
+        fund = self.fundamental_monomial
+        if fund is not None:
+            if self.monomial_degree(fund) != self.top_degree:
+                raise SpaceError("fundamental class must live in the top degree")
+            # evaluate reads the coefficient of this monomial, so an unsorted
+            # product, an odd square or a reducible product would read 0.
+            if self.normalize(fund) != {fund: 1}:
+                raise SpaceError(
+                    f"fundamental class {self.monomial_str(fund)} is not a "
+                    "normal-form basis monomial"
+                )
         self._key = (
             "model",
             self.name,

@@ -17,7 +17,8 @@ floating point.
 Spectral flow follows the restriction of alpha(e_1) D to the even-parity
 subspace, a self-adjoint family with no residual symmetry.  Its flow is
 the change in positive index from t = 0 to t = 1; zeros at these
-endpoints must be pushed off zero by a reported +- shift.
+endpoints must be pushed off zero by a reported +- shift.  On odd tori the
+kernel dimension is read from the same restriction's spectrum.
 
 The numerics are numpy's, and every floating-point decision about eta is
 made here: its hermitian and nonsingular rule and its compatible pair
@@ -592,10 +593,20 @@ def _kernel_guard(values: np.ndarray, tol: float) -> None:
 
 
 def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
-    """Number of eigenvalues below tol in absolute value (physical units)."""
-    vals = op.eigenvalues()
+    """Number of eigenvalues below tol in absolute value (physical units).
+
+    On an odd torus this is twice the count of the odd restriction B, read
+    from its cached half-size spectrum, the one the flow solves; even tori
+    solve the full stack.  alpha = diag(iota) tau_V squares to -1,
+    anticommutes with D and swaps the parities, so B = alpha D on even forms
+    has B^2 = D^2 there, and alpha maps the even kernel of D onto the odd
+    one.  So |spec D| is |spec B| counted twice, and the factor-10 guard
+    decides alike on both.
+    """
+    odd = op.bundle.n % 2 == 1
+    vals = op.odd_spectrum() if odd else op.eigenvalues()
     _kernel_guard(vals, tol)
-    return int(np.sum(np.abs(vals) < tol))
+    return (2 if odd else 1) * int(np.sum(np.abs(vals) < tol))
 
 
 def _kernel_vectors(op: TruncatedOperator, tol: float):
@@ -908,19 +919,20 @@ def kernel_constancy_report(
     last_op = dim = None
     for t in nodes:
         op = family.operator(t)
-        if family.loop and op.bundle.n % 2 == 1:
-            # The flow, below or in callers such as the descriptor suite,
-            # reads these endpoint spectra and node checks.
-            if t == 0 or t == 1:
-                family.spectrum(t)
-            else:
-                family.check(t)
         if op is not last_op:
             last_op = op
             try:
                 dim = kernel_dimension(op, tol)
             except IndeterminateKernelError:
                 dim = None
+        if family.loop and op.bundle.n % 2 == 1:
+            # The flow, below or in callers such as the descriptor suite,
+            # reads these endpoint spectra and node checks; kernel_dimension
+            # has solved this operator's odd spectrum, so neither solves again.
+            if t == 0 or t == 1:
+                family.spectrum(t)
+            else:
+                family.check(t)
         profile.append(dim)
         if dim is None:
             flagged.append(str(t))

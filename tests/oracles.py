@@ -2,7 +2,8 @@
 
 Everything here is computed by routes the package itself does not use:
 Bernoulli recurrences, literal root expansions reduced to the elementary
-symmetric basis, and closed-form twisted spectra.
+symmetric basis, closed-form twisted spectra, and block-by-block scipy
+eigensolves.
 """
 
 import math
@@ -116,6 +117,25 @@ def circle_spectrum_oracle(theta, cutoff):
     for k in range(-cutoff, cutoff + 1):
         vals.extend([UNIT * abs(k + theta), -UNIT * abs(k + theta)])
     return np.sort(np.array(vals))
+
+
+def full_stack_kernel_oracle(blocks, metric, tol):
+    """Kernel dimension of a stacked operator from a full solve of every block.
+
+    Each block D is G-self-adjoint for the metric G, so its eigenvalues are
+    those of the generalized problem G D v = l G v, solved block by block
+    with eigenvectors by ``scipy.linalg.eigh`` and scaled by 2*pi.  Returns
+    the count of |l| < tol, or None when the smallest |l| >= tol is below
+    10 * tol (an indeterminate kernel).
+    """
+    import scipy.linalg
+
+    vals = np.concatenate([scipy.linalg.eigh(metric @ b, metric)[0] for b in blocks])
+    mags = np.abs(vals * UNIT)
+    nonzero = mags[mags >= tol]
+    if nonzero.size and nonzero.min() < 10 * tol:
+        return None
+    return int(np.sum(mags < tol))
 
 
 def twisted_circle_cohomology_oracle(theta):

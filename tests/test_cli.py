@@ -59,6 +59,24 @@ def test_exact_suites_match_golden_report(tmp_path):
     assert out.read_bytes() == (GOLDEN / "exact-suites.json").read_bytes()
 
 
+NUMERIC_SUITES = "lusztig,vanishing,stability,even-index,descriptor"
+SHIPPED = Path(__file__).resolve().parent.parent / "descriptors"
+
+
+def test_numeric_suites_match_golden_report(tmp_path):
+    # Kernel profiles and dimensions, flows, indices and node counts: the
+    # details are integers, except the descriptor bundle's spectrum near zero
+    # (6 significant digits) and shell gaps (4 decimals).  Regenerate the file
+    # only for a change that means to alter the report:
+    #   tautsig run --suite <NUMERIC_SUITES> --descriptor descriptors/lusztig_family.json
+    #       --format json --out tests/golden/numeric-suites.json
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", NUMERIC_SUITES, "--descriptor",
+                 str(SHIPPED / "lusztig_family.json"), "--format", "json",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "numeric-suites.json").read_bytes()
+
+
 def test_deterministic_spectral_reports_with_warm_caches(tmp_path):
     from tautsig import hodge_numeric
 
@@ -194,6 +212,8 @@ def _space_with_relations(relations):
         json.dumps(_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": "1e100000000"}},))),
         json.dumps(_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": "1/0"}},))),
         json.dumps(_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": 0.5}},))),
+        json.dumps({**_space_with_relations(()), "fundamental_class": ["y", "x"]}),
+        json.dumps({**_space_with_relations(()), "fundamental_class": ["x", "x"]}),
     ],
     ids=["not-json", "relation-unknown-symbol", "fundamental-unknown-symbol",
          "relation-without-lhs", "array", "string", "deep-nesting", "eta-number",
@@ -201,7 +221,7 @@ def _space_with_relations(relations):
          "family-number", "signature-mismatch", "degree-float", "degree-string",
          "degree-bool", "top-degree-float", "top-degree-negative",
          "relation-given-twice", "coefficient-exponent", "coefficient-zero-denominator",
-         "coefficient-float"],
+         "coefficient-float", "fundamental-unsorted", "fundamental-odd-square"],
 )
 def test_descriptor_parse_failure_exit_two(tmp_path, capsys, text):
     path = tmp_path / "broken.json"

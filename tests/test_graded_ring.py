@@ -596,6 +596,31 @@ def test_descriptor_inconsistent_or_hostile_space_raises(descriptor, match):
         space_from_descriptor(descriptor)
 
 
+_XY = {"name": "xy", "top_degree": 2,
+       "generators": [{"symbol": "x", "degree": 1}, {"symbol": "y", "degree": 1}]}
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [{**_XY, "fundamental_class": ["y", "x"]},
+     {**_XY, "fundamental_class": ["x", "x"]},
+     {**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 1}}],
+      "fundamental_class": ["a", "b"]}],
+    ids=["unsorted", "odd-square", "rewritten-by-relation"],
+)
+def test_fundamental_class_must_be_a_basis_monomial(descriptor):
+    # evaluate reads the coefficient of this very monomial, so each of these
+    # loaded with every class evaluating to 0.
+    with pytest.raises(SpaceError, match="normal-form basis monomial"):
+        space_from_descriptor(descriptor)
+
+
+def test_sorted_fundamental_class_evaluates():
+    space = space_from_descriptor({**_XY, "fundamental_class": ["x", "y"]})
+    x, y = space.gen("x"), space.gen("y")
+    assert evaluate(x * y) == 1 and evaluate(y * x) == -1
+
+
 @pytest.mark.parametrize(
     "coeff", [1.0, 0.5, float("nan"), True, "1.5", "1e3", " 1", "+1", "1/-2", "٣", [1], None])
 def test_descriptor_coefficient_grammar_refuses(coeff):

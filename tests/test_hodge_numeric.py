@@ -33,7 +33,11 @@ from tautsig.hodge_numeric import (
     spectral_flow_both,
 )
 
-from oracles import circle_spectrum_oracle, twisted_circle_cohomology_oracle
+from oracles import (
+    circle_spectrum_oracle,
+    full_stack_kernel_oracle,
+    twisted_circle_cohomology_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,62 @@ def test_torus_kernel_dimension():
     assert kernel_dimension(op) == 4  # 1 + 2 + 1 harmonic forms
     twisted = assemble(line_bundle([0.5, 0.0], globally_flat=False), cutoff=3)
     assert kernel_dimension(twisted) == 0
+
+
+# The six eta of the odd-kernel checks; diag(2, -1) and [[1, 2], [2, 1]] have
+# a metric other than the identity.
+ODD_ETAS = {
+    "one": [[1]],
+    "diag(1,-1)": [[1, 0], [0, -1]],
+    "swap": [[0, 1], [1, 0]],
+    "i-swap": [[0, 1j], [-1j, 0]],
+    "diag(2,-1)": [[2, 0], [0, -1]],
+    "[[1,2],[2,1]]": [[1, 2], [2, 1]],
+}
+# 0 and 1 give a kernel; the rest are at least 1/8 from an integer.
+ODD_THETAS = st.sampled_from([0.0, 1.0, 0.25, -0.5, 1 / 3, -2 / 3, 0.125, 0.7])
+
+
+@st.composite
+def odd_torus_operators(draw):
+    n = draw(st.sampled_from([1, 3]))
+    eta = np.array(ODD_ETAS[draw(st.sampled_from(sorted(ODD_ETAS)))], dtype=complex)
+    r = len(eta)
+    # A diagonal eta is preserved by any diagonal monodromy, an off-diagonal
+    # one only by a scalar.
+    diagonal = not np.any(eta - np.diag(np.diag(eta)))
+    conn = [np.diag([draw(ODD_THETAS) for _ in range(r)] if diagonal
+                    else [draw(ODD_THETAS)] * r).astype(complex) for _ in range(n)]
+    cutoff = draw(st.integers(1, 4 if n == 1 else 2))
+    return assemble(MonodromyBundle.from_connection(eta, conn), cutoff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(odd_torus_operators())
+def test_odd_kernel_dimension_matches_full_stack_oracle(op):
+    assert kernel_dimension(op) == full_stack_kernel_oracle(op.blocks, op.metric, 1e-8)
+    # |spec D| is the odd restriction's |spec B| counted twice.
+    full = np.sort(np.abs(op.eigenvalues()))
+    half = np.sort(np.repeat(np.abs(op.odd_spectrum()), 2))
+    assert np.max(np.abs(full - half)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("eta", ["one", "diag(2,-1)"])
+def test_odd_kernel_guard_raises_on_both_paths(n, eta):
+    from tautsig.hodge_numeric import _kernel_guard
+
+    eta = np.array(ODD_ETAS[eta], dtype=complex)
+    r = len(eta)
+    # 2*pi*5e-9 lies between tol and 10*tol.
+    conn = [np.diag([5e-9] + [0.5] * (r - 1)).astype(complex)]
+    conn += [np.zeros((r, r), dtype=complex)] * (n - 1)
+    op = assemble(MonodromyBundle.from_connection(eta, conn), cutoff=2)
+    assert full_stack_kernel_oracle(op.blocks, op.metric, 1e-8) is None
+    with pytest.raises(IndeterminateKernelError):
+        kernel_dimension(op, tol=1e-8)
+    with pytest.raises(IndeterminateKernelError):
+        _kernel_guard(op.eigenvalues(), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -657,35 +717,72 @@ def _profile_then_flow(fam):
     return spectral_flow_both(fam)
 
 
-@pytest.mark.parametrize(
-    "run,stacks,solves",
-    # The line family solves its two endpoints and checks 15 interior nodes,
-    # also when its profile comes first; the constant family's one operator
-    # is checked and solved once.
-    [(lambda: spectral_flow_both(lusztig_family(cutoff=6, resolution=16)), 17, 2),
-     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 17, 2),
-     (lambda: kernel_constancy_report(
-         constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1, 1)],
-    ids=["line", "line-profile", "constant"],
-)
-def test_flow_solves_only_endpoint_spectra(monkeypatch, run, stacks, solves):
+def _count_stack_solves(monkeypatch):
+    """Counts of odd stacks, their values-only solves and full-stack eigh calls."""
     import tautsig.hodge_numeric as hn
 
-    counts = {"stacks": 0, "solves": 0}
-    real_stack, real_eigvalsh = hn.TruncatedOperator.restricted_odd_stack, np.linalg.eigvalsh
+    counts = {"stacks": 0, "solves": 0, "full": 0}
+    real_stack = hn.TruncatedOperator.restricted_odd_stack
+    real_eigvalsh, real_eigh = np.linalg.eigvalsh, np.linalg.eigh
 
     def stack(self):
         counts["stacks"] += 1
         return real_stack(self)
 
+    # eta checks and compatible pairs solve 2-D matrices; stacks are 3-D.
     def eigvalsh(a, *args, **kwargs):
-        counts["solves"] += np.ndim(a) == 3  # eta checks solve 2-D matrices
+        counts["solves"] += np.ndim(a) == 3
         return real_eigvalsh(a, *args, **kwargs)
+
+    def eigh(a, *args, **kwargs):
+        counts["full"] += np.ndim(a) == 3
+        return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(hn.TruncatedOperator, "restricted_odd_stack", stack)
     monkeypatch.setattr(hn.np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(hn.np.linalg, "eigh", eigh)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "run,stacks,solves",
+    # The line family solves its two endpoints and checks 15 interior nodes.
+    # Its profile solves every node's odd restriction for the kernel
+    # dimension, and the flow after it reads those solves and checks.  The
+    # constant family's one operator is checked and solved once.
+    [(lambda: spectral_flow_both(lusztig_family(cutoff=6, resolution=16)), 17, 2),
+     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 17, 17),
+     (lambda: kernel_constancy_report(
+         constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1, 1)],
+    ids=["line", "line-profile", "constant"],
+)
+def test_flow_solves_only_endpoint_spectra(monkeypatch, run, stacks, solves):
+    counts = _count_stack_solves(monkeypatch)
     run()
-    assert counts == {"stacks": stacks, "solves": solves}
+    assert counts == {"stacks": stacks, "solves": solves, "full": 0}
+
+
+def _flat_bundle(kind):
+    """The four bundle shapes of the flat-profiles benchmark workload."""
+    if kind == "t1-line":
+        return line_bundle([0.25])
+    if kind == "t3-line":
+        return line_bundle([0.0, 1 / 3, 0.5])
+    if kind == "indefinite":
+        return MonodromyBundle.from_connection(
+            np.diag([1.0, -1.0]), [np.diag([0.2, 0.0]).astype(complex)], globally_flat=True)
+    return MonodromyBundle.from_connection(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), [0.4 * np.eye(2, dtype=complex)],
+        globally_flat=True)
+
+
+@pytest.mark.parametrize("kind", ["t1-line", "t3-line", "indefinite", "offdiagonal"])
+def test_flat_profiles_make_no_full_stack_eigh(monkeypatch, kind):
+    counts = _count_stack_solves(monkeypatch)
+    report = kernel_constancy_report(
+        constant_family(_flat_bundle(kind), cutoff=3, resolution=16))
+    assert report["constant"] and report["flow_plus"] == report["flow_minus"] == 0
+    assert counts == {"stacks": 1, "solves": 1, "full": 0}
 
 
 def test_cached_structure_is_read_only():

@@ -195,6 +195,35 @@ def test_character_multiplicative_on_line_bundles():
         assert chern_character(lab) == chern_character(la) * chern_character(lb)
 
 
+def _exp_reference(c1):
+    """exp(c1) = sum_m c1^m / m!, with Fraction coefficients, up to the top degree."""
+    space = c1.space
+    total, term = space.one(), space.one()
+    for m in range(1, space.top_degree // 2 + 1):
+        term = term * c1 * F(1, m)
+        total = total + term
+    return total
+
+
+CH_BASES = st.lists(st.sampled_from(["torus(2)", "torus(3)", "torus(4)", "surface(2)",
+                                     "surface(3)"]), min_size=1, max_size=2)
+C1_COEFFS = st.lists(st.integers(-2, 2), min_size=40, max_size=40)  # H^2 ranks are <= 38
+
+
+@settings(max_examples=30, deadline=None)
+@given(CH_BASES, C1_COEFFS, C1_COEFFS)
+def test_character_additive_and_multiplicative_on_random_line_bundles(names, a, b):
+    space = product_space(*(model_space(n) for n in names))
+    c1a, c1b = (GradedClass(space, {2: dict(zip(space.basis(2), c))}) for c in (a, b))
+    ch_a, ch_b = _exp_reference(c1a), _exp_reference(c1b)
+    assert chern_character(BundleData.line(space, c1a)) == ch_a
+    # L1 + L2 has c = (1 + a)(1 + b); L1 (x) L2 has c1 = a + b.
+    whitney = BundleData(space=space, kind="complex", rank=2,
+                         chern_classes=[c1a + c1b, c1a * c1b])
+    assert chern_character(whitney) == ch_a + ch_b
+    assert chern_character(BundleData.line(space, c1a + c1b)) == ch_a * ch_b
+
+
 # ---------------------------------------------------------------------------
 # Multiplicative class on bundle data
 # ---------------------------------------------------------------------------
