@@ -119,8 +119,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     rendered = _RENDERERS[config.fmt](report)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"report written to {config.out}")
     else:
         sys.stdout.write(rendered)

@@ -92,8 +92,6 @@ class BundleModel:
     pullbacks: dict = field(default_factory=dict)
     sch_class: Optional[GradedClass] = None
     signature: Optional[tuple] = None
-    fibrewise_flat: bool = True
-    globally_flat: bool = False
 
     def __post_init__(self):
         factors = self.total.factors
@@ -136,7 +134,7 @@ def bundle_model(
     vertical_tangent: Optional[BundleData] = None,
     pullbacks: Optional[dict] = None,
     sch_class: Optional[GradedClass] = None,
-    **flags,
+    signature: Optional[tuple] = None,
 ) -> BundleModel:
     """Model of the trivial bundle base x fiber -> base."""
     total = product_space(base, fiber)
@@ -150,7 +148,7 @@ def bundle_model(
         vertical_tangent=vertical_tangent,
         pullbacks=dict(pullbacks or {}),
         sch_class=sch_class,
-        **flags,
+        signature=signature,
     )
 
 
@@ -215,8 +213,6 @@ def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleMo
         pullbacks=pullbacks,
         sch_class=sch,
         signature=sig,
-        fibrewise_flat=b0.fibrewise_flat and b1.fibrewise_flat,
-        globally_flat=b0.globally_flat and b1.globally_flat,
     )
 
 
@@ -471,8 +467,6 @@ def lusztig_model() -> BundleModel:
         pullbacks={"ch_L": ch_l, "c1_L": uu},
         sch_class=ch_l,
         signature=(1, 0),
-        fibrewise_flat=True,
-        globally_flat=False,
     )
 
 
@@ -493,8 +487,6 @@ def globally_flat_surface_model(g: int, base: Optional[ProductSpace] = None) -> 
         base=base,
         fiber=product_space(surface(g), circle()),
         signature=(1, 1),
-        fibrewise_flat=True,
-        globally_flat=True,
     )
     surf_pos = model.total.factors.index(surface(g).factors[0])
     sch1 = pullback(surface_coefficient_class(g), model.total, [surf_pos])
@@ -510,8 +502,6 @@ def trivial_flat_model(rank: int, base: ProductSpace, fiber: ProductSpace,
         base=base,
         fiber=fiber,
         signature=(rank, 0),
-        fibrewise_flat=True,
-        globally_flat=True,
     )
     model.sch_class = model.total.one() * Fraction(rank)
     return model

@@ -47,6 +47,8 @@ class SuiteConfig:
     descriptor: Optional[str] = None
 
     def validate(self) -> None:
+        if not 0 <= self.order <= mult_seq.ORDER_CAP:
+            raise SuiteError(f"order must lie in [0, {mult_seq.ORDER_CAP}]")
         if not 1 <= self.cutoff <= hodge_numeric.MAX_CUTOFF:
             raise SuiteError(f"cutoff must lie in [1, {hodge_numeric.MAX_CUTOFF}]")
         if not (0.0 < self.tol <= 1e-4):
@@ -204,15 +206,14 @@ def _suite_bott(config: SuiteConfig) -> list[dict]:
 
 def _suite_genus(config: SuiteConfig) -> list[dict]:
     cases: list[dict] = []
-    order = min(config.order, mult_seq.ORDER_CAP)
-    s = mult_seq.expand_series("L-hirzebruch", max(order, 8))
+    s = mult_seq.expand_series("L-hirzebruch", max(config.order, 8))
     frozen = {0: Fraction(1), 2: Fraction(1, 3), 4: Fraction(-1, 45),
               6: Fraction(2, 945), 8: Fraction(-1, 4725)}
     ok = all(s[k] == v for k, v in frozen.items()) and s.is_even()
     cases.append(
         _case("genus", "x/tanh(x) low-order coefficients", "series:x-over-tanh", ok)
     )
-    s2 = mult_seq.expand_series("L-atiyah-singer", max(order, 4))
+    s2 = mult_seq.expand_series("L-atiyah-singer", max(config.order, 4))
     cases.append(
         _case(
             "genus",
@@ -264,7 +265,7 @@ def _suite_genus(config: SuiteConfig) -> list[dict]:
 def _suite_lusztig(config: SuiteConfig) -> list[dict]:
     cases: list[dict] = []
     fam = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid)
-    flow = hodge_numeric.spectral_flow_both(fam, tol=config.tol)
+    flow = hodge_numeric.spectral_flow(fam, tol=config.tol)
     cases.append(
         _case(
             "lusztig",
@@ -375,8 +376,6 @@ def _suite_vanishing(config: SuiteConfig) -> list[dict]:
                 cutoff=fam.cutoff,
             )
         )
-    # One family serves the profile and the flow, so the flow reads the
-    # spectra of the profile's nodes wherever they are flow grid nodes.
     fam = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid)
     report = hodge_numeric.kernel_constancy_report(
         fam, grid=hodge_numeric.grid_nodes(16), tol=config.tol
@@ -388,7 +387,7 @@ def _suite_vanishing(config: SuiteConfig) -> list[dict]:
         and all(d == 0 for d in profile[1:-1])
         and not report["constant"]
     )
-    flow = hodge_numeric.spectral_flow_both(fam, tol=config.tol)
+    flow = hodge_numeric.spectral_flow(fam, tol=config.tol)
     cases.append(
         _case(
             "vanishing",
@@ -630,51 +629,30 @@ def _suite_kappa_products(config: SuiteConfig) -> list[dict]:
 # stability
 # ---------------------------------------------------------------------------
 
-_STABILITY_CAP = 20
-
-
-def _escalate_flow(base_cutoff: int, grid: int, tol: float):
-    """Increase the cutoff by 4 until two consecutive flows agree."""
-    cutoff = base_cutoff
-    prev = None
-    while cutoff <= _STABILITY_CAP:
-        fam = hodge_numeric.lusztig_family(cutoff=cutoff, resolution=grid)
-        flow = hodge_numeric.spectral_flow_both(fam, tol=tol).flow_plus
-        if prev is not None and flow == prev:
-            return cutoff, flow
-        prev = flow
-        cutoff += 4
-    raise SuiteError("cutoff escalation exceeded the stability cap")
-
 
 def _suite_stability(config: SuiteConfig) -> list[dict]:
     cases: list[dict] = []
-    final_n, flow = _escalate_flow(config.cutoff, config.grid, config.tol)
+    # Blocks beyond the shell bound S cannot cross zero, so the flow at S is
+    # the flow at every cutoff from S on, the run's cutoff included.
+    shell, sup = hodge_numeric.shell_bound(
+        hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid))
+    flows = [
+        hodge_numeric.spectral_flow(
+            hodge_numeric.lusztig_family(cutoff=cutoff, resolution=config.grid),
+            tol=config.tol,
+        ).flow_plus
+        for cutoff in (shell, max(config.cutoff, shell))
+    ]
     cases.append(
         _case(
             "stability",
-            "line-family flow stable under cutoff escalation",
+            "line-family flow certified for every cutoff from the shell bound S",
             "stability:cutoff",
-            True,
-            detail=f"flow={flow}, final cutoff={final_n} (started {config.cutoff})",
-            final_cutoff=final_n,
-        )
-    )
-    # The flow reads only the endpoint spectra, so this case holds by
-    # construction for its value; doubling the grid only widens the check of
-    # interior nodes.  A certificate for the truncation is meant to replace it.
-    fam_a = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid)
-    fam_b = hodge_numeric.lusztig_family(cutoff=config.cutoff,
-                                         resolution=2 * config.grid)
-    fa = hodge_numeric.spectral_flow_both(fam_a, tol=config.tol).flow_plus
-    fb = hodge_numeric.spectral_flow_both(fam_b, tol=config.tol).flow_plus
-    cases.append(
-        _case(
-            "stability",
-            "line-family flow stable under grid doubling",
-            "stability:grid",
-            fa == fb,
-            detail=f"flow {fa} at {config.grid} vs {fb} at {2 * config.grid}",
+            flows[0] == flows[1],
+            detail=f"flow={flows[0]}, S={shell}, sup={sup:.6g}, "
+                   f"margin={shell + 1 - sup:.6g}",
+            cutoff=config.cutoff,
+            shell_cutoff=shell,
         )
     )
     kd = []
@@ -761,7 +739,7 @@ def _suite_descriptor(config: SuiteConfig) -> list[dict]:
         report = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
         detail = f"profile={report['profile']}"
         if fam.loop and not report["constant"]:
-            flow = hodge_numeric.spectral_flow_both(fam, tol=config.tol)
+            flow = hodge_numeric.spectral_flow(fam, tol=config.tol)
             detail += f", flow={flow.flow_plus}"
         cases.append(
             _case(
@@ -861,9 +839,10 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "stability",
-            "Flows, kernel dimensions and profiles are unchanged under "
-            "cutoff + 4 and grid doubling; cutoff escalation policy.",
-            ["stability:cutoff", "stability:grid"],
+            "The line-family flow is certified for every cutoff from the Weyl "
+            "shell bound S on; kernel dimensions and flat profiles are "
+            "unchanged under cutoff + 4.",
+            ["stability:cutoff"],
             _suite_stability,
         ),
     ]

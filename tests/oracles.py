@@ -3,7 +3,7 @@
 Everything here is computed by routes the package itself does not use:
 Bernoulli recurrences, literal root expansions reduced to the elementary
 symmetric basis, closed-form twisted spectra, and block-by-block scipy
-eigensolves.
+and numpy eigensolves.
 """
 
 import math
@@ -136,6 +136,23 @@ def full_stack_kernel_oracle(blocks, metric, tol):
     if nonzero.size and nonzero.min() < 10 * tol:
         return None
     return int(np.sum(mags < tol))
+
+
+def block_flow_oracle(op0, op1, tol):
+    """Per-block spectral flow c_k = #pos_k(1+) - #pos_k(0+) of a loop family.
+
+    op0 and op1 are the family's operators at t = 0 and t = 1.  Each block's
+    odd restriction is solved on its own by ``np.linalg.eigvalsh``, scaled by
+    2*pi and shifted by +10 * tol, and its positive eigenvalues are counted.
+    Returns {k: c_k} for the blocks with c_k != 0, k a tuple of frequencies.
+    """
+    counts = [
+        [int(np.sum(np.linalg.eigvalsh(block) * UNIT + 10 * tol > 0))
+         for block in op.restricted_odd_stack()]
+        for op in (op0, op1)
+    ]
+    return {tuple(int(x) for x in k): c1 - c0
+            for k, c0, c1 in zip(op0.freqs, *counts) if c1 != c0}
 
 
 def twisted_circle_cohomology_oracle(theta):

@@ -78,7 +78,7 @@ def test_criterion_4_lusztig_example():
     flows = {}
     for cutoff in (8, 12):
         fam = hodge_numeric.lusztig_family(cutoff=cutoff, resolution=64)
-        flows[cutoff] = hodge_numeric.spectral_flow_both(fam, tol=1e-8)
+        flows[cutoff] = hodge_numeric.spectral_flow(fam, tol=1e-8)
     ok = abs(flows[8].flow_plus) == 1
     ok = ok and flows[8].flow_plus == flows[8].flow_minus
     ok = ok and flows[8].flow_plus == flows[12].flow_plus
@@ -107,7 +107,7 @@ def test_criterion_5_vanishing_mechanism():
     profile = report["profile"]
     ok = ok and profile[0] == 2 and profile[-1] == 2
     ok = ok and all(d == 0 for d in profile[1:-1]) and not report["constant"]
-    flow = hodge_numeric.spectral_flow_both(
+    flow = hodge_numeric.spectral_flow(
         hodge_numeric.lusztig_family(cutoff=8, resolution=64), tol=1e-8
     )
     ok = ok and flow.flow_plus != 0
@@ -157,7 +157,7 @@ def test_criterion_9_truncation_stability():
     for cutoff in (8, 12):
         for grid in (64, 128):
             fam = hodge_numeric.lusztig_family(cutoff=cutoff, resolution=grid)
-            flows.add(hodge_numeric.spectral_flow_both(fam, tol=1e-8).flow_plus)
+            flows.add(hodge_numeric.spectral_flow(fam, tol=1e-8).flow_plus)
     ok = ok and len(flows) == 1
     profiles = []
     for cutoff in (8, 12):

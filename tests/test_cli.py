@@ -141,6 +141,32 @@ def test_bad_tolerance_exit_two():
     assert main(["run", "--suite", "genus", "--tol", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("order,code", [(-7, 2), (-1, 2), (0, 0), (20, 0), (21, 2)])
+def test_order_range_checked(tmp_path, capsys, order, code):
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "genus", "--order", str(order), "--out", str(out)]) == code
+    if code:
+        assert "order must lie in [0, 20]" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["config"]["order"] == order
+
+
+def test_out_in_missing_directory_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", "--suite", "bott-reduction", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("cutoff", [1, 16, 17, 20, 64, 1024])
+def test_all_suites_pass_at_every_cutoff(tmp_path, cutoff):
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "all", "--cutoff", str(cutoff), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
+
+
 def test_descriptor_bundle_run(tmp_path):
     desc = {
         "label": "line-family",
@@ -303,9 +329,6 @@ def test_missing_descriptor_exit_two():
     ids=["lusztig", "all", "descriptor"])
 def test_cutoff_above_bound_exit_two_before_assembly(tmp_path, monkeypatch, capsys, args):
     from tautsig import hodge_numeric
-    from tautsig.suites import _STABILITY_CAP
-
-    assert hodge_numeric.MAX_CUTOFF >= _STABILITY_CAP
 
     def forbidden(*args, **kwargs):
         raise AssertionError("assembled")

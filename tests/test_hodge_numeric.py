@@ -29,11 +29,12 @@ from tautsig.hodge_numeric import (
     lusztig_family,
     load_descriptor,
     lusztig_pair_family,
+    shell_bound,
     spectral_flow,
-    spectral_flow_both,
 )
 
 from oracles import (
+    block_flow_oracle,
     circle_spectrum_oracle,
     full_stack_kernel_oracle,
     twisted_circle_cohomology_oracle,
@@ -352,14 +353,19 @@ def test_loop_flag_verified_by_conjugator():
 
 
 def test_flow_endpoint_kernel_error():
-    fam = lusztig_family(cutoff=6, resolution=16)
-    with pytest.raises(EndpointKernelError, match="perturb endpoints"):
-        spectral_flow(fam, endpoint_shift=None)
+    # Eigenvalues 0 and +-10*tol at both endpoints: one of the two shifts
+    # by +-10*tol moves an eigenvalue onto zero.
+    tol = 1e-8
+    bundle = MonodromyBundle.from_connection(
+        np.eye(2), [np.diag([0.0, 10 * tol / UNIT]).astype(complex)], globally_flat=True)
+    fam = constant_family(bundle, cutoff=4, resolution=4)
+    with pytest.raises(EndpointKernelError, match="endpoint shift failed to clear the kernel"):
+        spectral_flow(fam, tol)
 
 
 def test_lusztig_flow_is_generator_both_shifts():
     fam = lusztig_family(cutoff=8, resolution=64)
-    result = spectral_flow_both(fam)
+    result = spectral_flow(fam)
     assert abs(result.flow_plus) == 1
     assert result.flow_plus == result.flow_minus
     assert result.magnitude == 1
@@ -369,22 +375,22 @@ def test_flow_stable_under_cutoff_increase():
     flows = []
     for cutoff in (8, 12):
         fam = lusztig_family(cutoff=cutoff, resolution=64)
-        flows.append(spectral_flow_both(fam).flow_plus)
+        flows.append(spectral_flow(fam).flow_plus)
     assert flows[0] == flows[1]
 
 
 def test_flow_additive_under_double_traversal():
     fam = lusztig_family(cutoff=8, resolution=128, speed=2)
-    result = spectral_flow_both(fam)
+    result = spectral_flow(fam)
     assert abs(result.flow_plus) == 2
-    single = spectral_flow_both(lusztig_family(cutoff=8, resolution=64))
+    single = spectral_flow(lusztig_family(cutoff=8, resolution=64))
     assert result.flow_plus == 2 * single.flow_plus
 
 
 def test_constant_family_zero_flow():
     fam = constant_family(line_bundle([0.4], globally_flat=True),
                           cutoff=8, resolution=16)
-    result = spectral_flow_both(fam)
+    result = spectral_flow(fam)
     assert result.flow_plus == 0 and result.flow_minus == 0
 
 
@@ -406,7 +412,7 @@ def test_flow_rejects_bad_interior_nodes(connection, message):
     data = {"n": 1, "eta": eye, "monodromies": [eye],
             "family": {"connection": [connection], "grid": 8, "loop": True}}
     with pytest.raises(HodgeError, match=re.escape(message)) as exc:
-        spectral_flow_both(family_from_descriptor(data, cutoff=4))
+        spectral_flow(family_from_descriptor(data, cutoff=4))
     assert type(exc.value) is HodgeError
 
 
@@ -442,12 +448,52 @@ def test_flow_matches_grid_walk_and_speeds(loop):
     data = {"n": 1, "eta": diag(etas), "monodromies": [diag([1] * len(etas))],
             "family": {"connection": [diag([f"{k}*t" for k in speeds])],
                        "grid": grid, "loop": True}}
-    result = spectral_flow_both(family_from_descriptor(data, cutoff=cutoff))
+    result = spectral_flow(family_from_descriptor(data, cutoff=cutoff))
     flows = (result.flow_plus, result.flow_minus)
     assert flows == _grid_walk_flows(family_from_descriptor(data, cutoff=cutoff))
     expected = sum(s * k for s, k in zip(etas, speeds))
     assert flows == (expected, expected)
     assert result.nodes_used == grid + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_blocks_have_singular_values_norm_k(n):
+    # The premise of the shell bound: with no connection, block k is L_k, and
+    # every singular value of L_k, also from the even forms, is |k|_2.
+    op = assemble(line_bundle([0.0] * n), cutoff=2)
+    norms = np.linalg.norm(op.freqs, axis=1)[:, None]
+    for cols in (slice(None), op.frame.even):
+        svals = np.linalg.svd(op.blocks[:, :, cols], compute_uv=False)
+        assert np.allclose(svals, norms, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make,sup,blocks",
+    [(lambda cutoff: lusztig_family(cutoff, 8, speed=1), 1, {(-1,): 1}),
+     (lambda cutoff: lusztig_family(cutoff, 8, speed=2), 2, {(-2,): 1, (-1,): 1}),
+     (lambda cutoff: lusztig_family(cutoff, 8, speed=3), 3,
+      {(-3,): 1, (-2,): 1, (-1,): 1}),
+     (lambda cutoff: lusztig_pair_family(cutoff, 8), 1, {(-1,): 1, (0,): -1})],
+    ids=["line-x1", "line-x2", "line-x3", "pair"],
+)
+def test_shell_bound_certifies_the_flow(make, sup, blocks):
+    fam = make(8)
+    shell, bound = shell_bound(fam)
+    assert shell == sup + 1 and bound == pytest.approx(sup, abs=1e-12)
+    # Only blocks within the bound change their positive index.
+    per_block = block_flow_oracle(fam.operator(0), fam.operator(1), 1e-8)
+    assert per_block == blocks
+    assert all(math.hypot(*k) <= bound for k in per_block)
+    flows = [spectral_flow(make(cutoff)).flow_plus for cutoff in (shell, shell + 4)]
+    assert flows == [sum(blocks.values())] * 2 == [spectral_flow(fam).flow_plus] * 2
+
+
+def test_shell_bound_needs_the_identity_metric():
+    eta = np.array([[2.0, 1.0], [1.0, -1.0]])
+    conn = [np.linalg.solve(eta, np.array([[0.3, 0.1], [0.1, 0.2]]))]
+    bundle = MonodromyBundle.from_connection(eta, conn, globally_flat=True)
+    with pytest.raises(HodgeError, match="identity frame metric"):
+        shell_bound(constant_family(bundle, cutoff=3, resolution=4))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +610,7 @@ def test_family_descriptor_connection_entries():
     fam = family_from_descriptor(data, cutoff=6)
     report = kernel_constancy_report(fam)
     assert report["profile"][0] == 2 and report["profile"][-1] == 2
-    flow = spectral_flow_both(fam)
+    flow = spectral_flow(fam)
     assert abs(flow.flow_plus) == 1
 
 
@@ -662,7 +708,7 @@ def test_descriptor_family_parses_entries_once(monkeypatch):
         "family": {"connection": [[["t"]]], "grid": 8, "loop": True},
     }
     fam = family_from_descriptor(data, cutoff=4)
-    spectral_flow_both(fam)
+    spectral_flow(fam)
     assert calls.count("t") == 1
 
 
@@ -703,18 +749,17 @@ def test_constant_family_assembles_once(monkeypatch, thetas, cutoff):
     ids=["line", "pair-refined"],
 )
 def test_endpoint_shift_passes_share_spectra(monkeypatch, make, flow):
+    # Both endpoints have a kernel, so the flow reads both shifts from the
+    # one pass's endpoint spectra, and that pass assembles each node once.
     calls = _count_assemble(monkeypatch)
-    fam = make()
-    with pytest.raises(EndpointKernelError):
-        spectral_flow(fam)
-    result = spectral_flow_both(fam)
+    result = spectral_flow(make())
     assert abs(result.flow_plus) == abs(result.flow_minus) == flow
     assert len(calls) == result.nodes_used
 
 
 def _profile_then_flow(fam):
     assert not kernel_constancy_report(fam)["constant"]
-    return spectral_flow_both(fam)
+    return spectral_flow(fam)
 
 
 def _count_stack_solves(monkeypatch):
@@ -748,10 +793,11 @@ def _count_stack_solves(monkeypatch):
     "run,stacks,solves",
     # The line family solves its two endpoints and checks 15 interior nodes.
     # Its profile solves every node's odd restriction for the kernel
-    # dimension, and the flow after it reads those solves and checks.  The
-    # constant family's one operator is checked and solved once.
-    [(lambda: spectral_flow_both(lusztig_family(cutoff=6, resolution=16)), 17, 2),
-     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 17, 17),
+    # dimension; the flow after it builds its own pass of 17 nodes and solves
+    # its two endpoints.  The constant family's one operator is checked and
+    # solved once.
+    [(lambda: spectral_flow(lusztig_family(cutoff=6, resolution=16)), 17, 2),
+     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 34, 19),
      (lambda: kernel_constancy_report(
          constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1, 1)],
     ids=["line", "line-profile", "constant"],
@@ -794,7 +840,8 @@ def test_cached_structure_is_read_only():
     for arr in (*ext, iota, tau, lattice):
         with pytest.raises(ValueError):
             arr[0] = 0
-    spectrum = constant_family(line_bundle([0.4]), cutoff=4, resolution=4).spectrum(0)
+    spectrum = constant_family(line_bundle([0.4]), cutoff=4,
+                               resolution=4).operator(0).odd_spectrum()
     with pytest.raises(ValueError):
         spectrum[0] = 0.0
 
@@ -810,7 +857,7 @@ def test_cached_operator_matches_fresh_assembly():
     assert np.array_equal(cached.blocks, fresh.blocks)
     assert np.array_equal(cached.eigen_system()[0], fresh.eigen_system()[0])
     assert np.array_equal(cached.odd_spectrum(), fresh.odd_spectrum())
-    assert np.array_equal(fam.spectrum(F(3, 8)), fresh.odd_spectrum())
+    assert np.array_equal(fam.operator(F(3, 8)).odd_spectrum(), fresh.odd_spectrum())
 
 
 def test_assembly_budget_refused_before_allocation(monkeypatch):
@@ -913,7 +960,7 @@ def test_cached_frame_read_only_and_cutoff_free(make):
     ids=["line-x1", "line-x2", "line-x3", "pair-8", "pair-12"],
 )
 def test_flow_results_pinned(make, pinned):
-    result = spectral_flow_both(make())
+    result = spectral_flow(make())
     assert (result.flow_plus, result.flow_minus, result.nodes_used) == pinned
 
 
@@ -941,9 +988,9 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
     monkeypatch.setattr(hn.MonodromyBundle, "__post_init__", post_init)
     hn._eta_signature.cache_clear()
     fam = lusztig_family(cutoff=8, resolution=64)
-    spectral_flow_both(fam)
+    spectral_flow(fam)
     # One bundle per grid node, plus the t = 0 and t = 1 pair that
-    # verify_loop builds once per family.
+    # verify_loop builds.
     assert counts["bundles"] == len(fam.grid) + 2
     assert counts["expm"] == counts["bundles"]
     assert counts["eta_eigvalsh"] <= 1
@@ -951,10 +998,11 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "suite,descriptor,expected",
-    # descriptor: the bundle, then each node of the 32-step family grid.
-    # vanishing: four constant families, then each node of the 64-step line
-    # grid, whose profile nodes are among the flow nodes.
-    [("descriptor", "lusztig_family.json", 34), ("vanishing", None, 69)],
+    # descriptor: the bundle, then each node of the 32-step family grid once
+    # for the profile and once for the flow.  vanishing: four constant
+    # families, then the 17 profile nodes and the 65 flow nodes of the line
+    # family.  A flow shares no node with a profile before it.
+    [("descriptor", "lusztig_family.json", 67), ("vanishing", None, 86)],
 )
 def test_suite_assembles_each_node_once(monkeypatch, suite, descriptor, expected):
     from tautsig import suites
