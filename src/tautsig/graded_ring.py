@@ -41,8 +41,23 @@ Spaces are not mutated after construction, so pure per-space values are
 computed once and live as long as their space: each :class:`ModelSpace`
 keeps the normal forms of the raw products it has normalized and its basis
 per degree, and each :class:`ProductSpace` keeps the products of the
-monomial pairs it has multiplied.  Cached values are returned as fresh
-copies, tuples or read-only mappings, so no caller can change them.
+monomial pairs it has multiplied and each monomial's degree profile (its
+degree in every factor).  Cached values are returned as tuples or
+read-only mappings, so no caller can change them.
+
+Products skip pairs that cannot survive
+---------------------------------------
+``GradedClass.__mul__`` groups the terms of two components by degree
+profile and skips every pair of groups in which some factor's degrees add
+up past that factor's top degree.  This is exact: the factor's part of
+every such monomial product is a raw product above its top degree, which
+:meth:`ModelSpace.normalize` sends to ``{}`` before it looks at any
+relation, so each skipped pair would have contributed zero.  Nothing is
+grouped when one component has a single term, since grouping would then
+cost as much as the pairs it skips, or when the two components' degrees
+add up to at most the smallest factor top degree, since no factor can then
+overflow; on a one-factor space that is every pair the total degree check
+lets through.
 """
 
 from __future__ import annotations
@@ -84,6 +99,9 @@ _MAX_REWRITE_DEPTH = 64
 _MAX_COEFF_BITS = 4096
 _MAX_COEFF_DIGITS = 1234
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# A loaded space is checked for associativity on every ordered triple of
+# generators, so the check grows with the cube of this bound.
+MAX_DESCRIPTOR_GENERATORS = 16
 
 
 class SpaceError(ValueError):
@@ -137,7 +155,7 @@ class ModelSpace:
         self.fundamental_monomial = (
             tuple(fundamental_class) if fundamental_class is not None else None
         )
-        self._norm_cache: dict[tuple, dict] = {}
+        self._norm_cache: dict[tuple, Mapping[tuple, Coeff]] = {}
         self._basis_cache: dict[int, tuple] = {}
         self._check_graded_relations()
         fund = self.fundamental_monomial
@@ -224,14 +242,14 @@ class ModelSpace:
             del remaining[pos]
         return tuple(remaining), sign
 
-    def normalize(self, seq: Sequence[int], _depth: int = 0) -> dict[tuple, Coeff]:
-        """Normal form of a raw generator product, as {monomial: coefficient}."""
+    def normalize(self, seq: Sequence[int], _depth: int = 0) -> Mapping[tuple, Coeff]:
+        """Normal form of a raw generator product, as a read-only {monomial: coefficient}."""
         if _depth > _MAX_REWRITE_DEPTH:
             raise SpaceError("relation rewriting does not terminate")
         key = tuple(seq)
         cached = self._norm_cache.get(key)
         if cached is not None:
-            return dict(cached)
+            return cached
         mon, sign = self._sort_with_sign(seq)
         result: dict[tuple, Coeff]
         if self.monomial_degree(mon) > self.top_degree:
@@ -251,9 +269,10 @@ class ModelSpace:
                     for m2, c2 in self.normalize(sub + remaining, _depth + 1).items():
                         result[m2] = result.get(m2, 0) + sign * esign * coeff * c2
                 result = {m: _exact(c) for m, c in result.items() if c}
-        if _depth == 0:
-            self._norm_cache[key] = dict(result)
-        return result
+        # Kept at every depth, so relations whose right-hand sides share
+        # products rewrite each product once, not once per path to it.
+        cached = self._norm_cache[key] = MappingProxyType(result)
+        return cached
 
     # -- basis ------------------------------------------------------------
 
@@ -321,7 +340,8 @@ class ProductSpace:
         self.factors = tuple(factors)
         if not all(isinstance(f, ModelSpace) for f in self.factors):
             raise SpaceError("product factors must be model spaces")
-        self.top_degree = sum(f.top_degree for f in self.factors)
+        self._factor_tops = tuple(f.top_degree for f in self.factors)
+        self.top_degree = sum(self._factor_tops)
         if all(f.fundamental_monomial is not None for f in self.factors):
             self.fundamental_monomial = tuple(
                 f.fundamental_monomial for f in self.factors
@@ -332,9 +352,20 @@ class ProductSpace:
         self._key = ("product", tuple(f._key for f in self.factors))
         # (m1, m2) -> read-only product of the two monomials.
         self._mul_cache: dict[tuple, Mapping[Monomial, Coeff]] = {}
+        # monomial -> its degree in each factor.
+        self._profiles: dict[Monomial, tuple[int, ...]] = {}
 
     def monomial_degree(self, mon: Monomial) -> int:
         return sum(f.monomial_degree(m) for f, m in zip(self.factors, mon))
+
+    def profile(self, mon: Monomial) -> tuple[int, ...]:
+        """Degree of the monomial in each factor."""
+        found = self._profiles.get(mon)
+        if found is None:
+            found = self._profiles[mon] = tuple(
+                f.monomial_degree(m) for f, m in zip(self.factors, mon)
+            )
+        return found
 
     def monomial_str(self, mon: Monomial) -> str:
         return " x ".join(f.monomial_str(m) for f, m in zip(self.factors, mon)) or "1"
@@ -356,6 +387,9 @@ class ProductSpace:
         result: dict[Monomial, Coeff] = {(): -1 if negate else 1}
         for f, a, b in zip(self.factors, m1, m2):
             part = f.normalize(a + b)
+            if not part:
+                result = {}
+                break
             result = {
                 mon + (m,): c * pc for mon, c in result.items() for m, pc in part.items()
             }
@@ -510,26 +544,33 @@ class GradedClass:
                 },
             )
         self._require_same_space(other)
-        mul = self.space.mul_monomials
+        space = self.space
+        mul = space.mul_monomials
         comps: dict[int, dict[Monomial, Coeff]] = {}
         for d1, m1s in self.components.items():
             for d2, m2s in other.components.items():
                 d = d1 + d2
-                if d > self.space.top_degree:
+                if d > space.top_degree:
                     continue
+                # See "Products skip pairs that cannot survive" above.
+                if len(m1s) == 1 or len(m2s) == 1 or d <= min(space._factor_tops, default=0):
+                    blocks = ((m1s.items(), m2s.items()),)
+                else:
+                    blocks = _surviving_blocks(space, m1s, m2s)
                 dst = comps.setdefault(d, {})
-                for m1, c1 in m1s.items():
-                    for m2, c2 in m2s.items():
-                        c12 = c1 * c2
-                        for m, c in mul(m1, m2).items():
-                            # Koszul and relation coefficients are mostly +-1.
-                            if c == 1:
-                                dst[m] = dst.get(m, 0) + c12
-                            elif c == -1:
-                                dst[m] = dst.get(m, 0) - c12
-                            else:
-                                dst[m] = dst.get(m, 0) + c12 * c
-        return GradedClass(self.space, comps)
+                for terms1, terms2 in blocks:
+                    for m1, c1 in terms1:
+                        for m2, c2 in terms2:
+                            c12 = c1 * c2
+                            for m, c in mul(m1, m2).items():
+                                # Koszul and relation coefficients are mostly +-1.
+                                if c == 1:
+                                    dst[m] = dst.get(m, 0) + c12
+                                elif c == -1:
+                                    dst[m] = dst.get(m, 0) - c12
+                                else:
+                                    dst[m] = dst.get(m, 0) + c12 * c
+        return GradedClass(space, comps)
 
     __rmul__ = __mul__
 
@@ -553,7 +594,9 @@ class GradedClass:
             other = self.space.one() * other
         if not isinstance(other, GradedClass):
             return NotImplemented
-        return self.space == other.space and (self - other).is_zero()
+        # Storage is canonical (no zero coefficient, no empty degree, an
+        # integral value stored as an int), so equal classes store equal dicts.
+        return self.space == other.space and self.components == other.components
 
     def __hash__(self):
         raise TypeError("GradedClass is unhashable")
@@ -566,6 +609,30 @@ class GradedClass:
             for m, c in sorted(self.components[d].items()):
                 terms.append(f"{c}*{self.space.monomial_str(m)}")
         return " + ".join(terms)
+
+
+def _surviving_blocks(space: ProductSpace, m1s: Mapping, m2s: Mapping):
+    """Yield (terms of m1s, terms of m2s) for every block whose products may survive.
+
+    Both components are grouped by degree profile, and a pair of groups is
+    skipped when some factor's degrees add up past that factor's top
+    degree: that factor's raw product normalizes to zero before any
+    relation is read, so every product in the block is zero.
+    """
+    tops = space._factor_tops
+    groups2 = _profile_groups(space, m2s)
+    for p1, terms1 in _profile_groups(space, m1s):
+        for p2, terms2 in groups2:
+            if all(a + b <= t for a, b, t in zip(p1, p2, tops)):
+                yield terms1, terms2
+
+
+def _profile_groups(space: ProductSpace, mons: Mapping[Monomial, Coeff]) -> list:
+    """The terms of one component as [(profile, [(monomial, coefficient), ...]), ...]."""
+    groups: dict[tuple, list] = {}
+    for m, c in mons.items():
+        groups.setdefault(space.profile(m), []).append((m, c))
+    return list(groups.items())
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +825,10 @@ def space_from_descriptor(data: Mapping) -> ProductSpace:
         name = data["name"]
         if not isinstance(name, str):
             raise SpaceError("space name must be a string")
+        if len(data["generators"]) > MAX_DESCRIPTOR_GENERATORS:
+            raise SpaceError(
+                f"a space descriptor has at most {MAX_DESCRIPTOR_GENERATORS} generators"
+            )
         generators = [(g["symbol"], _json_int(g["degree"], "degree"))
                       for g in data["generators"]]
         top = _json_int(data["top_degree"], "top_degree")

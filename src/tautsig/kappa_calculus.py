@@ -226,7 +226,7 @@ def _vertical_class(bundle: BundleModel, k: Optional[int], series: str) -> Grade
     if k is None:
         max_k = min(space.top_degree // 4, GENUS_WEIGHT_CAP)
         return l_class(bundle.vertical_tangent, max_k=max_k, series=series)
-    poly = genus_components(expand_series(series, 2 * max(k, 1)), k)
+    poly = genus_components(expand_series(series, 2 * k), k)
     return poly.evaluate(bundle.vertical_tangent.pontryagin_classes, space)
 
 
@@ -273,7 +273,7 @@ class HigherSignatureInput:
 
 def higher_signature(data: HigherSignatureInput) -> Fraction:
     """<L_k(TM) u, [M]> with the halved-variable multiplicative class."""
-    poly = genus_components(expand_series("L-atiyah-singer", 2 * max(data.k, 1)), data.k)
+    poly = genus_components(expand_series("L-atiyah-singer", 2 * data.k), data.k)
     cls = poly.evaluate(data.tangent.pontryagin_classes, data.manifold)
     return evaluate(cls * data.u)
 

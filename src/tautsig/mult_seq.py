@@ -17,9 +17,13 @@ Caching
 :func:`expand_series` and :func:`genus_components` are pure, so each
 ``(name, order)`` and each ``(series, weight)`` is computed once and kept
 for the life of the process (``functools.lru_cache``; clear with
-``cache_clear()``).  Their results are immutable: a :class:`FormalSeries`
-is a tuple of coefficients, and the ``terms`` of every
-:class:`CharClassPolynomial` are a read-only mapping.
+``cache_clear()``).  The cache key of a genus is its truncated series, so
+every caller asks for weight k with the series truncated at order 2k, the
+least that determines it: ``genus_components(expand_series(name, 2 * k), k)``.
+Weight 0 then reads the series ``1`` of every name, one entry in all.
+Their results are immutable: a :class:`FormalSeries` is a tuple of
+coefficients, and the ``terms`` of every :class:`CharClassPolynomial` are a
+read-only mapping.
 """
 
 from __future__ import annotations
@@ -414,11 +418,11 @@ def l_class(
     space = bundle.space
     if max_k is None:
         max_k = min(space.top_degree // 4, GENUS_WEIGHT_CAP)
-    f = expand_series(series, 2 * max_k if max_k else 2)
+    expand_series(series, 0)  # an unknown name is refused even when max_k is 0
     result = space.one()
     padded = False
     for k in range(1, max_k + 1):
-        poly = genus_components(f, k)
+        poly = genus_components(expand_series(series, 2 * k), k)
         needed = max((len(e) for e in poly.terms), default=0)
         if needed > len(bundle.pontryagin_classes):
             padded = True

@@ -234,10 +234,10 @@ def _suite_genus(config: SuiteConfig) -> list[dict]:
     )
     for k in range(5):
         lk = mult_seq.genus_components(
-            mult_seq.expand_series("L-hirzebruch", 2 * max(k, 1)), k
+            mult_seq.expand_series("L-hirzebruch", 2 * k), k
         )
         clk = mult_seq.genus_components(
-            mult_seq.expand_series("L-atiyah-singer", 2 * max(k, 1)), k
+            mult_seq.expand_series("L-atiyah-singer", 2 * k), k
         )
         cases.append(
             _case(
@@ -699,18 +699,43 @@ def _suite_stability(config: SuiteConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _nonassociative_triple(space: graded_ring.ProductSpace):
+    """The first ordered triple of generators with (a*b)*c != a*(b*c), or None.
+
+    Relation rewriting is not confluent in general, so a descriptor can
+    load and still multiply inconsistently.  Returns the three symbols and
+    the two sides.
+    """
+    (factor,) = space.factors
+    symbols = [sym for sym, _ in factor.generators]
+    gens = [space.gen(sym) for sym in symbols]
+    pairs = [[a * b for b in gens] for a in gens]
+    for i, a in enumerate(gens):
+        for j in range(len(gens)):
+            for k, c in enumerate(gens):
+                left, right = pairs[i][j] * c, a * pairs[j][k]
+                if left != right:
+                    return (symbols[i], symbols[j], symbols[k]), left, right
+    return None
+
+
 def _suite_descriptor(config: SuiteConfig) -> list[dict]:
     cases: list[dict] = []
     data = hodge_numeric.load_descriptor(config.descriptor)
     if "generators" in data:
         space = graded_ring.space_from_descriptor(data)
+        detail = f"top degree {space.top_degree}"
+        failure = _nonassociative_triple(space)
+        if failure is not None:
+            (a, b, c), left, right = failure
+            detail += f"; ({a}*{b})*{c} = {left!r} but {a}*({b}*{c}) = {right!r}"
         cases.append(
             _case(
                 "descriptor",
                 f"model space {space.name} loads and multiplies consistently",
                 "descriptor:model-space",
-                True,
-                detail=f"top degree {space.top_degree}",
+                failure is None,
+                detail=detail,
             )
         )
         return cases

@@ -320,6 +320,52 @@ def test_descriptor_oversized_truncation_exit_two(tmp_path):
     assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
 
 
+_XYW = {
+    "name": "xyw",
+    "generators": [{"symbol": "x", "degree": 2}, {"symbol": "y", "degree": 2},
+                   {"symbol": "w", "degree": 2}, {"symbol": "z", "degree": 4},
+                   {"symbol": "v", "degree": 4}],
+    "relations": [{"lhs": ["x", "y"], "rhs": {"z": 1}}, {"lhs": ["y", "w"], "rhs": {"v": 1}}],
+    "top_degree": 6,
+    "fundamental_class": ["x", "v"],
+}
+
+
+def test_descriptor_space_must_multiply_associatively(tmp_path, capsys):
+    # x*y = z and y*w = v load, but (x*y)*w = w*z while x*(y*w) = x*v.
+    path = tmp_path / "xyw.json"
+    path.write_text(json.dumps(_XYW))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path),
+                 "--format", "text"]) == 1
+    captured = capsys.readouterr()
+    assert ("[FAIL] model space xyw loads and multiplies consistently [descriptor:model-space]"
+            "  (top degree 6; (x*y)*w = 1*w*z but x*(y*w) = 1*x*v)") in captured.out
+    assert "first failing certificate" in captured.err
+    # Without the second relation every triple associates.
+    path.write_text(json.dumps({**_XYW, "relations": _XYW["relations"][:1],
+                                "fundamental_class": ["w", "z"]}))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 0
+    capsys.readouterr()
+    shipped = SHIPPED / "surface_genus2.json"
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(shipped),
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "descriptor,model space surface-genus-2 loads and multiplies consistently,"
+        "descriptor:model-space,pass,top degree 2"]
+
+
+def test_descriptor_space_generator_bound_exit_two(tmp_path, capsys):
+    from tautsig.graded_ring import MAX_DESCRIPTOR_GENERATORS
+
+    path = tmp_path / "wide.json"
+    for count, rc in ((MAX_DESCRIPTOR_GENERATORS, 0), (MAX_DESCRIPTOR_GENERATORS + 1, 2)):
+        path.write_text(json.dumps({
+            "name": "wide", "top_degree": 3,
+            "generators": [{"symbol": f"g{i}", "degree": 1} for i in range(count)]}))
+        assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == rc
+    assert f"at most {MAX_DESCRIPTOR_GENERATORS} generators" in capsys.readouterr().err
+
+
 def test_missing_descriptor_exit_two():
     assert main(["run", "--suite", "descriptor"]) == 2
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -521,6 +522,110 @@ def test_int_backed_ring_matches_fraction_reference(data, base_names, fiber_name
             value = evaluate(got)
             assert type(value) is F
             assert value == want.get(got.space.fundamental_monomial, 0)
+
+
+# -- pruned products -------------------------------------------------------------
+
+SURFACE_DESCRIPTOR = Path(__file__).resolve().parent.parent / "descriptors" / "surface_genus2.json"
+
+
+def factor_profile(space, mon):
+    return tuple(f.monomial_degree(m) for f, m in zip(space.factors, mon))
+
+
+def fits(space, m1, m2):
+    """No factor's degrees add up past its top degree."""
+    return all(a + b <= f.top_degree for a, b, f in
+               zip(factor_profile(space, m1), factor_profile(space, m2), space.factors))
+
+
+# Products of two or three presets, or the shipped surface descriptor with
+# at most one preset beside it.
+dense_spaces = (
+    st.lists(st.sampled_from(PRESETS), min_size=2, max_size=3).map(presets_space)
+    | st.lists(st.sampled_from(PRESETS), max_size=1).map(
+        lambda names: product_space(
+            space_from_descriptor(load_descriptor(SURFACE_DESCRIPTOR)), presets_space(names)))
+)
+
+
+@st.composite
+def dense_classes(draw, space):
+    """Every basis monomial of one degree, each with a nonzero coefficient."""
+    basis = space.basis(draw(st.integers(0, space.top_degree)))
+    coeffs = draw(st.lists(COEFFS.filter(bool), min_size=len(basis), max_size=len(basis)))
+    return GradedClass(space, {space.monomial_degree(basis[0]): dict(zip(basis, coeffs))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), dense_spaces)
+def test_pruned_product_matches_reference_on_dense_classes(data, space):
+    # ref_mul sends every pair through mul_monomials; most pairs of two
+    # full bases overflow some factor, so most of them are pruned.
+    x, y = data.draw(dense_classes(space)), data.draw(dense_classes(space))
+    got = x * y
+    assert_canonical(got)
+    assert as_reference(got) == ref_mul(space, as_reference(x), as_reference(y))
+    assert got == y * x * (-1) ** (x.degree() * y.degree())
+
+
+@pytest.mark.parametrize("terms,multiplied", [(35, 1), (174, 10314)], ids=["35-terms", "full"])
+def test_square_multiplies_only_degree_compatible_pairs(monkeypatch, terms, multiplied):
+    # The first 35 basis monomials are what the ring benchmark's p1 draws
+    # from: of their 1225 pairs, one fits into every factor.
+    space = product_space(torus(4), surface(2), surface(2))
+    basis = space.basis(4)[:terms]
+    p1 = GradedClass(space, {4: {m: 1 + i % 3 for i, m in enumerate(basis)}})
+    want = ref_mul(space, as_reference(p1), as_reference(p1))
+    calls = []
+    real = ProductSpace.mul_monomials
+
+    def counted(self, m1, m2):
+        calls.append((m1, m2))
+        return real(self, m1, m2)
+
+    monkeypatch.setattr(ProductSpace, "mul_monomials", counted)
+    square = p1 * p1
+    compatible = [(m1, m2) for m1 in basis for m2 in basis if fits(space, m1, m2)]
+    assert sorted(calls) == sorted(compatible)
+    assert len(calls) == multiplied
+    assert as_reference(square) == want
+
+
+def test_shared_rewrites_are_normalized_once(monkeypatch):
+    # Two products per level, each rewritten to the sum of the next level's
+    # two: 2**40 paths to the last level, 80 distinct products.
+    pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
+    relations = {pairs[2 * level + i]: {pairs[2 * level + 2]: 1, pairs[2 * level + 3]: 1}
+                 for level in range(40) for i in (0, 1)}
+    space = ModelSpace("chain", [(f"g{i}", 1) for i in range(16)], relations, top_degree=2)
+    calls = []
+    real = ModelSpace.normalize
+
+    def counted(self, seq, _depth=0):
+        calls.append(tuple(seq))
+        return real(self, seq, _depth)
+
+    monkeypatch.setattr(ModelSpace, "normalize", counted)
+    assert space.normalize(pairs[0]) == {pairs[80]: 2 ** 39, pairs[81]: 2 ** 39}
+    assert len(calls) < 4 * len(relations)
+
+
+def test_equality_compares_canonical_components(monkeypatch):
+    t2 = torus(2)
+    x = t2.gen("u1") * F(1, 2) + t2.one() * 3
+    same = GradedClass(t2, {0: {((),): F(6, 2)}, 1: {((0,),): F(1, 2)}, 2: {((0, 1),): 0}})
+
+    def forbidden(*args):
+        raise AssertionError("equality must not build a difference")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(GradedClass, name, forbidden)
+    assert x == same and same == x and not x != same
+    assert x != t2.one() * 3 and x != torus(3).one() * 3
+    assert t2.one() * 3 == 3 == t2.one() * F(3) and t2.one() * F(3, 2) == F(3, 2)
+    assert t2.zero() == 0 and t2.zero() != 1 and t2.gen("u1") != 0
+    assert (x == "x") is False
 
 
 def test_integral_fractions_are_stored_as_ints():

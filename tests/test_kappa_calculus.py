@@ -35,7 +35,7 @@ from tautsig.kappa_calculus import (
     surface_flat_bundle_sch,
     trivial_flat_model,
 )
-from tautsig.mult_seq import BundleData
+from tautsig.mult_seq import BundleData, genus_components, l_class
 
 
 # -- kappa ---------------------------------------------------------------------
@@ -365,3 +365,19 @@ def test_bundle_model_class_space_guard():
             vertical_tangent=BundleData.trivial_real(product_space(circle(), circle())),
             pullbacks={"u": circle().gen("u")},
         )
+
+
+def test_one_genus_entry_per_weight():
+    genus_components.cache_clear()
+    model = bundle_model("m", base=surface(1), fiber=torus(4))
+    total = model.total
+    p1 = GradedClass(total, {4: {m: 1 for m in total.basis(4)[:6]}})
+    model.vertical_tangent = BundleData(space=total, kind="real-oriented",
+                                        pontryagin_classes=[p1])
+    l_class(model.vertical_tangent, max_k=5)
+    for series in ("L-atiyah-singer", "L-hirzebruch"):
+        for k in range(6):
+            kappa(model, k, series=series)
+    # Weights 1..5 of each series, and weight 0 once for both: l_class and
+    # the per-weight kappas read the same entries.
+    assert genus_components.cache_info().currsize == 11

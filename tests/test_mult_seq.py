@@ -234,6 +234,13 @@ def test_trivial_bundle_total_class():
     assert l_class(BundleData.trivial_real(t2)) == t2.one()
 
 
+def test_l_class_refuses_an_unknown_series_at_weight_zero():
+    bundle = BundleData.trivial_real(torus(2))
+    with pytest.raises(SeriesError, match="unknown series"):
+        l_class(bundle, max_k=0, series="bogus")
+    assert l_class(bundle, max_k=0) == 1
+
+
 def test_missing_classes_flagged():
     t8 = torus(8)
     notes = []
