@@ -25,12 +25,15 @@ cutoff from which the truncated flow no longer changes (Weyl's inequality).
 The numerics are numpy's, and every floating-point decision about eta is
 made here: its hermitian and nonsingular rule and its compatible pair
 (h, sigma).  Monodromies exp(2*pi*i*A) are the elementwise exponential of
-a diagonal A, as in every built-in family.  The generalized problem
-G D v = l G v of a metric G other than the identity is reduced by the
-Cholesky factor G = L L^H to one batched ``np.linalg.eigh`` of
-L^-1 G D L^-H, with eigenvectors normalised to V^H G V = 1.  scipy is
-imported only when a connection that is not diagonal must be
-exponentiated, through the module attribute ``scipy`` (PEP 562).
+a diagonal A, as in every built-in family.  Every operator is assembled in
+an h-orthonormal frame: with the Cholesky factor h = L L^H, the fibre
+coordinates are x' = L^H x, the connection is A'_j = L^H A_j L^-H and tau_V
+is tau (x) L^H sigma L^-H.  D is then d + d^H, hermitian, with the spectrum
+of the h-adjoint operator of the original frame; eigenvectors are
+orthonormal, and forms and pairings are the standard ones.  When h is the
+identity the frame is the original one.  scipy is imported only when a
+connection that is not diagonal must be exponentiated, through the module
+attribute ``scipy`` (PEP 562).
 
 Spectral work is done once per process for each distinct input, and all
 cached arrays are read-only:
@@ -39,11 +42,10 @@ cached arrays are read-only:
 * per (n, cutoff): the frequency lattice;
 * per eta: the hermitian and singularity checks and the signature (p, q);
   a bad eta is not cached and raises on every construction;
-* per (n, eta): the assembly frame -- the pair (h, sigma), the metric and
-  its inverse Cholesky factor (None for the identity metric), tau (x)
-  sigma, the lattice generators ext_j (x) i and the odd restriction's
-  alpha_1 rows and even-parity indices.  Nothing in it grows with the
-  cutoff.
+* per (n, eta): the assembly frame -- the basis change (L^H, L^-H) (None
+  when h is the identity), tau_V, the lattice generators ext_j (x) i and
+  the odd restriction's alpha_1 rows and even-parity indices.  Nothing in
+  it grows with the cutoff.
 
 What depends on the node is still checked at every grid node: each
 bundle's monodromies must preserve eta and commute, a connection given
@@ -343,18 +345,6 @@ class CompatiblePair:
             raise HodgeError("sigma is not an h-isometry")
 
 
-def _reduced_eigh(a: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of A v = l G v for hermitian A and G = L L^H, given L^-1.
-
-    The problem reduces to the hermitian L^-1 A L^-H u = l u with v = L^-H u,
-    so that V^H G V = 1, as ``scipy.linalg.eigh(A, G)`` normalises.  A may
-    carry leading batch axes.
-    """
-    linv_h = linv.conj().T
-    vals, u = np.linalg.eigh(linv @ a @ linv_h)
-    return vals, linv_h @ u
-
-
 def compatible_pair(eta: np.ndarray, h0: np.ndarray | None = None,
                     tolerance: float = 1e-12) -> CompatiblePair:
     """Polar-decomposition pair (h, sigma) with h = eta(. , sigma .).
@@ -374,8 +364,11 @@ def compatible_pair(eta: np.ndarray, h0: np.ndarray | None = None,
     # Forms are conjugate-linear in the first slot: h0(x, y) = x^H H0 y,
     # so h0(S x, y) = eta(x, y) forces S = H0^{-1} eta.
     s_mat = np.linalg.solve(h0, eta)
-    # S is h0-selfadjoint: diagonalize via the generalized problem eta v = l H0 v.
-    eigvals, eigvecs = _reduced_eigh(eta, np.linalg.inv(np.linalg.cholesky(h0)))
+    # S is h0-selfadjoint: diagonalize via the generalized problem eta v = l H0 v,
+    # reduced by H0 = C C^H to the hermitian C^-1 eta C^-H u = l u, v = C^-H u.
+    cinv = np.linalg.inv(np.linalg.cholesky(h0))
+    eigvals, u = np.linalg.eigh(cinv @ eta @ cinv.conj().T)
+    eigvecs = cinv.conj().T @ u
     abs_s = eigvecs @ np.diag(np.abs(eigvals)) @ np.linalg.inv(eigvecs)
     sigma = s_mat @ np.linalg.inv(abs_s)
     h = abs_s.conj().T @ h0  # h(x, y) = h0(|S| x, y) = x^H |S|^H H0 y
@@ -411,11 +404,13 @@ def _structure(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Frame(NamedTuple):
-    """Arrays of an assembly fixed by (n, eta); read-only, none sized by the cutoff."""
+    """Arrays of an assembly fixed by (n, eta); read-only, none sized by the cutoff.
 
-    metric: np.ndarray           # (d, d) positive inner product G = 1 (x) h
-    linv: Optional[np.ndarray]   # (d, d) L^{-1} for G = L L^H, or None when G = 1
-    tau_v: np.ndarray            # (d, d) tau (x) sigma
+    Every array is in the h-orthonormal frame x' = L^H x, h = L L^H.
+    """
+
+    basis: Optional[np.ndarray]  # (2, r, r) L^H and L^-H, or None when h = 1
+    tau_v: np.ndarray            # (d, d) tau (x) L^H sigma L^-H
     iota: np.ndarray             # (d,) +-1 parity vector
     lattice: np.ndarray          # (n, d, d) ext_j (x) i, the coefficient of k_j
     alpha1_even: np.ndarray      # (d/2, d) the even-parity rows of diag(iota) tau_v
@@ -427,14 +422,16 @@ def _frame(n: int, r: int, eta_bytes: bytes) -> _Frame:
     eta = np.frombuffer(eta_bytes, dtype=complex).reshape(r, r)
     ext_np, iota_vec, tau_np = _structure(n)
     pair = compatible_pair(eta)
-    metric = np.kron(np.eye(1 << n, dtype=complex), pair.h)
-    standard = np.allclose(metric, np.eye(metric.shape[0]), atol=1e-14)
-    tau_v = np.kron(tau_np, pair.sigma)
+    sigma, basis = pair.sigma, None
+    if not np.allclose(pair.h, np.eye(r), atol=1e-14):
+        lh = np.linalg.cholesky(pair.h).conj().T
+        basis = np.stack([lh, np.linalg.inv(lh)])
+        sigma = lh @ sigma @ basis[1]
+    tau_v = np.kron(tau_np, sigma)
     iota = np.repeat(iota_vec, r)
     even = np.where(iota > 0)[0]
     frame = _Frame(
-        metric=metric,
-        linv=None if standard else np.linalg.inv(np.linalg.cholesky(metric)),
+        basis=basis,
         tau_v=tau_v,
         iota=iota,
         lattice=np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np]),
@@ -469,10 +466,6 @@ class TruncatedOperator:
         return self.frame.tau_v
 
     @property
-    def metric(self) -> np.ndarray:
-        return self.frame.metric
-
-    @property
     def block_count(self) -> int:
         return self.blocks.shape[0]
 
@@ -483,10 +476,7 @@ class TruncatedOperator:
     def eigen_system(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block eigenvalues (B, d) in physical units and eigenvectors."""
         if self._eig is None:
-            if self.frame.linv is None:
-                vals, vecs = np.linalg.eigh(self.blocks)
-            else:
-                vals, vecs = _reduced_eigh(self.metric @ self.blocks, self.frame.linv)
+            vals, vecs = np.linalg.eigh(self.blocks)
             self._eig = (vals * UNIT, vecs)
         return self._eig
 
@@ -498,12 +488,7 @@ class TruncatedOperator:
         """Structural identities; these hold to exact floating zero."""
         d = self.blocks
         iota = self.iota
-        adj = np.conj(np.swapaxes(d, 1, 2))
-        if self.frame.linv is None:
-            selfadj = float(np.max(np.abs(d - adj)))
-        else:
-            g = self.metric
-            selfadj = float(np.max(np.abs(g @ d - np.conj(np.swapaxes(g @ d, 1, 2)))))
+        selfadj = float(np.max(np.abs(d - np.conj(np.swapaxes(d, 1, 2)))))
         graded = float(np.max(np.abs(d * iota[None, None, :] + d * iota[None, :, None])))
         report = {"selfadjoint": selfadj, "iota_anticommute": graded}
         if self.bundle.n % 2 == 1:
@@ -552,11 +537,16 @@ class TruncatedOperator:
         return out
 
 
-def _connection_term(bundle: MonodromyBundle) -> np.ndarray:
-    """sum_j ext_j (x) i A_j, entry (k a, l b) = sum_j ext_j[k, l] * i A_j[a, b]."""
+def _connection_term(bundle: MonodromyBundle, frame: _Frame) -> np.ndarray:
+    """sum_j ext_j (x) i A'_j, entry (k a, l b) = sum_j ext_j[k, l] * i A'_j[a, b].
+
+    A'_j = L^H A_j L^-H is the connection in the frame's basis.
+    """
     d = (1 << bundle.n) * bundle.rank
-    return np.einsum("jkl,jab->kalb", _structure(bundle.n)[0],
-                     1j * np.array(bundle.connection)).reshape(d, d)
+    conn = np.array(bundle.connection)
+    if frame.basis is not None:
+        conn = frame.basis[0] @ conn @ frame.basis[1]
+    return np.einsum("jkl,jab->kalb", _structure(bundle.n)[0], 1j * conn).reshape(d, d)
 
 
 def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> TruncatedOperator:
@@ -574,12 +564,8 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
     frame = _frame(n, r, bundle.eta.tobytes())
     freqs = _frequency_lattice(n, cutoff)
     k = freqs.astype(float)
-    d_stack = _connection_term(bundle)[None] + np.einsum("bj,jkl->bkl", k, frame.lattice)
-    adj = np.conj(np.swapaxes(d_stack, 1, 2))
-    if frame.linv is not None:
-        ginv = frame.linv.conj().T @ frame.linv  # G^-1 = L^-H L^-1
-        adj = ginv[None] @ adj @ frame.metric[None]
-    blocks = d_stack + adj
+    d_stack = _connection_term(bundle, frame)[None] + np.einsum("bj,jkl->bkl", k, frame.lattice)
+    blocks = d_stack + np.conj(np.swapaxes(d_stack, 1, 2))
     return TruncatedOperator(
         bundle=bundle, cutoff=cutoff, freqs=freqs, blocks=blocks, frame=frame
     )
@@ -630,8 +616,7 @@ def euler_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     """Graded kernel count with respect to the parity grading iota."""
     total = 0.0
     for _, vec in _kernel_vectors(op, tol):
-        weighted = op.metric @ (op.iota * vec)
-        total += float(np.real(np.vdot(vec, weighted) / np.vdot(vec, op.metric @ vec)))
+        total += float(np.real(np.vdot(vec, op.iota * vec)))
     rounded = round(total)
     if abs(total - rounded) > 1e-6:
         raise IndeterminateKernelError(f"graded count {total} is not near an integer")
@@ -653,7 +638,7 @@ def even_signature_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int
         form = np.zeros((m, m), dtype=complex)
         for i in range(m):
             for j in range(m):
-                form[i, j] = np.vdot(vecs[i], op.metric @ (op.tau_v @ vecs[j]))
+                form[i, j] = np.vdot(vecs[i], op.tau_v @ vecs[j])
         if np.max(np.abs(form - form.conj().T)) > 1e-9:
             raise HodgeError("kernel pairing is not hermitian")
         eigs = np.linalg.eigvalsh(form)
@@ -885,15 +870,12 @@ def shell_bound(family: OperatorFamily) -> tuple[int, float]:
     nothing to the flow; so every cutoff >= S = floor(sup) + 1 gives the flow
     of the whole operator.  sup is the larger of ||C(0)||_2 and ||C(1)||_2,
     which bounds the norm for a connection affine in t (the norm is then
-    convex in t); the bound is valid only for such families.  Only the
-    identity frame metric makes the blocks hermitian; any other raises.
+    convex in t); the bound is valid only for such families.
     """
     sup = 0.0
     for t in (0, 1):
         bundle = family.bundle(t)
-        if _frame(bundle.n, bundle.rank, bundle.eta.tobytes()).linv is not None:
-            raise HodgeError("the shell bound needs the identity frame metric")
-        c = _connection_term(bundle)
+        c = _connection_term(bundle, _frame(bundle.n, bundle.rank, bundle.eta.tobytes()))
         sup = max(sup, float(np.linalg.norm(c + c.conj().T, 2)))
     return math.floor(sup) + 1, sup
 
@@ -1097,8 +1079,9 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
     """Family whose entries are expressions in the parameter t.
 
     Families may present either ``connection`` entries (preferred; no
-    branch ambiguity) or diagonal ``monodromies``.  The grid resolution
-    must lie in [2, MAX_GRID].
+    branch ambiguity) or diagonal ``monodromies``, one matrix per circle
+    factor of the descriptor's torus.  The grid resolution must lie in
+    [2, MAX_GRID].
     """
     fam = data.get("family")
     if not fam:
@@ -1110,19 +1093,26 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
         raise HodgeError(f"family grid {grid} outside [2, {MAX_GRID}]")
     if not 1 <= cutoff <= MAX_CUTOFF:
         raise HodgeError(f"cutoff {cutoff} outside [1, {MAX_CUTOFF}]")
-    eta = _eval_matrix(data["eta"])
+    try:
+        n = _integer(data["n"], "n")
+        eta = _eval_matrix(data["eta"])
+    except KeyError as exc:
+        raise HodgeError(f"descriptor missing field {exc}") from exc
     globally_flat = bool(data.get("globally_flat", False))
 
-    if "connection" in fam:
-        matrices = _compile_matrices(fam["connection"], "family connection")
+    key = "connection" if "connection" in fam else "monodromies"
+    if key not in fam:
+        raise HodgeError("family section needs connection or monodromies entries")
+    matrices = _compile_matrices(fam[key], f"family {key}")
+    if len(matrices) != n:
+        raise HodgeError(f"family {key} has {len(matrices)} matrices for n={n}")
 
+    if key == "connection":
         def gen(t: Fraction) -> MonodromyBundle:
             conn = [m(float(t)) for m in matrices]
             return MonodromyBundle.from_connection(eta, conn, globally_flat=globally_flat)
 
-    elif "monodromies" in fam:
-        matrices = _compile_matrices(fam["monodromies"], "family monodromies")
-
+    else:
         def gen(t: Fraction) -> MonodromyBundle:
             mons = [m(float(t)) for m in matrices]
             for m in mons:
@@ -1131,11 +1121,8 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
                         "family monodromies must be diagonal; provide a "
                         "connection section for the general case"
                     )
-            return MonodromyBundle(n=len(mons), eta=eta, monodromies=mons,
+            return MonodromyBundle(n=n, eta=eta, monodromies=mons,
                                    globally_flat=globally_flat)
-
-    else:
-        raise HodgeError("family section needs connection or monodromies entries")
 
     return OperatorFamily(
         generator=gen,

@@ -763,7 +763,8 @@ def _suite_descriptor(config: SuiteConfig) -> list[dict]:
         )
         report = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
         detail = f"profile={report['profile']}"
-        if fam.loop and not report["constant"]:
+        # As in the report, only odd tori have a flow.
+        if fam.loop and not report["constant"] and bundle.n % 2 == 1:
             flow = hodge_numeric.spectral_flow(fam, tol=config.tol)
             detail += f", flow={flow.flow_plus}"
         cases.append(

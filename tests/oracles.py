@@ -8,7 +8,7 @@ and numpy eigensolves.
 
 import math
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -119,19 +119,38 @@ def circle_spectrum_oracle(theta, cutoff):
     return np.sort(np.array(vals))
 
 
-def full_stack_kernel_oracle(blocks, metric, tol):
-    """Kernel dimension of a stacked operator from a full solve of every block.
+def original_frame_spectrum(bundle, cutoff):
+    """Per-block eigenvalues (B, d) of the truncated operator, in the bundle's frame.
 
-    Each block D is G-self-adjoint for the metric G, so its eigenvalues are
-    those of the generalized problem G D v = l G v, solved block by block
-    with eigenvectors by ``scipy.linalg.eigh`` and scaled by 2*pi.  Returns
-    the count of |l| < tol, or None when the smallest |l| >= tol is below
-    10 * tol (an indeterminate kernel).
+    Blocks run over the frequencies |k_j| <= cutoff in lexicographic order.
+    The metric is G = 1 (x) |eta|, the h of the polar pair for the standard
+    h0.  Block k is D_k = d_k + G^-1 d_k^H G with d_k = sum_j ext_j (x)
+    i (k_j + A_j), ext_j from :func:`exterior_oracle`; D_k is G-self-adjoint,
+    so its eigenvalues are those of the generalized problem G D_k v = l G v,
+    solved by ``scipy.linalg.eigh`` and scaled by 2*pi.
     """
     import scipy.linalg
 
-    vals = np.concatenate([scipy.linalg.eigh(metric @ b, metric)[0] for b in blocks])
-    mags = np.abs(vals * UNIT)
+    n, r = bundle.n, bundle.rank
+    w, v = np.linalg.eigh(bundle.eta)
+    g = np.kron(np.eye(2 ** n), v @ np.diag(np.abs(w)) @ v.conj().T)
+    ext = exterior_oracle(n)["ext"]
+    vals = []
+    for k in product(range(-cutoff, cutoff + 1), repeat=n):
+        d = sum(np.kron(e, 1j * (kj * np.eye(r) + a))
+                for e, kj, a in zip(ext, k, bundle.connection))
+        dk = d + np.linalg.solve(g, d.conj().T @ g)
+        vals.append(scipy.linalg.eigh(g @ dk, g, eigvals_only=True))
+    return np.array(vals) * UNIT
+
+
+def full_stack_kernel_oracle(bundle, cutoff, tol):
+    """Kernel dimension of the truncated operator from :func:`original_frame_spectrum`.
+
+    Returns the count of |l| < tol, or None when the smallest |l| >= tol is
+    below 10 * tol (an indeterminate kernel).
+    """
+    mags = np.abs(original_frame_spectrum(bundle, cutoff))
     nonzero = mags[mags >= tol]
     if nonzero.size and nonzero.min() < 10 * tol:
         return None

@@ -188,6 +188,45 @@ def test_descriptor_bundle_run(tmp_path):
     assert any("flow" in d for d in details)
 
 
+def _descriptor_details(tmp_path, desc):
+    path, out = tmp_path / "desc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(desc))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path),
+                 "--cutoff", "4", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    return {c["anchor"]: c for s in report["suites"] for c in s["cases"]}
+
+
+def test_even_torus_loop_family_reports_profile_only(tmp_path):
+    # Spectral flow needs an odd torus; the T^2 family's kernel profile
+    # (4 at t = 0 and 1, 0 between) is not constant and is reported alone.
+    cases = _descriptor_details(tmp_path, {
+        "n": 2, "eta": [[1]], "monodromies": [[[1]], [[1]]],
+        "family": {"connection": [[["t"]], [[0]]], "grid": 8, "loop": True},
+    })
+    family = cases["descriptor:family"]
+    assert family["ok"]
+    assert family["detail"] == "profile=[4, 0, 0, 0, 0, 0, 0, 0, 4]"
+
+
+def test_non_unitary_eta_descriptor_runs(tmp_path):
+    import math
+
+    import numpy as np
+    import scipy.linalg
+
+    # eta = diag(2, -1) with the eta-self-adjoint A, which does not commute
+    # with the compatible metric h = diag(2, 1).
+    a = [[0.1, 0.2], [-0.4, 0.3]]
+    m = scipy.linalg.expm(2j * math.pi * np.array(a))
+    cases = _descriptor_details(tmp_path, {
+        "n": 1, "eta": [[2, 0], [0, -1]], "connection": [a],
+        "monodromies": [[[[z.real, z.imag] for z in row] for row in m]],
+    })
+    bundle = cases["descriptor:bundle"]
+    assert bundle["ok"] and bundle["case"].endswith("kernel dimension 0")
+
+
 _OPEN_SPACE = {
     "name": "open",
     "generators": [{"symbol": "x", "degree": 1}],
@@ -226,6 +265,11 @@ def _space_with_relations(relations):
         json.dumps({**_LINE, "monodromies": 3}),
         json.dumps({**_LINE, "family": {"connection": 3}}),
         json.dumps({**_LINE, "family": 5}),
+        json.dumps({**_LINE, "family": {"connection": [[["t"]], [[0.5]]], "grid": 4,
+                                         "loop": True}}),
+        json.dumps({"n": 2, "eta": [[1]], "monodromies": [[[1]], [[1]]],
+                    "family": {"monodromies": [[["exp(2*pi*i*t)"]]], "grid": 4,
+                               "loop": True}}),
         json.dumps({"n": 1, "p": 2, "q": 0, "eta": [[1, 0], [0, -1]],
                     "monodromies": [[[1, 0], [0, 1]]]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": 1.7}]}),
@@ -244,7 +288,8 @@ def _space_with_relations(relations):
     ids=["not-json", "relation-unknown-symbol", "fundamental-unknown-symbol",
          "relation-without-lhs", "array", "string", "deep-nesting", "eta-number",
          "eta-ragged", "n-list", "monodromies-number", "family-connection-number",
-         "family-number", "signature-mismatch", "degree-float", "degree-string",
+         "family-number", "family-connection-count", "family-monodromies-count",
+         "signature-mismatch", "degree-float", "degree-string",
          "degree-bool", "top-degree-float", "top-degree-negative",
          "relation-given-twice", "coefficient-exponent", "coefficient-zero-denominator",
          "coefficient-float", "fundamental-unsorted", "fundamental-odd-square"],

@@ -15,6 +15,7 @@ from tautsig.hodge_numeric import (
     HodgeError,
     IndeterminateKernelError,
     MonodromyBundle,
+    OperatorFamily,
     assemble,
     bundle_from_descriptor,
     constant_family,
@@ -37,6 +38,7 @@ from oracles import (
     block_flow_oracle,
     circle_spectrum_oracle,
     full_stack_kernel_oracle,
+    original_frame_spectrum,
     twisted_circle_cohomology_oracle,
 )
 
@@ -197,7 +199,7 @@ def test_torus_kernel_dimension():
 
 
 # The six eta of the odd-kernel checks; diag(2, -1) and [[1, 2], [2, 1]] have
-# a metric other than the identity.
+# a compatible h other than the identity.
 ODD_ETAS = {
     "one": [[1]],
     "diag(1,-1)": [[1, 0], [0, -1]],
@@ -208,18 +210,32 @@ ODD_ETAS = {
 }
 # 0 and 1 give a kernel; the rest are at least 1/8 from an integer.
 ODD_THETAS = st.sampled_from([0.0, 1.0, 0.25, -0.5, 1 / 3, -2 / 3, 0.125, 0.7])
+# Hermitian S for the connections c eta^-1 S, which for both eta with h != 1
+# are not diagonal and whose eigenvalues, times any nonzero theta above as c,
+# are at least 0.02 from an integer.
+ODD_HERMITIAN = st.sampled_from([
+    [[0.2, 0.4], [0.4, -0.3]],
+    [[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.2]],
+])
 
 
 @st.composite
 def odd_torus_operators(draw):
     n = draw(st.sampled_from([1, 3]))
-    eta = np.array(ODD_ETAS[draw(st.sampled_from(sorted(ODD_ETAS)))], dtype=complex)
+    name = draw(st.sampled_from(sorted(ODD_ETAS)))
+    eta = np.array(ODD_ETAS[name], dtype=complex)
     r = len(eta)
     # A diagonal eta is preserved by any diagonal monodromy, an off-diagonal
     # one only by a scalar.
     diagonal = not np.any(eta - np.diag(np.diag(eta)))
-    conn = [np.diag([draw(ODD_THETAS) for _ in range(r)] if diagonal
-                    else [draw(ODD_THETAS)] * r).astype(complex) for _ in range(n)]
+    if name in ("diag(2,-1)", "[[1,2],[2,1]]") and draw(st.booleans()):
+        # A_j = c_j eta^-1 S is eta-self-adjoint, so exp(2 pi i A_j) preserves
+        # eta, and the A_j commute; A_j does not commute with h.
+        b = np.linalg.solve(eta, np.array(draw(ODD_HERMITIAN), dtype=complex))
+        conn = [draw(ODD_THETAS) * b for _ in range(n)]
+    else:
+        conn = [np.diag([draw(ODD_THETAS) for _ in range(r)] if diagonal
+                        else [draw(ODD_THETAS)] * r).astype(complex) for _ in range(n)]
     cutoff = draw(st.integers(1, 4 if n == 1 else 2))
     return assemble(MonodromyBundle.from_connection(eta, conn), cutoff)
 
@@ -227,7 +243,7 @@ def odd_torus_operators(draw):
 @settings(max_examples=40, deadline=None)
 @given(odd_torus_operators())
 def test_odd_kernel_dimension_matches_full_stack_oracle(op):
-    assert kernel_dimension(op) == full_stack_kernel_oracle(op.blocks, op.metric, 1e-8)
+    assert kernel_dimension(op) == full_stack_kernel_oracle(op.bundle, op.cutoff, 1e-8)
     # |spec D| is the odd restriction's |spec B| counted twice.
     full = np.sort(np.abs(op.eigenvalues()))
     half = np.sort(np.repeat(np.abs(op.odd_spectrum()), 2))
@@ -245,7 +261,7 @@ def test_odd_kernel_guard_raises_on_both_paths(n, eta):
     conn = [np.diag([5e-9] + [0.5] * (r - 1)).astype(complex)]
     conn += [np.zeros((r, r), dtype=complex)] * (n - 1)
     op = assemble(MonodromyBundle.from_connection(eta, conn), cutoff=2)
-    assert full_stack_kernel_oracle(op.blocks, op.metric, 1e-8) is None
+    assert full_stack_kernel_oracle(op.bundle, 2, 1e-8) is None
     with pytest.raises(IndeterminateKernelError):
         kernel_dimension(op, tol=1e-8)
     with pytest.raises(IndeterminateKernelError):
@@ -488,12 +504,34 @@ def test_shell_bound_certifies_the_flow(make, sup, blocks):
     assert flows == [sum(blocks.values())] * 2 == [spectral_flow(fam).flow_plus] * 2
 
 
-def test_shell_bound_needs_the_identity_metric():
-    eta = np.array([[2.0, 1.0], [1.0, -1.0]])
-    conn = [np.linalg.solve(eta, np.array([[0.3, 0.1], [0.1, 0.2]]))]
-    bundle = MonodromyBundle.from_connection(eta, conn, globally_flat=True)
-    with pytest.raises(HodgeError, match="identity frame metric"):
-        shell_bound(constant_family(bundle, cutoff=3, resolution=4))
+def _conjugated_pair_family(cutoff):
+    """The pair family conjugated by P: eta = P^-H diag(1, -1) P^-1 and
+    A(t) = P diag(t, -t) P^-1, which is eta-self-adjoint but not hermitian."""
+    p = np.array([[1.0, 0.5], [0.2, 1.0]], dtype=complex)
+    p_inv = np.linalg.inv(p)
+    eta = p_inv.conj().T @ np.diag([1.0, -1.0]) @ p_inv
+
+    def gen(t):
+        conn = [p @ np.diag([float(t), -float(t)]) @ p_inv]
+        return MonodromyBundle.from_connection(eta, conn, label=f"conjugated(t={t})")
+
+    return OperatorFamily(generator=gen, grid=grid_nodes(16), loop=True,
+                          cutoff=cutoff, label="conjugated-pair")
+
+
+def test_shell_bound_certifies_a_non_unitary_family():
+    # As without P: the summand of eta sign +1 and speed +1 crosses at k = -1,
+    # that of sign -1 and speed -1 at k = 1, and each counts +1, so the flow
+    # is 1*1 + (-1)*(-1) = 2.
+    fam = _conjugated_pair_family(8)
+    shell, bound = shell_bound(fam)
+    assert shell == 3 and 2 < bound < 3
+    per_block = block_flow_oracle(fam.operator(0), fam.operator(1), 1e-8)
+    assert per_block == {(-1,): 1, (1,): 1}
+    assert all(math.hypot(*k) <= bound for k in per_block)
+    for cutoff in (2, shell, 8):
+        result = spectral_flow(_conjugated_pair_family(cutoff))
+        assert (result.flow_plus, result.flow_minus) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,20 +1099,33 @@ def test_non_diagonal_connection_falls_back_to_scipy():
 
 
 def test_eigen_system_with_indefinite_metric_matches_scipy():
-    import scipy.linalg
-
     eta = np.array([[2.0, 1.0], [1.0, -1.0]])
     s = np.array([[0.3, 0.1], [0.1, 0.2]])
     bundle = MonodromyBundle.from_connection(eta, [np.linalg.solve(eta, s)])
     op = assemble(bundle, cutoff=3)
-    g = op.metric
-    assert not np.allclose(g, np.eye(len(g)))
+    assert op.frame.basis is not None
     vals, vecs = op.eigen_system()
-    ref = np.array([scipy.linalg.eigh(g @ blk, g, eigvals_only=True)
-                    for blk in op.blocks]) * UNIT
+    ref = original_frame_spectrum(bundle, 3)
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
-    gram = np.conj(np.swapaxes(vecs, 1, 2)) @ g @ vecs
-    assert np.max(np.abs(gram - np.eye(len(g)))) <= 1e-12
+    gram = np.conj(np.swapaxes(vecs, 1, 2)) @ vecs
+    assert np.max(np.abs(gram - np.eye(vecs.shape[1]))) <= 1e-12
+
+
+def test_non_unitary_descriptor_matches_the_original_frame():
+    import scipy.linalg
+
+    # A is eta-self-adjoint with eigenvalues 0.2 +- 0.2646i, and does not
+    # commute with h = diag(2, 1).
+    a = np.array([[0.1, 0.2], [-0.4, 0.3]], dtype=complex)
+    m = scipy.linalg.expm(2j * math.pi * a)
+    pairs = lambda mat: [[[z.real, z.imag] for z in row] for row in mat]
+    bundle = bundle_from_descriptor({"n": 1, "eta": [[2, 0], [0, -1]],
+                                     "monodromies": [pairs(m)], "connection": [pairs(a)]})
+    op = assemble(bundle, cutoff=8)
+    op.check_contracts(atol=1e-12)
+    assert kernel_dimension(op) == 0
+    ref = original_frame_spectrum(bundle, 8)
+    assert np.max(np.abs(op.eigen_system()[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
