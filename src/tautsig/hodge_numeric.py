@@ -43,24 +43,32 @@ cached arrays are read-only:
 * per eta: the hermitian and singularity checks and the signature (p, q);
   a bad eta is not cached and raises on every construction;
 * per (n, eta): the assembly frame -- the basis change (L^H, L^-H) (None
-  when h is the identity), tau_V, the lattice generators ext_j (x) i and
-  the odd restriction's alpha_1 rows and even-parity indices.  Nothing in
-  it grows with the cutoff.
+  when h is the identity), tau_V, the lattice generators L_j + L_j^H with
+  L_j = ext_j (x) i and their odd restriction, and the odd restriction's
+  alpha_1 rows and even-parity indices.  Nothing in it grows with the
+  cutoff.
+
+In lattice units block k of D is sum_j k_j (L_j + L_j^H) + (C + C^H), with
+C the connection term, so an operator holds only its zero-frequency block
+C + C^H.  The odd restriction is built from that block and the frame's
+restricted generators; the (B, d, d) block stack is built only when asked
+for (eigensystems, contracts, even tori), so odd-torus kernel dimensions
+and flows never allocate it.
 
 What depends on the node is still checked at every grid node: each
 bundle's monodromies must preserve eta and commute, a connection given
 together with monodromies must exponentiate to them, and each odd
 restriction must be self-adjoint.  Monodromies derived from a connection
 are not checked against it again.  The operator is the only memo of the
-node-dependent work: it keeps its eigensystem, its odd spectrum and
-whether its odd restriction passed the check.  An operator family keeps
-only its last operator and reuses it for the same node, or while
-``bundle(t)`` returns the same bundle object, as every node of a constant
-family does.  Nothing else carries over between calls: each
+node-dependent work: it keeps its block stack once built, its eigensystem,
+its odd spectrum and whether its odd restriction passed the check.  An
+operator family keeps only its last operator and reuses it for the same
+node, or while ``bundle(t)`` returns the same bundle object, as every node
+of a constant family does.  Nothing else carries over between calls: each
 :func:`spectral_flow` verifies the loop, solves the two endpoint spectra and
 builds and checks every interior node, in one pass.  An assembly whose
-blocks would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything is
-allocated.
+block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything
+is allocated, whether or not the stack is ever built.
 
 Descriptors are JSON objects.  Their matrices are non-empty lists of
 equal-length rows, a declared signature (p, q) must be eta's, a family
@@ -406,13 +414,17 @@ def _structure(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Frame(NamedTuple):
     """Arrays of an assembly fixed by (n, eta); read-only, none sized by the cutoff.
 
-    Every array is in the h-orthonormal frame x' = L^H x, h = L L^H.
+    Every array is in the h-orthonormal frame x' = L^H x, h = L L^H.  The
+    frame holds the lattice generators of D, the coefficients of k_j in
+    every block, and their odd restriction; an operator adds its own
+    zero-frequency block to either.
     """
 
     basis: Optional[np.ndarray]  # (2, r, r) L^H and L^-H, or None when h = 1
     tau_v: np.ndarray            # (d, d) tau (x) L^H sigma L^-H
     iota: np.ndarray             # (d,) +-1 parity vector
-    lattice: np.ndarray          # (n, d, d) ext_j (x) i, the coefficient of k_j
+    lattice_h: np.ndarray        # (n, d, d) L_j + L_j^H, L_j = ext_j (x) i
+    lattice_odd: np.ndarray      # (n, d/2, d/2) alpha1_even @ lattice_h[:, :, even]
     alpha1_even: np.ndarray      # (d/2, d) the even-parity rows of diag(iota) tau_v
     even: np.ndarray             # indices of the even-parity subspace
 
@@ -430,12 +442,16 @@ def _frame(n: int, r: int, eta_bytes: bytes) -> _Frame:
     tau_v = np.kron(tau_np, sigma)
     iota = np.repeat(iota_vec, r)
     even = np.where(iota > 0)[0]
+    lattice = np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np])
+    lattice_h = lattice + np.conj(np.swapaxes(lattice, 1, 2))
+    alpha1_even = (np.diag(iota).astype(complex) @ tau_v)[even]
     frame = _Frame(
         basis=basis,
         tau_v=tau_v,
         iota=iota,
-        lattice=np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np]),
-        alpha1_even=(np.diag(iota).astype(complex) @ tau_v)[even],
+        lattice_h=lattice_h,
+        lattice_odd=alpha1_even @ lattice_h[:, :, even],
+        alpha1_even=alpha1_even,
         even=even,
     )
     for arr in frame:
@@ -446,13 +462,18 @@ def _frame(n: int, r: int, eta_bytes: bytes) -> _Frame:
 
 @dataclass
 class TruncatedOperator:
-    """Blockwise Fourier truncation of D = d + d^* with its gradings."""
+    """Blockwise Fourier truncation of D = d + d^* with its gradings.
+
+    Block k is sum_j k_j (L_j + L_j^H) + ``zero`` in lattice units; the
+    stack ``blocks`` is built from these parts on first access.
+    """
 
     bundle: MonodromyBundle
     cutoff: int
     freqs: np.ndarray          # (B, n) integer lattice points
-    blocks: np.ndarray         # (B, d, d) stacked D in lattice units
+    zero: np.ndarray           # (d, d) the zero-frequency block C + C^H
     frame: _Frame = field(repr=False)
+    _blocks: Optional[np.ndarray] = field(default=None, repr=False)
     _eig: Optional[tuple] = field(default=None, repr=False)
     _odd: Optional[np.ndarray] = field(default=None, repr=False)
     _odd_checked: bool = field(default=False, repr=False)
@@ -465,13 +486,24 @@ class TruncatedOperator:
     def tau_v(self) -> np.ndarray:
         return self.frame.tau_v
 
+    def _stack(self, generators: np.ndarray, zero: np.ndarray) -> np.ndarray:
+        """sum_j k_j generators[j] + zero for every lattice point k."""
+        return np.einsum("bj,jkl->bkl", self.freqs.astype(float), generators) + zero[None]
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """(B, d, d) stacked D in lattice units, built on first access."""
+        if self._blocks is None:
+            self._blocks = _read_only(self._stack(self.frame.lattice_h, self.zero))
+        return self._blocks
+
     @property
     def block_count(self) -> int:
-        return self.blocks.shape[0]
+        return self.freqs.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.blocks.shape[0] * self.blocks.shape[1]
+        return self.freqs.shape[0] * self.zero.shape[0]
 
     def eigen_system(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block eigenvalues (B, d) in physical units and eigenvectors."""
@@ -503,10 +535,18 @@ class TruncatedOperator:
         return report
 
     def restricted_odd_stack(self) -> np.ndarray:
-        """(alpha_1 D) restricted to the even-parity subspace, per block."""
+        """(alpha_1 D) restricted to the even-parity subspace, per block.
+
+        Built from the frame's restricted generators and the restricted
+        zero-frequency block, never from ``blocks``.  With h = 1 and eta
+        diagonal its entries equal those of alpha_1 D; in other frames
+        matrix products do not distribute exactly and the two agree to
+        rounding.
+        """
         if self.bundle.n % 2 == 0:
             raise HodgeError("the odd restriction needs an odd-dimensional torus")
-        restricted = self.frame.alpha1_even @ self.blocks[:, :, self.frame.even]
+        frame = self.frame
+        restricted = self._stack(frame.lattice_odd, frame.alpha1_even @ self.zero[:, frame.even])
         herm = np.max(np.abs(restricted - np.conj(np.swapaxes(restricted, 1, 2))))
         if herm > 1e-10:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
@@ -537,20 +577,27 @@ class TruncatedOperator:
         return out
 
 
-def _connection_term(bundle: MonodromyBundle, frame: _Frame) -> np.ndarray:
-    """sum_j ext_j (x) i A'_j, entry (k a, l b) = sum_j ext_j[k, l] * i A'_j[a, b].
+def _zero_block(bundle: MonodromyBundle, frame: _Frame) -> np.ndarray:
+    """The k = 0 block C + C^H of D in lattice units, read-only.
 
-    A'_j = L^H A_j L^-H is the connection in the frame's basis.
+    C = sum_j ext_j (x) i A'_j is the connection term, entry (k a, l b) =
+    sum_j ext_j[k, l] * i A'_j[a, b], and A'_j = L^H A_j L^-H is the
+    connection in the frame's basis.
     """
     d = (1 << bundle.n) * bundle.rank
     conn = np.array(bundle.connection)
     if frame.basis is not None:
         conn = frame.basis[0] @ conn @ frame.basis[1]
-    return np.einsum("jkl,jab->kalb", _structure(bundle.n)[0], 1j * conn).reshape(d, d)
+    c = np.einsum("jkl,jab->kalb", _structure(bundle.n)[0], 1j * conn).reshape(d, d)
+    return _read_only(c + c.conj().T)
 
 
 def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> TruncatedOperator:
-    """Build the truncated twisted operator; blocks are exact in lattice units."""
+    """Build the truncated twisted operator from its zero-frequency block.
+
+    Blocks are exact in lattice units.  The (B, d, d) stack is not built
+    here; the size refusal still counts its bytes.
+    """
     if cutoff < 1:
         raise HodgeError("cutoff must be >= 1")
     n, r = bundle.n, bundle.rank
@@ -562,13 +609,9 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
             f"{MAX_ASSEMBLY_BYTES >> 20} MiB limit"
         )
     frame = _frame(n, r, bundle.eta.tobytes())
-    freqs = _frequency_lattice(n, cutoff)
-    k = freqs.astype(float)
-    d_stack = _connection_term(bundle, frame)[None] + np.einsum("bj,jkl->bkl", k, frame.lattice)
-    blocks = d_stack + np.conj(np.swapaxes(d_stack, 1, 2))
-    return TruncatedOperator(
-        bundle=bundle, cutoff=cutoff, freqs=freqs, blocks=blocks, frame=frame
-    )
+    return TruncatedOperator(bundle=bundle, cutoff=cutoff,
+                             freqs=_frequency_lattice(n, cutoff),
+                             zero=_zero_block(bundle, frame), frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -808,14 +851,6 @@ class SpectralFlowResult:
     flow_minus: int
     nodes_used: int
 
-    @property
-    def magnitude(self) -> int:
-        if abs(self.flow_plus) != abs(self.flow_minus):
-            raise HodgeError(
-                "endpoint shift changes |flow|; report both values separately"
-            )
-        return abs(self.flow_plus)
-
 
 def spectral_flow(
     family: OperatorFamily,
@@ -862,21 +897,22 @@ spectral_flow_both = spectral_flow
 def shell_bound(family: OperatorFamily) -> tuple[int, float]:
     """Cutoff S from which the family's truncated flow is constant, and sup.
 
-    In lattice units block k of D(t) is L_k + C(t), where C(t) is the k = 0
-    block and L_k is hermitian with L_k^2 = |k|_2^2, so every singular value
-    of L_k, also between the parity subspaces, is |k|_2.  By Weyl's
-    inequality (Kato, Perturbation Theory) a block with |k|_2 > sup, where
-    sup bounds ||C(t)||_2 over [0, 1], is invertible at every t and adds
-    nothing to the flow; so every cutoff >= S = floor(sup) + 1 gives the flow
-    of the whole operator.  sup is the larger of ||C(0)||_2 and ||C(1)||_2,
-    which bounds the norm for a connection affine in t (the norm is then
-    convex in t); the bound is valid only for such families.
+    In lattice units block k of D(t) is K_k + Z(t), where Z(t) is the k = 0
+    block and K_k = sum_j k_j (L_j + L_j^H) is hermitian with K_k^2 =
+    |k|_2^2, so every singular value of K_k, also between the parity
+    subspaces, is |k|_2.  By Weyl's inequality (Kato, Perturbation Theory) a
+    block with |k|_2 > sup, where sup bounds ||Z(t)||_2 over [0, 1], is
+    invertible at every t and adds nothing to the flow; so every cutoff >=
+    S = floor(sup) + 1 gives the flow of the whole operator.  sup is the
+    larger of ||Z(0)||_2 and ||Z(1)||_2, which bounds the norm for a
+    connection affine in t (the norm is then convex in t); the bound is
+    valid only for such families.
     """
     sup = 0.0
     for t in (0, 1):
         bundle = family.bundle(t)
-        c = _connection_term(bundle, _frame(bundle.n, bundle.rank, bundle.eta.tobytes()))
-        sup = max(sup, float(np.linalg.norm(c + c.conj().T, 2)))
+        zero = _zero_block(bundle, _frame(bundle.n, bundle.rank, bundle.eta.tobytes()))
+        sup = max(sup, float(np.linalg.norm(zero, 2)))
     return math.floor(sup) + 1, sup
 
 

@@ -384,7 +384,6 @@ def test_lusztig_flow_is_generator_both_shifts():
     result = spectral_flow(fam)
     assert abs(result.flow_plus) == 1
     assert result.flow_plus == result.flow_minus
-    assert result.magnitude == 1
 
 
 def test_flow_stable_under_cutoff_increase():
@@ -1131,33 +1130,84 @@ def test_non_unitary_descriptor_matches_the_original_frame():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_connection_term_matches_kron_sum(n, r):
-    from tautsig.clifford import _ext_matrix
-
     rng = np.random.default_rng(10 * n + r)
     u = _random_unitary(rng, r)
     # Commuting hermitian connections with complex entries.
     conn = [u @ np.diag(rng.normal(size=r)) @ u.conj().T for _ in range(n)]
     conn = [(a + a.conj().T) / 2 for a in conn]
     op = assemble(MonodromyBundle.from_connection(np.eye(r), conn), cutoff=1)
+    assert _same_bits(op.blocks, _kron_sum_blocks(op))
+
+
+def _kron_sum_blocks(op):
+    """d + d^H stacked over the lattice, d = sum_j ext_j (x) i (k_j + A_j);
+    the connection must be in the frame's basis (h = 1)."""
+    from tautsig.clifford import _ext_matrix
+
+    n, r = op.bundle.n, op.bundle.rank
     ext = [_ext_matrix(n, j).to_numpy() for j in range(n)]
     d_const = sum(np.kron(e, 1j * a) for e, a in zip(ext, op.bundle.connection))
-    d_stack = d_const[None] + np.einsum("bj,jkl->bkl", op.freqs.astype(float),
-                                        op.frame.lattice)
-    ref = d_stack + np.conj(np.swapaxes(d_stack, 1, 2))
-    assert _same_bits(op.blocks, ref)
+    lattice = np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext])
+    d_stack = d_const[None] + np.einsum("bj,jkl->bkl", op.freqs.astype(float), lattice)
+    return d_stack + np.conj(np.swapaxes(d_stack, 1, 2))
+
+
+def _full_product_restriction(op):
+    iota, even = op.frame.iota, op.frame.even
+    full = (np.diag(iota).astype(complex) @ op.tau_v)[None] @ op.blocks
+    return full[:, even][:, :, even]
 
 
 @pytest.mark.parametrize(
     "make",
     [lambda: lusztig_pair_family(cutoff=12), lambda: lusztig_family(speed=3),
      lambda: constant_family(MonodromyBundle.from_connection(
-         np.diag([1.0, -1.0]), [np.diag([0.2, 0.3])], globally_flat=True), cutoff=4)],
-    ids=["pair-12", "line-x3", "indefinite"],
+         np.diag([1.0, -1.0]), [np.diag([0.2, 0.3])], globally_flat=True), cutoff=4),
+     lambda: constant_family(line_bundle([0.25, 0.7, 0.35]), cutoff=3)],
+    ids=["pair-12", "line-x3", "indefinite", "torus3-line"],
 )
 def test_odd_stack_matches_full_product(make):
     fam = make()
     for t in (F(0), F(1, 3), F(1)):
         op = fam.operator(t)
-        iota, even = op.frame.iota, op.frame.even
-        full = (np.diag(iota).astype(complex) @ op.tau_v)[None] @ op.blocks
-        assert _same_bits(op.restricted_odd_stack(), full[:, even][:, :, even])
+        assert _same_bits(op.restricted_odd_stack(), _full_product_restriction(op))
+
+
+def test_odd_stack_in_a_non_identity_frame_matches_to_rounding():
+    # With h != 1 the frame's alpha_1 mixes fibre coordinates, and
+    # alpha_1 (K + Z) is not alpha_1 K + alpha_1 Z bit for bit, so the
+    # restriction built from the frame's restricted generators agrees with
+    # the full product to rounding only.
+    fam = _conjugated_pair_family(8)
+    eps = np.finfo(float).eps
+    for t in (F(0), F(1, 3), F(1)):
+        op = fam.operator(t)
+        assert op.frame.basis is not None
+        full = _full_product_restriction(op)
+        diff = np.max(np.abs(op.restricted_odd_stack() - full))
+        assert diff <= 4 * eps * np.max(np.abs(full))
+
+
+def test_odd_tori_never_build_the_block_stack(monkeypatch):
+    import tautsig.hodge_numeric as hn
+
+    made = []
+
+    def recorded(bundle, cutoff=hn.DEFAULT_CUTOFF):
+        made.append(assemble(bundle, cutoff))
+        return made[-1]
+
+    monkeypatch.setattr(hn, "assemble", recorded)
+    fam = constant_family(line_bundle([0.25, 0.7, 0.35]), cutoff=7, resolution=8)
+    report = kernel_constancy_report(fam)
+    assert report["profile"] == [0] * 9 and report["flow_plus"] == 0
+    assert spectral_flow(lusztig_family(cutoff=8, resolution=16)).flow_plus == 1
+    # One operator serves every node of the constant family; the loop has 17.
+    assert len(made) == 1 + 17
+    assert all(op._blocks is None for op in made)
+    # An even torus solves the full stack: it is built on demand, bit for
+    # bit the kron-sum formula.
+    op = assemble(line_bundle([0.3, 0.6]), cutoff=3)
+    assert op._blocks is None
+    op.eigen_system()
+    assert op._blocks is not None and _same_bits(op.blocks, _kron_sum_blocks(op))
