@@ -411,7 +411,7 @@ def _graded_kernel_index(op: QiMatrix, iota_signs: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compatible pairs (exact; the numeric polar pair is hodge_numeric's)
+# Compatible pairs (exact; hodge_numeric brings any eta to this form numerically)
 # ---------------------------------------------------------------------------
 
 

@@ -468,12 +468,6 @@ class GradedClass:
                 comps[int(deg)] = clean
         self.components = comps
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_monomial(cls, space: ProductSpace, mon: Monomial, coeff=1) -> "GradedClass":
-        return cls(space, {space.monomial_degree(mon): {tuple(mon): coeff}})
-
     # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -23,30 +23,32 @@ spectrum.  For a connection affine in t, :func:`shell_bound` gives the
 cutoff from which the truncated flow no longer changes (Weyl's inequality).
 
 The numerics are numpy's, and every floating-point decision about eta is
-made here: its hermitian and nonsingular rule and its compatible pair
-(h, sigma).  Monodromies exp(2*pi*i*A) are the elementwise exponential of
-a diagonal A, as in every built-in family.  Every operator is assembled in
-an h-orthonormal frame: with the Cholesky factor h = L L^H, the fibre
-coordinates are x' = L^H x, the connection is A'_j = L^H A_j L^-H and tau_V
-is tau (x) L^H sigma L^-H.  D is then d + d^H, hermitian, with the spectrum
-of the h-adjoint operator of the original frame; eigenvectors are
-orthonormal, and forms and pairings are the standard ones.  When h is the
-identity the frame is the original one.  scipy is imported only when a
-connection that is not diagonal must be exponentiated, through the module
-attribute ``scipy`` (PEP 562).
+made here: its hermitian and nonsingular rule and its standard form.  The
+index does not depend on the compatible pair (h, sigma) chosen for eta, so
+eta = U diag(lam) U^H is written as L diag(s) L^H with L = U |lam|^(1/2)
+and s = sign(lam); a diagonal eta keeps its order.  Every operator is
+assembled in the frame x' = L^H x, where eta and sigma are both diag(s) and
+h is the identity: the connection is A'_j = L^H A_j L^-H and tau_V is
+tau (x) diag(s).  D is then d + d^H, hermitian, with the spectrum of the
+h-adjoint operator of the original frame for h = |eta|; eigenvectors are
+orthonormal, and forms and pairings are the standard ones.  When eta is
+diag(+-1) the frame is the original one.  Monodromies exp(2*pi*i*A) are the
+elementwise exponential of a diagonal A, as in every built-in family.
+scipy is imported only when a connection that is not diagonal must be
+exponentiated, through the module attribute ``scipy`` (PEP 562).
 
 Spectral work is done once per process for each distinct input, and all
 cached arrays are read-only:
 
 * per n: the structural arrays (the stacked ext_j, the parity vector, tau);
 * per (n, cutoff): the frequency lattice;
-* per eta: the hermitian and singularity checks and the signature (p, q);
-  a bad eta is not cached and raises on every construction;
-* per (n, eta): the assembly frame -- the basis change (L^H, L^-H) (None
-  when h is the identity), tau_V, the lattice generators L_j + L_j^H with
-  L_j = ext_j (x) i and their odd restriction, and the odd restriction's
-  alpha_1 rows and even-parity indices.  Nothing in it grows with the
-  cutoff.
+* per eta: the hermitian and singularity checks, the signs s and the basis
+  change (L^H, L^-H) (None when eta is diag(+-1)); a bad eta is not cached
+  and raises on every construction;
+* per (n, s): the assembly frame -- tau_V, the lattice generators
+  L_j + L_j^H with L_j = ext_j (x) i and their odd restriction, and the odd
+  restriction's alpha_1 rows and even-parity indices.  Nothing in it grows
+  with the cutoff.
 
 In lattice units block k of D is sum_j k_j (L_j + L_j^H) + (C + C^H), with
 C the connection term, so an operator holds only its zero-frequency block
@@ -72,8 +74,9 @@ is allocated, whether or not the stack is ever built.
 
 Descriptors are JSON objects.  Their matrices are non-empty lists of
 equal-length rows, a declared signature (p, q) must be eta's, a family
-grid must lie in [2, MAX_GRID] and its cutoff in [1, MAX_CUTOFF]; anything
-else raises :class:`HodgeError`.
+grid must lie in [2, MAX_GRID] and its cutoff in [1, MAX_CUTOFF], and the
+flags ``loop`` and ``globally_flat`` must be booleans; anything else raises
+:class:`HodgeError`.
 """
 
 from __future__ import annotations
@@ -97,8 +100,6 @@ __all__ = [
     "IndeterminateKernelError",
     "EndpointKernelError",
     "MonodromyBundle",
-    "CompatiblePair",
-    "compatible_pair",
     "TruncatedOperator",
     "OperatorFamily",
     "SpectralFlowResult",
@@ -191,29 +192,43 @@ def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     return bool(np.allclose(a, b, atol=atol))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _is_diagonal(m: np.ndarray, atol: float) -> bool:
     return bool(np.allclose(m, np.diag(np.diag(m)), atol=atol))
 
 
-def _eta_eigenvalues(eta: np.ndarray, atol: float) -> np.ndarray:
-    """Eigenvalues of a hermitian, nonsingular eta; raises otherwise."""
-    if not np.allclose(eta, eta.conj().T, atol=atol):
-        raise HodgeError("eta must be hermitian")
-    eigs = np.linalg.eigvalsh(eta)
-    if np.min(np.abs(eigs)) < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(eigs))):
-        raise HodgeError("eta is singular")
-    return eigs
-
-
 @functools.lru_cache(maxsize=256)
-def _eta_signature(eta_bytes: bytes, r: int) -> tuple[int, int]:
-    """Signature (p, q) of a hermitian, nonsingular eta; raises otherwise.
+def _standard_form(eta_bytes: bytes, r: int) -> tuple[tuple[int, ...], Optional[np.ndarray]]:
+    """Signs s and basis change of eta = L diag(s) L^H; raises if eta is bad.
 
-    Failures are not cached, so a bad eta raises on every call.
+    With eta = U diag(lam) U^H and L = U |lam|^(1/2), L^-1 eta L^-H is
+    diag(s), s = sign(lam): in the frame x' = L^H x the compatible pair is
+    (h, sigma) = (1, diag(s)), which is (|eta|, sign(eta)) in the original
+    frame.  A diagonal eta keeps its order (U = 1).  ``basis`` is the
+    read-only stack (L^H, L^-H), or None when L = 1, that is when eta is
+    diag(+-1).  Failures are not cached, so a bad eta raises on every call.
     """
-    eigs = _eta_eigenvalues(np.frombuffer(eta_bytes, dtype=complex).reshape(r, r),
-                            BUNDLE_ATOL)
-    return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
+    eta = np.frombuffer(eta_bytes, dtype=complex).reshape(r, r)
+    if not np.allclose(eta, eta.conj().T, atol=BUNDLE_ATOL):
+        raise HodgeError("eta must be hermitian")
+    diagonal = _is_diagonal(eta, 0.0)
+    lam, u = (eta.diagonal().real, np.eye(r)) if diagonal else np.linalg.eigh(eta)
+    mags = np.abs(lam)
+    if np.min(mags) < 1e3 * np.finfo(float).eps * max(1.0, np.max(mags)):
+        raise HodgeError("eta is singular")
+    signs = np.sign(lam)
+    basis = None
+    if not diagonal or np.any(mags != 1):
+        root = np.sqrt(mags)
+        basis = _read_only(np.stack([root[:, None] * u.conj().T, u / root]))
+        eta = basis[1].conj().T @ eta @ basis[1]
+    if not np.allclose(eta, np.diag(signs), atol=1e-12):
+        raise HodgeError("eta is not diag(+-1) in its standard frame")
+    return tuple(int(x) for x in signs), basis
 
 
 @dataclass
@@ -249,7 +264,8 @@ class MonodromyBundle:
         if len(self.monodromies) != self.n:
             raise HodgeError("one monodromy per circle factor is required")
         r = self.eta.shape[0]
-        signature = _eta_signature(self.eta.tobytes(), r)
+        signs = _standard_form(self.eta.tobytes(), r)[0]
+        signature = signs.count(1), signs.count(-1)
         if (self.p or self.q) and (self.p, self.q) != signature:
             raise HodgeError(f"declared signature {(self.p, self.q)} is not eta's {signature}")
         self.p, self.q = signature
@@ -327,72 +343,8 @@ def lusztig_bundle(t) -> MonodromyBundle:
 
 
 # ---------------------------------------------------------------------------
-# Compatible pairs (the polar decomposition has irrational spectrum)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CompatiblePair:
-    h: np.ndarray
-    sigma: np.ndarray
-    eta: np.ndarray
-    tolerance: float = 1e-12
-
-    def verify(self) -> None:
-        h, sigma, eta = self.h, self.sigma, self.eta
-        tol = self.tolerance
-        if not np.allclose(h, h.conj().T, atol=tol):
-            raise HodgeError("h is not hermitian")
-        if np.linalg.eigvalsh(h).min() <= tol:
-            raise HodgeError("h is not positive definite")
-        if not np.allclose(sigma @ sigma, np.eye(len(h)), atol=tol):
-            raise HodgeError("sigma is not an involution")
-        if not np.allclose(h, eta @ sigma, atol=tol):
-            raise HodgeError("h != eta(. , sigma .)")
-        if not np.allclose(sigma.conj().T @ h @ sigma, h, atol=tol):
-            raise HodgeError("sigma is not an h-isometry")
-
-
-def compatible_pair(eta: np.ndarray, h0: np.ndarray | None = None,
-                    tolerance: float = 1e-12) -> CompatiblePair:
-    """Polar-decomposition pair (h, sigma) with h = eta(. , sigma .).
-
-    With S the h0-selfadjoint operator defined by h0(S x, y) = eta(x, y),
-    returns sigma = S |S|^{-1} and h = h0(|S| . , .).  A real diagonal eta
-    of entries +-1, with the standard h0, has the exact pair (1, eta).
-    """
-    eta = np.asarray(eta, dtype=complex)
-    r = eta.shape[0]
-    diag = np.diag(eta)
-    if h0 is None and _is_diagonal(eta, 0.0) and np.all((diag == 1) | (diag == -1)):
-        return CompatiblePair(h=np.eye(r, dtype=complex), sigma=np.diag(diag),
-                              eta=eta, tolerance=tolerance)
-    _eta_eigenvalues(eta, tolerance)
-    h0 = np.eye(r, dtype=complex) if h0 is None else np.asarray(h0, dtype=complex)
-    # Forms are conjugate-linear in the first slot: h0(x, y) = x^H H0 y,
-    # so h0(S x, y) = eta(x, y) forces S = H0^{-1} eta.
-    s_mat = np.linalg.solve(h0, eta)
-    # S is h0-selfadjoint: diagonalize via the generalized problem eta v = l H0 v,
-    # reduced by H0 = C C^H to the hermitian C^-1 eta C^-H u = l u, v = C^-H u.
-    cinv = np.linalg.inv(np.linalg.cholesky(h0))
-    eigvals, u = np.linalg.eigh(cinv @ eta @ cinv.conj().T)
-    eigvecs = cinv.conj().T @ u
-    abs_s = eigvecs @ np.diag(np.abs(eigvals)) @ np.linalg.inv(eigvecs)
-    sigma = s_mat @ np.linalg.inv(abs_s)
-    h = abs_s.conj().T @ h0  # h(x, y) = h0(|S| x, y) = x^H |S|^H H0 y
-    pair = CompatiblePair(h=h, sigma=sigma, eta=eta, tolerance=tolerance)
-    pair.verify()
-    return pair
-
-
-# ---------------------------------------------------------------------------
 # Truncated operators
 # ---------------------------------------------------------------------------
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,16 +364,17 @@ def _structure(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Frame(NamedTuple):
-    """Arrays of an assembly fixed by (n, eta); read-only, none sized by the cutoff.
+    """Arrays of an assembly fixed by n and eta's signs; read-only, none sized by
+    the cutoff.
 
-    Every array is in the h-orthonormal frame x' = L^H x, h = L L^H.  The
-    frame holds the lattice generators of D, the coefficients of k_j in
+    Every array is in eta's standard frame (:func:`_standard_form`), where
+    h = 1 and sigma = diag(s), so every eta with the same signs shares one
+    frame.  It holds the lattice generators of D, the coefficients of k_j in
     every block, and their odd restriction; an operator adds its own
     zero-frequency block to either.
     """
 
-    basis: Optional[np.ndarray]  # (2, r, r) L^H and L^-H, or None when h = 1
-    tau_v: np.ndarray            # (d, d) tau (x) L^H sigma L^-H
+    tau_v: np.ndarray            # (d, d) tau (x) diag(s)
     iota: np.ndarray             # (d,) +-1 parity vector
     lattice_h: np.ndarray        # (n, d, d) L_j + L_j^H, L_j = ext_j (x) i
     lattice_odd: np.ndarray      # (n, d/2, d/2) alpha1_even @ lattice_h[:, :, even]
@@ -430,23 +383,16 @@ class _Frame(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _frame(n: int, r: int, eta_bytes: bytes) -> _Frame:
-    eta = np.frombuffer(eta_bytes, dtype=complex).reshape(r, r)
+def _frame(n: int, signs: tuple[int, ...]) -> _Frame:
     ext_np, iota_vec, tau_np = _structure(n)
-    pair = compatible_pair(eta)
-    sigma, basis = pair.sigma, None
-    if not np.allclose(pair.h, np.eye(r), atol=1e-14):
-        lh = np.linalg.cholesky(pair.h).conj().T
-        basis = np.stack([lh, np.linalg.inv(lh)])
-        sigma = lh @ sigma @ basis[1]
-    tau_v = np.kron(tau_np, sigma)
+    r = len(signs)
+    tau_v = np.kron(tau_np, np.diag(np.array(signs, dtype=complex)))
     iota = np.repeat(iota_vec, r)
     even = np.where(iota > 0)[0]
     lattice = np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np])
     lattice_h = lattice + np.conj(np.swapaxes(lattice, 1, 2))
     alpha1_even = (np.diag(iota).astype(complex) @ tau_v)[even]
     frame = _Frame(
-        basis=basis,
         tau_v=tau_v,
         iota=iota,
         lattice_h=lattice_h,
@@ -455,8 +401,7 @@ def _frame(n: int, r: int, eta_bytes: bytes) -> _Frame:
         even=even,
     )
     for arr in frame:
-        if arr is not None:
-            _read_only(arr)
+        _read_only(arr)
     return frame
 
 
@@ -538,10 +483,9 @@ class TruncatedOperator:
         """(alpha_1 D) restricted to the even-parity subspace, per block.
 
         Built from the frame's restricted generators and the restricted
-        zero-frequency block, never from ``blocks``.  With h = 1 and eta
-        diagonal its entries equal those of alpha_1 D; in other frames
-        matrix products do not distribute exactly and the two agree to
-        rounding.
+        zero-frequency block, never from ``blocks``.  alpha_1 = diag(iota)
+        tau_V is a signed phase permutation, so its products distribute
+        exactly and the entries equal those of alpha_1 D.
         """
         if self.bundle.n % 2 == 0:
             raise HodgeError("the odd restriction needs an odd-dimensional torus")
@@ -577,17 +521,18 @@ class TruncatedOperator:
         return out
 
 
-def _zero_block(bundle: MonodromyBundle, frame: _Frame) -> np.ndarray:
+def _zero_block(bundle: MonodromyBundle) -> np.ndarray:
     """The k = 0 block C + C^H of D in lattice units, read-only.
 
     C = sum_j ext_j (x) i A'_j is the connection term, entry (k a, l b) =
     sum_j ext_j[k, l] * i A'_j[a, b], and A'_j = L^H A_j L^-H is the
-    connection in the frame's basis.
+    connection in eta's standard frame.
     """
     d = (1 << bundle.n) * bundle.rank
     conn = np.array(bundle.connection)
-    if frame.basis is not None:
-        conn = frame.basis[0] @ conn @ frame.basis[1]
+    basis = _standard_form(bundle.eta.tobytes(), bundle.rank)[1]
+    if basis is not None:
+        conn = basis[0] @ conn @ basis[1]
     c = np.einsum("jkl,jab->kalb", _structure(bundle.n)[0], 1j * conn).reshape(d, d)
     return _read_only(c + c.conj().T)
 
@@ -608,10 +553,9 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
             f"about {block_bytes / 2**20:.3g} MiB of blocks, over the "
             f"{MAX_ASSEMBLY_BYTES >> 20} MiB limit"
         )
-    frame = _frame(n, r, bundle.eta.tobytes())
     return TruncatedOperator(bundle=bundle, cutoff=cutoff,
-                             freqs=_frequency_lattice(n, cutoff),
-                             zero=_zero_block(bundle, frame), frame=frame)
+                             freqs=_frequency_lattice(n, cutoff), zero=_zero_block(bundle),
+                             frame=_frame(n, _standard_form(bundle.eta.tobytes(), r)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -910,9 +854,7 @@ def shell_bound(family: OperatorFamily) -> tuple[int, float]:
     """
     sup = 0.0
     for t in (0, 1):
-        bundle = family.bundle(t)
-        zero = _zero_block(bundle, _frame(bundle.n, bundle.rank, bundle.eta.tobytes()))
-        sup = max(sup, float(np.linalg.norm(zero, 2)))
+        sup = max(sup, float(np.linalg.norm(_zero_block(family.bundle(t)), 2)))
     return math.floor(sup) + 1, sup
 
 
@@ -1031,10 +973,16 @@ def _compile_node(node: ast.AST) -> Callable:
     raise HodgeError(f"disallowed expression {ast.unparse(node)!r}")
 
 
+def _is_number(value) -> bool:
+    """An int or a float, and not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
     """Parse one matrix entry into a function of the family parameter t.
 
-    Entries are numbers, [re, im] pairs or strings.  Strings may use
+    Entries are numbers, [re, im] pairs of numbers or strings; booleans are
+    not numbers.  Strings may use
     numbers, + - * / **, unary minus, the names pi, i, j and t, and calls
     to exp, cos, sin and sqrt; nothing else is evaluated.
     """
@@ -1043,8 +991,9 @@ def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
             fn = _compile_node(ast.parse(entry, mode="eval").body)
         except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
             raise HodgeError(f"cannot parse entry {entry!r}: {exc}") from exc
-    elif isinstance(entry, (int, float)) or (
+    elif _is_number(entry) or (
         isinstance(entry, (list, tuple)) and len(entry) == 2
+        and all(map(_is_number, entry))
     ):
         parts = tuple(entry) if isinstance(entry, (list, tuple)) else (entry,)
         fn = lambda t: complex(*parts)
@@ -1088,6 +1037,12 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _flag(value, what: str) -> bool:
+    if type(value) is not bool:
+        raise HodgeError(f"{what} must be true or false, not {type(value).__name__}")
+    return value
+
+
 def bundle_from_descriptor(data: dict) -> MonodromyBundle:
     try:
         n = _integer(data["n"], "n")
@@ -1105,7 +1060,7 @@ def bundle_from_descriptor(data: dict) -> MonodromyBundle:
         connection=connection,
         p=_integer(data.get("p", 0), "p"),
         q=_integer(data.get("q", 0), "q"),
-        globally_flat=bool(data.get("globally_flat", False)),
+        globally_flat=_flag(data.get("globally_flat", False), "globally_flat"),
         label=str(data.get("label", "descriptor")),
     )
 
@@ -1114,10 +1069,10 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
                            resolution: int = 64) -> OperatorFamily:
     """Family whose entries are expressions in the parameter t.
 
-    Families may present either ``connection`` entries (preferred; no
-    branch ambiguity) or diagonal ``monodromies``, one matrix per circle
-    factor of the descriptor's torus.  The grid resolution must lie in
-    [2, MAX_GRID].
+    Families present ``connection`` entries, one matrix per circle factor
+    of the descriptor's torus; ``monodromies`` are refused, since their
+    logarithms are defined only up to a branch.  The grid resolution must
+    lie in [2, MAX_GRID].
     """
     fam = data.get("family")
     if not fam:
@@ -1134,36 +1089,28 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
         eta = _eval_matrix(data["eta"])
     except KeyError as exc:
         raise HodgeError(f"descriptor missing field {exc}") from exc
-    globally_flat = bool(data.get("globally_flat", False))
-
-    key = "connection" if "connection" in fam else "monodromies"
-    if key not in fam:
-        raise HodgeError("family section needs connection or monodromies entries")
-    matrices = _compile_matrices(fam[key], f"family {key}")
+    globally_flat = _flag(data.get("globally_flat", False), "globally_flat")
+    loop = _flag(fam.get("loop", False), "family loop")
+    if "monodromies" in fam:
+        raise HodgeError(
+            "a family is given by connection entries, not monodromies: the "
+            "logarithm of a monodromy path jumps by 1 where it winds, which "
+            "loses its spectral flow"
+        )
+    if "connection" not in fam:
+        raise HodgeError("family section needs connection entries")
+    matrices = _compile_matrices(fam["connection"], "family connection")
     if len(matrices) != n:
-        raise HodgeError(f"family {key} has {len(matrices)} matrices for n={n}")
+        raise HodgeError(f"family connection has {len(matrices)} matrices for n={n}")
 
-    if key == "connection":
-        def gen(t: Fraction) -> MonodromyBundle:
-            conn = [m(float(t)) for m in matrices]
-            return MonodromyBundle.from_connection(eta, conn, globally_flat=globally_flat)
-
-    else:
-        def gen(t: Fraction) -> MonodromyBundle:
-            mons = [m(float(t)) for m in matrices]
-            for m in mons:
-                if not _is_diagonal(m, 1e-12):
-                    raise HodgeError(
-                        "family monodromies must be diagonal; provide a "
-                        "connection section for the general case"
-                    )
-            return MonodromyBundle(n=n, eta=eta, monodromies=mons,
-                                   globally_flat=globally_flat)
+    def gen(t: Fraction) -> MonodromyBundle:
+        conn = [m(float(t)) for m in matrices]
+        return MonodromyBundle.from_connection(eta, conn, globally_flat=globally_flat)
 
     return OperatorFamily(
         generator=gen,
         grid=grid_nodes(grid),
-        loop=bool(fam.get("loop", False)),
+        loop=loop,
         cutoff=cutoff,
         label=str(data.get("label", "descriptor-family")),
     )

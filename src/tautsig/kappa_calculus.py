@@ -53,7 +53,6 @@ __all__ = [
     "kappa_product",
     "odd_index_symbolic",
     "even_index_symbolic",
-    "midex_decomposition",
     "surface_flat_bundle_sch",
     "surface_coefficient_class",
     "main_theorem_witnesses",
@@ -403,14 +402,6 @@ def even_index_symbolic(bundle: BundleModel) -> GradedClass:
     total = _vertical_class(bundle, None, "L-atiyah-singer") * sch
     scale = Fraction((-1) ** (m % 2) * 2**m)
     return gysin_project(total, bundle.fiber_indices) * scale
-
-
-def midex_decomposition(chi_value, sign_value) -> tuple[Fraction, Fraction]:
-    """Solve the half-sum system: midex_+- = (chi +- sign)/2; round-trips."""
-    chi, sig = Fraction(chi_value), Fraction(sign_value)
-    plus, minus = (chi + sig) / 2, (chi - sig) / 2
-    assert plus + minus == chi and plus - minus == sig
-    return plus, minus
 
 
 # ---------------------------------------------------------------------------

@@ -119,12 +119,17 @@ def circle_spectrum_oracle(theta, cutoff):
     return np.sort(np.array(vals))
 
 
+def abs_eta(eta):
+    """|eta| = V diag(|w|) V^H from ``np.linalg.eigh``, the h of the pair (|eta|, sign(eta))."""
+    w, v = np.linalg.eigh(eta)
+    return v @ np.diag(np.abs(w)) @ v.conj().T
+
+
 def original_frame_spectrum(bundle, cutoff):
     """Per-block eigenvalues (B, d) of the truncated operator, in the bundle's frame.
 
     Blocks run over the frequencies |k_j| <= cutoff in lexicographic order.
-    The metric is G = 1 (x) |eta|, the h of the polar pair for the standard
-    h0.  Block k is D_k = d_k + G^-1 d_k^H G with d_k = sum_j ext_j (x)
+    The metric is G = 1 (x) |eta|, from :func:`abs_eta`.  Block k is D_k = d_k + G^-1 d_k^H G with d_k = sum_j ext_j (x)
     i (k_j + A_j), ext_j from :func:`exterior_oracle`; D_k is G-self-adjoint,
     so its eigenvalues are those of the generalized problem G D_k v = l G v,
     solved by ``scipy.linalg.eigh`` and scaled by 2*pi.
@@ -132,8 +137,7 @@ def original_frame_spectrum(bundle, cutoff):
     import scipy.linalg
 
     n, r = bundle.n, bundle.rank
-    w, v = np.linalg.eigh(bundle.eta)
-    g = np.kron(np.eye(2 ** n), v @ np.diag(np.abs(w)) @ v.conj().T)
+    g = np.kron(np.eye(2 ** n), abs_eta(bundle.eta))
     ext = exterior_oracle(n)["ext"]
     vals = []
     for k in product(range(-cutoff, cutoff + 1), repeat=n):

@@ -267,9 +267,14 @@ def _space_with_relations(relations):
         json.dumps({**_LINE, "family": 5}),
         json.dumps({**_LINE, "family": {"connection": [[["t"]], [[0.5]]], "grid": 4,
                                          "loop": True}}),
-        json.dumps({"n": 2, "eta": [[1]], "monodromies": [[[1]], [[1]]],
-                    "family": {"monodromies": [[["exp(2*pi*i*t)"]]], "grid": 4,
+        json.dumps({**_LINE, "monodromies": [[["exp(2*pi*i*0.25)"]]],
+                    "family": {"monodromies": [[["exp(2*pi*i*t)"]]], "grid": 32,
                                "loop": True}}),
+        json.dumps({**_LINE, "family": {"connection": [[["t"]]], "loop": "no"}}),
+        json.dumps({**_LINE, "globally_flat": "no"}),
+        json.dumps({**_LINE, "eta": [[True]]}),
+        json.dumps({**_LINE, "eta": [[[True, 0]]]}),
+        json.dumps({**_LINE, "eta": [[1, 1], [0, -1]], "monodromies": [[[1, 0], [0, 1]]]}),
         json.dumps({"n": 1, "p": 2, "q": 0, "eta": [[1, 0], [0, -1]],
                     "monodromies": [[[1, 0], [0, 1]]]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": 1.7}]}),
@@ -288,7 +293,9 @@ def _space_with_relations(relations):
     ids=["not-json", "relation-unknown-symbol", "fundamental-unknown-symbol",
          "relation-without-lhs", "array", "string", "deep-nesting", "eta-number",
          "eta-ragged", "n-list", "monodromies-number", "family-connection-number",
-         "family-number", "family-connection-count", "family-monodromies-count",
+         "family-number", "family-connection-count", "family-monodromies",
+         "loop-string", "globally-flat-string", "entry-bool", "entry-bool-pair",
+         "eta-non-hermitian",
          "signature-mismatch", "degree-float", "degree-string",
          "degree-bool", "top-degree-float", "top-degree-negative",
          "relation-given-twice", "coefficient-exponent", "coefficient-zero-denominator",

@@ -1,6 +1,5 @@
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,6 @@ from tautsig.clifford import (
     verify_twisted_involution,
     volume_element,
 )
-from tautsig.hodge_numeric import HodgeError, compatible_pair
 
 
 def direct_sum(a, b):
@@ -204,67 +202,6 @@ def test_bott_rejects_bad_operator():
     bad = QiMatrix.identity(2)  # commutes, does not anticommute
     with pytest.raises(CliffordError, match="entry"):
         bott_reduce(module, bad)
-
-
-# -- compatible pairs (numeric, owned by hodge_numeric) ----------------------------
-
-
-def test_pair_definite_identity():
-    pair = compatible_pair(np.eye(2))
-    assert np.allclose(pair.sigma, np.eye(2))
-    assert np.allclose(pair.h, np.eye(2))
-
-
-def test_pair_diagonal_indefinite():
-    pair = compatible_pair(np.diag([1.0, -1.0]))
-    assert np.allclose(pair.sigma, np.diag([1.0, -1.0]))
-    assert np.allclose(pair.h, np.eye(2))
-
-
-def test_pair_random_signature_one_one():
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        eta = g @ np.diag([1.0, -1.0]) @ g.conj().T
-        pair = compatible_pair(eta, tolerance=1e-12)
-        pair.verify()
-        assert np.allclose(pair.sigma @ pair.sigma, np.eye(2), atol=1e-12)
-        assert np.allclose(pair.h, eta @ pair.sigma, atol=1e-12)
-
-
-def test_pair_matches_scipy_generalized_eigh():
-    import scipy.linalg
-
-    rng = np.random.default_rng(12)
-    h0s = (np.eye(2), np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
-    for _ in range(5):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        eta = g @ np.diag([1.0, -1.0]) @ g.conj().T
-        for h0 in h0s:
-            eigvals, eigvecs = scipy.linalg.eigh(eta, h0)
-            abs_s = eigvecs @ np.diag(np.abs(eigvals)) @ np.linalg.inv(eigvecs)
-            pair = compatible_pair(eta, h0=h0)
-            scale = np.max(np.abs(abs_s))
-            assert np.max(np.abs(pair.h - abs_s.conj().T @ h0)) <= 1e-12 * scale
-            sigma = np.linalg.solve(h0, eta) @ np.linalg.inv(abs_s)
-            assert np.max(np.abs(pair.sigma - sigma)) <= 1e-12 * np.max(np.abs(sigma))
-
-
-def test_pair_continuity_under_h0_perturbation():
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(2, 2))
-    eta = g @ np.diag([1.0, -1.0]) @ g.T
-    base = compatible_pair(eta)
-    for scale in (1e-6, 1e-8):
-        h0 = np.eye(2) + scale * np.array([[0.0, 1.0], [1.0, 0.5]])
-        moved = compatible_pair(eta, h0=h0)
-        assert np.max(np.abs(moved.sigma - base.sigma)) < 100 * scale
-        assert np.max(np.abs(moved.h - base.h)) < 100 * scale
-
-
-def test_pair_rejects_singular_eta():
-    with pytest.raises(HodgeError):
-        compatible_pair(np.zeros((2, 2)))
 
 
 # -- twisted involution -----------------------------------------------------------

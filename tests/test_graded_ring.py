@@ -44,7 +44,8 @@ def rand_monomial_class(rng, space, degree):
     basis = space.basis(degree)
     if not basis:
         return None
-    return GradedClass.from_monomial(space, rng.choice(basis))
+    mon = rng.choice(basis)
+    return GradedClass(space, {degree: {mon: 1}})
 
 
 # -- multiplication ---------------------------------------------------------
@@ -173,10 +174,10 @@ def test_cross_gysin_sign_law_full_enumeration():
         e1 = product_space(*([s1] * (a1 + f1)))
         for d0 in range(a0 + f0 + 1):
             for m0 in e0.basis(d0):
-                x0 = GradedClass.from_monomial(e0, m0)
+                x0 = GradedClass(e0, {d0: {m0: 1}})
                 for d1 in range(a1 + f1 + 1):
                     for m1 in e1.basis(d1):
-                        x1 = GradedClass.from_monomial(e1, m1)
+                        x1 = GradedClass(e1, {d1: {m1: 1}})
                         fiber = list(range(a0, a0 + f0)) + list(
                             range(a0 + f0 + a1, a0 + f0 + a1 + f1)
                         )

@@ -32,9 +32,11 @@ from tautsig.hodge_numeric import (
     lusztig_pair_family,
     shell_bound,
     spectral_flow,
+    _standard_form,
 )
 
 from oracles import (
+    abs_eta,
     block_flow_oracle,
     circle_spectrum_oracle,
     full_stack_kernel_oracle,
@@ -64,6 +66,40 @@ def test_signature_derived_from_eta():
         n=1, eta=np.diag([1.0, 1.0, -1.0]), monodromies=[np.eye(3)]
     )
     assert (bundle.p, bundle.q) == (2, 1)
+
+
+@st.composite
+def _hermitian_etas(draw):
+    """(eta, signs): eta = Q diag(d) Q^H with Q unitary, sign(d) = signs and
+    |d_i| in [1/4, 4], often exactly 1; Q = 1 for a diagonal eta."""
+    r = draw(st.integers(1, 3))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=r, max_size=r))
+    mags = draw(st.lists(st.just(1.0) | st.floats(0.25, 4.0), min_size=r, max_size=r))
+    eta = np.diag(np.multiply(signs, mags)).astype(complex)
+    if draw(st.booleans()):
+        q = _random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), r)
+        eta = q @ eta @ q.conj().T
+        eta = (eta + eta.conj().T) / 2
+    return eta, signs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hermitian_etas())
+def test_standard_form_is_diag_of_signs(drawn):
+    eta, drawn_signs = drawn
+    r = eta.shape[0]
+    signs, basis = _standard_form(eta.tobytes(), r)
+    lh = np.eye(r) if basis is None else basis[0]
+    if basis is not None:
+        assert np.allclose(basis[0] @ basis[1], np.eye(r), atol=1e-12)
+    l_inv = np.linalg.inv(lh.conj().T)
+    # L^-1 eta L^-H = diag(s), and h = L L^H is |eta|.
+    assert np.allclose(l_inv @ eta @ l_inv.conj().T, np.diag(signs), atol=1e-12)
+    assert np.allclose(lh.conj().T @ lh, abs_eta(eta), atol=1e-12)
+    # Sylvester's law of inertia: the signature is that of the drawn d.
+    assert (signs.count(1), signs.count(-1)) == (drawn_signs.count(1), drawn_signs.count(-1))
+    standard = not np.any(eta - np.diag(np.diag(eta))) and np.all(np.abs(np.diag(eta)) == 1)
+    assert (basis is None) == standard
 
 
 def test_connection_derivation_principal_branch():
@@ -652,15 +688,15 @@ def test_family_descriptor_connection_entries():
 
 
 def test_family_descriptor_diagonal_monodromies():
-    data = {
-        "n": 1,
-        "eta": [[1]],
-        "monodromies": [[[1]]],
-        "family": {"monodromies": [[["exp(2*pi*i*t/3)"]]], "grid": 8, "loop": False},
-    }
-    fam = family_from_descriptor(data, cutoff=4)
-    dims = [kernel_dimension(fam.operator(t)) for t in (F(0), F(1, 2))]
-    assert dims == [2, 0]
+    # Principal logarithms of exp(2 pi i t) jump from 1/2 to -1/2, so a family
+    # read from them would have A(0) = A(1) and report flow 0; only the
+    # connection form of the same loop keeps its flow of 1.
+    data = {"n": 1, "eta": [[1]], "monodromies": [[[1]]],
+            "family": {"monodromies": [[["exp(2*pi*i*t)"]]], "grid": 32, "loop": True}}
+    with pytest.raises(HodgeError, match="connection entries, not monodromies"):
+        family_from_descriptor(data, cutoff=4)
+    data["family"] = {"connection": [[["t"]]], "grid": 32, "loop": True}
+    assert spectral_flow(family_from_descriptor(data, cutoff=4)).flow_plus == 1
 
 
 def test_grid_nodes_span():
@@ -1004,33 +1040,42 @@ def test_flow_results_pinned(make, pinned):
 def test_flow_validates_per_family_invariants_once(monkeypatch):
     import tautsig.hodge_numeric as hn
 
-    counts = {"expm": 0, "eta_eigvalsh": 0, "bundles": 0}
-    real_expm, real_eigvalsh = hn._expm_2pi_i, hn.np.linalg.eigvalsh
+    counts = {"expm": 0, "eta_solves": 0, "bundles": 0}
+    real_expm = hn._expm_2pi_i
+    real_eigh, real_eigvalsh = hn.np.linalg.eigh, hn.np.linalg.eigvalsh
     real_post_init = hn.MonodromyBundle.__post_init__
 
     def expm(a):
         counts["expm"] += 1
         return real_expm(a)
 
-    def eigvalsh(a, *args, **kwargs):
-        counts["eta_eigvalsh"] += np.ndim(a) == 2  # spectra solve (B, d, d) stacks
-        return real_eigvalsh(a, *args, **kwargs)
+    def counted(solver):
+        def solve(a, *args, **kwargs):
+            counts["eta_solves"] += np.ndim(a) == 2  # spectra solve (B, d, d) stacks
+            return solver(a, *args, **kwargs)
+        return solve
 
     def post_init(self):
         counts["bundles"] += 1
         real_post_init(self)
 
     monkeypatch.setattr(hn, "_expm_2pi_i", expm)
-    monkeypatch.setattr(hn.np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(hn.np.linalg, "eigh", counted(real_eigh))
+    monkeypatch.setattr(hn.np.linalg, "eigvalsh", counted(real_eigvalsh))
     monkeypatch.setattr(hn.MonodromyBundle, "__post_init__", post_init)
-    hn._eta_signature.cache_clear()
-    fam = lusztig_family(cutoff=8, resolution=64)
-    spectral_flow(fam)
-    # One bundle per grid node, plus the t = 0 and t = 1 pair that
-    # verify_loop builds.
-    assert counts["bundles"] == len(fam.grid) + 2
-    assert counts["expm"] == counts["bundles"]
-    assert counts["eta_eigvalsh"] <= 1
+    # eta = [1] is diagonal and needs no eigensolve; the conjugated pair's
+    # eta is not, and is decomposed once.
+    for fam, solves in ((lusztig_family(cutoff=8, resolution=64), 0),
+                        (_conjugated_pair_family(8), 1)):
+        hn._standard_form.cache_clear()
+        counts.update(expm=0, eta_solves=0, bundles=0)
+        spectral_flow(fam)
+        # One bundle per grid node, plus the t = 0 and t = 1 pair that
+        # verify_loop builds.
+        assert counts["bundles"] == len(fam.grid) + 2
+        assert counts["expm"] == counts["bundles"]
+        assert hn._standard_form.cache_info().misses == 1
+        assert counts["eta_solves"] == solves
 
 
 @pytest.mark.parametrize(
@@ -1101,9 +1146,8 @@ def test_eigen_system_with_indefinite_metric_matches_scipy():
     eta = np.array([[2.0, 1.0], [1.0, -1.0]])
     s = np.array([[0.3, 0.1], [0.1, 0.2]])
     bundle = MonodromyBundle.from_connection(eta, [np.linalg.solve(eta, s)])
-    op = assemble(bundle, cutoff=3)
-    assert op.frame.basis is not None
-    vals, vecs = op.eigen_system()
+    assert _standard_form(bundle.eta.tobytes(), 2)[1] is not None
+    vals, vecs = assemble(bundle, cutoff=3).eigen_system()
     ref = original_frame_spectrum(bundle, 3)
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
     gram = np.conj(np.swapaxes(vecs, 1, 2)) @ vecs
@@ -1163,29 +1207,18 @@ def _full_product_restriction(op):
     [lambda: lusztig_pair_family(cutoff=12), lambda: lusztig_family(speed=3),
      lambda: constant_family(MonodromyBundle.from_connection(
          np.diag([1.0, -1.0]), [np.diag([0.2, 0.3])], globally_flat=True), cutoff=4),
-     lambda: constant_family(line_bundle([0.25, 0.7, 0.35]), cutoff=3)],
-    ids=["pair-12", "line-x3", "indefinite", "torus3-line"],
+     lambda: constant_family(line_bundle([0.25, 0.7, 0.35]), cutoff=3),
+     lambda: _conjugated_pair_family(8)],
+    ids=["pair-12", "line-x3", "indefinite", "torus3-line", "conjugated-pair"],
 )
 def test_odd_stack_matches_full_product(make):
+    # alpha_1 = diag(iota) tau_V is a signed phase permutation in every
+    # frame, also when h != 1 (conjugated-pair), so its products distribute
+    # bit for bit.
     fam = make()
     for t in (F(0), F(1, 3), F(1)):
         op = fam.operator(t)
         assert _same_bits(op.restricted_odd_stack(), _full_product_restriction(op))
-
-
-def test_odd_stack_in_a_non_identity_frame_matches_to_rounding():
-    # With h != 1 the frame's alpha_1 mixes fibre coordinates, and
-    # alpha_1 (K + Z) is not alpha_1 K + alpha_1 Z bit for bit, so the
-    # restriction built from the frame's restricted generators agrees with
-    # the full product to rounding only.
-    fam = _conjugated_pair_family(8)
-    eps = np.finfo(float).eps
-    for t in (F(0), F(1, 3), F(1)):
-        op = fam.operator(t)
-        assert op.frame.basis is not None
-        full = _full_product_restriction(op)
-        diff = np.max(np.abs(op.restricted_odd_stack() - full))
-        assert diff <= 4 * eps * np.max(np.abs(full))
 
 
 def test_odd_tori_never_build_the_block_stack(monkeypatch):
