@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from tautsig.clifford import (
     verify_twisted_involution,
     volume_element,
 )
+from tautsig.hodge_numeric import HodgeError, _standard_form
 
 
 def direct_sum(a, b):
@@ -202,6 +204,52 @@ def test_bott_rejects_bad_operator():
     bad = QiMatrix.identity(2)  # commutes, does not anticommute
     with pytest.raises(CliffordError, match="entry"):
         bott_reduce(module, bad)
+
+
+# -- standard form of eta (numeric, owned by hodge_numeric) -------------------------
+
+
+def _pair(eta):
+    """(signs, sigma, h) of the compatible pair (h, sigma) = (|eta|, sign(eta)),
+    read back into eta's own frame from its standard form."""
+    eta = np.asarray(eta, dtype=complex)
+    r = eta.shape[0]
+    signs, basis = _standard_form(eta.tobytes(), r)
+    lh, lh_inv = (np.eye(r), np.eye(r)) if basis is None else basis
+    return signs, lh_inv @ np.diag(signs) @ lh, lh.conj().T @ lh
+
+
+def test_pair_definite_identity():
+    signs, sigma, h = _pair(np.eye(2))
+    assert signs == (1, 1)
+    assert _standard_form(np.eye(2, dtype=complex).tobytes(), 2)[1] is None
+    assert np.allclose(sigma, np.eye(2))
+    assert np.allclose(h, np.eye(2))
+
+
+def test_pair_diagonal_indefinite():
+    signs, sigma, h = _pair(np.diag([1.0, -1.0]))
+    assert signs == (1, -1)
+    assert np.allclose(sigma, np.diag([1.0, -1.0]))
+    assert np.allclose(h, np.eye(2))
+
+
+def test_pair_random_signature_one_one():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        eta = g @ np.diag([1.0, -1.0]) @ g.conj().T
+        signs, sigma, h = _pair(eta)
+        assert sorted(signs) == [-1, 1]
+        assert np.allclose(sigma @ sigma, np.eye(2), atol=1e-12)
+        assert np.allclose(h, eta @ sigma, atol=1e-12)
+        assert np.allclose(h, h.conj().T, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(h) > 0)
+
+
+def test_pair_rejects_singular_eta():
+    with pytest.raises(HodgeError, match="singular"):
+        _standard_form(np.zeros((2, 2), dtype=complex).tobytes(), 2)
 
 
 # -- twisted involution -----------------------------------------------------------
