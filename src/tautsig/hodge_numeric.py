@@ -57,20 +57,18 @@ restricted generators; the (B, d, d) block stack is built only when asked
 for (eigensystems, contracts, even tori), so odd-torus kernel dimensions
 and flows never allocate it.
 
-What depends on the node is still checked at every grid node: each
-bundle's monodromies must preserve eta and commute, a connection given
-together with monodromies must exponentiate to them, and each odd
-restriction must be self-adjoint.  Monodromies derived from a connection
-are not checked against it again.  The operator is the only memo of the
-node-dependent work: it keeps its block stack once built, its eigensystem,
-its odd spectrum and whether its odd restriction passed the check.  An
-operator family keeps only its last operator and reuses it for the same
-node, or while ``bundle(t)`` returns the same bundle object, as every node
-of a constant family does.  Nothing else carries over between calls: each
-:func:`spectral_flow` verifies the loop, solves the two endpoint spectra and
-builds and checks every interior node, in one pass.  An assembly whose
-block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything
-is allocated, whether or not the stack is ever built.
+A flat bundle is its connection.  Each bundle checks once, when built, that
+the A_j commute (flatness) and that A_j^H eta = eta A_j (eta is parallel),
+on the A'_j that it keeps with eta's signs for assembly.  This makes the
+monodromies commute and preserve eta and the odd restriction self-adjoint,
+so a bundle given by its connection computes its monodromies only when they
+are read; given monodromies are checked as well.  An operator keeps its
+block stack once built, its eigensystem and its odd spectrum; an operator
+family keeps its last operator for the same node, or for the same bundle
+object, as in a constant family.  Each :func:`spectral_flow` builds every
+node's bundle and assembles only the two endpoints.  An assembly whose block
+stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything is
+allocated, whether or not the stack is ever built.
 
 Descriptors are JSON objects.  Their matrices are non-empty lists of
 equal-length rows, a declared signature (p, q) must be eta's, a family
@@ -125,8 +123,10 @@ __all__ = [
 UNIT = 2.0 * math.pi
 DEFAULT_CUTOFF = 8
 DEFAULT_TOL = 1e-8
-# Tolerance of every bundle invariant: eta hermitian, monodromies preserving
-# eta and commuting, diagonal monodromies.
+# Tolerance of every bundle invariant.  It is np.allclose's atol for eta
+# hermitian and for the monodromy and commutation tests, and the bound on the
+# absolute residual of A_j^H eta = eta A_j in eta's standard frame, which is
+# also the odd restriction's hermiticity bound.
 BUNDLE_ATOL = 1e-10
 # Largest family grid resolution a descriptor or run may ask for.
 MAX_GRID = 4096
@@ -231,66 +231,89 @@ def _standard_form(eta_bytes: bytes, r: int) -> tuple[tuple[int, ...], Optional[
     return tuple(int(x) for x in signs), basis
 
 
+class _Monodromies:
+    """exp(2*pi*i*A_j), cached on first read; None on the class, the field default."""
+
+    def __get__(self, bundle, owner=None):
+        if bundle is not None:
+            bundle.monodromies = [_expm_2pi_i(a) for a in bundle.connection]
+            return bundle.monodromies
+
+
 @dataclass
 class MonodromyBundle:
-    """Flat U(p,q)-bundle on T^n given by commuting eta-preserving monodromies.
+    """Flat U(p,q)-bundle on T^n: its connection A_1..A_n, commuting and with
+    A_j^H eta = eta A_j, checked once on ``standard_connection`` (the A'_j).
 
-    ``connection`` holds the commuting logarithms A_j; if omitted they are
-    derived by simultaneous diagonalization (principal branch).  (p, q) is
-    eta's signature; a nonzero declared (p, q) must equal it.
+    Given monodromies must preserve eta and commute; the connection is derived
+    from them (principal branch) or must exponentiate to them.  Without them,
+    ``monodromies`` is computed when first read.  (p, q) is eta's signature; a
+    nonzero declared (p, q) must equal it.
     """
 
     n: int
     eta: np.ndarray
-    monodromies: Optional[list] = None
+    monodromies: Optional[list] = _Monodromies()
     connection: Optional[list] = None
     p: int = 0
     q: int = 0
     globally_flat: bool = False
     label: str = ""
+    signs: tuple = field(init=False, repr=False, compare=False)
+    standard_connection: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.eta = _as_complex_matrix(self.eta)
-        # Monodromies derived from the connection exponentiate to it by
-        # construction; only given ones are checked against a given connection.
-        derived = self.monodromies is None
-        if derived:
-            if self.connection is None:
-                raise HodgeError("a bundle needs monodromies or a connection")
-            self.connection = [_as_complex_matrix(a) for a in self.connection]
-            self.monodromies = [_expm_2pi_i(a) for a in self.connection]
-        else:
-            self.monodromies = [_as_complex_matrix(m) for m in self.monodromies]
-        if len(self.monodromies) != self.n:
-            raise HodgeError("one monodromy per circle factor is required")
         r = self.eta.shape[0]
-        signs = _standard_form(self.eta.tobytes(), r)[0]
-        signature = signs.count(1), signs.count(-1)
+        self.signs, basis = _standard_form(self.eta.tobytes(), r)
+        signature = self.signs.count(1), self.signs.count(-1)
         if (self.p or self.q) and (self.p, self.q) != signature:
             raise HodgeError(f"declared signature {(self.p, self.q)} is not eta's {signature}")
         self.p, self.q = signature
-        for a, m in enumerate(self.monodromies):
-            if m.shape != (r, r):
-                raise HodgeError("monodromy rank mismatch")
-            if not _allclose(m.conj().T @ self.eta @ m, self.eta, BUNDLE_ATOL):
-                raise HodgeError(f"monodromy {a + 1} does not preserve eta")
-            for b in range(a + 1, self.n):
-                other = self.monodromies[b]
-                if not _allclose(m @ other, other @ m, BUNDLE_ATOL):
-                    raise HodgeError(f"monodromies {a + 1}, {b + 1} do not commute")
-        if self.connection is None:
-            self.connection = self._derive_connection()
-        elif not derived:
+        given = self.connection is not None
+        if given:
             self.connection = [_as_complex_matrix(a) for a in self.connection]
-            if len(self.connection) != self.n or any(
-                a.shape != (r, r) for a in self.connection
-            ):
-                raise HodgeError(
-                    f"one {r}x{r} connection matrix per circle factor is required"
-                )
-            for a_mat, m in zip(self.connection, self.monodromies):
-                if not np.allclose(_expm_2pi_i(a_mat), m, atol=1e-8):
-                    raise HodgeError("connection does not exponentiate to monodromy")
+            if len(self.connection) != self.n or any(a.shape != (r, r) for a in self.connection):
+                raise HodgeError(f"one {r}x{r} connection matrix per circle factor is required")
+        if self.monodromies is None:
+            if not given:
+                raise HodgeError("a bundle needs monodromies or a connection")
+            del self.monodromies  # exp(2*pi*i*A_j), computed when first read
+        else:
+            self.monodromies = [_as_complex_matrix(m) for m in self.monodromies]
+            if len(self.monodromies) != self.n:
+                raise HodgeError("one monodromy per circle factor is required")
+            for a, m in enumerate(self.monodromies):
+                if m.shape != (r, r):
+                    raise HodgeError("monodromy rank mismatch")
+                if not _allclose(m.conj().T @ self.eta @ m, self.eta, BUNDLE_ATOL):
+                    raise HodgeError(f"monodromy {a + 1} does not preserve eta")
+                for b in range(a + 1, self.n):
+                    other = self.monodromies[b]
+                    if not _allclose(m @ other, other @ m, BUNDLE_ATOL):
+                        raise HodgeError(f"monodromies {a + 1}, {b + 1} do not commute")
+            if not given:
+                self.connection = self._derive_connection()
+            elif not all(np.allclose(_expm_2pi_i(a), m, atol=1e-8)
+                         for a, m in zip(self.connection, self.monodromies)):
+                raise HodgeError("connection does not exponentiate to monodromy")
+        conn = np.array(self.connection).reshape(self.n, r, r)
+        if basis is not None:
+            conn = basis[0] @ conn @ basis[1]
+        self.standard_connection = _read_only(conn)
+        # In eta's standard frame A_j^H eta = eta A_j reads A'_j^H s = s A'_j
+        # with s = diag(signs).  A NaN residual fails both tests.
+        s = np.array(self.signs)
+        for a, a_mat in enumerate(conn):
+            residual = np.abs(a_mat.conj().T * s - s[:, None] * a_mat).max()
+            if not residual <= BUNDLE_ATOL:
+                raise HodgeError(f"connection matrix {a + 1} is not eta-self-adjoint: "
+                                 f"residual {residual}")
+            for b in range(a + 1, self.n):
+                left, right = a_mat @ conn[b], conn[b] @ a_mat
+                if not _allclose(left, right, BUNDLE_ATOL):
+                    raise HodgeError(f"connection matrices {a + 1}, {b + 1} do not commute: "
+                                     f"residual {np.abs(left - right).max()}")
 
     @property
     def rank(self) -> int:
@@ -421,7 +444,6 @@ class TruncatedOperator:
     _blocks: Optional[np.ndarray] = field(default=None, repr=False)
     _eig: Optional[tuple] = field(default=None, repr=False)
     _odd: Optional[np.ndarray] = field(default=None, repr=False)
-    _odd_checked: bool = field(default=False, repr=False)
 
     @property
     def iota(self) -> np.ndarray:
@@ -446,10 +468,6 @@ class TruncatedOperator:
     def block_count(self) -> int:
         return self.freqs.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.freqs.shape[0] * self.zero.shape[0]
-
     def eigen_system(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-block eigenvalues (B, d) in physical units and eigenvectors."""
         if self._eig is None:
@@ -468,11 +486,10 @@ class TruncatedOperator:
         selfadj = float(np.max(np.abs(d - np.conj(np.swapaxes(d, 1, 2)))))
         graded = float(np.max(np.abs(d * iota[None, None, :] + d * iota[None, :, None])))
         report = {"selfadjoint": selfadj, "iota_anticommute": graded}
+        t = self.tau_v
         if self.bundle.n % 2 == 1:
-            t = self.tau_v
             report["tau_commute"] = float(np.max(np.abs(d @ t - t @ d)))
         else:
-            t = self.tau_v
             report["tau_anticommute"] = float(np.max(np.abs(d @ t + t @ d)))
         for key, value in report.items():
             if value > atol:
@@ -492,15 +509,9 @@ class TruncatedOperator:
         frame = self.frame
         restricted = self._stack(frame.lattice_odd, frame.alpha1_even @ self.zero[:, frame.even])
         herm = np.max(np.abs(restricted - np.conj(np.swapaxes(restricted, 1, 2))))
-        if herm > 1e-10:
+        if herm > BUNDLE_ATOL:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
-        self._odd_checked = True
         return restricted
-
-    def check_odd(self) -> None:
-        """The odd restriction's self-adjointness check, once, with no eigensolve."""
-        if not self._odd_checked:
-            self.restricted_odd_stack()
 
     def odd_spectrum(self) -> np.ndarray:
         """Sorted eigenvalues of the odd restriction in physical units."""
@@ -526,14 +537,11 @@ def _zero_block(bundle: MonodromyBundle) -> np.ndarray:
 
     C = sum_j ext_j (x) i A'_j is the connection term, entry (k a, l b) =
     sum_j ext_j[k, l] * i A'_j[a, b], and A'_j = L^H A_j L^-H is the
-    connection in eta's standard frame.
+    bundle's connection in eta's standard frame.
     """
     d = (1 << bundle.n) * bundle.rank
-    conn = np.array(bundle.connection)
-    basis = _standard_form(bundle.eta.tobytes(), bundle.rank)[1]
-    if basis is not None:
-        conn = basis[0] @ conn @ basis[1]
-    c = np.einsum("jkl,jab->kalb", _structure(bundle.n)[0], 1j * conn).reshape(d, d)
+    conn = 1j * bundle.standard_connection
+    c = np.einsum("jkl,jab->kalb", _structure(bundle.n)[0], conn).reshape(d, d)
     return _read_only(c + c.conj().T)
 
 
@@ -555,7 +563,7 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
         )
     return TruncatedOperator(bundle=bundle, cutoff=cutoff,
                              freqs=_frequency_lattice(n, cutoff), zero=_zero_block(bundle),
-                             frame=_frame(n, _standard_form(bundle.eta.tobytes(), r)[0]))
+                             frame=_frame(n, bundle.signs))
 
 
 # ---------------------------------------------------------------------------
@@ -678,25 +686,20 @@ class OperatorFamily:
         self._last = (key, bundle, op)
         return op
 
-    def verify_loop(self) -> None:
-        """Exhibit a conjugating map between the endpoint bundles.
 
-        Equal monodromies conjugate by the identity; otherwise a joint
-        eigenbasis match produces an explicit intertwiner, which must also
-        preserve the hermitian form.
-        """
-        b0, b1 = self.bundle(0), self.bundle(1)
-        if not all(
-            np.allclose(m0, m1, atol=1e-8)
-            for m0, m1 in zip(b0.monodromies, b1.monodromies)
-        ):
-            conjugator = _match_joint_eigensystem(b0, b1)
-            if conjugator is None:
-                raise HodgeError("family endpoints are not conjugate: not a loop")
-            if not np.allclose(
-                conjugator.conj().T @ b1.eta @ conjugator, b0.eta, atol=1e-6
-            ):
-                raise HodgeError("endpoint conjugator does not preserve eta")
+def _verify_loop(b0: MonodromyBundle, b1: MonodromyBundle) -> None:
+    """Exhibit a conjugating map between the endpoint bundles b0 and b1.
+
+    Equal monodromies conjugate by the identity; otherwise a joint
+    eigenbasis match produces an explicit intertwiner, which must also
+    preserve the hermitian form.
+    """
+    if not all(np.allclose(m0, m1, atol=1e-8) for m0, m1 in zip(b0.monodromies, b1.monodromies)):
+        conjugator = _match_joint_eigensystem(b0, b1)
+        if conjugator is None:
+            raise HodgeError("family endpoints are not conjugate: not a loop")
+        if not np.allclose(conjugator.conj().T @ b1.eta @ conjugator, b0.eta, atol=1e-6):
+            raise HodgeError("endpoint conjugator does not preserve eta")
 
 
 def _match_joint_eigensystem(b0: MonodromyBundle, b1: MonodromyBundle):
@@ -714,21 +717,12 @@ def _match_joint_eigensystem(b0: MonodromyBundle, b1: MonodromyBundle):
 
     v0, t0 = joint_basis(b0)
     v1, t1 = joint_basis(b1)
-    used = set()
     perm = []
     for tup in t0:
-        hit = next(
-            (
-                j
-                for j, other in enumerate(t1)
-                if j not in used
-                and np.allclose(np.array(tup), np.array(other), atol=1e-6)
-            ),
-            None,
-        )
+        hit = next((j for j, other in enumerate(t1) if j not in perm
+                    and np.allclose(np.array(tup), np.array(other), atol=1e-6)), None)
         if hit is None:
             return None
-        used.add(hit)
         perm.append(hit)
     p_mat = np.zeros((b0.rank, b0.rank), dtype=complex)
     for i, j in enumerate(perm):
@@ -805,23 +799,23 @@ def spectral_flow(
 
     A positive-slope crossing counts +1.  For a path of hermitian matrices
     the net count is the change in positive index from t = 0 to t = 1
-    (Phillips, Canad. Math. Bull. 39, 1996), so one pass over the grid
-    solves those two spectra and builds and checks every interior node with
-    no eigensolve.  If an endpoint eigenvalue lies within tol of zero, the
+    (Phillips, Canad. Math. Bull. 39, 1996): only the endpoints are assembled
+    and solved, and checked to form a loop; interior bundles are only built,
+    which checks them.  If an endpoint eigenvalue lies within tol of zero, the
     flow is read with the family shifted by +10*tol and by -10*tol; a shift
-    that leaves an endpoint eigenvalue within tol of zero raises
-    :class:`EndpointKernelError`.
+    that leaves one within tol of zero raises :class:`EndpointKernelError`.
     """
     if not family.loop:
         raise HodgeError("spectral flow is defined for loop families")
     nodes = family.grid
     if nodes[0] != 0 or nodes[-1] != 1:
         raise HodgeError("family grid must span [0, 1]")
-    family.verify_loop()
-    start = family.operator(0).odd_spectrum()
+    first = family.operator(0)
     for t in nodes[1:-1]:
-        family.operator(t).check_odd()
-    end = family.operator(1).odd_spectrum()
+        family.bundle(t)
+    last = family.operator(1)
+    _verify_loop(first.bundle, last.bundle)
+    start, end = first.odd_spectrum(), last.odd_spectrum()
     near_zero = min(np.min(np.abs(start)), np.min(np.abs(end))) < tol
     flows = []
     for shift in (10.0 * tol, -10.0 * tol) if near_zero else (0.0,):

@@ -277,6 +277,11 @@ def _space_with_relations(relations):
         json.dumps({**_LINE, "eta": [[1, 1], [0, -1]], "monodromies": [[[1, 0], [0, 1]]]}),
         json.dumps({"n": 1, "p": 2, "q": 0, "eta": [[1, 0], [0, -1]],
                     "monodromies": [[[1, 0], [0, 1]]]}),
+        json.dumps({"n": 2, "eta": [[1, 0], [0, 1]],
+                    "monodromies": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+                    "connection": [[[0, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]]}),
+        json.dumps({"n": 1, "eta": [[1, 0], [0, 1]], "monodromies": [[[1, 0], [0, 1]]],
+                    "connection": [[[0, 1], [0, 1]]]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": 1.7}]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": "2"}]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": True}]}),
@@ -296,7 +301,8 @@ def _space_with_relations(relations):
          "family-number", "family-connection-count", "family-monodromies",
          "loop-string", "globally-flat-string", "entry-bool", "entry-bool-pair",
          "eta-non-hermitian",
-         "signature-mismatch", "degree-float", "degree-string",
+         "signature-mismatch", "connection-not-flat", "connection-not-eta-self-adjoint",
+         "degree-float", "degree-string",
          "degree-bool", "top-degree-float", "top-degree-negative",
          "relation-given-twice", "coefficient-exponent", "coefficient-zero-denominator",
          "coefficient-float", "fundamental-unsorted", "fundamental-odd-square"],

@@ -381,7 +381,7 @@ def test_flow_requires_loop_flag():
 
 
 def test_loop_flag_verified_by_conjugator():
-    from tautsig.hodge_numeric import OperatorFamily
+    from tautsig.hodge_numeric import OperatorFamily, _verify_loop
 
     def half_twist(t):
         return lusztig_bundle(float(t) * 0.5)  # ends at monodromy -1
@@ -390,7 +390,7 @@ def test_loop_flag_verified_by_conjugator():
         generator=half_twist, grid=grid_nodes(8), loop=True, cutoff=4
     )
     with pytest.raises(HodgeError, match="loop"):
-        broken.verify_loop()
+        _verify_loop(broken.bundle(0), broken.bundle(1))
 
     def swapped_endpoint(t):
         theta = [0.2, -0.2] if float(t) < 1 else [-0.2, 0.2]
@@ -401,7 +401,7 @@ def test_loop_flag_verified_by_conjugator():
     permuted = OperatorFamily(
         generator=swapped_endpoint, grid=grid_nodes(4), loop=True, cutoff=3
     )
-    permuted.verify_loop()  # conjugate by the swap, accepted
+    _verify_loop(permuted.bundle(0), permuted.bundle(1))  # conjugate by the swap, accepted
 
 
 def test_flow_endpoint_kernel_error():
@@ -452,7 +452,7 @@ def test_constant_family_guard():
 
 @pytest.mark.parametrize(
     "connection,message",
-    [([[0, "t*(1-t)"], [0, 1]], "restricted operator is not self-adjoint (0.109375)"),
+    [([[0, "t*(1-t)"], [0, 1]], "connection matrix 1 is not eta-self-adjoint: residual 0.109375"),
      ([["t + 0*1/(4*t-2)"]], "cannot evaluate entry 't + 0*1/(4*t-2)': float division by zero")],
     ids=["not-self-adjoint", "division-by-zero"],
 )
@@ -823,11 +823,11 @@ def test_constant_family_assembles_once(monkeypatch, thetas, cutoff):
 )
 def test_endpoint_shift_passes_share_spectra(monkeypatch, make, flow):
     # Both endpoints have a kernel, so the flow reads both shifts from the
-    # one pass's endpoint spectra, and that pass assembles each node once.
+    # endpoint spectra, and only the two endpoints are assembled.
     calls = _count_assemble(monkeypatch)
     result = spectral_flow(make())
     assert abs(result.flow_plus) == abs(result.flow_minus) == flow
-    assert len(calls) == result.nodes_used
+    assert len(calls) == 2
 
 
 def _profile_then_flow(fam):
@@ -864,13 +864,12 @@ def _count_stack_solves(monkeypatch):
 
 @pytest.mark.parametrize(
     "run,stacks,solves",
-    # The line family solves its two endpoints and checks 15 interior nodes.
-    # Its profile solves every node's odd restriction for the kernel
-    # dimension; the flow after it builds its own pass of 17 nodes and solves
-    # its two endpoints.  The constant family's one operator is checked and
-    # solved once.
-    [(lambda: spectral_flow(lusztig_family(cutoff=6, resolution=16)), 17, 2),
-     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 34, 19),
+    # The line family restricts and solves only its two endpoints.  Its
+    # profile solves every node's odd restriction for the kernel dimension;
+    # the flow after it assembles and solves its own two endpoints.  The
+    # constant family's one operator is restricted and solved once.
+    [(lambda: spectral_flow(lusztig_family(cutoff=6, resolution=16)), 2, 2),
+     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 19, 19),
      (lambda: kernel_constancy_report(
          constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1, 1)],
     ids=["line", "line-profile", "constant"],
@@ -986,6 +985,22 @@ def test_given_connection_checked_against_given_monodromies():
                         connection=[np.array([[0.25]])])
 
 
+@pytest.mark.parametrize(
+    "connection,message",
+    [([[[0, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]],
+      "connection matrices 1, 2 do not commute: residual 0.5"),
+     ([[[0, 1], [0, 1]]], "connection matrix 1 is not eta-self-adjoint: residual 1.0")],
+    ids=["not-flat", "not-eta-self-adjoint"],
+)
+def test_descriptor_connection_refused_at_the_bundle(connection, message):
+    # Both connections exponentiate to the identity monodromies given with them.
+    eye = [[1, 0], [0, 1]]
+    data = {"n": len(connection), "eta": eye, "monodromies": [eye] * len(connection),
+            "connection": connection}
+    with pytest.raises(HodgeError, match=re.escape(message)):
+        bundle_from_descriptor(data)
+
+
 @pytest.mark.parametrize("connection", [[[[0.5]]], [[[0.5]], [[0.0]], [[0.0]]],
                                         [[[0.5]], np.zeros((2, 2))]],
                          ids=["too-few", "too-many", "wrong-rank"])
@@ -998,10 +1013,23 @@ def test_given_connection_needs_one_matrix_per_factor(connection):
 def test_from_connection_monodromies_are_exponentials():
     import scipy.linalg
 
-    conn = [np.diag([0.3, -0.7]).astype(complex), np.array([[0.1, 0.2], [0.2, 0.1]])]
+    # [[a, b], [b, a]] commute with each other: a flat, non-diagonal pair.
+    conn = [np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([[0.3, -0.4], [-0.4, 0.3]])]
     bundle = MonodromyBundle.from_connection(np.eye(2), conn)
     for a, m in zip(conn, bundle.monodromies):
         assert np.array_equal(m, scipy.linalg.expm(2j * math.pi * a))
+
+
+def test_from_connection_refuses_non_flat_connections_with_commuting_monodromies():
+    import scipy.linalg
+
+    # exp(2 pi i diag(0.3, -0.7)) is the scalar exp(0.6 pi i), so the
+    # monodromies commute, but the connection matrices do not.
+    conn = [np.diag([0.3, -0.7]).astype(complex), np.array([[0.1, 0.2], [0.2, 0.1]])]
+    m1, m2 = (scipy.linalg.expm(2j * math.pi * a) for a in conn)
+    assert np.allclose(m1 @ m2, m2 @ m1, atol=1e-12)
+    with pytest.raises(HodgeError, match="connection matrices 1, 2 do not commute: residual 0.19"):
+        MonodromyBundle.from_connection(np.eye(2), conn)
 
 
 @pytest.mark.parametrize(
@@ -1070,21 +1098,22 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
         hn._standard_form.cache_clear()
         counts.update(expm=0, eta_solves=0, bundles=0)
         spectral_flow(fam)
-        # One bundle per grid node, plus the t = 0 and t = 1 pair that
-        # verify_loop builds.
-        assert counts["bundles"] == len(fam.grid) + 2
-        assert counts["expm"] == counts["bundles"]
+        # One bundle per grid node; only the loop check at the two endpoints
+        # reads monodromies, one per circle factor.
+        assert counts["bundles"] == len(fam.grid)
+        assert counts["expm"] == 2
         assert hn._standard_form.cache_info().misses == 1
         assert counts["eta_solves"] == solves
 
 
 @pytest.mark.parametrize(
     "suite,descriptor,expected",
-    # descriptor: the bundle, then each node of the 32-step family grid once
-    # for the profile and once for the flow.  vanishing: four constant
-    # families, then the 17 profile nodes and the 65 flow nodes of the line
-    # family.  A flow shares no node with a profile before it.
-    [("descriptor", "lusztig_family.json", 67), ("vanishing", None, 86)],
+    # descriptor: the bundle, each node of the 32-step family grid for the
+    # profile, then the flow's two endpoints.  vanishing: four constant
+    # families, then the 17 profile nodes and the 2 flow endpoints of the
+    # line family.  A flow shares no node with a profile before it.
+    [("descriptor", "lusztig_family.json", 36), ("vanishing", None, 23)],
+    ids=["descriptor", "vanishing"],
 )
 def test_suite_assembles_each_node_once(monkeypatch, suite, descriptor, expected):
     from tautsig import suites
@@ -1235,8 +1264,9 @@ def test_odd_tori_never_build_the_block_stack(monkeypatch):
     report = kernel_constancy_report(fam)
     assert report["profile"] == [0] * 9 and report["flow_plus"] == 0
     assert spectral_flow(lusztig_family(cutoff=8, resolution=16)).flow_plus == 1
-    # One operator serves every node of the constant family; the loop has 17.
-    assert len(made) == 1 + 17
+    # One operator serves every node of the constant family; the loop's flow
+    # assembles its two endpoints.
+    assert len(made) == 1 + 2
     assert all(op._blocks is None for op in made)
     # An even torus solves the full stack: it is built on demand, bit for
     # bit the kron-sum formula.
