@@ -19,8 +19,14 @@ subspace, a self-adjoint family with no residual symmetry.  Its flow is
 the change in positive index from t = 0 to t = 1; zeros at these
 endpoints are pushed off zero by +-10*tol and both readings are reported.
 On odd tori the kernel dimension is read from the same restriction's
-spectrum.  For a connection affine in t, :func:`shell_bound` gives the
-cutoff from which the truncated flow no longer changes (Weyl's inequality).
+spectrum.  That spectrum is certified without an eigensolve when the bundle
+is split (its connection diagonal in eta's standard frame): each line's
+block of the restriction squares to |k + a_i|^2 I, a Clifford square, so
+its eigenvalues are +-|k + a_i| and its trace counts the signs
+(:func:`_clifford_spectrum`).  A stack whose squares, counts or margins
+against tol fail the check is solved by eigvalsh.  For a connection affine
+in t, :func:`shell_bound` gives the cutoff from which the truncated flow no
+longer changes (Weyl's inequality).
 
 The numerics are numpy's, and every floating-point decision about eta is
 made here: its hermitian and nonsingular rule and its standard form.  The
@@ -137,6 +143,14 @@ MAX_GRID = 4096
 MAX_CUTOFF = 1024
 # Refuse assemblies whose stacked complex blocks would exceed this many bytes.
 MAX_ASSEMBLY_BYTES = 256 << 20
+# Largest residual of a line block's square B_i^2 = c I, relative to c, that
+# certifies an odd spectrum (:func:`_clifford_spectrum`); split bundles stay
+# within a few units of machine epsilon.
+SQUARE_RTOL = 1e-12
+# The multiples of tol against which kernel_dimension (tol, and 10 tol for its
+# guard) and spectral_flow (tol, and 9, 10 and 11 tol for its shifted readings)
+# compare |eigenvalue|.
+_DECISION_LEVELS = np.array([1.0, 9.0, 10.0, 11.0])
 
 
 def __getattr__(name: str):
@@ -263,6 +277,8 @@ class MonodromyBundle:
     standard_connection: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise HodgeError("n must be at least 1")
         self.eta = _as_complex_matrix(self.eta)
         r = self.eta.shape[0]
         self.signs, basis = _standard_form(self.eta.tobytes(), r)
@@ -428,6 +444,59 @@ def _frame(n: int, signs: tuple[int, ...]) -> _Frame:
     return frame
 
 
+def _clifford_spectrum(stack: np.ndarray, r: int, tol: float) -> Optional[np.ndarray]:
+    """Eigenvalues (B, M) in lattice units of an odd stack over r lines, or None.
+
+    Row p r + i of a block is form p of line i; the line block B_i is the
+    i::r rows and columns, m = M / r of each.  For a split bundle B_i^2 =
+    c I with c = |k + a_i|^2, a Clifford square, so B_i has eigenvalues
+    +-sqrt(c) and its trace t counts them: (m + t / sqrt(c)) / 2 are
+    positive.  A 1x1 B_i is its own eigenvalue.
+
+    The certificate: max|B_i^2 - c I| <= SQUARE_RTOL c puts every eigenvalue
+    of B_i within m SQUARE_RTOL sqrt(c) of +-sqrt(c), and t / sqrt(c) must
+    then be an integer in [-m, m] of m's parity.  The entries E between
+    lines move the sorted eigenvalues by at most ||E||_2 <= M max|E| (Weyl).
+    The values decide each comparison with a level of ``_DECISION_LEVELS``
+    * tol as exact eigenvalues would when no sqrt(c) lies within this error
+    of the level; the error is doubled and taken at the block's largest
+    sqrt(c), so that it also covers a solver's.  Any failed check gives None.
+    """
+    count, size, _ = stack.shape
+    m = size // r
+    lines = stack.reshape(count, m, r, m, r)
+    blocks = lines.diagonal(axis1=2, axis2=4).transpose(0, 3, 1, 2)  # (B, r, m, m)
+    cross = 0.0
+    if r > 1:
+        between = np.abs(lines).max(axis=(0, 1, 3))  # (r, r) largest entry from line i to j
+        np.fill_diagonal(between, 0.0)
+        cross = size * between.max()
+    if m == 1:
+        vals = blocks[:, :, 0, 0].real
+        root = np.abs(vals)
+    else:
+        square = blocks @ blocks
+        diag = square.reshape(count, r, m * m)[:, :, :: m + 1]
+        c = diag.real.sum(axis=2) / m
+        diag -= c[..., None]
+        if not (np.abs(square) <= SQUARE_RTOL * c[..., None, None]).all():
+            return None
+        root = np.sqrt(c)
+        trace = np.diagonal(blocks, axis1=2, axis2=3).real.sum(axis=2)
+        # A zero block (c = 0) is zero, with m zero eigenvalues of either sign.
+        ratio = np.divide(trace, root, out=np.full_like(trace, float(m)), where=root > 0)
+        signs = np.rint(ratio)
+        if not ((np.abs(ratio - signs) <= 2 * m * m * SQUARE_RTOL).all()
+                and (np.abs(signs) <= m).all() and ((signs + m) % 2 == 0).all()):
+            return None
+        plus = np.arange(m) < ((m + signs) / 2)[..., None]
+        vals = np.where(plus, root[..., None], -root[..., None])
+    width = 2 * m * SQUARE_RTOL * root.max(axis=1, keepdims=True) + cross
+    if (np.abs(root[..., None] - _DECISION_LEVELS * (tol / UNIT)) <= width[..., None]).any():
+        return None
+    return vals.reshape(count, -1)
+
+
 @dataclass
 class TruncatedOperator:
     """Blockwise Fourier truncation of D = d + d^* with its gradings.
@@ -443,7 +512,7 @@ class TruncatedOperator:
     frame: _Frame = field(repr=False)
     _blocks: Optional[np.ndarray] = field(default=None, repr=False)
     _eig: Optional[tuple] = field(default=None, repr=False)
-    _odd: Optional[np.ndarray] = field(default=None, repr=False)
+    _odd: Optional[tuple] = field(default=None, repr=False)  # (tol, spectrum)
 
     @property
     def iota(self) -> np.ndarray:
@@ -454,8 +523,13 @@ class TruncatedOperator:
         return self.frame.tau_v
 
     def _stack(self, generators: np.ndarray, zero: np.ndarray) -> np.ndarray:
-        """sum_j k_j generators[j] + zero for every lattice point k."""
-        return np.einsum("bj,jkl->bkl", self.freqs.astype(float), generators) + zero[None]
+        """sum_j k_j generators[j] + zero for every lattice point k.
+
+        One matrix product; it is exact, since the generators' entries are
+        0, +-1 and +-i and the k_j are small integers.
+        """
+        n, d, _ = generators.shape
+        return (self.freqs @ generators.reshape(n, d * d)).reshape(-1, d, d) + zero[None]
 
     @property
     def blocks(self) -> np.ndarray:
@@ -513,12 +587,20 @@ class TruncatedOperator:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
         return restricted
 
-    def odd_spectrum(self) -> np.ndarray:
-        """Sorted eigenvalues of the odd restriction in physical units."""
-        if self._odd is None:
-            vals = np.linalg.eigvalsh(self.restricted_odd_stack())
-            self._odd = _read_only(np.sort(vals.ravel()) * UNIT)
-        return self._odd
+    def odd_spectrum(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Sorted eigenvalues of the odd restriction in physical units.
+
+        :func:`_clifford_spectrum` reads them from the blocks' squares and
+        traces when it can certify them for ``tol``; otherwise eigvalsh
+        solves the stack.  Cached for the last tol asked for.
+        """
+        if self._odd is None or self._odd[0] != tol:
+            stack = self.restricted_odd_stack()
+            vals = _clifford_spectrum(stack, self.bundle.rank, tol)
+            if vals is None:
+                vals = np.linalg.eigvalsh(stack)
+            self._odd = (tol, _read_only(np.sort(vals.ravel()) * UNIT))
+        return self._odd[1]
 
     def ellipticity_profile(self) -> dict[int, float]:
         """Smallest |eigenvalue| per sup-norm frequency shell (physical units)."""
@@ -584,15 +666,17 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues below tol in absolute value (physical units).
 
     On an odd torus this is twice the count of the odd restriction B, read
-    from its cached half-size spectrum, the one the flow solves; even tori
-    solve the full stack.  alpha = diag(iota) tau_V squares to -1,
+    from its cached half-size spectrum, the one the flow reads; that
+    spectrum is certified from the blocks' squares and traces, or solved
+    when the certificate fails.  Even tori solve the full stack.
+    alpha = diag(iota) tau_V squares to -1,
     anticommutes with D and swaps the parities, so B = alpha D on even forms
     has B^2 = D^2 there, and alpha maps the even kernel of D onto the odd
     one.  So |spec D| is |spec B| counted twice, and the factor-10 guard
     decides alike on both.
     """
     odd = op.bundle.n % 2 == 1
-    vals = op.odd_spectrum() if odd else op.eigenvalues()
+    vals = op.odd_spectrum(tol) if odd else op.eigenvalues()
     _kernel_guard(vals, tol)
     return (2 if odd else 1) * int(np.sum(np.abs(vals) < tol))
 
@@ -799,23 +883,25 @@ def spectral_flow(
 
     A positive-slope crossing counts +1.  For a path of hermitian matrices
     the net count is the change in positive index from t = 0 to t = 1
-    (Phillips, Canad. Math. Bull. 39, 1996): only the endpoints are assembled
-    and solved, and checked to form a loop; interior bundles are only built,
-    which checks them.  If an endpoint eigenvalue lies within tol of zero, the
-    flow is read with the family shifted by +10*tol and by -10*tol; a shift
-    that leaves one within tol of zero raises :class:`EndpointKernelError`.
+    (Phillips, Canad. Math. Bull. 39, 1996): only the endpoints are assembled,
+    checked to form a loop and have their odd spectra read; interior bundles
+    are only built, which checks them.  If an endpoint eigenvalue lies within
+    tol of zero, the flow is read with the family shifted by +10*tol and by
+    -10*tol; a shift that leaves one within tol of zero raises
+    :class:`EndpointKernelError`.
     """
     if not family.loop:
         raise HodgeError("spectral flow is defined for loop families")
     nodes = family.grid
     if nodes[0] != 0 or nodes[-1] != 1:
         raise HodgeError("family grid must span [0, 1]")
+    # t = 1 first: a kernel profile ends there, and the family keeps its operator.
+    last = family.operator(1)
     first = family.operator(0)
     for t in nodes[1:-1]:
         family.bundle(t)
-    last = family.operator(1)
     _verify_loop(first.bundle, last.bundle)
-    start, end = first.odd_spectrum(), last.odd_spectrum()
+    start, end = first.odd_spectrum(tol), last.odd_spectrum(tol)
     near_zero = min(np.min(np.abs(start)), np.min(np.abs(end))) < tol
     flows = []
     for shift in (10.0 * tol, -10.0 * tol) if near_zero else (0.0,):

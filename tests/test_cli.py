@@ -282,6 +282,7 @@ def _space_with_relations(relations):
                     "connection": [[[0, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]]}),
         json.dumps({"n": 1, "eta": [[1, 0], [0, 1]], "monodromies": [[[1, 0], [0, 1]]],
                     "connection": [[[0, 1], [0, 1]]]}),
+        json.dumps({"n": 0, "eta": [[1]], "monodromies": []}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": 1.7}]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": "2"}]}),
         json.dumps({**_OPEN_SPACE, "generators": [{"symbol": "x", "degree": True}]}),
@@ -302,6 +303,7 @@ def _space_with_relations(relations):
          "loop-string", "globally-flat-string", "entry-bool", "entry-bool-pair",
          "eta-non-hermitian",
          "signature-mismatch", "connection-not-flat", "connection-not-eta-self-adjoint",
+         "n-zero",
          "degree-float", "degree-string",
          "degree-bool", "top-degree-float", "top-degree-negative",
          "relation-given-twice", "coefficient-exponent", "coefficient-zero-denominator",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautsig.hodge_numeric import (
+    DEFAULT_TOL,
     UNIT,
     EndpointKernelError,
     HodgeError,
@@ -863,21 +864,22 @@ def _count_stack_solves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "run,stacks,solves",
-    # The line family restricts and solves only its two endpoints.  Its
-    # profile solves every node's odd restriction for the kernel dimension;
-    # the flow after it assembles and solves its own two endpoints.  The
-    # constant family's one operator is restricted and solved once.
-    [(lambda: spectral_flow(lusztig_family(cutoff=6, resolution=16)), 2, 2),
-     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 19, 19),
+    "run,stacks",
+    # The line family restricts only its two endpoints.  Its profile
+    # restricts every node's operator for the kernel dimension; the flow
+    # after it reuses the profile's last operator, at t = 1, and restricts
+    # t = 0.  The constant family's one operator is restricted once.  Every
+    # bundle is split, so its odd spectra are certified and none is solved.
+    [(lambda: spectral_flow(lusztig_family(cutoff=6, resolution=16)), 2),
+     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 18),
      (lambda: kernel_constancy_report(
-         constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1, 1)],
+         constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1)],
     ids=["line", "line-profile", "constant"],
 )
-def test_flow_solves_only_endpoint_spectra(monkeypatch, run, stacks, solves):
+def test_flow_solves_only_endpoint_spectra(monkeypatch, run, stacks):
     counts = _count_stack_solves(monkeypatch)
     run()
-    assert counts == {"stacks": stacks, "solves": solves, "full": 0}
+    assert counts == {"stacks": stacks, "solves": 0, "full": 0}
 
 
 def _flat_bundle(kind):
@@ -900,7 +902,106 @@ def test_flat_profiles_make_no_full_stack_eigh(monkeypatch, kind):
     report = kernel_constancy_report(
         constant_family(_flat_bundle(kind), cutoff=3, resolution=16))
     assert report["constant"] and report["flow_plus"] == report["flow_minus"] == 0
+    assert counts == {"stacks": 1, "solves": 0, "full": 0}
+
+
+def _eigvalsh_spectrum(op):
+    return np.sort(np.linalg.eigvalsh(op.restricted_odd_stack()).ravel()) * UNIT
+
+
+# Angles on a grid of eighths (integers give kernels) and a few off it.
+_ANGLES = st.integers(-12, 12).map(lambda x: x / 8) | st.sampled_from(
+    [math.sqrt(2) - 1, -1 / 3, 0.7])
+
+
+@st.composite
+def _split_loops(draw):
+    """Loop families of split bundles: eta = diag(+-1) and diagonal A_j(t) =
+    diag(a_ji), with line i moving by k_i t in the first direction."""
+    n = draw(st.sampled_from([1, 3]))
+    r = draw(st.integers(1, 3))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=r, max_size=r))
+    start = [draw(st.lists(_ANGLES, min_size=r, max_size=r)) for _ in range(n)]
+    if r > 1 and draw(st.booleans()):
+        for angles in start:
+            angles[1] = angles[0]  # two lines with equal angles
+    speeds = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    cutoff = draw(st.integers(1, 3))
+
+    def gen(t):
+        conn = [np.diag(angles).astype(complex) for angles in start]
+        conn[0] = conn[0] + float(t) * np.diag(speeds)
+        return MonodromyBundle.from_connection(np.diag(signs), conn)
+
+    return lambda: OperatorFamily(generator=gen, grid=grid_nodes(4), loop=True, cutoff=cutoff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_loops())
+def test_certified_odd_spectra_match_eigvalsh(make):
+    import tautsig.hodge_numeric as hn
+
+    fam = make()
+    for t in (0, 1):
+        op = fam.operator(t)
+        stack = op.restricted_odd_stack()
+        assert hn._clifford_spectrum(stack, op.bundle.rank, DEFAULT_TOL) is not None
+        ref = _eigvalsh_spectrum(op)
+        assert np.max(np.abs(op.odd_spectrum() - ref)) <= 1e-12 * np.max(np.abs(ref))
+    certified = ([kernel_dimension(fam.operator(t)) for t in (0, 1)], spectral_flow(fam))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hn, "_clifford_spectrum", lambda *args: None)
+        fam = make()
+        solved = ([kernel_dimension(fam.operator(t)) for t in (0, 1)], spectral_flow(fam))
+    assert certified == solved
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    # Not split: lines 1 and 2 are coupled.  Split, but the eigenvalue at
+    # k = 0 is tol itself, so the certificate cannot decide against tol.
+    [MonodromyBundle.from_connection(np.eye(2), [np.array([[0.1, 0.2], [0.2, 0.1]])]),
+     line_bundle([DEFAULT_TOL / UNIT])],
+    ids=["non-split", "on-tol"],
+)
+def test_uncertified_odd_spectrum_is_solved_once(monkeypatch, bundle):
+    op = assemble(bundle, cutoff=3)
+    ref = _eigvalsh_spectrum(op)
+    counts = _count_stack_solves(monkeypatch)
+    assert np.array_equal(op.odd_spectrum(), ref)
+    op.odd_spectrum()
     assert counts == {"stacks": 1, "solves": 1, "full": 0}
+
+
+def test_odd_spectrum_recertified_for_a_new_tol(monkeypatch):
+    # The eigenvalue 0.3 at k = 0 is certified against the default tol;
+    # against tol = 0.3 * UNIT it lies on a decision level, so eigvalsh decides.
+    op = assemble(line_bundle([0.3]), cutoff=2)
+    ref = _eigvalsh_spectrum(op)
+    counts = _count_stack_solves(monkeypatch)
+    assert np.max(np.abs(op.odd_spectrum() - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert counts["solves"] == 0
+    assert np.array_equal(op.odd_spectrum(0.3 * UNIT), ref)
+    assert counts == {"stacks": 2, "solves": 1, "full": 0}
+
+
+@pytest.mark.parametrize(
+    "eta", [np.eye(1), np.diag([1.0, -1.0]), np.array([[2.0, 1.0], [1.0, -1.0]])],
+    ids=["line", "indefinite", "non-diagonal-eta"],
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stack_product_matches_einsum(n, eta):
+    rng = np.random.default_rng(n)
+    r = eta.shape[0]
+    # Multiples of one eta^-1 S, S hermitian: commuting and eta-self-adjoint.
+    base = np.linalg.solve(eta, np.diag(rng.normal(size=r))).astype(complex)
+    conn = [x * base for x in rng.normal(size=n)]
+    op = assemble(MonodromyBundle.from_connection(eta, conn), cutoff=3)
+    frame = op.frame
+    for gens, zero in ((frame.lattice_h, op.zero),
+                       (frame.lattice_odd, frame.alpha1_even @ op.zero[:, frame.even])):
+        ref = np.einsum("bj,jkl->bkl", op.freqs.astype(float), gens) + zero[None]
+        assert _same_bits(op._stack(gens, zero), ref)
 
 
 def test_cached_structure_is_read_only():
@@ -1109,10 +1210,10 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
 @pytest.mark.parametrize(
     "suite,descriptor,expected",
     # descriptor: the bundle, each node of the 32-step family grid for the
-    # profile, then the flow's two endpoints.  vanishing: four constant
-    # families, then the 17 profile nodes and the 2 flow endpoints of the
-    # line family.  A flow shares no node with a profile before it.
-    [("descriptor", "lusztig_family.json", 36), ("vanishing", None, 23)],
+    # profile, then the flow's t = 0 endpoint.  vanishing: four constant
+    # families, then the 17 profile nodes and the flow's t = 0 endpoint of the
+    # line family.  A flow reuses the operator at t = 1, where a profile ends.
+    [("descriptor", "lusztig_family.json", 35), ("vanishing", None, 22)],
     ids=["descriptor", "vanishing"],
 )
 def test_suite_assembles_each_node_once(monkeypatch, suite, descriptor, expected):
