@@ -108,8 +108,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cutoff=args.cutoff,
         tol=args.tol,
         grid=args.grid,
-        out=args.out,
-        fmt=args.fmt,
         descriptor=args.descriptor,
     )
     try:
@@ -117,15 +115,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (SuiteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rendered = _RENDERERS[config.fmt](report)
-    if config.out:
+    rendered = _RENDERERS[args.fmt](report)
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"report written to {config.out}")
+        print(f"report written to {args.out}")
     else:
         sys.stdout.write(rendered)
     if not report["ok"]:

@@ -145,7 +145,6 @@ class CliffordModule:
     dim: int
     iota: PhaseMatrix
     generators: list
-    label: str = ""
 
     def verify_contract(self) -> None:
         ident = PhaseMatrix.identity(self.dim)
@@ -165,19 +164,14 @@ class CliffordModule:
                     raise CliffordError(f"generators {a}, {b} do not anticommute")
 
 
-def build_exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeData]:
-    """Exterior algebra Lambda^*(R^n) with its Clifford and Hodge structure.
-
-    ``orientation=-1`` flips the volume form, hence star and tau.
-    """
+def build_exterior(n: int) -> tuple[CliffordModule, HodgeData]:
+    """Exterior algebra Lambda^*(R^n) with its Clifford and Hodge structure."""
     if not 1 <= n <= MAX_EXTERIOR_DIM:
         raise CliffordError(f"dimension {n} outside [1, {MAX_EXTERIOR_DIM}]")
-    if orientation not in (1, -1):
-        raise CliffordError("orientation must be +1 or -1")
-    return _exterior(n, orientation)
+    return _exterior(n)
 
 
-def _exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeData]:
+def _exterior(n: int) -> tuple[CliffordModule, HodgeData]:
     """:func:`build_exterior` without its dimension cap.
 
     The structural matrices are cheap at any n; the product sign chain
@@ -186,8 +180,7 @@ def _exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeData]:
     dim = 1 << n
     full = dim - 1
     cliff = [_clifford_matrix(n, j) for j in range(n)]
-    flip = 2 if orientation < 0 else 0
-    star_phase = [2 * parity + flip for parity in _shuffle_parities(n)]
+    star_phase = [2 * parity for parity in _shuffle_parities(n)]
     # tau = i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms.
     base = n * (n + 1) // 2
     tau_phase = []
@@ -199,7 +192,6 @@ def _exterior(n: int, orientation: int = 1) -> tuple[CliffordModule, HodgeData]:
         dim=dim,
         iota=PhaseMatrix(dim, range(dim), [2 * (s.bit_count() & 1) for s in range(dim)]),
         generators=list(cliff),
-        label=f"Lambda*(R^{n})",
     )
     hodge = HodgeData(
         n=n,
@@ -240,7 +232,6 @@ def graded_tensor(a: CliffordModule, b: CliffordModule) -> CliffordModule:
         dim=a.dim * b.dim,
         iota=a.iota.kron(b.iota),
         generators=gens,
-        label=f"({a.label}) (x) ({b.label})",
     )
 
 
@@ -345,8 +336,7 @@ def bott_generator_module() -> tuple[CliffordModule, QiMatrix]:
     beta2 = QiMatrix.from_rows(
         [[0, GaussianRational(0, 1)], [GaussianRational(0, 1), 0]]
     )
-    module = CliffordModule(dim=2, iota=iota, generators=[beta1, beta2],
-                            label="bott-generator")
+    module = CliffordModule(dim=2, iota=iota, generators=[beta1, beta2])
     return module, QiMatrix.zero(2, 2)
 
 

@@ -26,7 +26,10 @@ its eigenvalues are +-|k + a_i| and its trace counts the signs
 (:func:`_clifford_spectrum`).  A stack whose squares, counts or margins
 against tol fail the check is solved by eigvalsh.  For a connection affine
 in t, :func:`shell_bound` gives the cutoff from which the truncated flow no
-longer changes (Weyl's inequality).
+longer changes (Weyl's inequality).  Its one-bundle form guards every kernel
+count: a cutoff is refused unless it exceeds the norm of the zero-frequency
+block minus one, so no kernel vector lies outside the truncation
+(:func:`_kernel_window`).
 
 The numerics are numpy's, and every floating-point decision about eta is
 made here: its hermitian and nonsingular rule and its standard form.  The
@@ -66,9 +69,10 @@ and flows never allocate it.
 A flat bundle is its connection.  Each bundle checks once, when built, that
 the A_j commute (flatness) and that A_j^H eta = eta A_j (eta is parallel),
 on the A'_j that it keeps with eta's signs for assembly.  This makes the
-monodromies commute and preserve eta and the odd restriction self-adjoint,
-so a bundle given by its connection computes its monodromies only when they
-are read; given monodromies are checked as well.  An operator keeps its
+monodromies exp(2*pi*i*A_j) commute and preserve eta and the odd restriction
+self-adjoint, so a bundle given by its connection keeps no monodromies; only
+a family's loop check computes them (:func:`_monodromies`).  Given
+monodromies are checked as well.  An operator keeps its
 block stack once built, its eigensystem and its odd spectrum; an operator
 family keeps its last operator for the same node, or for the same bundle
 object, as in a constant family.  Each :func:`spectral_flow` builds every
@@ -77,10 +81,10 @@ stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything is
 allocated, whether or not the stack is ever built.
 
 Descriptors are JSON objects.  Their matrices are non-empty lists of
-equal-length rows, a declared signature (p, q) must be eta's, a family
-grid must lie in [2, MAX_GRID] and its cutoff in [1, MAX_CUTOFF], and the
-flags ``loop`` and ``globally_flat`` must be booleans; anything else raises
-:class:`HodgeError`.
+equal-length rows of finite entries, a declared signature (p, q) must be
+eta's, a family grid must lie in [2, MAX_GRID] and its cutoff in
+[1, MAX_CUTOFF], and the flags ``loop`` and ``globally_flat`` must be
+booleans; anything else raises :class:`HodgeError`.
 """
 
 from __future__ import annotations
@@ -245,15 +249,6 @@ def _standard_form(eta_bytes: bytes, r: int) -> tuple[tuple[int, ...], Optional[
     return tuple(int(x) for x in signs), basis
 
 
-class _Monodromies:
-    """exp(2*pi*i*A_j), cached on first read; None on the class, the field default."""
-
-    def __get__(self, bundle, owner=None):
-        if bundle is not None:
-            bundle.monodromies = [_expm_2pi_i(a) for a in bundle.connection]
-            return bundle.monodromies
-
-
 @dataclass
 class MonodromyBundle:
     """Flat U(p,q)-bundle on T^n: its connection A_1..A_n, commuting and with
@@ -261,13 +256,13 @@ class MonodromyBundle:
 
     Given monodromies must preserve eta and commute; the connection is derived
     from them (principal branch) or must exponentiate to them.  Without them,
-    ``monodromies`` is computed when first read.  (p, q) is eta's signature; a
-    nonzero declared (p, q) must equal it.
+    ``monodromies`` stays None (see :func:`_monodromies`).  (p, q) is eta's
+    signature; a nonzero declared (p, q) must equal it.
     """
 
     n: int
     eta: np.ndarray
-    monodromies: Optional[list] = _Monodromies()
+    monodromies: Optional[list] = None
     connection: Optional[list] = None
     p: int = 0
     q: int = 0
@@ -294,7 +289,6 @@ class MonodromyBundle:
         if self.monodromies is None:
             if not given:
                 raise HodgeError("a bundle needs monodromies or a connection")
-            del self.monodromies  # exp(2*pi*i*A_j), computed when first read
         else:
             self.monodromies = [_as_complex_matrix(m) for m in self.monodromies]
             if len(self.monodromies) != self.n:
@@ -336,7 +330,7 @@ class MonodromyBundle:
         return self.p + self.q
 
     def _derive_connection(self) -> list:
-        vecs = _joint_eigenbasis(self)
+        vecs = _joint_eigenbasis(self.monodromies)
         for m in self.monodromies:
             if not _is_diagonal(np.linalg.solve(vecs, m @ vecs), 1e-8):
                 raise HodgeError(
@@ -356,13 +350,20 @@ class MonodromyBundle:
         return cls(n=len(connection), eta=eta, connection=connection, **kwargs)
 
 
-def _joint_eigenbasis(bundle: MonodromyBundle) -> np.ndarray:
-    """Common eigenvectors of the commuting monodromies: the identity when all
+def _monodromies(bundle: MonodromyBundle) -> list:
+    """exp(2*pi*i*A_j): the given monodromies, else computed from the connection."""
+    if bundle.monodromies is not None:
+        return bundle.monodromies
+    return [_expm_2pi_i(a) for a in bundle.connection]
+
+
+def _joint_eigenbasis(monodromies: list) -> np.ndarray:
+    """Common eigenvectors of commuting monodromies: the identity when all
     are diagonal, else those of a seeded random combination."""
-    if all(_is_diagonal(m, BUNDLE_ATOL) for m in bundle.monodromies):
-        return np.eye(bundle.rank, dtype=complex)
+    if all(_is_diagonal(m, BUNDLE_ATOL) for m in monodromies):
+        return np.eye(len(monodromies[0]), dtype=complex)
     rng = np.random.default_rng(0)
-    combo = sum(c * m for c, m in zip(rng.normal(size=bundle.n), bundle.monodromies))
+    combo = sum(c * m for c, m in zip(rng.normal(size=len(monodromies)), monodromies))
     return np.linalg.eig(combo)[1]
 
 
@@ -553,8 +554,8 @@ class TruncatedOperator:
         vals, _ = self.eigen_system()
         return np.sort(vals.ravel())
 
-    def check_contracts(self, atol: float = 0.0) -> dict:
-        """Structural identities; these hold to exact floating zero."""
+    def check_contracts(self) -> dict:
+        """Residuals of the structural identities; one above 1e-12 raises."""
         d = self.blocks
         iota = self.iota
         selfadj = float(np.max(np.abs(d - np.conj(np.swapaxes(d, 1, 2)))))
@@ -566,7 +567,7 @@ class TruncatedOperator:
         else:
             report["tau_anticommute"] = float(np.max(np.abs(d @ t + t @ d)))
         for key, value in report.items():
-            if value > atol:
+            if value > 1e-12:
                 raise HodgeError(f"contract {key} violated: residual {value}")
         return report
 
@@ -662,6 +663,31 @@ def _kernel_guard(values: np.ndarray, tol: float) -> None:
         )
 
 
+def _kernel_window(op: TruncatedOperator, tol: float) -> None:
+    """Refuse a cutoff whose truncation may miss kernel vectors.
+
+    Block k is K_k + Z in lattice units, with ||K_k v|| = |k|_2 ||v|| (see
+    :func:`shell_bound`), so a block outside the truncation, where |k|_2 >=
+    cutoff + 1, has every |eigenvalue| >= cutoff + 1 - ||Z||_2.  When that is
+    at least 10 tol it holds no kernel vector and nothing the factor-10 guard
+    would flag, so the truncated count is the operator's.
+    """
+    margin = op.cutoff + 1 - 10 * tol / UNIT
+    # The largest row sum of |Z| bounds ||Z||_2 and settles most cutoffs
+    # without an SVD.
+    if np.abs(op.zero).sum(axis=1).max() < margin:
+        return
+    norm = float(np.linalg.norm(op.zero, 2))
+    if norm < margin:
+        return
+    reach = norm + 10 * tol / UNIT
+    needed = f"at least {math.floor(reach)}" if reach <= MAX_CUTOFF else f"over {MAX_CUTOFF}"
+    raise HodgeError(
+        f"cutoff {op.cutoff} may miss kernel vectors of a connection block of norm "
+        f"{norm:.6g}; a kernel count needs a cutoff of {needed}"
+    )
+
+
 def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues below tol in absolute value (physical units).
 
@@ -673,8 +699,10 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     anticommutes with D and swaps the parities, so B = alpha D on even forms
     has B^2 = D^2 there, and alpha maps the even kernel of D onto the odd
     one.  So |spec D| is |spec B| counted twice, and the factor-10 guard
-    decides alike on both.
+    decides alike on both.  A cutoff too small for the connection raises
+    (:func:`_kernel_window`).
     """
+    _kernel_window(op, tol)
     odd = op.bundle.n % 2 == 1
     vals = op.odd_spectrum(tol) if odd else op.eigenvalues()
     _kernel_guard(vals, tol)
@@ -682,6 +710,7 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
 
 
 def _kernel_vectors(op: TruncatedOperator, tol: float):
+    _kernel_window(op, tol)
     vals, vecs = op.eigen_system()
     _kernel_guard(vals.ravel(), tol)
     hits = []
@@ -774,33 +803,35 @@ class OperatorFamily:
 def _verify_loop(b0: MonodromyBundle, b1: MonodromyBundle) -> None:
     """Exhibit a conjugating map between the endpoint bundles b0 and b1.
 
-    Equal monodromies conjugate by the identity; otherwise a joint
-    eigenbasis match produces an explicit intertwiner, which must also
-    preserve the hermitian form.
+    One bundle, as at both ends of a constant family, or equal monodromies
+    conjugate by the identity; otherwise a joint eigenbasis match produces
+    an explicit intertwiner, which must also preserve the hermitian form.
     """
-    if not all(np.allclose(m0, m1, atol=1e-8) for m0, m1 in zip(b0.monodromies, b1.monodromies)):
-        conjugator = _match_joint_eigensystem(b0, b1)
+    if b0 is b1:
+        return
+    ms0, ms1 = _monodromies(b0), _monodromies(b1)
+    if not all(np.allclose(m0, m1, atol=1e-8) for m0, m1 in zip(ms0, ms1)):
+        conjugator = _match_joint_eigensystem(ms0, ms1)
         if conjugator is None:
             raise HodgeError("family endpoints are not conjugate: not a loop")
         if not np.allclose(conjugator.conj().T @ b1.eta @ conjugator, b0.eta, atol=1e-6):
             raise HodgeError("endpoint conjugator does not preserve eta")
 
 
-def _match_joint_eigensystem(b0: MonodromyBundle, b1: MonodromyBundle):
+def _match_joint_eigensystem(ms0: list, ms1: list):
     """Invertible map U with U M_j(0) U^{-1} = M_j(1), or None."""
-    if b0.rank != b1.rank:
+    rank = len(ms0[0])
+    if len(ms1[0]) != rank:
         return None
 
-    def joint_basis(bundle):
-        vecs = _joint_eigenbasis(bundle)
+    def joint_basis(monodromies):
+        vecs = _joint_eigenbasis(monodromies)
         inv = np.linalg.inv(vecs)
-        tuples = [
-            tuple(np.round(np.diag(inv @ m @ vecs), 8)) for m in bundle.monodromies
-        ]
+        tuples = [tuple(np.round(np.diag(inv @ m @ vecs), 8)) for m in monodromies]
         return vecs, list(zip(*tuples))
 
-    v0, t0 = joint_basis(b0)
-    v1, t1 = joint_basis(b1)
+    v0, t0 = joint_basis(ms0)
+    v1, t1 = joint_basis(ms1)
     perm = []
     for tup in t0:
         hit = next((j for j, other in enumerate(t1) if j not in perm
@@ -808,11 +839,11 @@ def _match_joint_eigensystem(b0: MonodromyBundle, b1: MonodromyBundle):
         if hit is None:
             return None
         perm.append(hit)
-    p_mat = np.zeros((b0.rank, b0.rank), dtype=complex)
+    p_mat = np.zeros((rank, rank), dtype=complex)
     for i, j in enumerate(perm):
         p_mat[j, i] = 1.0
     conjugator = v1 @ p_mat @ np.linalg.inv(v0)
-    for m0, m1 in zip(b0.monodromies, b1.monodromies):
+    for m0, m1 in zip(ms0, ms1):
         if not np.allclose(conjugator @ m0, m1 @ conjugator, atol=1e-6):
             return None
     return conjugator
@@ -1064,7 +1095,8 @@ def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
     Entries are numbers, [re, im] pairs of numbers or strings; booleans are
     not numbers.  Strings may use
     numbers, + - * / **, unary minus, the names pi, i, j and t, and calls
-    to exp, cos, sin and sqrt; nothing else is evaluated.
+    to exp, cos, sin and sqrt; nothing else is evaluated.  A value that is
+    not finite (JSON NaN or Infinity, an overflow) raises.
     """
     if isinstance(entry, str):
         try:
@@ -1082,9 +1114,12 @@ def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
 
     def evaluate(t: Optional[float]) -> complex:
         try:
-            return complex(fn(t))
+            value = complex(fn(t))
         except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
             raise HodgeError(f"cannot evaluate entry {entry!r}: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise HodgeError(f"entry {entry!r} is not finite: {value}")
+        return value
 
     return evaluate
 

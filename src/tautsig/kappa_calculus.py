@@ -90,7 +90,6 @@ class BundleModel:
     vertical_tangent: BundleData
     pullbacks: dict = field(default_factory=dict)
     sch_class: Optional[GradedClass] = None
-    signature: Optional[tuple] = None
 
     def __post_init__(self):
         factors = self.total.factors
@@ -130,24 +129,18 @@ def bundle_model(
     label: str,
     base: ProductSpace,
     fiber: ProductSpace,
-    vertical_tangent: Optional[BundleData] = None,
     pullbacks: Optional[dict] = None,
     sch_class: Optional[GradedClass] = None,
-    signature: Optional[tuple] = None,
 ) -> BundleModel:
-    """Model of the trivial bundle base x fiber -> base."""
+    """Model of the trivial bundle base x fiber -> base, with trivial vertical tangent."""
     total = product_space(base, fiber)
-    fiber_indices = tuple(range(len(base.factors), len(total.factors)))
-    if vertical_tangent is None:
-        vertical_tangent = BundleData.trivial_real(total)
     return BundleModel(
         label=label,
         total=total,
-        fiber_indices=fiber_indices,
-        vertical_tangent=vertical_tangent,
+        fiber_indices=tuple(range(len(base.factors), len(total.factors))),
+        vertical_tangent=BundleData.trivial_real(total),
         pullbacks=dict(pullbacks or {}),
         sch_class=sch_class,
-        signature=signature,
     )
 
 
@@ -199,11 +192,6 @@ def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleMo
     sch = None
     if b0.sch_class is not None and b1.sch_class is not None:
         sch = cross(b0.sch_class, b1.sch_class)
-    sig = None
-    if b0.signature and b1.signature:
-        p0, q0 = b0.signature
-        p1, q1 = b1.signature
-        sig = (p0 * p1 + q0 * q1, p0 * q1 + q0 * p1)
     return BundleModel(
         label=label or f"{b0.label} x {b1.label}",
         total=total,
@@ -211,7 +199,6 @@ def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleMo
         vertical_tangent=vertical,
         pullbacks=pullbacks,
         sch_class=sch,
-        signature=sig,
     )
 
 
@@ -287,7 +274,6 @@ def kappa_product(
     b1: BundleModel,
     u0: str,
     u1: str,
-    max_weight: Optional[int] = None,
 ) -> dict:
     """Two-path certificate for kappa on a product model.
 
@@ -307,8 +293,7 @@ def kappa_product(
     headline_exp = n1 * d0
     sign = Fraction(-1 if proof_exp % 2 else 1)
 
-    if max_weight is None:
-        max_weight = min(prod.total.top_degree // 4 + 1, GENUS_WEIGHT_CAP)
+    max_weight = min(prod.total.top_degree // 4 + 1, GENUS_WEIGHT_CAP)
     weights = range(0, max_weight + 1)
     kappa0 = [kappa(b0, k=kk, u=u0) for kk in weights]
     kappa1 = [kappa(b1, k=kk, u=u1) for kk in weights]
@@ -411,7 +396,7 @@ def even_index_symbolic(bundle: BundleModel) -> GradedClass:
 SURFACE_DIAGONAL_FACTOR = 2  # z -> diag(z, 1/z) doubles the first Chern class
 
 
-def surface_flat_bundle_sch(g: int, detail: Optional[dict] = None) -> Fraction:
+def surface_flat_bundle_sch(g: int) -> Fraction:
     """Pairing of the degree-two super class of the hyperbolic flat bundle.
 
     Input constant: the lifted line has Chern number 1 - g; the diagonal
@@ -419,19 +404,7 @@ def surface_flat_bundle_sch(g: int, detail: Optional[dict] = None) -> Fraction:
     """
     if g < 2:
         raise KappaError("hyperbolic uniformization needs genus >= 2")
-    chern_number = Fraction(1 - g)
-    value = SURFACE_DIAGONAL_FACTOR * chern_number
-    if detail is not None:
-        detail.update(
-            {
-                "genus": g,
-                "line_chern_number": str(chern_number),
-                "diagonal_factor": SURFACE_DIAGONAL_FACTOR,
-                "sch1_pairing": str(value),
-                "signature": (1, 1),
-            }
-        )
-    return value
+    return SURFACE_DIAGONAL_FACTOR * Fraction(1 - g)
 
 
 def surface_coefficient_class(g: int) -> GradedClass:
@@ -457,7 +430,6 @@ def lusztig_model() -> BundleModel:
         fiber=s1,
         pullbacks={"ch_L": ch_l, "c1_L": uu},
         sch_class=ch_l,
-        signature=(1, 0),
     )
 
 
@@ -465,19 +437,17 @@ def lusztig_squared_model() -> BundleModel:
     return product_model(lusztig_model(), lusztig_model(), label="lusztig (x) lusztig")
 
 
-def globally_flat_surface_model(g: int, base: Optional[ProductSpace] = None) -> BundleModel:
+def globally_flat_surface_model(g: int) -> BundleModel:
     """Odd product model with hyperbolic flat (1,1) coefficients.
 
     Fiber surface(g) x circle carries the globally flat coefficient bundle
     pulled back from the surface; the declared super class has no top
     fiber component, so every fiber integral of it vanishes.
     """
-    base = base if base is not None else circle()
     model = bundle_model(
         f"globally-flat-surface(g={g})",
-        base=base,
+        base=circle(),
         fiber=product_space(surface(g), circle()),
-        signature=(1, 1),
     )
     surf_pos = model.total.factors.index(surface(g).factors[0])
     sch1 = pullback(surface_coefficient_class(g), model.total, [surf_pos])
@@ -486,14 +456,8 @@ def globally_flat_surface_model(g: int, base: Optional[ProductSpace] = None) -> 
     return model
 
 
-def trivial_flat_model(rank: int, base: ProductSpace, fiber: ProductSpace,
-                       label: str = "") -> BundleModel:
-    model = bundle_model(
-        label or f"trivial-rank-{rank}",
-        base=base,
-        fiber=fiber,
-        signature=(rank, 0),
-    )
+def trivial_flat_model(rank: int, base: ProductSpace, fiber: ProductSpace) -> BundleModel:
+    model = bundle_model(f"trivial-rank-{rank}", base=base, fiber=fiber)
     model.sch_class = model.total.one() * Fraction(rank)
     return model
 
@@ -536,7 +500,6 @@ def main_theorem_witnesses() -> dict:
         fiber=surface(g),
         pullbacks={"w": surface_coefficient_class(g)},
         sch_class=None,
-        signature=(1, 1),
     )
     cert = kappa_product(lus, surf_bundle, "c1_L", "w")
     scale = Fraction(cert["collapse"]["higher_signature"])

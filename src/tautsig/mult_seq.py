@@ -376,7 +376,7 @@ class BundleData:
 
     ``chern_classes[i]`` is c_{i+1} (degree 2i+2); ``pontryagin_classes[i]``
     is p_{i+1} (degree 4i+4).  Classes that are not listed count as zero,
-    which matches stably trivial bundles; ``l_class`` flags the padding.
+    which matches stably trivial bundles.
     """
 
     space: ProductSpace
@@ -384,7 +384,6 @@ class BundleData:
     rank: int = 0
     chern_classes: list = field(default_factory=list)
     pontryagin_classes: list = field(default_factory=list)
-    signature: Optional[tuple[int, int]] = None
     splitting: Optional[tuple["BundleData", "BundleData"]] = None
 
     def __post_init__(self):
@@ -398,8 +397,8 @@ class BundleData:
                 raise SeriesError(f"p_{i + 1} must have degree {4 * (i + 1)}")
 
     @classmethod
-    def trivial_real(cls, space: ProductSpace, rank: int = 0) -> "BundleData":
-        return cls(space=space, kind="real-oriented", rank=rank)
+    def trivial_real(cls, space: ProductSpace) -> "BundleData":
+        return cls(space=space, kind="real-oriented")
 
     @classmethod
     def line(cls, space: ProductSpace, c1: GradedClass) -> "BundleData":
@@ -410,9 +409,11 @@ def l_class(
     bundle: BundleData,
     max_k: int | None = None,
     series: str = "L-atiyah-singer",
-    notes: list | None = None,
 ) -> GradedClass:
-    """Total multiplicative class of the given series on Pontryagin data."""
+    """Total multiplicative class of the given series on Pontryagin data.
+
+    Pontryagin classes the bundle does not list count as zero.
+    """
     if bundle.kind != "real-oriented":
         raise SeriesError("l_class needs real-oriented bundle data")
     space = bundle.space
@@ -420,17 +421,9 @@ def l_class(
         max_k = min(space.top_degree // 4, GENUS_WEIGHT_CAP)
     expand_series(series, 0)  # an unknown name is refused even when max_k is 0
     result = space.one()
-    padded = False
     for k in range(1, max_k + 1):
         poly = genus_components(expand_series(series, 2 * k), k)
-        needed = max((len(e) for e in poly.terms), default=0)
-        if needed > len(bundle.pontryagin_classes):
-            padded = True
         result = result + poly.evaluate(bundle.pontryagin_classes, space)
-    if padded and notes is not None:
-        notes.append(
-            "missing Pontryagin classes treated as zero (stably trivial convention)"
-        )
     return result
 
 

@@ -183,7 +183,7 @@ def twisted_circle_cohomology_oracle(theta):
     return 2 if abs(theta - round(theta)) < 1e-12 else 0
 
 
-def exterior_oracle(n, orientation=1):
+def exterior_oracle(n):
     """Dense c(e_j), e_j ^, star, tau and iota on Lambda^*(R^n), from the definitions.
 
     Basis forms are sorted index tuples, numbered by the bitmask of their
@@ -209,7 +209,7 @@ def exterior_oracle(n, orientation=1):
         rest = tuple(j for j in range(n) if j not in f)
         word = f + rest
         inversions = sum(1 for a in range(n) for b in range(a + 1, n) if word[a] > word[b])
-        sign = orientation * (-1) ** inversions
+        sign = (-1) ** inversions
         p = len(f)
         star[index[rest], s] = sign
         tau[index[rest], s] = sign * 1j ** ((n * (n + 1) // 2 + 2 * n * p + p * (p - 1)) % 4)

@@ -127,6 +127,9 @@ def test_describe_known_suites(capsys):
     assert main(["describe", "kappa-products"]) == 0
     text = capsys.readouterr().out
     assert "lem:kappa-class-product" in text
+    assert main(["describe", "descriptor"]) == 0
+    text = capsys.readouterr().out
+    assert all(f"descriptor:{kind}" in text for kind in ("bundle", "family", "model-space"))
 
 
 def test_describe_unknown_exit_two():
@@ -317,6 +320,33 @@ def test_descriptor_parse_failure_exit_two(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "descriptor",
+    [{**_LINE, "eta": [[float("nan")]]},
+     {**_LINE, "monodromies": [[[float("inf")]]]},
+     {**_LINE, "connection": [[["1e308*10"]]]},
+     # Finite at t = 0 and 1/2, infinite at t = 1.
+     {**_LINE, "family": {"connection": [[["t**2000*1e308*10"]]], "grid": 2, "loop": True}}],
+    ids=["eta-nan", "monodromy-infinity", "connection-overflow", "family-at-one"],
+)
+def test_non_finite_entry_exit_two(tmp_path, capsys, descriptor):
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(descriptor))  # NaN and Infinity, as json writes them
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_kernel_count_needs_a_cutoff_past_the_connection(tmp_path, capsys):
+    # A trivial line bundle whose connection 20 puts its kernel at frequency -20.
+    path = tmp_path / "far-kernel.json"
+    path.write_text(json.dumps({**_LINE, "connection": [[[20]]]}))
+    args = ["run", "--suite", "descriptor", "--descriptor", str(path)]
+    assert main(args) == 2
+    assert "a cutoff of at least 20" in capsys.readouterr().err
+    assert main([*args, "--cutoff", "20"]) == 0
+    assert "kernel dimension 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "args,grid",
     [(["--suite", "lusztig", "--grid", "100000000"], None),
      (["--suite", "stability", "--grid", "1"], None),
@@ -464,8 +494,7 @@ def test_config_validation():
         SuiteConfig(suites=["genus"], cutoff=0).validate()
     with pytest.raises(SuiteError):
         SuiteConfig(suites=["genus"], tol=1.0).validate()
-    with pytest.raises(SuiteError):
-        SuiteConfig(suites=["genus"], fmt="xml").validate()
+    assert main(["run", "--suite", "genus", "--format", "xml"]) == 2
     with pytest.raises(SuiteError):
         run_suites(SuiteConfig(suites=["missing-suite"]))
 

@@ -56,12 +56,6 @@ def test_star_square_sign_dim_two():
     assert square @ proj == proj.scale(F(-1))
 
 
-def test_orientation_flip_negates_star():
-    _, plus = build_exterior(3, orientation=1)
-    _, minus = build_exterior(3, orientation=-1)
-    assert minus.star == -plus.star
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sign_identity_suite(n):
     results = verify_exterior_identities(n)

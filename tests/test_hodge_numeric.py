@@ -180,7 +180,7 @@ def test_structural_contracts_exact_zero():
         ),
     ):
         op = assemble(bundle, cutoff=3)
-        report = op.check_contracts(atol=0.0)
+        report = op.check_contracts()
         assert all(v == 0.0 for v in report.values()), report
 
 
@@ -233,6 +233,27 @@ def test_torus_kernel_dimension():
     assert kernel_dimension(op) == 4  # 1 + 2 + 1 harmonic forms
     twisted = assemble(line_bundle([0.5, 0.0], globally_flat=False), cutoff=3)
     assert kernel_dimension(twisted) == 0
+
+
+@pytest.mark.parametrize(
+    "count,thetas,want",
+    [(kernel_dimension, [3.0], 2), (kernel_dimension, [3.0, 0.0], 4),
+     (euler_index, [3.0, 0.0], 0), (even_signature_index, [3.0, 0.0], 0)],
+    ids=["odd-torus", "even-torus", "euler", "signature"],
+)
+def test_kernel_counts_need_a_cutoff_past_the_connection(count, thetas, want):
+    # The kernel sits at frequency -thetas, outside the cutoff-2 truncation:
+    # the zero-frequency block has norm 3 >= 2 + 1.
+    bundle = line_bundle(thetas)
+    with pytest.raises(HodgeError, match="a cutoff of at least 3"):
+        count(assemble(bundle, cutoff=2))
+    assert count(assemble(bundle, cutoff=3)) == want
+
+
+def test_kernel_window_reads_the_norm_past_the_row_sum_bound():
+    # The zero-frequency block's row sums are |a|_1 = 4.5, past cutoff + 1 = 3,
+    # but its norm |a|_2 = 2.6 is not, so the count is made.
+    assert kernel_dimension(assemble(line_bundle([1.5, 1.5, 1.5]), cutoff=2)) == 0
 
 
 # The six eta of the odd-kernel checks; diag(2, -1) and [[1, 2], [2, 1]] have
@@ -948,11 +969,19 @@ def test_certified_odd_spectra_match_eigvalsh(make):
         assert hn._clifford_spectrum(stack, op.bundle.rank, DEFAULT_TOL) is not None
         ref = _eigvalsh_spectrum(op)
         assert np.max(np.abs(op.odd_spectrum() - ref)) <= 1e-12 * np.max(np.abs(ref))
-    certified = ([kernel_dimension(fam.operator(t)) for t in (0, 1)], spectral_flow(fam))
+
+    def counts(fam):
+        # A cutoff too small for an endpoint's connection refuses the kernel
+        # count on either path, with the same message.
+        try:
+            return [kernel_dimension(fam.operator(t)) for t in (0, 1)], spectral_flow(fam)
+        except HodgeError as exc:
+            return str(exc)
+
+    certified = counts(fam)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hn, "_clifford_spectrum", lambda *args: None)
-        fam = make()
-        solved = ([kernel_dimension(fam.operator(t)) for t in (0, 1)], spectral_flow(fam))
+        solved = counts(make())
     assert certified == solved
 
 
@@ -1113,11 +1142,13 @@ def test_given_connection_needs_one_matrix_per_factor(connection):
 
 def test_from_connection_monodromies_are_exponentials():
     import scipy.linalg
+    from tautsig.hodge_numeric import _monodromies
 
     # [[a, b], [b, a]] commute with each other: a flat, non-diagonal pair.
     conn = [np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([[0.3, -0.4], [-0.4, 0.3]])]
     bundle = MonodromyBundle.from_connection(np.eye(2), conn)
-    for a, m in zip(conn, bundle.monodromies):
+    assert bundle.monodromies is None
+    for a, m in zip(conn, _monodromies(bundle)):
         assert np.array_equal(m, scipy.linalg.expm(2j * math.pi * a))
 
 
@@ -1259,7 +1290,7 @@ def test_exponential_of_diagonal_is_scipy_bit_for_bit(r):
 
 def test_non_diagonal_connection_falls_back_to_scipy():
     import scipy.linalg
-    from tautsig.hodge_numeric import _expm_2pi_i
+    from tautsig.hodge_numeric import _expm_2pi_i, _monodromies
 
     eta = np.diag([1.0, -1.0])
     # A = eta^-1 S with S hermitian is eta-self-adjoint, so exp(2 pi i A)
@@ -1269,7 +1300,7 @@ def test_non_diagonal_connection_falls_back_to_scipy():
     m = _expm_2pi_i(a)
     assert _same_bits(m, scipy.linalg.expm(2j * math.pi * a))
     bundle = MonodromyBundle.from_connection(eta, [a])
-    assert _same_bits(bundle.monodromies[0], m)
+    assert _same_bits(_monodromies(bundle)[0], m)
 
 
 def test_eigen_system_with_indefinite_metric_matches_scipy():
@@ -1295,7 +1326,7 @@ def test_non_unitary_descriptor_matches_the_original_frame():
     bundle = bundle_from_descriptor({"n": 1, "eta": [[2, 0], [0, -1]],
                                      "monodromies": [pairs(m)], "connection": [pairs(a)]})
     op = assemble(bundle, cutoff=8)
-    op.check_contracts(atol=1e-12)
+    op.check_contracts()
     assert kernel_dimension(op) == 0
     ref = original_frame_spectrum(bundle, 8)
     assert np.max(np.abs(op.eigen_system()[0] - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -95,10 +95,9 @@ def test_phase_constructor_rejects_non_monomial():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_exterior_matches_the_definitions(n, orientation):
-    want = exterior_oracle(n, orientation)
-    module, hodge = clifford._exterior(n, orientation)
+def test_exterior_matches_the_definitions(n):
+    want = exterior_oracle(n)
+    module, hodge = clifford._exterior(n)
     got = {
         "ext": [e.to_numpy() for e in hodge.ext],
         "clifford": [c.to_numpy() for c in hodge.clifford],
