@@ -24,11 +24,12 @@ is split (its connection diagonal in eta's standard frame): each line's
 block of the restriction squares to |k + a_i|^2 I, a Clifford square, so
 its eigenvalues are +-|k + a_i| and its trace counts the signs
 (:func:`_clifford_spectrum`).  A stack whose squares, counts or margins
-against tol fail the check is solved by eigvalsh.  For a connection affine
-in t, :func:`shell_bound` gives the cutoff from which the truncated flow no
-longer changes (Weyl's inequality).  Its one-bundle form guards every kernel
-count: a cutoff is refused unless it exceeds the norm of the zero-frequency
-block minus one, so no kernel vector lies outside the truncation
+against tol fail the check is solved by eigvalsh.  For any continuous
+family, :func:`shell_bound` gives the cutoff from which the truncated flow
+no longer changes (Weyl's inequality).  Its one-bundle form guards every kernel
+count and both endpoints of every flow: a cutoff is refused unless it
+exceeds the norm of the zero-frequency block minus one, so no kernel vector
+lies outside the truncation and no block outside it changes its index
 (:func:`_kernel_window`).
 
 The numerics are numpy's, and every floating-point decision about eta is
@@ -72,13 +73,17 @@ on the A'_j that it keeps with eta's signs for assembly.  This makes the
 monodromies exp(2*pi*i*A_j) commute and preserve eta and the odd restriction
 self-adjoint, so a bundle given by its connection keeps no monodromies; only
 a family's loop check computes them (:func:`_monodromies`).  Given
-monodromies are checked as well.  An operator keeps its
-block stack once built, its eigensystem and its odd spectrum; an operator
-family keeps its last operator for the same node, or for the same bundle
-object, as in a constant family.  Each :func:`spectral_flow` builds every
-node's bundle and assembles only the two endpoints.  An assembly whose block
-stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused before anything is
-allocated, whether or not the stack is ever built.
+monodromies are checked as well.  The check works over leading axes
+(:func:`_standard_connection`), so a family checks a stack of nodes in one
+pass and raises what building them one by one would.  A family is eta and a
+connection path that maps nodes to a stack of connections.  An operator
+keeps its block stack once built, its eigensystem and its odd spectrum; an
+operator family keeps the operators of t = 0, t = 1 and its last node; a
+constant family shares one bundle and one operator across its nodes.
+Each :func:`spectral_flow` builds the bundles of its two endpoints and
+assembles them, and checks the interior nodes' connections as one stack.
+An assembly whose block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused
+before anything is allocated, whether or not the stack is ever built.
 
 Descriptors are JSON objects.  Their matrices are non-empty lists of
 equal-length rows of finite entries, a declared signature (p, q) must be
@@ -92,12 +97,13 @@ from __future__ import annotations
 import ast
 import cmath
 import functools
+import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -147,6 +153,8 @@ MAX_GRID = 4096
 MAX_CUTOFF = 1024
 # Refuse assemblies whose stacked complex blocks would exceed this many bytes.
 MAX_ASSEMBLY_BYTES = 256 << 20
+# Largest stack of family connections read and checked at once.
+_STACK_BYTES = 4 << 20
 # Largest residual of a line block's square B_i^2 = c I, relative to c, that
 # certifies an odd spectrum (:func:`_clifford_spectrum`); split bundles stay
 # within a few units of machine epsilon.
@@ -202,12 +210,17 @@ def _expm_2pi_i(a: np.ndarray) -> np.ndarray:
     return __getattr__("scipy").linalg.expm(x)
 
 
-def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """``np.allclose(a, b, atol=atol)``; finite inputs skip its generic machinery."""
+def _close(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+    """``np.isclose(a, b, atol=atol)``; finite inputs skip its generic machinery."""
     diff = np.abs(a - b)
     if np.isfinite(diff).all():
-        return bool((diff <= atol + 1e-5 * np.abs(b)).all())
-    return bool(np.allclose(a, b, atol=atol))
+        return diff <= atol + 1e-5 * np.abs(b)
+    return np.isclose(a, b, atol=atol)
+
+
+def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """``np.allclose(a, b, atol=atol)``."""
+    return bool(_close(a, b, atol).all())
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -285,7 +298,7 @@ class MonodromyBundle:
         if given:
             self.connection = [_as_complex_matrix(a) for a in self.connection]
             if len(self.connection) != self.n or any(a.shape != (r, r) for a in self.connection):
-                raise HodgeError(f"one {r}x{r} connection matrix per circle factor is required")
+                raise _connection_shape_error(r)
         if self.monodromies is None:
             if not given:
                 raise HodgeError("a bundle needs monodromies or a connection")
@@ -307,23 +320,8 @@ class MonodromyBundle:
             elif not all(np.allclose(_expm_2pi_i(a), m, atol=1e-8)
                          for a, m in zip(self.connection, self.monodromies)):
                 raise HodgeError("connection does not exponentiate to monodromy")
-        conn = np.array(self.connection).reshape(self.n, r, r)
-        if basis is not None:
-            conn = basis[0] @ conn @ basis[1]
-        self.standard_connection = _read_only(conn)
-        # In eta's standard frame A_j^H eta = eta A_j reads A'_j^H s = s A'_j
-        # with s = diag(signs).  A NaN residual fails both tests.
-        s = np.array(self.signs)
-        for a, a_mat in enumerate(conn):
-            residual = np.abs(a_mat.conj().T * s - s[:, None] * a_mat).max()
-            if not residual <= BUNDLE_ATOL:
-                raise HodgeError(f"connection matrix {a + 1} is not eta-self-adjoint: "
-                                 f"residual {residual}")
-            for b in range(a + 1, self.n):
-                left, right = a_mat @ conn[b], conn[b] @ a_mat
-                if not _allclose(left, right, BUNDLE_ATOL):
-                    raise HodgeError(f"connection matrices {a + 1}, {b + 1} do not commute: "
-                                     f"residual {np.abs(left - right).max()}")
+        self.standard_connection = _read_only(
+            _standard_connection(np.array(self.connection), self.n, self.signs, basis))
 
     @property
     def rank(self) -> int:
@@ -348,6 +346,60 @@ class MonodromyBundle:
     @classmethod
     def from_connection(cls, eta, connection, **kwargs) -> "MonodromyBundle":
         return cls(n=len(connection), eta=eta, connection=connection, **kwargs)
+
+
+def _connection_shape_error(r: int) -> HodgeError:
+    return HodgeError(f"one {r}x{r} connection matrix per circle factor is required")
+
+
+def _standard_connection(conn: np.ndarray, n: int, signs: tuple, basis) -> np.ndarray:
+    """Connections (..., n, r, r) in eta's standard frame, checked as bundles.
+
+    Each leading index holds one bundle's A_1..A_n; ``signs`` and ``basis``
+    are eta's (:func:`_standard_form`).  In the frame x' = L^H x the rule
+    A_j^H eta = eta A_j reads A'_j^H s = s A'_j with s = diag(signs), and
+    must hold with an absolute residual of at most BUNDLE_ATOL; the A'_j
+    must commute under ``_allclose``.  A NaN residual fails both tests.
+    The first bundle that fails, in the order of the leading indices, raises
+    with its first failed test in the order A'_1 self-adjoint, A'_1 with
+    A'_2..A'_n, A'_2 self-adjoint, and so on: a stack raises what building
+    its bundles one by one would.
+    """
+    r = len(signs)
+    if conn.shape[-3:] != (n, r, r):
+        raise _connection_shape_error(r)
+    if basis is not None:
+        conn = basis[0] @ conn @ basis[1]
+    s = np.array(signs)
+    residual = np.abs(np.swapaxes(conn, -1, -2).conj() * s - s[:, None] * conn)
+    adjoint = residual <= BUNDLE_ATOL
+    ok = adjoint.all()
+    if n > 1:
+        # A_a A_b for every pair at once; only the pairs a < b are tested.
+        prod = conn[..., :, None, :, :] @ conn[..., None, :, :, :]
+        a, b = np.array(list(itertools.combinations(range(n), 2))).T
+        commute = _close(prod, np.swapaxes(prod, -3, -4), BUNDLE_ATOL)[..., a, b, :, :]
+        ok = ok and commute.all()
+    if ok:
+        return conn
+    # The first bad bundle, and its first failed test in a bundle's order.
+    count = conn.size // (n * r * r)
+    bad = ~adjoint.reshape(count, -1).all(axis=1)
+    if n > 1:
+        bad |= ~commute.reshape(count, -1).all(axis=1)
+        prod = prod.reshape(count, n, n, r, r)
+    first = bad.argmax()
+    residual = residual.reshape(count, n, r, r)[first].max(axis=(1, 2))
+    for a in range(n):
+        if not residual[a] <= BUNDLE_ATOL:
+            raise HodgeError(f"connection matrix {a + 1} is not eta-self-adjoint: "
+                             f"residual {residual[a]}")
+        for b in range(a + 1, n):
+            left, right = prod[first, a, b], prod[first, b, a]
+            if not _allclose(left, right, BUNDLE_ATOL):
+                raise HodgeError(f"connection matrices {a + 1}, {b + 1} do not commute: "
+                                 f"residual {np.abs(left - right).max()}")
+    raise AssertionError("a failed test was not found again")
 
 
 def _monodromies(bundle: MonodromyBundle) -> list:
@@ -663,8 +715,8 @@ def _kernel_guard(values: np.ndarray, tol: float) -> None:
         )
 
 
-def _kernel_window(op: TruncatedOperator, tol: float) -> None:
-    """Refuse a cutoff whose truncation may miss kernel vectors.
+def _kernel_window(op: TruncatedOperator, tol: float, use: str = "a kernel count") -> None:
+    """Refuse a cutoff whose truncation may miss kernel vectors, for ``use``.
 
     Block k is K_k + Z in lattice units, with ||K_k v|| = |k|_2 ||v|| (see
     :func:`shell_bound`), so a block outside the truncation, where |k|_2 >=
@@ -684,7 +736,7 @@ def _kernel_window(op: TruncatedOperator, tol: float) -> None:
     needed = f"at least {math.floor(reach)}" if reach <= MAX_CUTOFF else f"over {MAX_CUTOFF}"
     raise HodgeError(
         f"cutoff {op.cutoff} may miss kernel vectors of a connection block of norm "
-        f"{norm:.6g}; a kernel count needs a cutoff of {needed}"
+        f"{norm:.6g}; {use} needs a cutoff of {needed}"
     )
 
 
@@ -772,32 +824,88 @@ def _node(t) -> Fraction:
 
 @dataclass
 class OperatorFamily:
-    """One-parameter family t in [0,1] of monodromy bundles."""
+    """One-parameter family t in [0,1] of flat bundles: eta and a connection path.
 
-    generator: Callable[[Fraction], MonodromyBundle]
+    ``path`` maps a list of N nodes to their connections, an (N, n, r, r)
+    array; a node's bundle is eta with its connection, or ``fixed``, the one
+    bundle of a constant family, at every node.  The family keeps the
+    operators of t = 0, t = 1 and the last node built, by node and cutoff; a
+    constant family hands out one operator for every node.
+    """
+
+    eta: np.ndarray
+    path: Callable[[list], np.ndarray]
     grid: list
     loop: bool = False
     cutoff: int = DEFAULT_CUTOFF
     label: str = ""
-    # ((node, cutoff), bundle, operator) of the last assembly; reused for the
-    # same node, or for the same bundle object at the same cutoff.
-    _last: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    globally_flat: bool = False
+    fixed: Optional[MonodromyBundle] = None
+    # Operators by (node, cutoff), the node None for a constant family.
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bundle(self, t) -> MonodromyBundle:
-        return self.generator(_node(t))
+        return self._bundle(_node(t))
+
+    def _bundle(self, t: Fraction, connection: Optional[np.ndarray] = None) -> MonodromyBundle:
+        if self.fixed is not None:
+            return self.fixed
+        if connection is None:
+            connection = self.path([t])[0]
+        return MonodromyBundle.from_connection(self.eta, connection,
+                                               globally_flat=self.globally_flat,
+                                               label=f"{self.label}(t={t})")
 
     def operator(self, t) -> TruncatedOperator:
-        key = (_node(t), self.cutoff)
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[2]
-        bundle = self.bundle(t)
-        if last is not None and last[1] is bundle and last[0][1] == self.cutoff:
-            op = last[2]
-        else:
-            op = assemble(bundle, self.cutoff)
-        self._last = (key, bundle, op)
+        return self._operator(_node(t))
+
+    def operators(self, nodes: Sequence) -> Iterator[TruncatedOperator]:
+        """Each node's operator, built in grid order as it is asked for.
+
+        The first node's operator sizes the runs in which :meth:`_stacks`
+        reads the other nodes' connections.
+        """
+        nodes = [_node(t) for t in nodes]
+        if not nodes:
+            return
+        first = self._operator(nodes[0])
+        yield first
+        if self.fixed is not None:
+            yield from itertools.repeat(first, len(nodes) - 1)
+            return
+        rest = iter(nodes[1:])
+        for stack in self._stacks(nodes[1:], first.bundle.standard_connection.nbytes):
+            for connection, t in zip(stack, rest):
+                yield self._operator(t, connection)
+
+    def _operator(self, t: Fraction, connection: Optional[np.ndarray] = None) -> TruncatedOperator:
+        key = (None if self.fixed is not None else t, self.cutoff)
+        op = self._kept.get(key)
+        if op is None:
+            op = assemble(self._bundle(t, connection), self.cutoff)
+            self._kept = {k: v for k, v in self._kept.items()
+                          if k[0] in (0, 1) and k[1] == self.cutoff}
+            self._kept[key] = op
         return op
+
+    def _stacks(self, nodes: list, node_bytes: int) -> Iterator[np.ndarray]:
+        """The nodes' connections in grid order, as (N, n, r, r) stacks.
+
+        The path is read once per run of nodes whose stack holds at most
+        ``_STACK_BYTES``, which is every node of any family the suites run.
+        A run in which some node's connection cannot be evaluated is read one
+        node at a time, so that the first bad node in grid order raises when
+        it is reached.
+        """
+        step = max(1, _STACK_BYTES // max(node_bytes, 1))
+        for i in range(0, len(nodes), step):
+            run = nodes[i:i + step]
+            try:
+                stack = self.path(run)
+            except HodgeError:
+                yield from (self.path([t]) for t in run)
+            else:
+                yield stack
 
 
 def _verify_loop(b0: MonodromyBundle, b1: MonodromyBundle) -> None:
@@ -849,15 +957,20 @@ def _match_joint_eigensystem(ms0: list, ms1: list):
     return conjugator
 
 
+def _node_values(nodes: list) -> np.ndarray:
+    return np.array([float(t) for t in nodes])
+
+
 def lusztig_family(cutoff: int = DEFAULT_CUTOFF, resolution: int = 64,
                    speed: int = 1) -> OperatorFamily:
     """The monodromy-z line family on the circle, traversed ``speed`` times."""
 
-    def gen(t: Fraction) -> MonodromyBundle:
-        return lusztig_bundle(float(t) * speed)
+    def path(nodes: list) -> np.ndarray:
+        return (_node_values(nodes) * speed).astype(complex).reshape(-1, 1, 1, 1)
 
     return OperatorFamily(
-        generator=gen,
+        eta=np.eye(1),
+        path=path,
         grid=grid_nodes(resolution),
         loop=True,
         cutoff=cutoff,
@@ -869,12 +982,15 @@ def constant_family(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF,
                     resolution: int = 64) -> OperatorFamily:
     if not bundle.globally_flat:
         raise HodgeError("constant families model globally flat bundles")
+    connection = np.array(bundle.connection)
     return OperatorFamily(
-        generator=lambda t: bundle,
+        eta=bundle.eta,
+        path=lambda nodes: connection[None].repeat(len(nodes), axis=0),
         grid=grid_nodes(resolution),
         loop=True,
         cutoff=cutoff,
         label=f"constant({bundle.label})",
+        fixed=bundle,
     )
 
 
@@ -882,15 +998,15 @@ def lusztig_pair_family(cutoff: int = DEFAULT_CUTOFF,
                         resolution: int = 64) -> OperatorFamily:
     """Rank-2 direct sum of the line family with its conjugate-inverse twist."""
 
-    def gen(t: Fraction) -> MonodromyBundle:
-        tf = float(t)
-        conn = [np.diag([tf, -tf]).astype(complex)]
-        return MonodromyBundle.from_connection(
-            np.eye(2), conn, globally_flat=False, label=f"lusztig-pair(t={t})"
-        )
+    def path(nodes: list) -> np.ndarray:
+        t = _node_values(nodes)
+        stack = np.zeros((len(nodes), 1, 2, 2), dtype=complex)
+        stack[:, 0, 0, 0], stack[:, 0, 1, 1] = t, -t
+        return stack
 
     return OperatorFamily(
-        generator=gen,
+        eta=np.eye(2),
+        path=path,
         grid=grid_nodes(resolution),
         loop=True,
         cutoff=cutoff,
@@ -915,8 +1031,12 @@ def spectral_flow(
     A positive-slope crossing counts +1.  For a path of hermitian matrices
     the net count is the change in positive index from t = 0 to t = 1
     (Phillips, Canad. Math. Bull. 39, 1996): only the endpoints are assembled,
-    checked to form a loop and have their odd spectra read; interior bundles
-    are only built, which checks them.  If an endpoint eigenvalue lies within
+    checked to form a loop and have their odd spectra read.  The interior
+    nodes' connections are read as one stack and checked in one pass, by the
+    test each bundle applies (:func:`_standard_connection`); the first bad
+    node in grid order raises its bundle's error.  Each endpoint's cutoff
+    must pass :func:`_kernel_window`, which bounds the blocks that can cross
+    zero (see :func:`shell_bound`).  If an endpoint eigenvalue lies within
     tol of zero, the flow is read with the family shifted by +10*tol and by
     -10*tol; a shift that leaves one within tol of zero raises
     :class:`EndpointKernelError`.
@@ -926,12 +1046,18 @@ def spectral_flow(
     nodes = family.grid
     if nodes[0] != 0 or nodes[-1] != 1:
         raise HodgeError("family grid must span [0, 1]")
-    # t = 1 first: a kernel profile ends there, and the family keeps its operator.
-    last = family.operator(1)
+    # In grid order: t = 0, the interior nodes' connections in one pass over
+    # their stack, then t = 1.  A constant family's one bundle is checked.
     first = family.operator(0)
-    for t in nodes[1:-1]:
-        family.bundle(t)
+    if family.fixed is None:
+        bundle = first.bundle
+        signs, basis = _standard_form(bundle.eta.tobytes(), bundle.rank)
+        for stack in family._stacks(nodes[1:-1], bundle.standard_connection.nbytes):
+            _standard_connection(stack, bundle.n, signs, basis)
+    last = family.operator(1)
     _verify_loop(first.bundle, last.bundle)
+    for op in (first,) if last is first else (first, last):
+        _kernel_window(op, tol, "a spectral flow")
     start, end = first.odd_spectrum(tol), last.odd_spectrum(tol)
     near_zero = min(np.min(np.abs(start)), np.min(np.abs(end))) < tol
     flows = []
@@ -959,9 +1085,11 @@ def shell_bound(family: OperatorFamily) -> tuple[int, float]:
     block with |k|_2 > sup, where sup bounds ||Z(t)||_2 over [0, 1], is
     invertible at every t and adds nothing to the flow; so every cutoff >=
     S = floor(sup) + 1 gives the flow of the whole operator.  sup is the
-    larger of ||Z(0)||_2 and ||Z(1)||_2, which bounds the norm for a
-    connection affine in t (the norm is then convex in t); the bound is
-    valid only for such families.
+    larger of ||Z(0)||_2 and ||Z(1)||_2; the endpoints suffice for any
+    continuous family.  The flow is the sum over blocks of their changes in
+    positive index, and a block with |k|_2 > ||Z(t)||_2 at t = 0 and t = 1
+    is joined to K_k at both ends by s -> K_k + s Z(t), s in [0, 1], through
+    invertible matrices, so its index does not change.
     """
     sup = 0.0
     for t in (0, 1):
@@ -982,8 +1110,7 @@ def kernel_constancy_report(
     # dimension (None when indeterminate) is computed once per run of nodes
     # that share an operator.
     last_op = dim = None
-    for t in nodes:
-        op = family.operator(t)
+    for t, op in zip(nodes, family.operators(nodes)):
         if op is not last_op:
             last_op = op
             try:
@@ -1218,16 +1345,22 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
     if len(matrices) != n:
         raise HodgeError(f"family connection has {len(matrices)} matrices for n={n}")
 
-    def gen(t: Fraction) -> MonodromyBundle:
-        conn = [m(float(t)) for m in matrices]
-        return MonodromyBundle.from_connection(eta, conn, globally_flat=globally_flat)
+    # The path stacks the matrices, so they must share one shape.
+    r = len(eta)
+    if any(len(rows) != r or len(rows[0]) != r for rows in fam["connection"]):
+        raise _connection_shape_error(r)
+
+    def path(nodes: list) -> np.ndarray:
+        return np.array([[m(float(t)) for m in matrices] for t in nodes], dtype=complex)
 
     return OperatorFamily(
-        generator=gen,
+        eta=eta,
+        path=path,
         grid=grid_nodes(grid),
         loop=loop,
         cutoff=cutoff,
         label=str(data.get("label", "descriptor-family")),
+        globally_flat=globally_flat,
     )
 
 

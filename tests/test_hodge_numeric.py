@@ -405,23 +405,22 @@ def test_flow_requires_loop_flag():
 def test_loop_flag_verified_by_conjugator():
     from tautsig.hodge_numeric import OperatorFamily, _verify_loop
 
-    def half_twist(t):
-        return lusztig_bundle(float(t) * 0.5)  # ends at monodromy -1
+    def half_twist(nodes):
+        # Ends at monodromy -1.
+        return np.array([float(t) * 0.5 for t in nodes], dtype=complex).reshape(-1, 1, 1, 1)
 
     broken = OperatorFamily(
-        generator=half_twist, grid=grid_nodes(8), loop=True, cutoff=4
+        eta=np.eye(1), path=half_twist, grid=grid_nodes(8), loop=True, cutoff=4
     )
     with pytest.raises(HodgeError, match="loop"):
         _verify_loop(broken.bundle(0), broken.bundle(1))
 
-    def swapped_endpoint(t):
-        theta = [0.2, -0.2] if float(t) < 1 else [-0.2, 0.2]
-        return MonodromyBundle.from_connection(
-            np.eye(2), [np.diag(theta).astype(complex)]
-        )
+    def swapped_endpoint(nodes):
+        thetas = [[0.2, -0.2] if float(t) < 1 else [-0.2, 0.2] for t in nodes]
+        return np.array([[np.diag(theta)] for theta in thetas], dtype=complex)
 
     permuted = OperatorFamily(
-        generator=swapped_endpoint, grid=grid_nodes(4), loop=True, cutoff=3
+        eta=np.eye(2), path=swapped_endpoint, grid=grid_nodes(4), loop=True, cutoff=3
     )
     _verify_loop(permuted.bundle(0), permuted.bundle(1))  # conjugate by the swap, accepted
 
@@ -529,6 +528,157 @@ def test_flow_matches_grid_walk_and_speeds(loop):
     assert result.nodes_used == grid + 1
 
 
+def _only_at(j, grid):
+    """An expression in t that is 0 at every node of the grid except j/grid."""
+    return "*".join(f"(t - {m}/{grid})" for m in range(grid + 1) if m != j)
+
+
+def _split_loop_descriptor(signs, speeds, offsets, others, grid, defects=()):
+    """Loop family on T^n, n = 1 + len(others), with eta = diag(signs),
+    A_1(t) = diag(k_i t + a_i) and A_j = diag(others[j - 2]) for j >= 2.
+
+    ``defects`` holds (node, kind) pairs, each spoiling one interior node:
+    "adjoint" adds an imaginary part to A_1's first entry, "divide" divides
+    by zero there, and "commute" gives A_2 an eta-self-adjoint off-diagonal
+    pair that does not commute with A_1 where A_1's first two entries differ.
+    """
+    r = len(signs)
+    matrices = [[["0"] * r for _ in range(r)] for _ in range(1 + len(others))]
+    for i in range(r):
+        matrices[0][i][i] = f"{speeds[i]}*t + {offsets[i]}"
+        for a, values in enumerate(others, start=1):
+            matrices[a][i][i] = str(values[i])
+    for node, kind in defects:
+        if kind == "adjoint":
+            matrices[0][0][0] += f" + 0.5*i*{_only_at(node, grid)}"
+        elif kind == "divide":
+            matrices[0][0][0] += f" + 0*1/(t - {node}/{grid})"
+        else:
+            matrices[1][0][1] = f"0.5*{_only_at(node, grid)}"
+            matrices[1][1][0] = f"{signs[0] * signs[1]}*0.5*{_only_at(node, grid)}"
+    eye = np.eye(r).tolist()
+    return {"n": len(matrices), "eta": np.diag(signs).tolist(),
+            "monodromies": [eye] * len(matrices),
+            "family": {"connection": matrices, "grid": grid, "loop": True}}
+
+
+def _flow_or_error(fam):
+    try:
+        result = spectral_flow(fam)
+    except HodgeError as exc:
+        assert type(exc) is HodgeError
+        return str(exc)
+    return result.flow_plus, result.flow_minus
+
+
+def _built_in_grid_order(fam):
+    """Each node's bundle, built and assembled one by one in grid order: the
+    first bad node's error, or the flows of the walk over the grid."""
+    try:
+        for t in fam.grid:
+            fam.bundle(t)
+    except HodgeError as exc:
+        return str(exc)
+    return _grid_walk_flows(fam)
+
+
+@st.composite
+def _defective_loops(draw):
+    n = draw(st.sampled_from([1, 3]))
+    r = draw(st.integers(1, 3))
+    grid = draw(st.integers(2, 6))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=r, max_size=r))
+    speeds = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    # Offsets off the integers keep kernels away from the endpoints.
+    offsets = draw(st.lists(st.sampled_from([0.25, -0.375, 0.5]), min_size=r, max_size=r))
+    others = [draw(st.lists(st.sampled_from([0, 0.5]), min_size=r, max_size=r))
+              for _ in range(n - 1)]
+    kinds = ["adjoint", "divide"] + (["commute"] if n > 1 and r > 1 else [])
+    defects = []
+    if draw(st.booleans()):
+        defects.append((draw(st.integers(1, grid - 1)), draw(st.sampled_from(kinds))))
+    # |Z(t)|_2 <= 2.6 at both ends, inside the window of cutoff 2 (n = 3) or 3.
+    cutoff = 2 if n > 1 else 3
+    return _split_loop_descriptor(signs, speeds, offsets, others, grid, defects), cutoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(_defective_loops())
+def test_stacked_check_matches_per_node_bundles(loop):
+    data, cutoff = loop
+    assert _flow_or_error(family_from_descriptor(data, cutoff=cutoff)) == \
+        _built_in_grid_order(family_from_descriptor(data, cutoff=cutoff))
+
+
+# (n, defects, message) on the 8-step grid; node 8 is the endpoint t = 1.
+_TWO_BAD_NODES = [
+    (1, [(2, "adjoint"), (5, "divide")], "connection matrix 1 is not eta-self-adjoint"),
+    (1, [(2, "divide"), (5, "adjoint")], "float division by zero"),
+    (3, [(3, "commute"), (6, "adjoint")], "connection matrices 1, 2 do not commute"),
+    (3, [(3, "adjoint"), (6, "commute")], "connection matrix 1 is not eta-self-adjoint"),
+    (1, [(3, "adjoint"), (8, "divide")], "connection matrix 1 is not eta-self-adjoint"),
+    (1, [(5, "divide"), (8, "adjoint")], "float division by zero"),
+]
+
+
+def _two_bad_nodes(n, defects):
+    # A_1's first two entries differ at nodes 3 and 6 (they meet only at
+    # t = 1/4), so a commute defect there is one.
+    data = _split_loop_descriptor([1, -1], [1, 0], [0.25, 0.5], [[0, 0]] * (n - 1), 8,
+                                  defects)
+    return family_from_descriptor(data, cutoff=2)
+
+
+@pytest.mark.parametrize(
+    "n,defects,message", _TWO_BAD_NODES,
+    ids=["adjoint-then-divide", "divide-then-adjoint", "commute-then-adjoint",
+         "adjoint-then-commute", "adjoint-then-end-divide", "divide-then-end-adjoint"],
+)
+def test_flow_reports_the_first_bad_node(n, defects, message):
+    got = _flow_or_error(_two_bad_nodes(n, defects))
+    assert message in got
+    assert got == _built_in_grid_order(_two_bad_nodes(n, defects))
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 200, 500])
+def test_connections_read_in_several_runs_match_one_run(monkeypatch, stack_bytes):
+    # One node holds 1 * 2 * 2 * 16 = 64 bytes (n = 1) or 192 bytes (n = 3),
+    # so the 8-step grid is read in runs of 1 to 7 nodes: a flow's 7 interior
+    # nodes in one run or several, a profile's 8 nodes past t = 0 in several.
+    import tautsig.hodge_numeric as hn
+
+    def results():
+        out = [_flow_or_error(_two_bad_nodes(n, defects)) for n, defects, _ in _TWO_BAD_NODES]
+        for n in (1, 3):
+            fam = _two_bad_nodes(n, [])
+            out += [kernel_constancy_report(fam), _flow_or_error(fam)]
+        return out
+
+    one_run = results()
+    runs = []
+    real_stacks = hn.OperatorFamily._stacks
+
+    def stacks(self, nodes, node_bytes):
+        for stack in real_stacks(self, nodes, node_bytes):
+            runs.append(len(stack))
+            yield stack
+
+    monkeypatch.setattr(hn, "_STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(hn.OperatorFamily, "_stacks", stacks)
+    assert results() == one_run
+    assert max(runs) < 8
+
+
+def test_flow_refuses_a_cutoff_below_its_window():
+    # ||Z(1)||_2 = 3 for the speed-3 line family, so the blocks |k| <= 3 may
+    # change their index; below cutoff 3 the flow read 1/2 and 2/3.
+    for cutoff in (1, 2):
+        with pytest.raises(HodgeError, match="a spectral flow needs a cutoff of at least 3"):
+            spectral_flow(lusztig_family(cutoff=cutoff, resolution=16, speed=3))
+    result = spectral_flow(lusztig_family(cutoff=3, resolution=16, speed=3))
+    assert (result.flow_plus, result.flow_minus) == (3, 3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lattice_blocks_have_singular_values_norm_k(n):
     # The premise of the shell bound: with no connection, block k is L_k, and
@@ -568,11 +718,10 @@ def _conjugated_pair_family(cutoff):
     p_inv = np.linalg.inv(p)
     eta = p_inv.conj().T @ np.diag([1.0, -1.0]) @ p_inv
 
-    def gen(t):
-        conn = [p @ np.diag([float(t), -float(t)]) @ p_inv]
-        return MonodromyBundle.from_connection(eta, conn, label=f"conjugated(t={t})")
+    def path(nodes):
+        return np.array([[p @ np.diag([float(t), -float(t)]) @ p_inv] for t in nodes])
 
-    return OperatorFamily(generator=gen, grid=grid_nodes(16), loop=True,
+    return OperatorFamily(eta=eta, path=path, grid=grid_nodes(16), loop=True,
                           cutoff=cutoff, label="conjugated-pair")
 
 
@@ -888,11 +1037,11 @@ def _count_stack_solves(monkeypatch):
     "run,stacks",
     # The line family restricts only its two endpoints.  Its profile
     # restricts every node's operator for the kernel dimension; the flow
-    # after it reuses the profile's last operator, at t = 1, and restricts
-    # t = 0.  The constant family's one operator is restricted once.  Every
-    # bundle is split, so its odd spectra are certified and none is solved.
+    # after it reuses the profile's operators at t = 0 and t = 1.  The
+    # constant family's one operator is restricted once.  Every bundle is
+    # split, so its odd spectra are certified and none is solved.
     [(lambda: spectral_flow(lusztig_family(cutoff=6, resolution=16)), 2),
-     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 18),
+     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 17),
      (lambda: kernel_constancy_report(
          constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1)],
     ids=["line", "line-profile", "constant"],
@@ -949,12 +1098,13 @@ def _split_loops(draw):
     speeds = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
     cutoff = draw(st.integers(1, 3))
 
-    def gen(t):
-        conn = [np.diag(angles).astype(complex) for angles in start]
-        conn[0] = conn[0] + float(t) * np.diag(speeds)
-        return MonodromyBundle.from_connection(np.diag(signs), conn)
+    def path(nodes):
+        stack = np.array([[np.diag(angles) for angles in start]] * len(nodes), dtype=complex)
+        stack[:, 0] += np.array([float(t) for t in nodes])[:, None, None] * np.diag(speeds)
+        return stack
 
-    return lambda: OperatorFamily(generator=gen, grid=grid_nodes(4), loop=True, cutoff=cutoff)
+    return lambda: OperatorFamily(eta=np.diag(signs), path=path, grid=grid_nodes(4),
+                                  loop=True, cutoff=cutoff)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1201,9 +1351,11 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
     import tautsig.hodge_numeric as hn
 
     counts = {"expm": 0, "eta_solves": 0, "bundles": 0}
+    checked = []  # leading shape of every connection stack checked
     real_expm = hn._expm_2pi_i
     real_eigh, real_eigvalsh = hn.np.linalg.eigh, hn.np.linalg.eigvalsh
     real_post_init = hn.MonodromyBundle.__post_init__
+    real_check = hn._standard_connection
 
     def expm(a):
         counts["expm"] += 1
@@ -1219,7 +1371,12 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
         counts["bundles"] += 1
         real_post_init(self)
 
+    def check(conn, n, signs, basis):
+        checked.append(conn.shape[:-3])
+        return real_check(conn, n, signs, basis)
+
     monkeypatch.setattr(hn, "_expm_2pi_i", expm)
+    monkeypatch.setattr(hn, "_standard_connection", check)
     monkeypatch.setattr(hn.np.linalg, "eigh", counted(real_eigh))
     monkeypatch.setattr(hn.np.linalg, "eigvalsh", counted(real_eigvalsh))
     monkeypatch.setattr(hn.MonodromyBundle, "__post_init__", post_init)
@@ -1229,10 +1386,13 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
                         (_conjugated_pair_family(8), 1)):
         hn._standard_form.cache_clear()
         counts.update(expm=0, eta_solves=0, bundles=0)
+        checked.clear()
         spectral_flow(fam)
-        # One bundle per grid node; only the loop check at the two endpoints
-        # reads monodromies, one per circle factor.
-        assert counts["bundles"] == len(fam.grid)
+        # In grid order: the bundle at t = 0, one stacked check of the interior
+        # nodes and the bundle at t = 1; only the loop check at the two
+        # endpoints reads monodromies, one per circle factor.
+        assert counts["bundles"] == 2
+        assert checked == [(), (len(fam.grid) - 2,), ()]
         assert counts["expm"] == 2
         assert hn._standard_form.cache_info().misses == 1
         assert counts["eta_solves"] == solves
@@ -1240,11 +1400,11 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "suite,descriptor,expected",
-    # descriptor: the bundle, each node of the 32-step family grid for the
-    # profile, then the flow's t = 0 endpoint.  vanishing: four constant
-    # families, then the 17 profile nodes and the flow's t = 0 endpoint of the
-    # line family.  A flow reuses the operator at t = 1, where a profile ends.
-    [("descriptor", "lusztig_family.json", 35), ("vanishing", None, 22)],
+    # descriptor: the bundle, then each node of the 32-step family grid for
+    # the profile.  vanishing: four constant families, then the 17 profile
+    # nodes of the line family.  A flow reuses the operators at t = 0 and
+    # t = 1, where a profile starts and ends.
+    [("descriptor", "lusztig_family.json", 34), ("vanishing", None, 21)],
     ids=["descriptor", "vanishing"],
 )
 def test_suite_assembles_each_node_once(monkeypatch, suite, descriptor, expected):
