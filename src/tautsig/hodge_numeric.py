@@ -42,10 +42,9 @@ h is the identity: the connection is A'_j = L^H A_j L^-H and tau_V is
 tau (x) diag(s).  D is then d + d^H, hermitian, with the spectrum of the
 h-adjoint operator of the original frame for h = |eta|; eigenvectors are
 orthonormal, and forms and pairings are the standard ones.  When eta is
-diag(+-1) the frame is the original one.  Monodromies exp(2*pi*i*A) are the
-elementwise exponential of a diagonal A, as in every built-in family.
-scipy is imported only when a connection that is not diagonal must be
-exponentiated, through the module attribute ``scipy`` (PEP 562).
+diag(+-1) the frame is the original one.  No matrix exponential is
+computed: a connection and the monodromies given with it are compared in
+the connection's eigenbasis (:func:`_joint_eigensystem`).
 
 Spectral work is done once per process for each distinct input, and all
 cached arrays are read-only:
@@ -71,15 +70,16 @@ A flat bundle is its connection.  Each bundle checks once, when built, that
 the A_j commute (flatness) and that A_j^H eta = eta A_j (eta is parallel),
 on the A'_j that it keeps with eta's signs for assembly.  This makes the
 monodromies exp(2*pi*i*A_j) commute and preserve eta and the odd restriction
-self-adjoint, so a bundle given by its connection keeps no monodromies; only
-a family's loop check computes them (:func:`_monodromies`).  Given
-monodromies are checked as well.  The check works over leading axes
-(:func:`_standard_connection`), so a family checks a stack of nodes in one
-pass and raises what building them one by one would.  A family is eta and a
-connection path that maps nodes to a stack of connections.  An operator
-keeps its block stack once built, its eigensystem and its odd spectrum; an
-operator family keeps the operators of t = 0, t = 1 and its last node; a
-constant family shares one bundle and one operator across its nodes.
+self-adjoint, so a bundle given by its connection keeps no monodromies, and
+a family's loop check compares the endpoints' flat classes, read from their
+connections (:func:`_flat_class`).  Given monodromies are checked as well.
+The check works over leading axes (:func:`_standard_connection`), so a
+family checks a stack of nodes in one pass and raises what building them
+one by one would.  A family is eta and a connection path that maps nodes
+to a stack of connections.  An operator keeps its block stack once built,
+its eigensystem and its odd spectrum; an operator family keeps the
+operators of t = 0, t = 1 and its last node; a constant family shares one
+bundle and one operator across its nodes.
 Each :func:`spectral_flow` builds the bundles of its two endpoints and
 assembles them, and checks the interior nodes' connections as one stack.
 An assembly whose block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused
@@ -166,7 +166,8 @@ _DECISION_LEVELS = np.array([1.0, 9.0, 10.0, 11.0])
 
 
 def __getattr__(name: str):
-    """``scipy``, imported on first access, for :func:`_expm_2pi_i`'s fallback."""
+    """``scipy``, imported on first access.  No program path uses it; the
+    benchmark harness (``perfbench/tracing.py``) wraps its eigen routines."""
     if name == "scipy":
         import scipy.linalg
 
@@ -196,18 +197,6 @@ def _as_complex_matrix(m) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise HodgeError("expected a square matrix")
     return arr
-
-
-def _expm_2pi_i(a: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i*A): elementwise for diagonal A.
-
-    Any other A goes to ``scipy.linalg.expm``, imported here on first use.
-    """
-    x = 2j * math.pi * a
-    diag = np.diagonal(x)
-    if not np.any(x - np.diag(diag)):
-        return np.diag(np.exp(diag))
-    return __getattr__("scipy").linalg.expm(x)
 
 
 def _close(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
@@ -267,9 +256,9 @@ class MonodromyBundle:
     """Flat U(p,q)-bundle on T^n: its connection A_1..A_n, commuting and with
     A_j^H eta = eta A_j, checked once on ``standard_connection`` (the A'_j).
 
-    Given monodromies must preserve eta and commute; the connection is derived
-    from them (principal branch) or must exponentiate to them.  Without them,
-    ``monodromies`` stays None (see :func:`_monodromies`).  (p, q) is eta's
+    Given monodromies must preserve eta, commute and be diagonalizable; the
+    connection is derived from them (principal branch) or must exponentiate to
+    them.  Without them, ``monodromies`` stays None.  (p, q) is eta's
     signature; a nonzero declared (p, q) must equal it.
     """
 
@@ -284,6 +273,8 @@ class MonodromyBundle:
     signs: tuple = field(init=False, repr=False, compare=False)
     standard_connection: np.ndarray = field(init=False, repr=False, compare=False)
 
+    # An entry so large that a product overflows fails the test it is in.
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         if self.n < 1:
             raise HodgeError("n must be at least 1")
@@ -317,31 +308,28 @@ class MonodromyBundle:
                         raise HodgeError(f"monodromies {a + 1}, {b + 1} do not commute")
             if not given:
                 self.connection = self._derive_connection()
-            elif not all(np.allclose(_expm_2pi_i(a), m, atol=1e-8)
-                         for a, m in zip(self.connection, self.monodromies)):
-                raise HodgeError("connection does not exponentiate to monodromy")
         self.standard_connection = _read_only(
             _standard_connection(np.array(self.connection), self.n, self.signs, basis))
+        if given and self.monodromies is not None:
+            # M_j V = V exp(2 pi i Lambda_j) in the connection's eigenbasis.
+            vecs, lam = _joint_eigensystem(np.array(self.connection), "connection matrices")
+            ms = np.array(self.monodromies)
+            vecs, ms = (np.eye(r), ms) if vecs is None else (vecs, ms @ vecs)
+            if not np.allclose(vecs * np.exp(2j * math.pi * lam)[:, None, :], ms, atol=1e-8):
+                raise HodgeError("connection does not exponentiate to monodromy")
 
     @property
     def rank(self) -> int:
         return self.p + self.q
 
     def _derive_connection(self) -> list:
-        vecs = _joint_eigenbasis(self.monodromies)
-        for m in self.monodromies:
-            if not _is_diagonal(np.linalg.solve(vecs, m @ vecs), 1e-8):
-                raise HodgeError(
-                    "monodromies are not simultaneously diagonalizable; "
-                    "provide connection matrices explicitly"
-                )
+        """The principal logarithms of the monodromies, in their eigenbasis."""
+        vecs, lam = _joint_eigensystem(np.array(self.monodromies), "monodromies")
+        logs = [np.diag([cmath.log(z) / (2j * math.pi) for z in row]) for row in lam]
+        if vecs is None:
+            return logs
         inv = np.linalg.inv(vecs)
-        out = []
-        for m in self.monodromies:
-            diag = np.diag(inv @ m @ vecs)
-            logs = np.array([cmath.log(z) / (2j * math.pi) for z in diag])
-            out.append(vecs @ np.diag(logs) @ inv)
-        return out
+        return [vecs @ log @ inv for log in logs]
 
     @classmethod
     def from_connection(cls, eta, connection, **kwargs) -> "MonodromyBundle":
@@ -352,6 +340,7 @@ def _connection_shape_error(r: int) -> HodgeError:
     return HodgeError(f"one {r}x{r} connection matrix per circle factor is required")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _standard_connection(conn: np.ndarray, n: int, signs: tuple, basis) -> np.ndarray:
     """Connections (..., n, r, r) in eta's standard frame, checked as bundles.
 
@@ -402,21 +391,24 @@ def _standard_connection(conn: np.ndarray, n: int, signs: tuple, basis) -> np.nd
     raise AssertionError("a failed test was not found again")
 
 
-def _monodromies(bundle: MonodromyBundle) -> list:
-    """exp(2*pi*i*A_j): the given monodromies, else computed from the connection."""
-    if bundle.monodromies is not None:
-        return bundle.monodromies
-    return [_expm_2pi_i(a) for a in bundle.connection]
+def _joint_eigensystem(stack: np.ndarray, what: str) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Common eigenvectors V and eigenvalues (n, r) of n commuting r x r matrices.
 
-
-def _joint_eigenbasis(monodromies: list) -> np.ndarray:
-    """Common eigenvectors of commuting monodromies: the identity when all
-    are diagonal, else those of a seeded random combination."""
-    if all(_is_diagonal(m, BUNDLE_ATOL) for m in monodromies):
-        return np.eye(len(monodromies[0]), dtype=complex)
+    V is None when every matrix is diagonal to BUNDLE_ATOL.  Otherwise V, the
+    eigenvectors of a seeded random combination, must have cond(V) <= 1e8 and
+    make every V^-1 M_j V diagonal to 1e-8, or the matrices (``what``) are refused.
+    """
+    off = ~np.eye(stack.shape[-1], dtype=bool)
+    if (np.abs(stack[:, off]) <= BUNDLE_ATOL).all():
+        return None, np.diagonal(stack, axis1=1, axis2=2)
     rng = np.random.default_rng(0)
-    combo = sum(c * m for c, m in zip(rng.normal(size=len(monodromies)), monodromies))
-    return np.linalg.eig(combo)[1]
+    vecs = np.linalg.eig(sum(c * m for c, m in zip(rng.normal(size=len(stack)), stack)))[1]
+    if not np.linalg.cond(vecs) <= 1e8:
+        raise HodgeError(f"{what} are not diagonalizable")
+    diag = np.linalg.solve(vecs, stack @ vecs)
+    if not (np.abs(diag[:, off]) <= 1e-8).all():
+        raise HodgeError(f"{what} are not simultaneously diagonalizable")
+    return vecs, np.diagonal(diag, axis1=1, axis2=2)
 
 
 def line_bundle(thetas: Sequence[float], globally_flat: bool = True,
@@ -908,53 +900,53 @@ class OperatorFamily:
                 yield stack
 
 
-def _verify_loop(b0: MonodromyBundle, b1: MonodromyBundle) -> None:
-    """Exhibit a conjugating map between the endpoint bundles b0 and b1.
+def _flat_class(bundle: MonodromyBundle) -> tuple[np.ndarray, np.ndarray]:
+    """A flat bundle's isomorphism class: eigenvalue rows (r, n) and marks (r,).
 
-    One bundle, as at both ends of a constant family, or equal monodromies
-    conjugate by the identity; otherwise a joint eigenbasis match produces
-    an explicit intertwiner, which must also preserve the hermitian form.
+    Row i holds the joint eigenvalues of the A'_j (``standard_connection``) on
+    one eigenvector; rows within 1e-6 mod Z^n form a class (:func:`_same_class`).
+    Summed over a class, the marks' real parts give its multiplicity and their
+    imaginary parts eta's signature on its eigenspaces, which does not depend
+    on the basis (Sylvester) and is 0 for a non-real class.  Two bundles with
+    diagonalizable connections are isomorphic exactly when their classes agree
+    (the sign characteristic: Gohberg, Lancaster and Rodman, Indefinite Linear
+    Algebra and Its Applications, 2005).  A split bundle reads them from its
+    diagonal and signs; otherwise each real class's first row carries the
+    signature of its Gram matrix V_c^H diag(s) V_c.
     """
+    signs = np.array(bundle.signs, dtype=float)
+    vecs, lam = _joint_eigensystem(bundle.standard_connection,
+                                   "loop endpoint connection matrices")
+    lam = lam.T
+    if vecs is None:
+        return lam, 1 + 1j * signs
+    marks = np.ones(len(signs), dtype=complex)
+    close = _same_class(lam)
+    for i in np.flatnonzero(close.argmax(axis=1) == np.arange(len(lam))):
+        if (np.abs(lam[i].imag) <= 1e-6).all():
+            cols = vecs[:, close[i]]
+            gram = cols.conj().T @ (signs[:, None] * cols)
+            marks[i] += 1j * np.sign(np.linalg.eigvalsh(gram)).sum()
+    return lam, marks
+
+
+def _same_class(lam: np.ndarray) -> np.ndarray:
+    """(r, r) booleans: rows of joint eigenvalues within 1e-6 of each other mod Z^n."""
+    diff = lam[:, None, :] - lam[None, :, :]
+    near = (np.abs(diff.real - np.rint(diff.real)) <= 1e-6) & (np.abs(diff.imag) <= 1e-6)
+    return near.all(axis=2)
+
+
+def _verify_loop(b0: MonodromyBundle, b1: MonodromyBundle) -> None:
+    """Refuse endpoint bundles that are not isomorphic: one bundle, as at both
+    ends of a constant family, is a loop; otherwise every row of either
+    bundle must find the same mark sums over its class in b0 and in b1
+    (:func:`_flat_class`)."""
     if b0 is b1:
         return
-    ms0, ms1 = _monodromies(b0), _monodromies(b1)
-    if not all(np.allclose(m0, m1, atol=1e-8) for m0, m1 in zip(ms0, ms1)):
-        conjugator = _match_joint_eigensystem(ms0, ms1)
-        if conjugator is None:
-            raise HodgeError("family endpoints are not conjugate: not a loop")
-        if not np.allclose(conjugator.conj().T @ b1.eta @ conjugator, b0.eta, atol=1e-6):
-            raise HodgeError("endpoint conjugator does not preserve eta")
-
-
-def _match_joint_eigensystem(ms0: list, ms1: list):
-    """Invertible map U with U M_j(0) U^{-1} = M_j(1), or None."""
-    rank = len(ms0[0])
-    if len(ms1[0]) != rank:
-        return None
-
-    def joint_basis(monodromies):
-        vecs = _joint_eigenbasis(monodromies)
-        inv = np.linalg.inv(vecs)
-        tuples = [tuple(np.round(np.diag(inv @ m @ vecs), 8)) for m in monodromies]
-        return vecs, list(zip(*tuples))
-
-    v0, t0 = joint_basis(ms0)
-    v1, t1 = joint_basis(ms1)
-    perm = []
-    for tup in t0:
-        hit = next((j for j, other in enumerate(t1) if j not in perm
-                    and np.allclose(np.array(tup), np.array(other), atol=1e-6)), None)
-        if hit is None:
-            return None
-        perm.append(hit)
-    p_mat = np.zeros((rank, rank), dtype=complex)
-    for i, j in enumerate(perm):
-        p_mat[j, i] = 1.0
-    conjugator = v1 @ p_mat @ np.linalg.inv(v0)
-    for m0, m1 in zip(ms0, ms1):
-        if not np.allclose(conjugator @ m0, m1 @ conjugator, atol=1e-6):
-            return None
-    return conjugator
+    (lam0, m0), (lam1, m1) = _flat_class(b0), _flat_class(b1)
+    if (_same_class(np.concatenate([lam0, lam1])) @ np.concatenate([m0, -m1])).any():
+        raise HodgeError("family endpoints are not conjugate: not a loop")
 
 
 def _node_values(nodes: list) -> np.ndarray:
@@ -1289,12 +1281,11 @@ def bundle_from_descriptor(data: dict) -> MonodromyBundle:
     try:
         n = _integer(data["n"], "n")
         eta = _eval_matrix(data["eta"])
-        monodromies = [m() for m in _compile_matrices(data["monodromies"], "monodromies")]
     except KeyError as exc:
         raise HodgeError(f"descriptor missing field {exc}") from exc
-    connection = None
-    if "connection" in data:
-        connection = [m() for m in _compile_matrices(data["connection"], "connection")]
+    monodromies, connection = (
+        [m() for m in _compile_matrices(data[key], key)] if key in data else None
+        for key in ("monodromies", "connection"))
     return MonodromyBundle(
         n=n,
         eta=eta,

@@ -230,6 +230,49 @@ def test_non_unitary_eta_descriptor_runs(tmp_path):
     assert bundle["ok"] and bundle["case"].endswith("kernel dimension 0")
 
 
+def test_descriptor_bundle_from_connection_alone(tmp_path, capsys):
+    # The same line as lusztig_family.json's, given by its connection.
+    alone = _descriptor_details(tmp_path, {"n": 1, "eta": [[1]], "connection": [[[0.25]]]})
+    given = _descriptor_details(tmp_path, {"n": 1, "eta": [[1]],
+                                           "monodromies": [[["exp(2*pi*i*0.25)"]]]})
+    assert alone["descriptor:bundle"]["detail"] == given["descriptor:bundle"]["detail"]
+    path = tmp_path / "neither.json"
+    path.write_text(json.dumps({"n": 1, "eta": [[1]]}))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
+    assert "needs monodromies or a connection" in capsys.readouterr().err
+
+
+# eta = [[0, 1], [1, 0]] makes the Jordan block J = [[1/4, 1], [0, 1/4]]
+# eta-self-adjoint, and exp(2 pi i J) = [[i, -2 pi], [0, i]] preserves eta.
+_SWAP = [[0, 1], [1, 0]]
+_JORDAN = [[0.25, 1], [0, 0.25]]
+_UNIPOTENT = [["i", "-2*pi"], [0, "i"]]
+
+
+@pytest.mark.parametrize(
+    "descriptor,message",
+    [({"monodromies": [_UNIPOTENT]}, "monodromies are not diagonalizable"),
+     ({"monodromies": [_UNIPOTENT], "connection": [_JORDAN]},
+      "connection matrices are not diagonalizable"),
+     ({"monodromies": [[[1, 0], [0, 1]]],
+       "family": {"connection": [[["1/4", "1"], ["0", "1/4"]]], "grid": 4, "loop": True}},
+      "loop endpoint connection matrices are not diagonalizable")],
+    ids=["monodromy", "connection-with-monodromy", "loop-endpoint"],
+)
+def test_non_diagonalizable_exit_two(tmp_path, capsys, descriptor, message):
+    # A unipotent monodromy has no principal logarithm that exponentiates back
+    # to it, and a Jordan connection has no eigenbasis to compare in.
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps({"n": 1, "eta": _SWAP, **descriptor}))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_non_diagonalizable_connection_alone_runs(tmp_path):
+    bundle = _descriptor_details(tmp_path, {"n": 1, "eta": _SWAP, "connection": [_JORDAN]})
+    assert bundle["descriptor:bundle"]["case"].endswith("kernel dimension 0")
+
+
 _OPEN_SPACE = {
     "name": "open",
     "generators": [{"symbol": "x", "degree": 1}],
@@ -505,23 +548,59 @@ def test_describe_text_mentions_all_anchors():
         assert name in text
 
 
-def test_program_runs_without_importing_scipy():
-    # scipy is only the exponential fallback for connections that are not diagonal.
+def _conjugated_pair_descriptor():
+    """The pair family conjugated by P: eta = P^-H diag(1, -1) P^-1 and
+    A(t) = t P diag(1, -1) P^-1, whose connection at t = 1 is not diagonal in
+    eta's standard frame; its flow is 2."""
+    import numpy as np
+
+    p = np.array([[1.0, 0.5], [0.2, 1.0]])
+    p_inv = np.linalg.inv(p)
+    eta = p_inv.T @ np.diag([1.0, -1.0]) @ p_inv
+    a = p @ np.diag([1.0, -1.0]) @ p_inv
+    return {"n": 1, "eta": eta.tolist(), "connection": [[[0, 0], [0, 0]]],
+            "family": {"connection": [[[f"{x!r}*t" for x in row] for row in a.tolist()]],
+                       "grid": 16, "loop": True}}
+
+
+def test_program_runs_without_importing_scipy(tmp_path):
+    # No program path needs scipy: with its import blocked, every built-in
+    # suite, both shipped descriptors and a loop family whose endpoint
+    # connection is not diagonal in eta's standard frame run with exit 0.
+    # The module attribute ``scipy`` still imports it, for the benchmark
+    # harness.
+    root = Path(__file__).resolve().parents[1]
+    pair = tmp_path / "conjugated-pair.json"
+    pair.write_text(json.dumps(_conjugated_pair_descriptor()))
+    descriptors = [root / "descriptors" / "lusztig_family.json",
+                   root / "descriptors" / "surface_genus2.json", pair]
+    runs = [["--suite", "all"],
+            *(["--suite", "descriptor", "--descriptor", str(d)] for d in descriptors)]
     code = (
-        "import contextlib, importlib, io, pkgutil, sys\n"
+        "import contextlib, importlib, io, json, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
         "import tautsig\n"
         "for mod in pkgutil.iter_modules(tautsig.__path__):\n"
         "    importlib.import_module('tautsig.' + mod.name)\n"
-        "assert 'scipy' not in sys.modules, 'import'\n"
         "from tautsig import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['run', '--suite', 'all']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'run'\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(['run', '--format', 'text', *args]) == 0, args\n"
+        "    print(out.getvalue().splitlines()[-1])\n"
+        "del sys.modules['scipy']\n"
         "from tautsig import hodge_numeric\n"
         "assert hodge_numeric.scipy.linalg.expm is sys.modules['scipy.linalg'].expm\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == len(runs)
+
+
+def test_conjugated_pair_descriptor_reports_its_flow(tmp_path):
+    family = _descriptor_details(tmp_path, _conjugated_pair_descriptor())["descriptor:family"]
+    assert family["ok"] and family["detail"].endswith("flow=2")
 
 
 def test_exact_side_imports_without_numpy():
@@ -601,9 +680,10 @@ def _bundle_descriptors(draw):
     r, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     matrix = st.lists(st.lists(_ENTRIES, min_size=r, max_size=r), min_size=r, max_size=r)
     matrices = st.lists(matrix, min_size=n, max_size=n)
-    required = {"n": st.just(n), "eta": matrix, "monodromies": matrices}
+    required = {"n": st.just(n), "eta": matrix}
     optional = {
-        "connection": matrices, "p": st.integers(0, 2), "q": st.integers(0, 2),
+        "monodromies": matrices, "connection": matrices,
+        "p": st.integers(0, 2), "q": st.integers(0, 2),
         "globally_flat": st.booleans(), "label": st.text(max_size=4),
         "family": st.fixed_dictionaries({}, optional={
             "connection": matrices, "monodromies": matrices,
@@ -626,6 +706,10 @@ _DESCRIPTORS = _bundle_descriptors() | _SPACES | _JSON
 @example(descriptor=[])
 @example(descriptor={**_LINE, "eta": 5})
 @example(descriptor={**_LINE, "family": 5})
+# Products in the bundle checks overflow; the check they are in fails.
+@example(descriptor={**_LINE, "monodromies": [[[1.3407807929942597e+154]]]})
+@example(descriptor={"n": 2, "eta": [[1]], "monodromies": [[[1]], [[1]]],
+                     "family": {"connection": [[["1e200*t"]], [["1e200"]]], "loop": True}})
 @example(descriptor={"name": None, "generators": [], "top_degree": 0})
 @example(descriptor={"name": "s", "generators": [], "top_degree": float("inf")})
 @example(descriptor=_space_with_relations(({"lhs": ["x", "y"], "rhs": {"z": "1e100000000"}},)))

@@ -402,8 +402,8 @@ def test_flow_requires_loop_flag():
         spectral_flow(fam)
 
 
-def test_loop_flag_verified_by_conjugator():
-    from tautsig.hodge_numeric import OperatorFamily, _verify_loop
+def test_loop_flag_verified_by_flat_class():
+    from tautsig.hodge_numeric import _verify_loop
 
     def half_twist(nodes):
         # Ends at monodromy -1.
@@ -423,6 +423,85 @@ def test_loop_flag_verified_by_conjugator():
         eta=np.eye(2), path=swapped_endpoint, grid=grid_nodes(4), loop=True, cutoff=3
     )
     _verify_loop(permuted.bundle(0), permuted.bundle(1))  # conjugate by the swap, accepted
+
+
+def _rotating_rank_one_family(v_imag):
+    """A(t) = 0.1 I + 0.2 v v^H with v = (sin f, 0.6 cos f, 0.8 c cos f), f =
+    0.3 + pi t / 2 and c = i or 1: unitarily conjugate to diag(0.1, 0.1, 0.3)
+    at every t, with eta = I."""
+
+    def path(nodes):
+        out = []
+        for t in nodes:
+            phi = 0.3 + math.pi * float(t) / 2
+            v = np.array([math.sin(phi), 0.6 * math.cos(phi),
+                          (0.8j if v_imag else 0.8) * math.cos(phi)])
+            out.append([0.1 * np.eye(3) + 0.2 * np.outer(v, v.conj())])
+        return np.array(out)
+
+    return OperatorFamily(eta=np.eye(3), path=path, grid=grid_nodes(16), loop=True,
+                          cutoff=4, globally_flat=True, label="rotating")
+
+
+@pytest.mark.parametrize("v_imag", [True, False], ids=["complex-v", "real-v"])
+def test_loop_with_a_degenerate_eigenspace_is_accepted(v_imag):
+    # eig's basis of the doubled eigenvalue 0.1 need not be orthonormal; the
+    # class reads eta's signature on the eigenspace, which no basis changes.
+    result = spectral_flow(_rotating_rank_one_family(v_imag))
+    assert (result.flow_plus, result.flow_minus) == (0, 0)
+
+
+def test_loop_check_refuses_a_swap_across_eta_signs():
+    from tautsig.hodge_numeric import _verify_loop
+
+    eta = np.diag([1.0, -1.0])
+    b0 = MonodromyBundle.from_connection(eta, [np.diag([0.2, 0.3])])
+    b1 = MonodromyBundle.from_connection(eta, [np.diag([0.3, 0.2])])
+    with pytest.raises(HodgeError, match="not a loop"):
+        _verify_loop(b0, b1)
+
+
+def test_loop_check_accepts_a_non_real_class_shifted_by_one():
+    from tautsig.hodge_numeric import _flat_class, _verify_loop
+
+    # The non-unitary U(1,1) bundle: eta pairs the eigenvalues x -+ i s, and
+    # each non-real class has signature 0.
+    eta = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = np.diag([0.2 - 0.3j, 0.2 + 0.3j])
+    b0 = MonodromyBundle.from_connection(eta, [a])
+    b1 = MonodromyBundle.from_connection(eta, [a + np.eye(2)])
+    assert not np.any(_flat_class(b0)[1].imag)  # each class has signature 0
+    _verify_loop(b0, b1)
+    with pytest.raises(HodgeError, match="not a loop"):
+        _verify_loop(b0, MonodromyBundle.from_connection(eta, [a + 0.5 * np.eye(2)]))
+
+
+@st.composite
+def _conjugate_endpoints(draw):
+    """(U0 D U0^H, U1 D U1^H): D real diagonal with entries from a few values,
+    so often repeated, and U0, U1 random unitaries."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, -0.375]), min_size=r, max_size=r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u0, u1 = _random_unitary(rng, r), _random_unitary(rng, r)
+    return d, u0, u1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugate_endpoints())
+def test_loop_check_decides_unitary_conjugacy(drawn):
+    from tautsig.hodge_numeric import _verify_loop
+
+    d, u0, u1 = drawn
+    r = len(d)
+    bundle = lambda u, diag: MonodromyBundle.from_connection(
+        np.eye(r), [u @ np.diag(diag) @ u.conj().T])
+    b0 = bundle(u0, d)
+    _verify_loop(b0, bundle(u1, np.add(d, 1.0)))
+    # Half a turn on the first line changes the eigenvalues mod Z.
+    moved = np.add(d, np.eye(r)[0] / 2)
+    with pytest.raises(HodgeError, match="not a loop"):
+        _verify_loop(b0, bundle(u1, moved))
 
 
 def test_flow_endpoint_kernel_error():
@@ -1290,18 +1369,6 @@ def test_given_connection_needs_one_matrix_per_factor(connection):
                         connection=connection)
 
 
-def test_from_connection_monodromies_are_exponentials():
-    import scipy.linalg
-    from tautsig.hodge_numeric import _monodromies
-
-    # [[a, b], [b, a]] commute with each other: a flat, non-diagonal pair.
-    conn = [np.array([[0.1, 0.2], [0.2, 0.1]]), np.array([[0.3, -0.4], [-0.4, 0.3]])]
-    bundle = MonodromyBundle.from_connection(np.eye(2), conn)
-    assert bundle.monodromies is None
-    for a, m in zip(conn, _monodromies(bundle)):
-        assert np.array_equal(m, scipy.linalg.expm(2j * math.pi * a))
-
-
 def test_from_connection_refuses_non_flat_connections_with_commuting_monodromies():
     import scipy.linalg
 
@@ -1350,16 +1417,11 @@ def test_flow_results_pinned(make, pinned):
 def test_flow_validates_per_family_invariants_once(monkeypatch):
     import tautsig.hodge_numeric as hn
 
-    counts = {"expm": 0, "eta_solves": 0, "bundles": 0}
+    counts = {"eta_solves": 0, "bundles": 0}
     checked = []  # leading shape of every connection stack checked
-    real_expm = hn._expm_2pi_i
     real_eigh, real_eigvalsh = hn.np.linalg.eigh, hn.np.linalg.eigvalsh
     real_post_init = hn.MonodromyBundle.__post_init__
     real_check = hn._standard_connection
-
-    def expm(a):
-        counts["expm"] += 1
-        return real_expm(a)
 
     def counted(solver):
         def solve(a, *args, **kwargs):
@@ -1375,25 +1437,25 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
         checked.append(conn.shape[:-3])
         return real_check(conn, n, signs, basis)
 
-    monkeypatch.setattr(hn, "_expm_2pi_i", expm)
     monkeypatch.setattr(hn, "_standard_connection", check)
     monkeypatch.setattr(hn.np.linalg, "eigh", counted(real_eigh))
     monkeypatch.setattr(hn.np.linalg, "eigvalsh", counted(real_eigvalsh))
     monkeypatch.setattr(hn.MonodromyBundle, "__post_init__", post_init)
-    # eta = [1] is diagonal and needs no eigensolve; the conjugated pair's
-    # eta is not, and is decomposed once.
+    # eta = [1] is diagonal and needs no eigensolve, and the line's split
+    # connection gives its flat class without one.  The conjugated pair's eta
+    # is not diagonal and is decomposed once; its connection at t = 1 is not
+    # diagonal in eta's standard frame, so its one real class (eigenvalues
+    # 1 and -1, both 0 mod Z) reads its signature from one 2x2 Gram matrix.
     for fam, solves in ((lusztig_family(cutoff=8, resolution=64), 0),
-                        (_conjugated_pair_family(8), 1)):
+                        (_conjugated_pair_family(8), 2)):
         hn._standard_form.cache_clear()
-        counts.update(expm=0, eta_solves=0, bundles=0)
+        counts.update(eta_solves=0, bundles=0)
         checked.clear()
         spectral_flow(fam)
         # In grid order: the bundle at t = 0, one stacked check of the interior
-        # nodes and the bundle at t = 1; only the loop check at the two
-        # endpoints reads monodromies, one per circle factor.
+        # nodes and the bundle at t = 1.
         assert counts["bundles"] == 2
         assert checked == [(), (len(fam.grid) - 2,), ()]
-        assert counts["expm"] == 2
         assert hn._standard_form.cache_info().misses == 1
         assert counts["eta_solves"] == solves
 
@@ -1434,33 +1496,6 @@ def _same_bits(a, b):
 def _random_unitary(rng, r):
     g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
     return np.linalg.qr(g)[0]
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 5])
-def test_exponential_of_diagonal_is_scipy_bit_for_bit(r):
-    import scipy.linalg
-    from tautsig.hodge_numeric import _expm_2pi_i
-
-    rng = np.random.default_rng(r)
-    for a in (np.diag(rng.normal(size=r)).astype(complex),
-              np.diag(rng.normal(size=r) + 1j * rng.normal(size=r)),
-              np.diag(-rng.integers(0, 3, size=r)).astype(complex)):
-        assert _same_bits(_expm_2pi_i(a), scipy.linalg.expm(2j * math.pi * a))
-
-
-def test_non_diagonal_connection_falls_back_to_scipy():
-    import scipy.linalg
-    from tautsig.hodge_numeric import _expm_2pi_i, _monodromies
-
-    eta = np.diag([1.0, -1.0])
-    # A = eta^-1 S with S hermitian is eta-self-adjoint, so exp(2 pi i A)
-    # preserves eta, but A is not diagonal (nor hermitian).
-    a = np.linalg.inv(eta) @ np.array([[0.2, 0.3], [0.3, 0.1]], dtype=complex)
-    assert not np.array_equal(a, a.conj().T)
-    m = _expm_2pi_i(a)
-    assert _same_bits(m, scipy.linalg.expm(2j * math.pi * a))
-    bundle = MonodromyBundle.from_connection(eta, [a])
-    assert _same_bits(_monodromies(bundle)[0], m)
 
 
 def test_eigen_system_with_indefinite_metric_matches_scipy():
