@@ -19,12 +19,14 @@ subspace, a self-adjoint family with no residual symmetry.  Its flow is
 the change in positive index from t = 0 to t = 1; zeros at these
 endpoints are pushed off zero by +-10*tol and both readings are reported.
 On odd tori the kernel dimension is read from the same restriction's
-spectrum.  That spectrum is certified without an eigensolve when the bundle
-is split (its connection diagonal in eta's standard frame): each line's
-block of the restriction squares to |k + a_i|^2 I, a Clifford square, so
-its eigenvalues are +-|k + a_i| and its trace counts the signs
-(:func:`_clifford_spectrum`).  A stack whose squares, counts or margins
-against tol fail the check is solved by eigvalsh.  For any continuous
+spectrum.  That spectrum is read in closed form from the connection's
+diagonal a_ij and the frame: the restriction's generators G_j are checked
+once per frame to be a line-diagonal Clifford frame, so line i's block at
+frequency k has eigenvalues +-|k + a_i| (:func:`_closed_odd_spectrum`).
+Everything else in the connection is one frequency-independent remainder
+E, whose norm is the one Weyl band of the operator; a stack with some
+|k + a_i| within that band of a level at which tol is decided is solved by
+eigvalsh, as a bundle that is not split usually is.  For any continuous
 family, :func:`shell_bound` gives the cutoff from which the truncated flow
 no longer changes (Weyl's inequality).  Its one-bundle form guards every kernel
 count and both endpoints of every flow: a cutoff is refused unless it
@@ -55,9 +57,11 @@ cached arrays are read-only:
   change (L^H, L^-H) (None when eta is diag(+-1)); a bad eta is not cached
   and raises on every construction;
 * per (n, s): the assembly frame -- tau_V, the lattice generators
-  L_j + L_j^H with L_j = ext_j (x) i and their odd restriction, and the odd
-  restriction's alpha_1 rows and even-parity indices.  Nothing in it grows
-  with the cutoff.
+  L_j + L_j^H with L_j = ext_j (x) i and their odd restriction, checked on
+  odd tori to be a line-diagonal Clifford frame, and the odd restriction's
+  alpha_1 rows and even-parity indices.  Nothing in it grows with the
+  cutoff;
+* per resolution: the grid nodes, handed out as a new list on each call.
 
 In lattice units block k of D is sum_j k_j (L_j + L_j^H) + (C + C^H), with
 C the connection term, so an operator holds only its zero-frequency block
@@ -77,9 +81,10 @@ The check works over leading axes (:func:`_standard_connection`), so a
 family checks a stack of nodes in one pass and raises what building them
 one by one would.  A family is eta and a connection path that maps nodes
 to a stack of connections.  An operator keeps its block stack once built,
-its eigensystem and its odd spectrum; an operator family keeps the
-operators of t = 0, t = 1 and its last node; a constant family shares one
-bundle and one operator across its nodes.
+its eigensystem, its odd spectrum and the largest tol its cutoff window
+passed; an operator family keeps the operators of t = 0, t = 1 and its
+last node; a constant family shares one bundle and one operator across its
+nodes.
 Each :func:`spectral_flow` builds the bundles of its two endpoints and
 assembles them, and checks the interior nodes' connections as one stack.
 An assembly whose block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused
@@ -155,14 +160,14 @@ MAX_CUTOFF = 1024
 MAX_ASSEMBLY_BYTES = 256 << 20
 # Largest stack of family connections read and checked at once.
 _STACK_BYTES = 4 << 20
-# Largest residual of a line block's square B_i^2 = c I, relative to c, that
-# certifies an odd spectrum (:func:`_clifford_spectrum`); split bundles stay
-# within a few units of machine epsilon.
-SQUARE_RTOL = 1e-12
+# Rounding slack of a closed-form odd spectrum (:func:`_closed_odd_spectrum`),
+# relative to the operator's largest |eigenvalue|: thousands of units of
+# machine epsilon, for the closed form's rounding and an eigensolver's.
+ROUNDING_RTOL = 1e-12
 # The multiples of tol against which kernel_dimension (tol, and 10 tol for its
 # guard) and spectral_flow (tol, and 9, 10 and 11 tol for its shifted readings)
-# compare |eigenvalue|.
-_DECISION_LEVELS = np.array([1.0, 9.0, 10.0, 11.0])
+# compare |eigenvalue| all lie in [tol, 11 tol].
+_DECISION_WINDOW = (1.0, 11.0)
 
 
 def __getattr__(name: str):
@@ -476,11 +481,14 @@ def _frame(n: int, signs: tuple[int, ...]) -> _Frame:
     lattice = np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext_np])
     lattice_h = lattice + np.conj(np.swapaxes(lattice, 1, 2))
     alpha1_even = (np.diag(iota).astype(complex) @ tau_v)[even]
+    lattice_odd = alpha1_even @ lattice_h[:, :, even]
+    if n % 2:
+        _check_odd_frame(lattice_odd, r)
     frame = _Frame(
         tau_v=tau_v,
         iota=iota,
         lattice_h=lattice_h,
-        lattice_odd=alpha1_even @ lattice_h[:, :, even],
+        lattice_odd=lattice_odd,
         alpha1_even=alpha1_even,
         even=even,
     )
@@ -489,57 +497,79 @@ def _frame(n: int, signs: tuple[int, ...]) -> _Frame:
     return frame
 
 
-def _clifford_spectrum(stack: np.ndarray, r: int, tol: float) -> Optional[np.ndarray]:
-    """Eigenvalues (B, M) in lattice units of an odd stack over r lines, or None.
+def _check_odd_frame(odd: np.ndarray, r: int) -> None:
+    """Refuse odd generators that are not a line-diagonal Clifford frame.
 
-    Row p r + i of a block is form p of line i; the line block B_i is the
-    i::r rows and columns, m = M / r of each.  For a split bundle B_i^2 =
-    c I with c = |k + a_i|^2, a Clifford square, so B_i has eigenvalues
-    +-sqrt(c) and its trace t counts them: (m + t / sqrt(c)) / 2 are
-    positive.  A 1x1 B_i is its own eigenvalue.
-
-    The certificate: max|B_i^2 - c I| <= SQUARE_RTOL c puts every eigenvalue
-    of B_i within m SQUARE_RTOL sqrt(c) of +-sqrt(c), and t / sqrt(c) must
-    then be an integer in [-m, m] of m's parity.  The entries E between
-    lines move the sorted eigenvalues by at most ||E||_2 <= M max|E| (Weyl).
-    The values decide each comparison with a level of ``_DECISION_LEVELS``
-    * tol as exact eigenvalues would when no sqrt(c) lies within this error
-    of the level; the error is doubled and taken at the block's largest
-    sqrt(c), so that it also covers a solver's.  Any failed check gives None.
+    Row p r + i of G_j = ``odd[j]`` is form p of line i.  The G_j must be
+    hermitian, line-diagonal (no G_j maps one line to another) and a Clifford
+    frame, G_j G_l + G_l G_j = 2 delta_jl I, or HodgeError is raised; the
+    closed-form odd spectrum rests on this.  Their entries must be Gaussian
+    integers, so these float products are exact.  On line i, G_j is then
+    s_i g_j for one Clifford frame g_j of the m = M / r forms, whose trace is
+    0 for n >= 3, where two generators anticommute; for n = 1 it is the 1x1
+    entry t_i = +-1, so G_1 = diag(t).
     """
-    count, size, _ = stack.shape
+    n, size, _ = odd.shape
     m = size // r
-    lines = stack.reshape(count, m, r, m, r)
-    blocks = lines.diagonal(axis1=2, axis2=4).transpose(0, 3, 1, 2)  # (B, r, m, m)
-    cross = 0.0
-    if r > 1:
-        between = np.abs(lines).max(axis=(0, 1, 3))  # (r, r) largest entry from line i to j
-        np.fill_diagonal(between, 0.0)
-        cross = size * between.max()
-    if m == 1:
-        vals = blocks[:, :, 0, 0].real
+    lines = odd.reshape(n, m, r, m, r)
+    anti = odd[:, None] @ odd[None]
+    anti = anti + np.swapaxes(anti, 0, 1)
+    clifford = 2 * np.eye(n)[:, :, None, None] * np.eye(size)
+    if not (np.array_equal(odd, np.round(odd))
+            and np.array_equal(odd, np.conj(np.swapaxes(odd, 1, 2)))
+            and not (lines * ~np.eye(r, dtype=bool)[:, None, :]).any()
+            and np.array_equal(anti, clifford)):
+        raise HodgeError(f"the odd generators of T^{n} over {r} lines are not a "
+                         "line-diagonal Clifford frame")
+
+
+def _closed_odd_spectrum(op: "TruncatedOperator", stack: np.ndarray,
+                         tol: float) -> Optional[np.ndarray]:
+    """Eigenvalues (B, M) in lattice units of an operator's odd stack, or None.
+
+    With a_ij = Re A'_j[i, i] (``standard_connection``) the odd block at k
+    is sum_j G_j (I_m (x) diag(k_j + a_.j)) + E, where G_j =
+    ``lattice_odd[j]`` and the remainder E = alpha_1 Z|even - sum_j G_j (I_m
+    (x) diag(a_.j)) does not depend on k; alpha_1 Z|even is the stack's
+    block at k = 0, the middle point of the symmetric lattice.  The G_j are
+    a line-diagonal Clifford frame (:func:`_check_odd_frame`), so without E
+    line i's block squares to |k + a_i|^2 I and has eigenvalues +-|k + a_i|:
+    half of each sign for n >= 3, where its trace vanishes, and t_i (k + a_i)
+    for n = 1, where G_1 = diag(t).  By Weyl's inequality every sorted
+    eigenvalue of a block lies within ||E||_2 of these.  E is hermitian only
+    to the stack's check, so the band is sqrt(2) ||E||_F: it bounds ||E||_2
+    and the norm of the hermitian matrix that eigvalsh reads from E's lower
+    triangle.
+
+    The values decide every comparison of |eigenvalue| with a multiple of
+    tol as the eigenvalues would when no |k + a_i| lies within the
+    operator's band of ``_DECISION_WINDOW`` * tol, the band widened by
+    ROUNDING_RTOL of the largest |k + a_i|; otherwise the result is None.
+    A split bundle's E is of the order of rounding and of the imaginary
+    diagonal parts that the bundle check allows.
+    """
+    frame = op.frame
+    n, size, _ = frame.lattice_odd.shape
+    a = np.diagonal(op.bundle.standard_connection, axis1=1, axis2=2).real  # (n, r)
+    # Column p r + i of G_j (I_m (x) diag(a_.j)) is G_j's scaled by a_ij.
+    if n == 1:
+        line = frame.lattice_odd[0] * a[0]
+        # The real diagonal of block k is k t_i + a_i t_i with one rounding:
+        # the closed form, as the stack holds it.
+        vals = np.diagonal(stack, axis1=1, axis2=2).real
         root = np.abs(vals)
     else:
-        square = blocks @ blocks
-        diag = square.reshape(count, r, m * m)[:, :, :: m + 1]
-        c = diag.real.sum(axis=2) / m
-        diag -= c[..., None]
-        if not (np.abs(square) <= SQUARE_RTOL * c[..., None, None]).all():
-            return None
-        root = np.sqrt(c)
-        trace = np.diagonal(blocks, axis1=2, axis2=3).real.sum(axis=2)
-        # A zero block (c = 0) is zero, with m zero eigenvalues of either sign.
-        ratio = np.divide(trace, root, out=np.full_like(trace, float(m)), where=root > 0)
-        signs = np.rint(ratio)
-        if not ((np.abs(ratio - signs) <= 2 * m * m * SQUARE_RTOL).all()
-                and (np.abs(signs) <= m).all() and ((signs + m) % 2 == 0).all()):
-            return None
-        plus = np.arange(m) < ((m + signs) / 2)[..., None]
-        vals = np.where(plus, root[..., None], -root[..., None])
-    width = 2 * m * SQUARE_RTOL * root.max(axis=1, keepdims=True) + cross
-    if (np.abs(root[..., None] - _DECISION_LEVELS * (tol / UNIT)) <= width[..., None]).any():
+        m = size // a.shape[1]
+        line = (frame.lattice_odd * np.tile(a, m)[:, None, :]).sum(axis=0)
+        root = np.sqrt(((op.freqs[:, None, :] + a.T) ** 2).sum(axis=2))  # (B, r)
+        vals = np.tile(np.concatenate([root, -root], axis=1), m // 2)
+    err = stack[len(stack) // 2] - line
+    width = math.sqrt(2 * np.vdot(err, err).real) + ROUNDING_RTOL * root.max()
+    low, high = _DECISION_WINDOW
+    unit = tol / UNIT
+    if (np.abs(root - (low + high) / 2 * unit) <= (high - low) / 2 * unit + width).any():
         return None
-    return vals.reshape(count, -1)
+    return vals
 
 
 @dataclass
@@ -558,6 +588,7 @@ class TruncatedOperator:
     _blocks: Optional[np.ndarray] = field(default=None, repr=False)
     _eig: Optional[tuple] = field(default=None, repr=False)
     _odd: Optional[tuple] = field(default=None, repr=False)  # (tol, spectrum)
+    _window: float = field(default=-math.inf, repr=False)  # largest tol whose window passed
 
     @property
     def iota(self) -> np.ndarray:
@@ -635,13 +666,14 @@ class TruncatedOperator:
     def odd_spectrum(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Sorted eigenvalues of the odd restriction in physical units.
 
-        :func:`_clifford_spectrum` reads them from the blocks' squares and
-        traces when it can certify them for ``tol``; otherwise eigvalsh
-        solves the stack.  Cached for the last tol asked for.
+        :func:`_closed_odd_spectrum` reads them from the connection's diagonal
+        and the frame when its Weyl band decides every comparison with tol;
+        otherwise eigvalsh solves the stack, which is built and checked
+        hermitian either way.  Cached for the last tol asked for.
         """
         if self._odd is None or self._odd[0] != tol:
             stack = self.restricted_odd_stack()
-            vals = _clifford_spectrum(stack, self.bundle.rank, tol)
+            vals = _closed_odd_spectrum(self, stack, tol)
             if vals is None:
                 vals = np.linalg.eigvalsh(stack)
             self._odd = (tol, _read_only(np.sort(vals.ravel()) * UNIT))
@@ -714,15 +746,21 @@ def _kernel_window(op: TruncatedOperator, tol: float, use: str = "a kernel count
     :func:`shell_bound`), so a block outside the truncation, where |k|_2 >=
     cutoff + 1, has every |eigenvalue| >= cutoff + 1 - ||Z||_2.  When that is
     at least 10 tol it holds no kernel vector and nothing the factor-10 guard
-    would flag, so the truncated count is the operator's.
+    would flag, so the truncated count is the operator's.  A smaller tol has
+    a wider margin, so the operator remembers the largest tol that passed;
+    a failure is not remembered and raises, for its own ``use``, each time.
     """
+    if tol <= op._window:
+        return
     margin = op.cutoff + 1 - 10 * tol / UNIT
     # The largest row sum of |Z| bounds ||Z||_2 and settles most cutoffs
     # without an SVD.
     if np.abs(op.zero).sum(axis=1).max() < margin:
+        op._window = tol
         return
     norm = float(np.linalg.norm(op.zero, 2))
     if norm < margin:
+        op._window = tol
         return
     reach = norm + 10 * tol / UNIT
     needed = f"at least {math.floor(reach)}" if reach <= MAX_CUTOFF else f"over {MAX_CUTOFF}"
@@ -737,8 +775,9 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
 
     On an odd torus this is twice the count of the odd restriction B, read
     from its cached half-size spectrum, the one the flow reads; that
-    spectrum is certified from the blocks' squares and traces, or solved
-    when the certificate fails.  Even tori solve the full stack.
+    spectrum is read in closed form from the connection's diagonal, or
+    solved when its Weyl band cannot decide against tol
+    (:meth:`TruncatedOperator.odd_spectrum`).  Even tori solve the full stack.
     alpha = diag(iota) tau_V squares to -1,
     anticommutes with D and swaps the parities, so B = alpha D on even forms
     has B^2 = D^2 there, and alpha maps the even kernel of D onto the odd
@@ -806,8 +845,14 @@ def even_signature_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _grid(resolution: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(i, resolution) for i in range(resolution + 1))
+
+
 def grid_nodes(resolution: int) -> list[Fraction]:
-    return [Fraction(i, resolution) for i in range(resolution + 1)]
+    """The nodes i / resolution, i = 0..resolution, as a new list on each call."""
+    return list(_grid(resolution))
 
 
 def _node(t) -> Fraction:

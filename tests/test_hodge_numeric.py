@@ -256,6 +256,33 @@ def test_kernel_window_reads_the_norm_past_the_row_sum_bound():
     assert kernel_dimension(assemble(line_bundle([1.5, 1.5, 1.5]), cutoff=2)) == 0
 
 
+def test_kernel_window_runs_once_per_operator_and_tol(monkeypatch):
+    import tautsig.hodge_numeric as hn
+
+    # Row sums past the window, so each check that runs takes one norm.
+    norms = []
+    real_norm = np.linalg.norm
+    monkeypatch.setattr(hn.np.linalg, "norm",
+                        lambda *args, **kwargs: norms.append(1) or real_norm(*args, **kwargs))
+    fam = constant_family(line_bundle([1.5, 1.5, 1.5]), cutoff=2, resolution=8)
+    report = kernel_constancy_report(fam)
+    assert report["flow_plus"] == report["flow_minus"] == 0
+    assert len(norms) == 1
+    op = fam.operator(0)
+    kernel_dimension(op, DEFAULT_TOL / 10)  # a wider margin than the one that passed
+    assert len(norms) == 1
+    kernel_dimension(op, DEFAULT_TOL * 10)
+    assert len(norms) == 2
+
+
+def test_kernel_window_failures_raise_each_time():
+    fam = constant_family(line_bundle([3.0]), cutoff=2, resolution=8)
+    op = fam.operator(0)
+    for use in ("a kernel count", "a spectral flow", "a kernel count"):
+        with pytest.raises(HodgeError, match=f"{use} needs a cutoff of at least 3"):
+            kernel_dimension(op) if use == "a kernel count" else spectral_flow(fam)
+
+
 # The six eta of the odd-kernel checks; diag(2, -1) and [[1, 2], [2, 1]] have
 # a compatible h other than the identity.
 ODD_ETAS = {
@@ -954,6 +981,15 @@ def test_grid_nodes_span():
     assert nodes[0] == 0 and nodes[-1] == 1 and len(nodes) == 5
 
 
+def test_grid_nodes_are_built_once_and_never_shared():
+    first = grid_nodes(64)
+    first.append(F(2))
+    first[0] = F(-1)
+    again = grid_nodes(64)
+    assert again is not first and again == [F(i, 64) for i in range(65)]
+    assert all(x is y for x, y in zip(again, grid_nodes(64)))
+
+
 def test_hostile_entries_rejected():
     from tautsig.hodge_numeric import _compile_entry
 
@@ -1186,6 +1222,27 @@ def _split_loops(draw):
                                   loop=True, cutoff=cutoff)
 
 
+def _counts_on_both_paths(make):
+    """Endpoint kernel counts and flow of a fresh family, read with closed-form
+    odd spectra and with every odd spectrum solved.  A cutoff too small for
+    an endpoint's connection refuses the kernel count on either path, with
+    the same message."""
+    import tautsig.hodge_numeric as hn
+
+    def counts():
+        fam = make()
+        try:
+            return [kernel_dimension(fam.operator(t)) for t in (0, 1)], spectral_flow(fam)
+        except HodgeError as exc:
+            return str(exc)
+
+    closed = counts()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hn, "_closed_odd_spectrum", lambda *args: None)
+        solved = counts()
+    return closed, solved
+
+
 @settings(max_examples=40, deadline=None)
 @given(_split_loops())
 def test_certified_odd_spectra_match_eigvalsh(make):
@@ -1194,24 +1251,204 @@ def test_certified_odd_spectra_match_eigvalsh(make):
     fam = make()
     for t in (0, 1):
         op = fam.operator(t)
-        stack = op.restricted_odd_stack()
-        assert hn._clifford_spectrum(stack, op.bundle.rank, DEFAULT_TOL) is not None
+        assert hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL) is not None
         ref = _eigvalsh_spectrum(op)
         assert np.max(np.abs(op.odd_spectrum() - ref)) <= 1e-12 * np.max(np.abs(ref))
+    closed, solved = _counts_on_both_paths(make)
+    assert closed == solved
 
-    def counts(fam):
-        # A cutoff too small for an endpoint's connection refuses the kernel
-        # count on either path, with the same message.
-        try:
-            return [kernel_dimension(fam.operator(t)) for t in (0, 1)], spectral_flow(fam)
-        except HodgeError as exc:
-            return str(exc)
 
-    certified = counts(fam)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hn, "_clifford_spectrum", lambda *args: None)
-        solved = counts(make())
-    assert certified == solved
+def _weyl_band(op):
+    """||E||_2 for the hermitian E that eigvalsh reads from the lower triangle
+    of the remainder of an operator's odd restriction beyond its
+    connection's diagonal."""
+    frame = op.frame
+    gens = frame.lattice_odd
+    a = np.diagonal(op.bundle.standard_connection, axis1=1, axis2=2).real
+    m = gens.shape[1] // a.shape[1]
+    zero = frame.alpha1_even @ op.zero[:, frame.even]
+    err = zero - sum(g @ np.kron(np.eye(m), np.diag(aj)) for g, aj in zip(gens, a))
+    lower = np.tril(err, -1)
+    return np.linalg.norm(lower + lower.conj().T + np.diag(err.diagonal().real), 2)
+
+
+@st.composite
+def _near_split_loops(draw):
+    """Loop families on S^1 and T^3 with eta = diag(+-1) and connections
+    A_j = u_j I + v_j H + i delta_j: H = diag(h) + eps P with P an
+    eta-self-adjoint coupling between lines, and delta_j diagonal imaginary
+    parts within what the bundle check allows (|2 delta| <= BUNDLE_ATOL).
+    Line i of A_1 moves by speed_i t; when lines are coupled, all by one
+    speed, so that the endpoints stay conjugate."""
+    from tautsig.hodge_numeric import BUNDLE_ATOL
+
+    n = draw(st.sampled_from([1, 3]))
+    r = draw(st.integers(1, 3))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=r, max_size=r)))
+    # Integer angles often, so that kernels meet the couplings.
+    h = np.array(draw(st.lists(st.integers(-1, 1).map(float) | _ANGLES,
+                               min_size=r, max_size=r)))
+    if r > 1 and draw(st.booleans()):
+        h[1] = h[0]  # two lines with equal angles, split at first order by eps
+    # 1e-8 moves a double kernel across tol / 2 pi at first order.
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-6, 0.05, 0.3]))
+    upper = np.triu(np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 0.6 + 0.8j, -1j]),
+        min_size=r * r, max_size=r * r))).reshape(r, r), 1)
+    # P_il = s_i s_l conj(P_li) makes P^H diag(s) = diag(s) P.
+    coupling = upper + (signs[:, None] * signs[None, :]) * upper.conj().T
+    base = np.diag(h) + eps * coupling
+    scalars = [draw(st.sampled_from([0.0, 1.0, 0.25])) for _ in range(n)]
+    weights = [draw(st.sampled_from([1.0, -1.0])) for _ in range(n)]
+    imag = [np.diag(draw(st.lists(st.floats(-BUNDLE_ATOL / 2, BUNDLE_ATOL / 2),
+                                  min_size=r, max_size=r))) for _ in range(n)]
+    start = np.array([u * np.eye(r) + v * base + 1j * d
+                      for u, v, d in zip(scalars, weights, imag)])
+    speed = st.integers(-2, 2)
+    speeds = (draw(st.lists(speed, min_size=r, max_size=r)) if eps == 0
+              else [draw(speed)] * r)
+    cutoff = draw(st.integers(2, 4))
+
+    def path(nodes):
+        stack = np.repeat(start[None], len(nodes), axis=0)
+        stack[:, 0] += np.array([float(t) for t in nodes])[:, None, None] * np.diag(speeds)
+        return stack
+
+    return lambda: OperatorFamily(eta=np.diag(signs), path=path, grid=grid_nodes(4),
+                                  loop=True, cutoff=cutoff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_near_split_loops())
+def test_closed_odd_spectra_stay_within_their_weyl_band(make):
+    import tautsig.hodge_numeric as hn
+
+    fam = make()
+    for t in (0, 1):
+        op = fam.operator(t)
+        closed = hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL)
+        if closed is None:
+            continue
+        ref = _eigvalsh_spectrum(op) / UNIT
+        slack = hn.ROUNDING_RTOL * np.max(np.abs(ref))
+        assert np.max(np.abs(np.sort(closed.ravel()) - ref)) <= _weyl_band(op) + slack
+    closed, solved = _counts_on_both_paths(make)
+    assert closed == solved
+
+
+@pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0)], ids=["definite", "indefinite"])
+@pytest.mark.parametrize("eps", [1e-12, 1e-8])
+def test_coupling_that_splits_a_double_kernel_is_solved(signs, eps):
+    import tautsig.hodge_numeric as hn
+
+    # Two lines at angle 0 coupled by eps: the double kernel at k = 0 splits
+    # into +-eps |P_01| at first order.  At 1e-12 that stays below tol / 2 pi
+    # and the closed form keeps the kernel; at 1e-8 it passes tol / 2 pi,
+    # the band reaches the decision window, and eigvalsh finds no kernel,
+    # with the eigenvalues within 10 tol, which the guard refuses.
+    s = np.array(signs)
+    coupling = np.array([[0.0, 0.6 + 0.8j], [s[0] * s[1] * (0.6 - 0.8j), 0.0]])
+    op = assemble(MonodromyBundle.from_connection(np.diag(s), [eps * coupling]), cutoff=2)
+    closed = hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL)
+    if eps < 1e-9:
+        assert closed is not None and kernel_dimension(op) == 4
+    else:
+        assert closed is None
+        with pytest.raises(IndeterminateKernelError):
+            kernel_dimension(op)
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["S1", "T3"])
+def test_u11_bundle_is_solved_once(monkeypatch, n):
+    import tautsig.hodge_numeric as hn
+
+    # Its standard-frame connection is not diagonal: the remainder band
+    # covers every level, so the profile's one operator is solved once.
+    bundle = MonodromyBundle.from_connection(
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        [np.diag([0.2 - 0.3j, 0.2 + 0.3j])] * n, globally_flat=True)
+    fam = constant_family(bundle, cutoff=3, resolution=16)
+    op = fam.operator(0)
+    assert hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL) is None
+    counts = _count_stack_solves(monkeypatch)
+    report = kernel_constancy_report(fam)
+    assert report["profile"] == [0] * 17 and report["flow_plus"] == report["flow_minus"] == 0
+    assert counts == {"stacks": 1, "solves": 1, "full": 0}
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_odd_frame_is_a_line_diagonal_clifford_frame(n, r):
+    import itertools
+
+    import tautsig.hodge_numeric as hn
+
+    for signs in itertools.product((1, -1), repeat=r):
+        gens = hn._frame(n, signs).lattice_odd
+        size = gens.shape[1]
+        for j, l in itertools.product(range(n), repeat=2):
+            anti = gens[j] @ gens[l] + gens[l] @ gens[j]
+            assert np.array_equal(anti, 2 * (j == l) * np.eye(size))
+        lines = np.arange(size) % r
+        assert not gens[:, lines[:, None] != lines[None, :]].any()
+        # Each generator's trace on each line: +-1 on S^1, 0 from T^3 on.
+        traces = np.array([[np.trace(g[i::r, i::r]) for i in range(r)] for g in gens])
+        if n == 1:
+            assert np.array_equal(np.abs(traces), np.ones((1, r)))
+            assert np.array_equal(gens[0], np.diag(traces[0]))
+        else:
+            assert not traces.any()
+
+
+@pytest.mark.parametrize("corrupt", ["doubled", "repeated", "fractional"])
+def test_corrupted_odd_generators_raise(monkeypatch, corrupt):
+    import tautsig.hodge_numeric as hn
+
+    ext, iota, tau = hn._structure(3)
+    bad = ext.copy()
+    if corrupt == "doubled":
+        bad[0] *= 2
+    elif corrupt == "repeated":
+        bad[1] = bad[0]
+    else:
+        bad[2] *= 1 + 1e-9
+    monkeypatch.setattr(hn, "_structure", lambda n: (bad, iota, tau))
+    hn._frame.cache_clear()
+    try:
+        with pytest.raises(HodgeError, match="not a line-diagonal Clifford frame"):
+            assemble(line_bundle([0.25, 0.0, 0.0]), cutoff=2)
+    finally:
+        hn._frame.cache_clear()
+
+
+def test_odd_generators_coupling_lines_raise():
+    import tautsig.hodge_numeric as hn
+
+    # Swapping the two lines of form 0 alone keeps a hermitian Clifford frame
+    # of Gaussian integers, but its generators now map one line to the other.
+    gens = hn._frame(3, (1, -1)).lattice_odd
+    perm = np.arange(gens.shape[1])
+    perm[[0, 1]] = perm[[1, 0]]
+    swapped = gens[:, perm][:, :, perm]
+    anti = swapped[:, None] @ swapped[None] + swapped[None] @ swapped[:, None]
+    assert np.array_equal(anti, 2 * np.eye(3)[:, :, None, None] * np.eye(gens.shape[1]))
+    with pytest.raises(HodgeError, match="not a line-diagonal Clifford frame"):
+        hn._check_odd_frame(swapped, 2)
+
+
+def test_one_dimensional_closed_form_is_the_stack_diagonal():
+    import tautsig.hodge_numeric as hn
+
+    # On S^1 each line is a 1x1 block, t_i (k + a_i) read from the
+    # connection, and the stack's real diagonal holds exactly that, also for
+    # an imaginary part the bundle check allows and for a non-diagonal eta.
+    for eta, conn in ((np.diag([1.0, -1.0, 1.0]), np.diag([0.3 + 5e-11j, -1.0, 2 / 3])),
+                      (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.4 * np.eye(2))):
+        op = assemble(MonodromyBundle.from_connection(eta, [conn]), cutoff=4)
+        a = np.diagonal(op.bundle.standard_connection[0]).real
+        t = np.diagonal(op.frame.lattice_odd[0]).real
+        closed = hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL)
+        assert np.array_equal(closed, t * (op.freqs + a))
 
 
 @pytest.mark.parametrize(
