@@ -62,13 +62,13 @@ lets through.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._gaussian import _exact
+from .descriptors import DescriptorError, json_int, json_rational, shown
 
 __all__ = [
     "SpaceError",
@@ -94,11 +94,6 @@ __all__ = [
 GYSIN_CIRCLE_SIGN = -1
 
 _MAX_REWRITE_DEPTH = 64
-# Descriptor coefficients are capped like the integers of bundle
-# descriptors; a 4096-bit integer has at most 1234 decimal digits.
-_MAX_COEFF_BITS = 4096
-_MAX_COEFF_DIGITS = 1234
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # A loaded space is checked for associativity on every ordered triple of
 # generators, so the check grows with the cube of this bound.
 MAX_DESCRIPTOR_GENERATORS = 16
@@ -780,68 +775,40 @@ def model_space(preset: str) -> ProductSpace:
     raise SpaceError(f"unknown model space {preset!r}")
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; floats, strings and booleans are refused."""
-    if type(value) is not int:
-        raise SpaceError(f"{what} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _json_rational(value) -> Coeff:
-    """A relation coefficient: a JSON integer, or a string ``[-]p`` or ``[-]p/q``.
-
-    Floats, booleans, exponents and decimals are refused, and so is a
-    numerator or denominator beyond :data:`_MAX_COEFF_BITS`, so no input
-    can make the conversion itself expensive.
-    """
-    if type(value) is int:
-        num, den = value, 1
-    elif type(value) is str and (match := _RATIONAL.fullmatch(value)):
-        num_digits, den_digits = match.group(1), match.group(2) or "1"
-        if max(len(num_digits), len(den_digits)) > _MAX_COEFF_DIGITS:
-            raise SpaceError("relation coefficient is too large")
-        num, den = int(num_digits), int(den_digits)
-    else:
-        raise SpaceError(
-            "relation coefficients must be integers or strings p or p/q, "
-            f"not {str(value)[:40]!r}"
-        )
-    if max(num.bit_length(), den.bit_length()) > _MAX_COEFF_BITS:
-        raise SpaceError("relation coefficient is too large")
-    if den == 0:
-        raise SpaceError(f"relation coefficient {value!r} has a zero denominator")
-    return _exact(Fraction(num, den))
-
-
 def space_from_descriptor(data: Mapping) -> ProductSpace:
-    """Build a one-factor space from its JSON descriptor dictionary."""
+    """Build a one-factor space from its JSON descriptor dictionary.
+
+    Malformed content raises :class:`~tautsig.descriptors.DescriptorError`;
+    relations that do not define a graded ring raise :class:`SpaceError`.
+    """
     try:
         name = data["name"]
         if not isinstance(name, str):
-            raise SpaceError("space name must be a string")
+            raise DescriptorError("space name must be a string")
         if len(data["generators"]) > MAX_DESCRIPTOR_GENERATORS:
-            raise SpaceError(
+            raise DescriptorError(
                 f"a space descriptor has at most {MAX_DESCRIPTOR_GENERATORS} generators"
             )
-        generators = [(g["symbol"], _json_int(g["degree"], "degree"))
+        generators = [(g["symbol"], json_int(g["degree"], "degree"))
                       for g in data["generators"]]
-        top = _json_int(data["top_degree"], "top_degree")
+        top = json_int(data["top_degree"], "top_degree")
         index = {s: i for i, (s, _) in enumerate(generators)}
         relations: dict[tuple, dict[tuple, Coeff]] = {}
         for rel in data.get("relations", []):
             lhs = tuple(index[s] for s in rel["lhs"])
             if lhs in relations:
-                raise SpaceError(f"two relations for the product {rel['lhs']}")
+                raise SpaceError(f"two relations for the product {shown(rel['lhs'])}")
             rhs: dict[tuple, Coeff] = {}
             for mon_str, coeff in rel.get("rhs", {}).items():
                 mon = () if mon_str == "1" else tuple(
                     index[s] for s in mon_str.split("*")
                 )
-                rhs[mon] = _json_rational(coeff)
+                rhs[mon] = _exact(json_rational(coeff))
             relations[lhs] = rhs
         fund = data.get("fundamental_class")
         fund_mon = tuple(index[s] for s in fund) if fund is not None else None
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise SpaceError(f"malformed space descriptor: {exc}") from exc
+    except KeyError as exc:
+        raise DescriptorError(f"malformed space descriptor: {shown(exc.args[0])}") from exc
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise DescriptorError(f"malformed space descriptor: {exc}") from exc
     return ProductSpace([ModelSpace(name, generators, relations, top, fund_mon)])
-

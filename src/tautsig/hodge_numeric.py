@@ -88,24 +88,18 @@ nodes.
 Each :func:`spectral_flow` builds the bundles of its two endpoints and
 assembles them, and checks the interior nodes' connections as one stack.
 An assembly whose block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused
-before anything is allocated, whether or not the stack is ever built.
-
-Descriptors are JSON objects.  Their matrices are non-empty lists of
-equal-length rows of finite entries, a declared signature (p, q) must be
-eta's, a family grid must lie in [2, MAX_GRID] and its cutoff in
-[1, MAX_CUTOFF], and the flags ``loop`` and ``globally_flat`` must be
-booleans; anything else raises :class:`HodgeError`.
+before anything is allocated, whether or not the stack is ever built
+(:func:`tautsig.descriptors.assembly_refusal`).  Bundles and families are
+read from descriptors by :mod:`tautsig.descriptors`; this module only
+builds them.
 """
 
 from __future__ import annotations
 
-import ast
 import cmath
 import functools
 import itertools
-import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -113,6 +107,15 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .clifford import build_exterior
+from .descriptors import (
+    DEFAULT_CUTOFF,
+    DEFAULT_TOL,
+    MAX_CUTOFF,
+    DescriptorError,
+    assembly_refusal,
+    read_bundle,
+    read_family,
+)
 
 __all__ = [
     "HodgeError",
@@ -138,26 +141,14 @@ __all__ = [
     "lusztig_pair_family",
     "bundle_from_descriptor",
     "family_from_descriptor",
-    "load_descriptor",
 ]
 
 UNIT = 2.0 * math.pi
-DEFAULT_CUTOFF = 8
-DEFAULT_TOL = 1e-8
 # Tolerance of every bundle invariant.  It is np.allclose's atol for eta
 # hermitian and for the monodromy and commutation tests, and the bound on the
 # absolute residual of A_j^H eta = eta A_j in eta's standard frame, which is
 # also the odd restriction's hermiticity bound.
 BUNDLE_ATOL = 1e-10
-# Largest family grid resolution a descriptor or run may ask for.
-MAX_GRID = 4096
-# Largest Fourier cutoff a descriptor family or run may ask for.  On a
-# 2-vCPU Xeon host (Python 3.11, numpy 2.4), `tautsig run --suite all` at
-# 1024 and MAX_GRID took 2.2 s and 38 MB peak RSS and passed; the cost grows
-# linearly in the cutoff (n = 1 families).
-MAX_CUTOFF = 1024
-# Refuse assemblies whose stacked complex blocks would exceed this many bytes.
-MAX_ASSEMBLY_BYTES = 256 << 20
 # Largest stack of family connections read and checked at once.
 _STACK_BYTES = 4 << 20
 # Rounding slack of a closed-form odd spectrum (:func:`_closed_odd_spectrum`),
@@ -652,16 +643,19 @@ class TruncatedOperator:
         Built from the frame's restricted generators and the restricted
         zero-frequency block, never from ``blocks``.  alpha_1 = diag(iota)
         tau_V is a signed phase permutation, so its products distribute
-        exactly and the entries equal those of alpha_1 D.
+        exactly and the entries equal those of alpha_1 D.  Only the zero
+        block is checked hermitian: the generators are exactly hermitian
+        (:func:`_check_odd_frame`), so block k = sum_j k_j G_j + Z has Z's
+        anti-hermitian part up to the one rounding of each sum.
         """
         if self.bundle.n % 2 == 0:
             raise HodgeError("the odd restriction needs an odd-dimensional torus")
         frame = self.frame
-        restricted = self._stack(frame.lattice_odd, frame.alpha1_even @ self.zero[:, frame.even])
-        herm = np.max(np.abs(restricted - np.conj(np.swapaxes(restricted, 1, 2))))
+        zero = frame.alpha1_even @ self.zero[:, frame.even]
+        herm = np.max(np.abs(zero - zero.conj().T))
         if herm > BUNDLE_ATOL:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
-        return restricted
+        return self._stack(frame.lattice_odd, zero)
 
     def odd_spectrum(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Sorted eigenvalues of the odd restriction in physical units.
@@ -712,14 +706,10 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
     """
     if cutoff < 1:
         raise HodgeError("cutoff must be >= 1")
-    n, r = bundle.n, bundle.rank
-    block_bytes = (2 * cutoff + 1) ** n * ((1 << n) * r) ** 2 * 16
-    if block_bytes > MAX_ASSEMBLY_BYTES:
-        raise HodgeError(
-            f"truncation too large: n={n}, rank {r}, cutoff {cutoff} needs "
-            f"about {block_bytes / 2**20:.3g} MiB of blocks, over the "
-            f"{MAX_ASSEMBLY_BYTES >> 20} MiB limit"
-        )
+    n = bundle.n
+    refusal = assembly_refusal(n, bundle.rank, cutoff)
+    if refusal is not None:
+        raise HodgeError(f"truncation too large: {refusal}")
     return TruncatedOperator(bundle=bundle, cutoff=cutoff,
                              freqs=_frequency_lattice(n, cutoff), zero=_zero_block(bundle),
                              frame=_frame(n, bundle.signs))
@@ -939,7 +929,7 @@ class OperatorFamily:
             run = nodes[i:i + step]
             try:
                 stack = self.path(run)
-            except HodgeError:
+            except DescriptorError:
                 yield from (self.path([t]) for t in run)
             else:
                 yield stack
@@ -1134,13 +1124,9 @@ def shell_bound(family: OperatorFamily) -> tuple[int, float]:
     return math.floor(sup) + 1, sup
 
 
-def kernel_constancy_report(
-    family: OperatorFamily,
-    grid: Optional[Sequence] = None,
-    tol: float = DEFAULT_TOL,
-) -> dict:
-    """Kernel dimension along the grid; constancy forces zero flow."""
-    nodes = [_node(t) for t in (grid if grid is not None else family.grid)]
+def kernel_constancy_report(family: OperatorFamily, tol: float = DEFAULT_TOL) -> dict:
+    """Kernel dimension along the family's grid; constancy forces zero flow."""
+    nodes = [_node(t) for t in family.grid]
     profile: list = []
     flagged: list = []
     # A constant family hands out one operator for every node; its kernel
@@ -1184,229 +1170,23 @@ def kernel_constancy_report(
 # Descriptors
 # ---------------------------------------------------------------------------
 
-_CONSTANTS = {"pi": math.pi, "i": 1j, "j": 1j}
-_FUNCTIONS = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin, "sqrt": cmath.sqrt}
-# Python ints are unbounded; larger ones cannot become a float anyway.
-_MAX_INT_BITS = 4096
-
-
-def _bounded(value):
-    if isinstance(value, int) and value.bit_length() > _MAX_INT_BITS:
-        raise HodgeError(f"integer of {value.bit_length()} bits is too large")
-    return value
-
-
-def _power(base, exponent):
-    if isinstance(base, int) and isinstance(exponent, int) and (
-        abs(exponent) * base.bit_length() > _MAX_INT_BITS
-    ):
-        raise HodgeError(f"power {base}**{exponent} is too large")
-    return base ** exponent
-
-
-_BINARY = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: _power,
-}
-
-
-def _read_t(t):
-    if t is None:
-        raise HodgeError("the parameter t is only defined in family entries")
-    return t
-
-
-def _compile_node(node: ast.AST) -> Callable:
-    """Closure t -> value for a whitelisted expression node; anything else raises."""
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
-        value = _bounded(node.value)
-        return lambda t: value
-    if isinstance(node, ast.Name) and node.id == "t":
-        return _read_t
-    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
-        value = _CONSTANTS[node.id]
-        return lambda t: value
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        op = _BINARY[type(node.op)]
-        left, right = _compile_node(node.left), _compile_node(node.right)
-        return lambda t: _bounded(op(left(t), right(t)))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        operand = _compile_node(node.operand)
-        return lambda t: -operand(t)
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _FUNCTIONS
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        fn, arg = _FUNCTIONS[node.func.id], _compile_node(node.args[0])
-        return lambda t: fn(arg(t))
-    raise HodgeError(f"disallowed expression {ast.unparse(node)!r}")
-
-
-def _is_number(value) -> bool:
-    """An int or a float, and not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
-    """Parse one matrix entry into a function of the family parameter t.
-
-    Entries are numbers, [re, im] pairs of numbers or strings; booleans are
-    not numbers.  Strings may use
-    numbers, + - * / **, unary minus, the names pi, i, j and t, and calls
-    to exp, cos, sin and sqrt; nothing else is evaluated.  A value that is
-    not finite (JSON NaN or Infinity, an overflow) raises.
-    """
-    if isinstance(entry, str):
-        try:
-            fn = _compile_node(ast.parse(entry, mode="eval").body)
-        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-            raise HodgeError(f"cannot parse entry {entry!r}: {exc}") from exc
-    elif _is_number(entry) or (
-        isinstance(entry, (list, tuple)) and len(entry) == 2
-        and all(map(_is_number, entry))
-    ):
-        parts = tuple(entry) if isinstance(entry, (list, tuple)) else (entry,)
-        fn = lambda t: complex(*parts)
-    else:
-        raise HodgeError(f"unsupported matrix entry {entry!r}")
-
-    def evaluate(t: Optional[float]) -> complex:
-        try:
-            value = complex(fn(t))
-        except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
-            raise HodgeError(f"cannot evaluate entry {entry!r}: {exc}") from exc
-        if not cmath.isfinite(value):
-            raise HodgeError(f"entry {entry!r} is not finite: {value}")
-        return value
-
-    return evaluate
-
-
-def _compile_matrix(rows) -> Callable[[Optional[float]], np.ndarray]:
-    if not (
-        isinstance(rows, list) and rows
-        and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
-    ):
-        raise HodgeError("a matrix must be a non-empty list of equal-length rows")
-    entries = [[_compile_entry(e) for e in row] for row in rows]
-    return lambda t=None: np.array(
-        [[f(t) for f in row] for row in entries], dtype=complex
-    )
-
-
-def _compile_matrices(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise HodgeError(f"{what} must be a list of matrices")
-    return [_compile_matrix(m) for m in value]
-
-
-def _eval_matrix(rows) -> np.ndarray:
-    return _compile_matrix(rows)()
-
-
-def _integer(value, what: str) -> int:
-    if type(value) is not int:
-        raise HodgeError(f"{what} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _flag(value, what: str) -> bool:
-    if type(value) is not bool:
-        raise HodgeError(f"{what} must be true or false, not {type(value).__name__}")
-    return value
-
 
 def bundle_from_descriptor(data: dict) -> MonodromyBundle:
-    try:
-        n = _integer(data["n"], "n")
-        eta = _eval_matrix(data["eta"])
-    except KeyError as exc:
-        raise HodgeError(f"descriptor missing field {exc}") from exc
-    monodromies, connection = (
-        [m() for m in _compile_matrices(data[key], key)] if key in data else None
-        for key in ("monodromies", "connection"))
-    return MonodromyBundle(
-        n=n,
-        eta=eta,
-        monodromies=monodromies,
-        connection=connection,
-        p=_integer(data.get("p", 0), "p"),
-        q=_integer(data.get("q", 0), "q"),
-        globally_flat=_flag(data.get("globally_flat", False), "globally_flat"),
-        label=str(data.get("label", "descriptor")),
-    )
+    return MonodromyBundle(**read_bundle(data))
 
 
 def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
                            resolution: int = 64) -> OperatorFamily:
-    """Family whose entries are expressions in the parameter t.
-
-    Families present ``connection`` entries, one matrix per circle factor
-    of the descriptor's torus; ``monodromies`` are refused, since their
-    logarithms are defined only up to a branch.  The grid resolution must
-    lie in [2, MAX_GRID].
-    """
-    fam = data.get("family")
-    if not fam:
-        raise HodgeError("descriptor has no family section")
-    if not isinstance(fam, dict):
-        raise HodgeError("the family section must be an object")
-    grid = _integer(fam.get("grid", resolution), "family grid")
-    if not 2 <= grid <= MAX_GRID:
-        raise HodgeError(f"family grid {grid} outside [2, {MAX_GRID}]")
+    """Family whose connection entries are expressions in the parameter t
+    (:func:`tautsig.descriptors.read_family`); the cutoff must lie in
+    [1, MAX_CUTOFF]."""
     if not 1 <= cutoff <= MAX_CUTOFF:
         raise HodgeError(f"cutoff {cutoff} outside [1, {MAX_CUTOFF}]")
-    try:
-        n = _integer(data["n"], "n")
-        eta = _eval_matrix(data["eta"])
-    except KeyError as exc:
-        raise HodgeError(f"descriptor missing field {exc}") from exc
-    globally_flat = _flag(data.get("globally_flat", False), "globally_flat")
-    loop = _flag(fam.get("loop", False), "family loop")
-    if "monodromies" in fam:
-        raise HodgeError(
-            "a family is given by connection entries, not monodromies: the "
-            "logarithm of a monodromy path jumps by 1 where it winds, which "
-            "loses its spectral flow"
-        )
-    if "connection" not in fam:
-        raise HodgeError("family section needs connection entries")
-    matrices = _compile_matrices(fam["connection"], "family connection")
-    if len(matrices) != n:
-        raise HodgeError(f"family connection has {len(matrices)} matrices for n={n}")
-
-    # The path stacks the matrices, so they must share one shape.
-    r = len(eta)
-    if any(len(rows) != r or len(rows[0]) != r for rows in fam["connection"]):
-        raise _connection_shape_error(r)
+    fields = read_family(data, resolution)
+    connection = fields.pop("connection")
 
     def path(nodes: list) -> np.ndarray:
-        return np.array([[m(float(t)) for m in matrices] for t in nodes], dtype=complex)
+        return np.array([connection(float(t)) for t in nodes], dtype=complex)
 
-    return OperatorFamily(
-        eta=eta,
-        path=path,
-        grid=grid_nodes(grid),
-        loop=loop,
-        cutoff=cutoff,
-        label=str(data.get("label", "descriptor-family")),
-        globally_flat=globally_flat,
-    )
-
-
-def load_descriptor(path) -> dict:
-    """Read a descriptor file, which must hold one JSON object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise HodgeError("descriptor nests too deeply") from None
-    if not isinstance(data, dict):
-        raise HodgeError("a descriptor must be a JSON object")
-    return data
+    return OperatorFamily(eta=np.array(fields.pop("eta"), dtype=complex), path=path,
+                          grid=grid_nodes(fields.pop("grid")), cutoff=cutoff, **fields)

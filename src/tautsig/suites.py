@@ -3,7 +3,9 @@
 Each suite produces a list of case records ``{suite, case, anchor, inputs,
 ok, detail}``.  Anchors are stable identity labels used for traceability
 from a failed run back to the statement being checked.  Reports are
-deterministic: fixed seeds, no timestamps, sorted serialization.
+deterministic: fixed seeds, no timestamps, sorted serialization.  The
+numeric suites import numpy and ``hodge_numeric`` when they run, so the exact
+suites, ``describe`` and model-space descriptors import no numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
-from . import clifford, graded_ring, hodge_numeric, kappa_calculus, mult_seq
+from . import clifford, descriptors, graded_ring, kappa_calculus, mult_seq
 from ._gaussian import G_I, PhaseMatrix
 from .graded_ring import (
     GradedClass,
@@ -39,20 +39,20 @@ class SuiteError(ValueError):
 class SuiteConfig:
     suites: list = field(default_factory=lambda: ["all"])
     order: int = 12
-    cutoff: int = hodge_numeric.DEFAULT_CUTOFF
-    tol: float = hodge_numeric.DEFAULT_TOL
+    cutoff: int = descriptors.DEFAULT_CUTOFF
+    tol: float = descriptors.DEFAULT_TOL
     grid: int = 64
     descriptor: Optional[str] = None
 
     def validate(self) -> None:
         if not 0 <= self.order <= mult_seq.ORDER_CAP:
             raise SuiteError(f"order must lie in [0, {mult_seq.ORDER_CAP}]")
-        if not 1 <= self.cutoff <= hodge_numeric.MAX_CUTOFF:
-            raise SuiteError(f"cutoff must lie in [1, {hodge_numeric.MAX_CUTOFF}]")
+        if not 1 <= self.cutoff <= descriptors.MAX_CUTOFF:
+            raise SuiteError(f"cutoff must lie in [1, {descriptors.MAX_CUTOFF}]")
         if not (0.0 < self.tol <= 1e-4):
             raise SuiteError("tolerance must lie in (0, 1e-4]")
-        if not 2 <= self.grid <= hodge_numeric.MAX_GRID:
-            raise SuiteError(f"grid resolution must lie in [2, {hodge_numeric.MAX_GRID}]")
+        if not 2 <= self.grid <= descriptors.MAX_GRID:
+            raise SuiteError(f"grid resolution must lie in [2, {descriptors.MAX_GRID}]")
 
 
 def _case(suite: str, case: str, anchor: str, ok: bool, detail: str = "",
@@ -259,6 +259,10 @@ def _suite_genus(config: SuiteConfig) -> list[dict]:
 
 
 def _suite_lusztig(config: SuiteConfig) -> list[dict]:
+    import numpy as np
+
+    from . import hodge_numeric
+
     cases: list[dict] = []
     fam = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid)
     flow = hodge_numeric.spectral_flow(fam, tol=config.tol)
@@ -329,6 +333,8 @@ def _suite_lusztig(config: SuiteConfig) -> list[dict]:
 
 
 def _globally_flat_families(cutoff: int, grid: int) -> list:
+    from . import hodge_numeric
+
     fams = [
         hodge_numeric.constant_family(
             hodge_numeric.line_bundle([0.0], globally_flat=True, label="trivial-line"),
@@ -340,8 +346,8 @@ def _globally_flat_families(cutoff: int, grid: int) -> list:
         ),
         hodge_numeric.constant_family(
             hodge_numeric.MonodromyBundle.from_connection(
-                np.diag([1.0, -1.0]),
-                [np.diag([1.0 / 3.0, -1.0 / 3.0]).astype(complex)],
+                [[1.0, 0.0], [0.0, -1.0]],
+                [[[1.0 / 3.0, 0.0], [0.0, -1.0 / 3.0]]],
                 globally_flat=True,
                 label="indefinite-rank-2",
             ),
@@ -358,6 +364,8 @@ def _globally_flat_families(cutoff: int, grid: int) -> list:
 
 
 def _suite_vanishing(config: SuiteConfig) -> list[dict]:
+    from . import hodge_numeric
+
     cases: list[dict] = []
     for fam in _globally_flat_families(config.cutoff, config.grid):
         report = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
@@ -372,10 +380,9 @@ def _suite_vanishing(config: SuiteConfig) -> list[dict]:
                 cutoff=fam.cutoff,
             )
         )
-    fam = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid)
-    report = hodge_numeric.kernel_constancy_report(
-        fam, grid=hodge_numeric.grid_nodes(16), tol=config.tol
-    )
+    # The profile reads all 17 nodes of the grid; the flow reads its endpoints.
+    fam = hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=16)
+    report = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
     profile = report["profile"]
     shape_ok = (
         profile[0] == 2
@@ -402,6 +409,8 @@ def _suite_vanishing(config: SuiteConfig) -> list[dict]:
 
 
 def _suite_even_index(config: SuiteConfig) -> list[dict]:
+    from . import hodge_numeric
+
     cases: list[dict] = []
     sq = kappa_calculus.lusztig_squared_model()
     idx = kappa_calculus.even_index_symbolic(sq)
@@ -626,6 +635,8 @@ def _suite_kappa_products(config: SuiteConfig) -> list[dict]:
 
 
 def _suite_stability(config: SuiteConfig) -> list[dict]:
+    from . import hodge_numeric
+
     cases: list[dict] = []
     # Blocks beyond the shell bound S cannot cross zero, so the flow at S is
     # the flow at every cutoff from S on, the run's cutoff included.
@@ -718,7 +729,7 @@ def _suite_descriptor(config: SuiteConfig) -> list[dict]:
     if not config.descriptor:
         raise SuiteError("the descriptor suite needs --descriptor")
     cases: list[dict] = []
-    data = hodge_numeric.load_descriptor(config.descriptor)
+    data = descriptors.load_descriptor(config.descriptor)
     if "generators" in data:
         space = graded_ring.space_from_descriptor(data)
         detail = f"top degree {space.top_degree}"
@@ -736,12 +747,14 @@ def _suite_descriptor(config: SuiteConfig) -> list[dict]:
             )
         )
         return cases
+    from . import hodge_numeric
+
     bundle = hodge_numeric.bundle_from_descriptor(data)
     op = hodge_numeric.assemble(bundle, config.cutoff)
     op.check_contracts()
     dim = hodge_numeric.kernel_dimension(op, config.tol)
     spectrum = op.eigenvalues()
-    low = ", ".join(f"{v:.6g}" for v in spectrum[np.abs(spectrum).argsort()[:6]])
+    low = ", ".join(f"{v:.6g}" for v in spectrum[abs(spectrum).argsort()[:6]])
     shells = op.ellipticity_profile()
     cases.append(
         _case(

@@ -453,6 +453,43 @@ def test_descriptor_oversized_truncation_exit_two(tmp_path):
     assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
 
 
+def _square(r, entry="0"):
+    """JSON text of an r x r matrix of one entry, written without building it."""
+    row = "[" + ",".join([entry] * r) + "]"
+    return "[" + ",".join([row] * r) + "]"
+
+
+@pytest.mark.parametrize(
+    "text,compiler,message",
+    # 171 and 500 circle factors: assembly sizes whose MiB count overflows a
+    # float.  Rank 1183 is the smallest that no cutoff fits on the circle (a
+    # 5.6 MB file).  A 2 MB expression is refused before it is parsed.
+    [(json.dumps({"n": 171, "eta": [[1]], "monodromies": [[[1]]] * 171}), "_compile_entry",
+      "too large for any truncation: n=171, rank 1, cutoff 1 needs about 5.291e+179 MiB"),
+     (json.dumps({"n": 500, "eta": [[1]], "monodromies": [[[1]]] * 500}), "_compile_entry",
+      "too large for any truncation: n=500, rank 1, cutoff 1 needs about 5.945e+534 MiB"),
+     (f'{{"n": 1, "eta": {_square(1183)}, "connection": [{_square(1183)}]}}', "_compile_entry",
+      "too large for any truncation: n=1, rank 1183, cutoff 1 needs about 256.3 MiB"),
+     (json.dumps({"n": 1, "eta": [["1" + "+1" * 10 ** 6]], "monodromies": [[[1]]]}),
+      "_compile_node", "has 2000001 characters, over the limit of 1000")],
+    ids=["n-171", "n-500", "rank-1183", "long-entry"],
+)
+def test_oversized_descriptor_refused_before_compiling(tmp_path, monkeypatch, capsys,
+                                                       text, compiler, message):
+    from tautsig import descriptors
+
+    def forbidden(*args):
+        raise AssertionError("an entry was compiled")
+
+    monkeypatch.setattr(descriptors, compiler, forbidden)
+    path = tmp_path / "oversized.json"
+    path.write_text(text)
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 _XYW = {
     "name": "xyw",
     "generators": [{"symbol": "x", "degree": 2}, {"symbol": "y", "degree": 2},
@@ -608,10 +645,35 @@ def test_exact_side_imports_without_numpy():
         "import sys\n"
         "import tautsig._gaussian, tautsig.clifford, tautsig.graded_ring\n"
         "import tautsig.mult_seq, tautsig.kappa_calculus\n"
+        "import tautsig.descriptors, tautsig.suites, tautsig.cli\n"
         "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_runs_without_numpy():
+    # With numpy's import blocked, ``describe`` of every suite, each exact
+    # suite and a model-space descriptor run with exit 0.
+    from tautsig.suites import SUITES
+
+    runs = [["describe", name] for name in SUITES]
+    runs += [["run", "--suite", name] for name in EXACT_SUITES.split(",")]
+    runs += [["run", "--suite", "descriptor", "--descriptor",
+              str(SHIPPED / "surface_genus2.json")]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from tautsig import cli\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(args) == 0, args\n"
+        "    print(*args)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == len(runs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from tautsig.graded_ring import (
     surface,
     torus,
 )
-from tautsig.hodge_numeric import load_descriptor
+from tautsig.descriptors import DescriptorError, load_descriptor
 
 
 def rand_class(rng, space, maxdeg=None, density=0.5):
@@ -679,27 +679,51 @@ def test_descriptor_relation_is_a_product_in_the_given_order(lhs, coeff):
 
 
 @pytest.mark.parametrize(
-    "descriptor,match",
+    "descriptor,error,match",
     [
         ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 1}},
-                                   {"lhs": ["b", "a"], "rhs": {"z": -1}}]}, "two relations"),
+                                   {"lhs": ["b", "a"], "rhs": {"z": -1}}]},
+         SpaceError, "two relations"),
         ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 1}},
-                                   {"lhs": ["a", "b"], "rhs": {"z": 1}}]}, "two relations"),
-        ({**_SIGMA1, "top_degree": -1, "fundamental_class": None}, "top degree"),
-        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "1/0"}}]}, "zero denominator"),
+                                   {"lhs": ["a", "b"], "rhs": {"z": 1}}]},
+         SpaceError, "two relations"),
+        ({**_SIGMA1, "top_degree": -1, "fundamental_class": None}, SpaceError, "top degree"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "1/0"}}]},
+         DescriptorError, "zero denominator"),
         ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "1e100000000"}}]},
-         "integers or strings"),
-        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "9" * 1300}}]}, "too large"),
-        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 2 ** 4096}}]}, "too large"),
+         DescriptorError, "integers or strings"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "9" * 1300}}]},
+         DescriptorError, "too large"),
+        ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": 2 ** 4096}}]},
+         DescriptorError, "too large"),
         ({**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": "1/" + "9" * 1300}}]},
-         "too large"),
+         DescriptorError, "too large"),
     ],
     ids=["reordered-twice", "repeated", "negative-top-degree", "zero-denominator",
          "exponent-string", "long-numerator", "wide-integer", "long-denominator"],
 )
-def test_descriptor_inconsistent_or_hostile_space_raises(descriptor, match):
-    with pytest.raises(SpaceError, match=match):
+def test_descriptor_inconsistent_or_hostile_space_raises(descriptor, error, match):
+    # Relations that define no graded ring raise SpaceError; malformed
+    # coefficients raise the descriptor reader's error.
+    with pytest.raises(error, match=match) as exc:
         space_from_descriptor(descriptor)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "descriptor,error,message",
+    [({**_SIGMA1, "fundamental_class": ["y" * 100000]}, DescriptorError,
+      "malformed space descriptor: 'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy'..."),
+     ({**_SIGMA1, "relations": [{"lhs": ["a"] * 50000, "rhs": {}}] * 2}, SpaceError,
+      "two relations for the product ['a', 'a', 'a', 'a', 'a', 'a', 'a', 'a',..."),
+     ({**_SIGMA1, "fundamental_class": ["y"]}, DescriptorError,
+      "malformed space descriptor: 'y'")],
+    ids=["long-symbol", "long-lhs", "short-symbol"],
+)
+def test_space_descriptor_messages_quote_forty_characters(descriptor, error, message):
+    with pytest.raises(error) as exc:
+        space_from_descriptor(descriptor)
+    assert str(exc.value) == message
 
 
 _XY = {"name": "xy", "top_degree": 2,
@@ -730,7 +754,7 @@ def test_sorted_fundamental_class_evaluates():
 @pytest.mark.parametrize(
     "coeff", [1.0, 0.5, float("nan"), True, "1.5", "1e3", " 1", "+1", "1/-2", "٣", [1], None])
 def test_descriptor_coefficient_grammar_refuses(coeff):
-    with pytest.raises(SpaceError, match="integers or strings"):
+    with pytest.raises(DescriptorError, match="integers or strings"):
         space_from_descriptor(
             {**_SIGMA1, "relations": [{"lhs": ["a", "b"], "rhs": {"z": coeff}}]})
 

@@ -29,12 +29,12 @@ from tautsig.hodge_numeric import (
     line_bundle,
     lusztig_bundle,
     lusztig_family,
-    load_descriptor,
     lusztig_pair_family,
     shell_bound,
     spectral_flow,
     _standard_form,
 )
+from tautsig.descriptors import DescriptorError, _compile_entry, load_descriptor
 
 from oracles import (
     abs_eta,
@@ -578,20 +578,22 @@ def test_constant_family_guard():
 
 
 @pytest.mark.parametrize(
-    "connection,message",
-    [([[0, "t*(1-t)"], [0, 1]], "connection matrix 1 is not eta-self-adjoint: residual 0.109375"),
-     ([["t + 0*1/(4*t-2)"]], "cannot evaluate entry 't + 0*1/(4*t-2)': float division by zero")],
+    "connection,error,message",
+    [([[0, "t*(1-t)"], [0, 1]], HodgeError,
+      "connection matrix 1 is not eta-self-adjoint: residual 0.109375"),
+     ([["t + 0*1/(4*t-2)"]], DescriptorError,
+      "cannot evaluate entry 't + 0*1/(4*t-2)': float division by zero")],
     ids=["not-self-adjoint", "division-by-zero"],
 )
-def test_flow_rejects_bad_interior_nodes(connection, message):
+def test_flow_rejects_bad_interior_nodes(connection, error, message):
     # Both families are valid at t = 0 and t = 1; only interior nodes fail,
     # and the first bad node in grid order (t = 1/8, t = 1/2) is reported.
     eye = np.eye(len(connection)).tolist()
     data = {"n": 1, "eta": eye, "monodromies": [eye],
             "family": {"connection": [connection], "grid": 8, "loop": True}}
-    with pytest.raises(HodgeError, match=re.escape(message)) as exc:
+    with pytest.raises(error, match=re.escape(message)) as exc:
         spectral_flow(family_from_descriptor(data, cutoff=4))
-    assert type(exc.value) is HodgeError
+    assert type(exc.value) is error
 
 
 def _grid_walk_flows(fam, tol=1e-8):
@@ -669,10 +671,12 @@ def _split_loop_descriptor(signs, speeds, offsets, others, grid, defects=()):
 
 
 def _flow_or_error(fam):
+    # A bad node's connection is refused by its bundle (HodgeError) or by
+    # the descriptor reader (DescriptorError), and never as a kernel error.
     try:
         result = spectral_flow(fam)
-    except HodgeError as exc:
-        assert type(exc) is HodgeError
+    except (HodgeError, DescriptorError) as exc:
+        assert type(exc) in (HodgeError, DescriptorError)
         return str(exc)
     return result.flow_plus, result.flow_minus
 
@@ -683,7 +687,7 @@ def _built_in_grid_order(fam):
     try:
         for t in fam.grid:
             fam.bundle(t)
-    except HodgeError as exc:
+    except (HodgeError, DescriptorError) as exc:
         return str(exc)
     return _grid_walk_flows(fam)
 
@@ -970,7 +974,7 @@ def test_family_descriptor_diagonal_monodromies():
     # connection form of the same loop keeps its flow of 1.
     data = {"n": 1, "eta": [[1]], "monodromies": [[[1]]],
             "family": {"monodromies": [[["exp(2*pi*i*t)"]]], "grid": 32, "loop": True}}
-    with pytest.raises(HodgeError, match="connection entries, not monodromies"):
+    with pytest.raises(DescriptorError, match="connection entries, not monodromies"):
         family_from_descriptor(data, cutoff=4)
     data["family"] = {"connection": [[["t"]]], "grid": 32, "loop": True}
     assert spectral_flow(family_from_descriptor(data, cutoff=4)).flow_plus == 1
@@ -991,8 +995,6 @@ def test_grid_nodes_are_built_once_and_never_shared():
 
 
 def test_hostile_entries_rejected():
-    from tautsig.hodge_numeric import _compile_entry
-
     for entry in (
         "[c for c in ().__class__.__mro__[1].__subclasses__() "
         "if c.__name__=='BuiltinImporter'][0].load_module('os').getpid()",
@@ -1005,9 +1007,9 @@ def test_hostile_entries_rejected():
         ["1", 2],
         {"re": 1},
     ):
-        with pytest.raises(HodgeError):
+        with pytest.raises(DescriptorError):
             _compile_entry(entry)(0.5)
-    with pytest.raises(HodgeError):
+    with pytest.raises(DescriptorError):
         _compile_entry("2*t")(None)
 
 
@@ -1024,15 +1026,11 @@ def _python_value(entry, t):
      "sqrt(-1) - 1/3", "-(t - 0.5)**3", "2**-1", "1e-3*t"],
 )
 def test_entry_values_match_python_arithmetic(entry):
-    from tautsig.hodge_numeric import _compile_entry
-
     for t in (0.0, 0.125, 1.0 / 3.0, 1.0):
         assert _compile_entry(entry)(t) == _python_value(entry, t)
 
 
 def test_shipped_descriptors_evaluate_as_python():
-    from tautsig.hodge_numeric import _compile_entry
-
     def entries(node):
         if isinstance(node, str):
             yield node
@@ -1055,11 +1053,11 @@ def test_shipped_descriptors_evaluate_as_python():
 
 
 def test_descriptor_family_parses_entries_once(monkeypatch):
-    import tautsig.hodge_numeric as hn
+    from tautsig import descriptors
 
     calls = []
-    real = hn._compile_entry
-    monkeypatch.setattr(hn, "_compile_entry", lambda e: calls.append(e) or real(e))
+    real = descriptors._compile_entry
+    monkeypatch.setattr(descriptors, "_compile_entry", lambda e: calls.append(e) or real(e))
     data = {
         "n": 1,
         "eta": [[1]],
@@ -1546,6 +1544,29 @@ def test_assembly_budget_refused_before_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [171, 500])
+def test_assembly_size_refusal_formats_any_size(n):
+    # Their MiB counts overflow a float at cutoff 8.
+    with pytest.raises(HodgeError, match=f"truncation too large: n={n}, rank 1, cutoff 8") as exc:
+        assemble(line_bundle([0.1] * n), 8)
+    assert len(str(exc.value)) < 120
+
+
+def test_restricted_odd_stack_refuses_a_non_hermitian_zero_block():
+    # A bundle's checks keep its zero block hermitian, so the defect is put
+    # into the operator's zero block directly: a rounding-sized one passes.
+    import dataclasses
+
+    op = assemble(line_bundle([0.0, 1 / 3, 0.5]), cutoff=2)
+    rng = np.random.default_rng(3)
+    defect = rng.normal(size=op.zero.shape) + 1j * rng.normal(size=op.zero.shape)
+    fine = dataclasses.replace(op, zero=op.zero + 1e-14 * defect)
+    assert fine.restricted_odd_stack().shape == (125, 4, 4)
+    bad = dataclasses.replace(op, zero=op.zero + 1e-6 * defect)
+    with pytest.raises(HodgeError, match="restricted operator is not self-adjoint"):
+        bad.restricted_odd_stack()
 
 
 # ---------------------------------------------------------------------------
