@@ -680,11 +680,16 @@ def gysin_project(x: GradedClass, fiber_indices: Iterable[int]) -> GradedClass:
 
 
 def pullback(y: GradedClass, target: ProductSpace, positions: Sequence[int]) -> GradedClass:
-    """Pull a class back along the projection keeping the given positions."""
+    """Pull a class back along the projection keeping the given positions,
+    which must increase: source factor i lands on target factor
+    ``positions[i]``, so the factors keep their order and no Koszul sign
+    arises."""
     src_factors = y.space.factors
     positions = tuple(int(p) for p in positions)
     if len(positions) != len(src_factors):
         raise SpaceError("one target position per source factor is required")
+    if list(positions) != sorted(set(positions) & set(range(len(target.factors)))):
+        raise SpaceError(f"positions {list(positions)} are not increasing factors of the target")
     for p, f in zip(positions, src_factors):
         if target.factors[p] != f:
             raise SpaceError("space mismatch")

@@ -82,11 +82,10 @@ family checks a stack of nodes in one pass and raises what building them
 one by one would.  A family is eta and a connection path that maps nodes
 to a stack of connections.  An operator keeps its block stack once built,
 its eigensystem, its odd spectrum and the largest tol its cutoff window
-passed; an operator family keeps the operators of t = 0, t = 1 and its
-last node; a constant family shares one bundle and one operator across its
-nodes.
-Each :func:`spectral_flow` builds the bundles of its two endpoints and
-assembles them, and checks the interior nodes' connections as one stack.
+passed.  A family keeps no operators: a kernel profile walks the grid once,
+keeping the first node's operator and the current one, and reads a loop's
+flow from the walk's ends.  Each :func:`spectral_flow` assembles the two
+endpoints and checks the interior nodes' connections as one stack.
 An assembly whose block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused
 before anything is allocated, whether or not the stack is ever built
 (:func:`tautsig.descriptors.assembly_refusal`).  Bundles and families are
@@ -576,10 +575,10 @@ class TruncatedOperator:
     freqs: np.ndarray          # (B, n) integer lattice points
     zero: np.ndarray           # (d, d) the zero-frequency block C + C^H
     frame: _Frame = field(repr=False)
-    _blocks: Optional[np.ndarray] = field(default=None, repr=False)
-    _eig: Optional[tuple] = field(default=None, repr=False)
-    _odd: Optional[tuple] = field(default=None, repr=False)  # (tol, spectrum)
-    _window: float = field(default=-math.inf, repr=False)  # largest tol whose window passed
+    _blocks: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _eig: Optional[tuple] = field(default=None, init=False, repr=False)
+    _odd: Optional[tuple] = field(default=None, init=False, repr=False)  # (tol, spectrum)
+    _window: float = field(default=-math.inf, init=False, repr=False)  # largest passed tol
 
     @property
     def iota(self) -> np.ndarray:
@@ -855,9 +854,8 @@ class OperatorFamily:
 
     ``path`` maps a list of N nodes to their connections, an (N, n, r, r)
     array; a node's bundle is eta with its connection, or ``fixed``, the one
-    bundle of a constant family, at every node.  The family keeps the
-    operators of t = 0, t = 1 and the last node built, by node and cutoff; a
-    constant family hands out one operator for every node.
+    bundle of a constant family, at every node.  A family keeps no operators:
+    each :meth:`operator` call assembles its node's bundle.
     """
 
     eta: np.ndarray
@@ -868,8 +866,6 @@ class OperatorFamily:
     label: str = ""
     globally_flat: bool = False
     fixed: Optional[MonodromyBundle] = None
-    # Operators by (node, cutoff), the node None for a constant family.
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bundle(self, t) -> MonodromyBundle:
         return self._bundle(_node(t))
@@ -884,36 +880,7 @@ class OperatorFamily:
                                                label=f"{self.label}(t={t})")
 
     def operator(self, t) -> TruncatedOperator:
-        return self._operator(_node(t))
-
-    def operators(self, nodes: Sequence) -> Iterator[TruncatedOperator]:
-        """Each node's operator, built in grid order as it is asked for.
-
-        The first node's operator sizes the runs in which :meth:`_stacks`
-        reads the other nodes' connections.
-        """
-        nodes = [_node(t) for t in nodes]
-        if not nodes:
-            return
-        first = self._operator(nodes[0])
-        yield first
-        if self.fixed is not None:
-            yield from itertools.repeat(first, len(nodes) - 1)
-            return
-        rest = iter(nodes[1:])
-        for stack in self._stacks(nodes[1:], first.bundle.standard_connection.nbytes):
-            for connection, t in zip(stack, rest):
-                yield self._operator(t, connection)
-
-    def _operator(self, t: Fraction, connection: Optional[np.ndarray] = None) -> TruncatedOperator:
-        key = (None if self.fixed is not None else t, self.cutoff)
-        op = self._kept.get(key)
-        if op is None:
-            op = assemble(self._bundle(t, connection), self.cutoff)
-            self._kept = {k: v for k, v in self._kept.items()
-                          if k[0] in (0, 1) and k[1] == self.cutoff}
-            self._kept[key] = op
-        return op
+        return assemble(self.bundle(t), self.cutoff)
 
     def _stacks(self, nodes: list, node_bytes: int) -> Iterator[np.ndarray]:
         """The nodes' connections in grid order, as (N, n, r, r) stacks.
@@ -1071,17 +1038,32 @@ def spectral_flow(
     if not family.loop:
         raise HodgeError("spectral flow is defined for loop families")
     nodes = family.grid
-    if nodes[0] != 0 or nodes[-1] != 1:
-        raise HodgeError("family grid must span [0, 1]")
+    _check_span(nodes)
     # In grid order: t = 0, the interior nodes' connections in one pass over
     # their stack, then t = 1.  A constant family's one bundle is checked.
-    first = family.operator(0)
+    first = last = family.operator(0)
     if family.fixed is None:
         bundle = first.bundle
         signs, basis = _standard_form(bundle.eta.tobytes(), bundle.rank)
         for stack in family._stacks(nodes[1:-1], bundle.standard_connection.nbytes):
             _standard_connection(stack, bundle.n, signs, basis)
-    last = family.operator(1)
+        last = family.operator(1)
+    flow_plus, flow_minus = _endpoint_flow(first, last, tol)
+    if _counters is not None:
+        _counters["nodes"] = len(nodes)
+    return SpectralFlowResult(flow_plus=flow_plus, flow_minus=flow_minus,
+                              nodes_used=len(nodes))
+
+
+def _check_span(nodes: Sequence) -> None:
+    if not nodes or nodes[0] != 0 or nodes[-1] != 1:
+        raise HodgeError("family grid must span [0, 1]")
+
+
+def _endpoint_flow(first: TruncatedOperator, last: TruncatedOperator,
+                   tol: float) -> tuple[int, int]:
+    """(shift +, shift -) flows of a loop by :func:`spectral_flow`'s rule,
+    read from its endpoint operators."""
     _verify_loop(first.bundle, last.bundle)
     for op in (first,) if last is first else (first, last):
         _kernel_window(op, tol, "a spectral flow")
@@ -1092,10 +1074,7 @@ def spectral_flow(
         if min(np.min(np.abs(start + shift)), np.min(np.abs(end + shift))) < tol:
             raise EndpointKernelError("endpoint shift failed to clear the kernel")
         flows.append(int(np.sum(end + shift > 0)) - int(np.sum(start + shift > 0)))
-    if _counters is not None:
-        _counters["nodes"] = len(nodes)
-    return SpectralFlowResult(flow_plus=flows[0], flow_minus=flows[-1],
-                              nodes_used=len(nodes))
+    return flows[0], flows[-1]
 
 
 # The name the benchmark harness calls.
@@ -1125,26 +1104,26 @@ def shell_bound(family: OperatorFamily) -> tuple[int, float]:
 
 
 def kernel_constancy_report(family: OperatorFamily, tol: float = DEFAULT_TOL) -> dict:
-    """Kernel dimension along the family's grid; constancy forces zero flow."""
+    """Kernel dimension along the family's grid; constancy forces zero flow.
+
+    One walk in grid order keeps the first node's operator and the current
+    one (a constant family's one operator is sized once).  A loop's grid
+    must span [0, 1]; on an odd torus, which alone has a flow (it is defined
+    through the odd restriction), the flow is read from the walk's ends.
+    """
     nodes = [_node(t) for t in family.grid]
-    profile: list = []
-    flagged: list = []
-    # A constant family hands out one operator for every node; its kernel
-    # dimension (None when indeterminate) is computed once per run of nodes
-    # that share an operator.
-    last_op = dim = None
-    for t, op in zip(nodes, family.operators(nodes)):
-        if op is not last_op:
-            last_op = op
-            try:
-                dim = kernel_dimension(op, tol)
-            except IndeterminateKernelError:
-                dim = None
-        profile.append(dim)
-        if dim is None:
-            flagged.append(str(t))
-    known = [d for d in profile if d is not None]
-    constant = bool(known) and all(d == known[0] for d in known) and not flagged
+    if family.loop:
+        _check_span(nodes)
+    first = op = family.operator(nodes[0])
+    profile = [_kernel_count(first, tol)] * (1 if family.fixed is None else len(nodes))
+    if family.fixed is None:
+        rest = iter(nodes[1:])
+        for stack in family._stacks(nodes[1:], first.bundle.standard_connection.nbytes):
+            for connection, t in zip(stack, rest):
+                op = assemble(family._bundle(t, connection), family.cutoff)
+                profile.append(_kernel_count(op, tol))
+    flagged = [str(t) for t, dim in zip(nodes, profile) if dim is None]
+    constant = not flagged and len(set(profile)) == 1
     report = {
         "label": family.label,
         "grid": [str(t) for t in nodes],
@@ -1152,18 +1131,22 @@ def kernel_constancy_report(family: OperatorFamily, tol: float = DEFAULT_TOL) ->
         "constant": constant,
         "indeterminate_points": flagged,
     }
-    # Spectral flow is defined through the odd restriction, so only odd tori
-    # have a flow to check; ``op`` is the last node's operator.
-    if constant and family.loop and op.bundle.n % 2 == 1:
-        result = spectral_flow(family, tol)
-        report["flow_plus"] = result.flow_plus
-        report["flow_minus"] = result.flow_minus
-        if result.flow_plus != 0 or result.flow_minus != 0:
+    if family.loop and first.bundle.n % 2 == 1:
+        flow_plus, flow_minus = _endpoint_flow(first, op, tol)
+        report["flow_plus"], report["flow_minus"] = flow_plus, flow_minus
+        if constant and (flow_plus != 0 or flow_minus != 0):
             raise HodgeError(
-                "constant kernel profile with nonzero spectral flow: "
-                f"{result.flow_plus}/{result.flow_minus}"
+                f"constant kernel profile with nonzero spectral flow: {flow_plus}/{flow_minus}"
             )
     return report
+
+
+def _kernel_count(op: TruncatedOperator, tol: float) -> Optional[int]:
+    """:func:`kernel_dimension`, or None when it is indeterminate."""
+    try:
+        return kernel_dimension(op, tol)
+    except IndeterminateKernelError:
+        return None
 
 
 # ---------------------------------------------------------------------------

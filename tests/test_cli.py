@@ -140,6 +140,27 @@ def test_unknown_suite_exit_two():
     assert main(["run", "--suite", "not-a-suite"]) == 2
 
 
+@pytest.mark.parametrize("suites", ["", ",", " , "])
+def test_run_naming_no_suite_exit_two(suites, capsys):
+    # These once ran nothing and passed with "0/0 assertions passed".
+    assert main(["run", "--suite", suites]) == 2
+    assert "name at least one suite" in capsys.readouterr().err
+    with pytest.raises(SuiteError, match="name at least one suite"):
+        run_suites(SuiteConfig(suites=[]))
+
+
+def test_each_named_suite_runs_once(tmp_path):
+    # genus,genus once ran genus twice and reported 20/20.
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert main(["run", "--suite", "genus,surface", "--out", str(once)]) == 0
+    assert main(["run", "--suite", "genus,surface,genus", "--suite", "surface",
+                 "--out", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes()
+    report = json.loads(once.read_text())
+    assert report["config"]["suites"] == ["genus", "surface"]
+    assert [s["name"] for s in report["suites"]] == ["genus", "surface"]
+
+
 def test_bad_tolerance_exit_two():
     assert main(["run", "--suite", "genus", "--tol", "0.5"]) == 2
 
@@ -210,6 +231,36 @@ def test_even_torus_loop_family_reports_profile_only(tmp_path):
     family = cases["descriptor:family"]
     assert family["ok"]
     assert family["detail"] == "profile=[4, 0, 0, 0, 0, 0, 0, 0, 4]"
+
+
+def test_globally_flat_family_with_a_jumping_kernel_fails(tmp_path):
+    # Declared globally flat, yet its kernel jumps at the loop's ends and its
+    # flow is 1: the family case fails and says why.
+    desc = {"n": 1, "eta": [[1]], "connection": [[[0.25]]], "globally_flat": True,
+            "family": {"connection": [[["t"]]], "grid": 8, "loop": True}}
+    path, out = tmp_path / "desc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(desc))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path),
+                 "--cutoff", "4", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    cases = {c["anchor"]: c for s in report["suites"] for c in s["cases"]}
+    assert cases["descriptor:bundle"]["ok"]
+    family = cases["descriptor:family"]
+    assert not family["ok"]
+    assert family["detail"] == (
+        "profile=[2, 0, 0, 0, 0, 0, 0, 0, 2], flow=1; declared globally flat, "
+        "but the profile is not constant and determinate")
+    # Without the declaration the same family passes.
+    del desc["globally_flat"]
+    assert _descriptor_details(tmp_path, desc)["descriptor:family"]["ok"]
+
+
+def test_globally_flat_constant_family_passes(tmp_path):
+    family = _descriptor_details(tmp_path, {
+        "n": 1, "eta": [[1]], "connection": [[[0.25]]], "globally_flat": True,
+        "family": {"connection": [[["0.25"]]], "grid": 8, "loop": True},
+    })["descriptor:family"]
+    assert family["ok"] and family["detail"] == "profile=[0, 0, 0, 0, 0, 0, 0, 0, 0]"
 
 
 def test_non_unitary_eta_descriptor_runs(tmp_path):

@@ -76,6 +76,25 @@ def test_torus_koszul_sign():
     assert u2 * u1 == -uu
 
 
+@pytest.mark.parametrize(
+    "source,positions",
+    # A repeated position once read u x u as u x 1, -1 wrapped round to the
+    # last factor, and 5 ended in an IndexError.  Swapped positions would
+    # need the Koszul sign -1 that placing the parts leaves out.
+    [("uxu", [0, 0]), ("uxu", [1, 0]), ("u", [-1]), ("u", [5]), ("u", [2])],
+    ids=["repeated", "swapped", "negative", "far", "one-past"],
+)
+def test_pullback_refuses_bad_positions(source, positions):
+    s1 = circle()
+    t2 = product_space(s1, s1)
+    u = s1.gen("u")
+    y = cross(u, u) if source == "uxu" else u
+    with pytest.raises(SpaceError, match="not increasing factors of the target"):
+        pullback(y, t2, positions)
+    assert pullback(y, t2, [0, 1] if source == "uxu" else [1]) == (
+        y if source == "uxu" else cross(s1.one(), u))
+
+
 def test_mul_space_mismatch():
     with pytest.raises(SpaceError, match="space mismatch"):
         circle().gen("u") * torus(2).gen("u1")

@@ -264,15 +264,18 @@ def test_kernel_window_runs_once_per_operator_and_tol(monkeypatch):
     real_norm = np.linalg.norm
     monkeypatch.setattr(hn.np.linalg, "norm",
                         lambda *args, **kwargs: norms.append(1) or real_norm(*args, **kwargs))
-    fam = constant_family(line_bundle([1.5, 1.5, 1.5]), cutoff=2, resolution=8)
-    report = kernel_constancy_report(fam)
+    bundle = line_bundle([1.5, 1.5, 1.5])
+    # A constant family's kernel count and flow share its one operator's window.
+    report = kernel_constancy_report(constant_family(bundle, cutoff=2, resolution=8))
     assert report["flow_plus"] == report["flow_minus"] == 0
     assert len(norms) == 1
-    op = fam.operator(0)
-    kernel_dimension(op, DEFAULT_TOL / 10)  # a wider margin than the one that passed
-    assert len(norms) == 1
-    kernel_dimension(op, DEFAULT_TOL * 10)
+    op = assemble(bundle, cutoff=2)
+    assert kernel_dimension(op) == 0
     assert len(norms) == 2
+    kernel_dimension(op, DEFAULT_TOL / 10)  # a wider margin than the one that passed
+    assert len(norms) == 2
+    kernel_dimension(op, DEFAULT_TOL * 10)
+    assert len(norms) == 3
 
 
 def test_kernel_window_failures_raise_each_time():
@@ -1114,9 +1117,9 @@ def test_endpoint_shift_passes_share_spectra(monkeypatch, make, flow):
     assert len(calls) == 2
 
 
-def _profile_then_flow(fam):
-    assert not kernel_constancy_report(fam)["constant"]
-    return spectral_flow(fam)
+def _profile_with_flow(fam):
+    report = kernel_constancy_report(fam)
+    assert not report["constant"] and report["flow_plus"] == report["flow_minus"] == 1
 
 
 def _count_stack_solves(monkeypatch):
@@ -1148,13 +1151,13 @@ def _count_stack_solves(monkeypatch):
 
 @pytest.mark.parametrize(
     "run,stacks",
-    # The line family restricts only its two endpoints.  Its profile
-    # restricts every node's operator for the kernel dimension; the flow
-    # after it reuses the profile's operators at t = 0 and t = 1.  The
-    # constant family's one operator is restricted once.  Every bundle is
-    # split, so its odd spectra are certified and none is solved.
+    # The line family's flow restricts only its two endpoints.  Its profile
+    # restricts every node's operator for the kernel dimension and reads its
+    # flow from the first and last of them.  The constant family's one
+    # operator is restricted once.  Every bundle is split, so its odd spectra
+    # are certified and none is solved.
     [(lambda: spectral_flow(lusztig_family(cutoff=6, resolution=16)), 2),
-     (lambda: _profile_then_flow(lusztig_family(cutoff=6, resolution=16)), 17),
+     (lambda: _profile_with_flow(lusztig_family(cutoff=6, resolution=16)), 17),
      (lambda: kernel_constancy_report(
          constant_family(line_bundle([0.4]), cutoff=6, resolution=16)), 1)],
     ids=["line", "line-profile", "constant"],
@@ -1513,17 +1516,18 @@ def test_cached_structure_is_read_only():
 
 
 def test_cached_operator_matches_fresh_assembly():
+    # A constant family's report sizes its one operator once
+    # (test_suite_assembles_each_node_once), and reads the flow that
+    # spectral_flow reads from a fresh assembly.
     bundle = line_bundle([0.0, 0.25, 0.5], globally_flat=True)
     fam = constant_family(bundle, cutoff=3, resolution=8)
-    first = fam.operator(0)
-    kernel_constancy_report(fam)
-    cached = fam.operator(F(1, 2))
-    assert cached is first
-    fresh = assemble(bundle, 3)
-    assert np.array_equal(cached.blocks, fresh.blocks)
-    assert np.array_equal(cached.eigen_system()[0], fresh.eigen_system()[0])
-    assert np.array_equal(cached.odd_spectrum(), fresh.odd_spectrum())
-    assert np.array_equal(fam.operator(F(3, 8)).odd_spectrum(), fresh.odd_spectrum())
+    report = kernel_constancy_report(fam)
+    flow = spectral_flow(fam)
+    assert (report["flow_plus"], report["flow_minus"]) == (flow.flow_plus, flow.flow_minus)
+    op, fresh = fam.operator(F(1, 2)), assemble(bundle, 3)
+    assert op is not fam.operator(F(1, 2))
+    assert np.array_equal(op.blocks, fresh.blocks)
+    assert np.array_equal(op.odd_spectrum(), fresh.odd_spectrum())
 
 
 def test_assembly_budget_refused_before_allocation(monkeypatch):
@@ -1722,8 +1726,8 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
     "suite,descriptor,expected",
     # descriptor: the bundle, then each node of the 32-step family grid for
     # the profile.  vanishing: four constant families, then the 17 profile
-    # nodes of the line family.  A flow reuses the operators at t = 0 and
-    # t = 1, where a profile starts and ends.
+    # nodes of the line family.  A profile reads its flow from the operators
+    # at t = 0 and t = 1, where its walk starts and ends.
     [("descriptor", "lusztig_family.json", 34), ("vanishing", None, 21)],
     ids=["descriptor", "vanishing"],
 )
@@ -1737,6 +1741,100 @@ def test_suite_assembles_each_node_once(monkeypatch, suite, descriptor, expected
     )
     assert suites.run_suites(config)["ok"]
     assert len(calls) == expected
+
+
+_SHIPPED = Path(__file__).resolve().parents[1] / "descriptors"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: lusztig_family(cutoff=6, resolution=16),
+     lambda: lusztig_family(cutoff=6, resolution=16, speed=2),
+     lambda: lusztig_family(cutoff=6, resolution=16, speed=3),
+     lambda: lusztig_pair_family(cutoff=6, resolution=16),
+     # Lines of speeds 1 and 2 with eta = diag(1, -1) on T^3: each kernel
+     # jumps where its line crosses an integer.
+     lambda: family_from_descriptor(
+         _split_loop_descriptor([1, -1], [1, 2], [0.25, 0.5], [[0, 0], [0, 0]], 8),
+         cutoff=4),
+     lambda: family_from_descriptor(load_descriptor(_SHIPPED / "lusztig_family.json"),
+                                    cutoff=8)],
+    ids=["line", "line-x2", "line-x3", "pair", "t3-split", "shipped"],
+)
+def test_report_reads_the_flow_spectral_flow_reads(make):
+    report = kernel_constancy_report(make())
+    flow = spectral_flow(make())
+    assert not report["constant"]
+    assert (report["flow_plus"], report["flow_minus"]) == (flow.flow_plus, flow.flow_minus)
+
+
+def test_report_walk_keeps_two_operators(monkeypatch):
+    import weakref
+
+    import tautsig.hodge_numeric as hn
+
+    alive = []
+    real = hn.assemble
+
+    def tracking(bundle, cutoff=hn.DEFAULT_CUTOFF):
+        # The first node's operator and the current one.
+        assert sum(ref() is not None for ref in alive) <= 2
+        op = real(bundle, cutoff)
+        alive.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(hn, "assemble", tracking)
+    report = kernel_constancy_report(lusztig_family(cutoff=3, resolution=256))
+    assert len(alive) == 257 and report["flow_plus"] == report["flow_minus"] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_loop_report_needs_a_grid_spanning_the_interval(n):
+    fam = family_from_descriptor({
+        "n": n, "eta": [[1]], "monodromies": [[[1]]] * n,
+        "family": {"connection": [[["t"]]] + [[["0"]]] * (n - 1), "grid": 4, "loop": True},
+    }, cutoff=4)
+    fam.grid = fam.grid[:-1]
+    with pytest.raises(HodgeError, match=r"grid must span \[0, 1\]"):
+        kernel_constancy_report(fam)
+    fam.loop = False
+    assert kernel_constancy_report(fam)["profile"][0] == 2 ** n
+
+
+def _count_path_nodes(monkeypatch, maker):
+    """Nodes at which the families that ``hodge_numeric.<maker>`` builds
+    evaluate their connection paths."""
+    import tautsig.hodge_numeric as hn
+
+    nodes = []
+    real = getattr(hn, maker)
+
+    def make(*args, **kwargs):
+        fam = real(*args, **kwargs)
+        path = fam.path
+        fam.path = lambda ts: nodes.extend(ts) or path(ts)
+        return fam
+
+    monkeypatch.setattr(hn, maker, make)
+    return nodes
+
+
+@pytest.mark.parametrize(
+    "suite,descriptor,maker,grid",
+    # One walk per family: its profile evaluates each grid node's connection
+    # once and reads the flow from the walk's endpoints.
+    [("descriptor", "lusztig_family.json", "family_from_descriptor", 32),
+     ("vanishing", None, "lusztig_family", 16)],
+    ids=["descriptor", "vanishing"],
+)
+def test_suite_reads_each_path_node_once(monkeypatch, suite, descriptor, maker, grid):
+    from tautsig import suites
+
+    nodes = _count_path_nodes(monkeypatch, maker)
+    config = suites.SuiteConfig(suites=[suite],
+                                descriptor=descriptor and str(_SHIPPED / descriptor))
+    assert suites.run_suites(config)["ok"]
+    assert sorted(nodes) == grid_nodes(grid)
 
 
 # ---------------------------------------------------------------------------
