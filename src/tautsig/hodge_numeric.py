@@ -1112,6 +1112,8 @@ def kernel_constancy_report(family: OperatorFamily, tol: float = DEFAULT_TOL) ->
     through the odd restriction), the flow is read from the walk's ends.
     """
     nodes = [_node(t) for t in family.grid]
+    if not nodes:
+        raise HodgeError("family grid has no nodes")
     if family.loop:
         _check_span(nodes)
     first = op = family.operator(nodes[0])

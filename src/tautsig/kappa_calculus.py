@@ -3,9 +3,13 @@
 A bundle model is a flattened product total space with a designated set of
 fiber factors; fiber integration along those factors realizes the bundle
 projection.  On top of that the module computes kappa classes
-pi_!(c(T_v E) u), higher signatures, the product/collapse identities with
+pi_!(L(T_v E) u), higher signatures, the product/collapse identities with
 their Koszul signs, and the symbolic sides of the odd and even index
 expressions 2^m pi_!(L(T_v E) sch(V)).
+
+Each takes one route from Pontryagin data: ``l_class``, times u, then
+``gysin_project`` or ``evaluate``.  No weight is evaluated on its own:
+kappa_{L_k,u} is the degree 4k + |u| - n part of the total pi_!(L(T_v E) u).
 
 The global sign of the odd expression is structurally undetermined and is
 carried by :class:`SignAmbiguousClass`, never resolved.  The product
@@ -36,8 +40,6 @@ from .graded_ring import (
 from .mult_seq import (
     BundleData,
     GENUS_WEIGHT_CAP,
-    expand_series,
-    genus_components,
     l_class,
 )
 
@@ -207,34 +209,28 @@ def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleMo
 # ---------------------------------------------------------------------------
 
 
-def _vertical_class(bundle: BundleModel, k: Optional[int], series: str) -> GradedClass:
-    space = bundle.total
-    if k is None:
-        max_k = min(space.top_degree // 4, GENUS_WEIGHT_CAP)
-        return l_class(bundle.vertical_tangent, max_k=max_k, series=series)
-    poly = genus_components(expand_series(series, 2 * k), k)
-    return poly.evaluate(bundle.vertical_tangent.pontryagin_classes, space)
-
-
 def kappa(
     bundle: BundleModel,
     k: Optional[int] = None,
     u: str | GradedClass = "1",
     series: str = "L-atiyah-singer",
 ) -> GradedClass:
-    """pi_!(c(T_v E) u): single weight when k is given, total class otherwise."""
+    """pi_!(L(T_v E) u), or its weight-k part: the degree 4k + |u| - n part
+    of each homogeneous part of u's total, n the fiber dimension."""
     u_class = bundle.pullback_class(u) if isinstance(u, str) else u
     if isinstance(u_class, GradedClass) and u_class.space != bundle.total:
         raise KappaError("u must live on the total space")
-    integrand = _vertical_class(bundle, k, series) * u_class
-    result = gysin_project(integrand, bundle.fiber_indices)
-    if k is not None and u_class.is_homogeneous() and not u_class.is_zero():
-        want = 4 * k + u_class.degree() - bundle.fiber_dimension
-        bad = [d for d in result.degrees() if d != want]
+    if k is not None and not 0 <= k <= GENUS_WEIGHT_CAP:
+        raise KappaError(f"weight {k} outside [0, {GENUS_WEIGHT_CAP}]")
+    vertical = l_class(bundle.vertical_tangent, series=series)
+    n = bundle.fiber_dimension
+    result = bundle.base_space.zero()
+    for d in u_class.degrees():
+        total = gysin_project(vertical * u_class.homogeneous_part(d), bundle.fiber_indices)
+        bad = [e for e in total.degrees() if (e - d + n) % 4]
         if bad:
-            raise KappaError(
-                f"degree bookkeeping violated: expected {want}, found {bad}"
-            )
+            raise KappaError(f"degree bookkeeping violated: {bad} not 4k + {d} - {n}")
+        result = result + (total if k is None else total.homogeneous_part(4 * k + d - n))
     return result
 
 
@@ -258,10 +254,11 @@ class HigherSignatureInput:
 
 
 def higher_signature(data: HigherSignatureInput) -> Fraction:
-    """<L_k(TM) u, [M]> with the halved-variable multiplicative class."""
-    poly = genus_components(expand_series("L-atiyah-singer", 2 * data.k), data.k)
-    cls = poly.evaluate(data.tangent.pontryagin_classes, data.manifold)
-    return evaluate(cls * data.u)
+    """<L_k(TM) u, [M]>, the halved-variable class: as 4k + |u| = dim M, only
+    L_k u of L(TM) u reaches the top degree."""
+    if data.k > GENUS_WEIGHT_CAP:
+        raise KappaError(f"weight {data.k} outside [0, {GENUS_WEIGHT_CAP}]")
+    return evaluate(l_class(data.tangent) * data.u)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +274,9 @@ def kappa_product(
 ) -> dict:
     """Two-path certificate for kappa on a product model.
 
-    Compares the directly integrated product against
-    (-1)^(n_1 (|u_0| - n_0)) kappa(b0) x kappa(b1), per total weight, and
+    Compares the product model's own integral with the cross product of
+    the factors', (-1)^(n_1 (|u_0| - n_0)) kappa(b0) x kappa(b1), per total
+    weight and in total (each side's weights are read from its total), and
     evaluates the collapse to a higher-signature multiple when b1 lives
     over a point.
     """
@@ -286,7 +284,7 @@ def kappa_product(
     if not (u0_class.is_homogeneous() and u1_class.is_homogeneous()):
         raise KappaError("certificate classes must be homogeneous")
     n0, n1 = b0.fiber_dimension, b1.fiber_dimension
-    d0 = u0_class.degree()
+    d0, d1 = u0_class.degree(), u1_class.degree()
     prod = product_model(b0, b1)
     u01 = cross(u0_class, u1_class)
     proof_exp = n1 * (d0 - n0)
@@ -295,9 +293,10 @@ def kappa_product(
 
     max_weight = min(prod.total.top_degree // 4 + 1, GENUS_WEIGHT_CAP)
     weights = range(0, max_weight + 1)
-    kappa0 = [kappa(b0, k=kk, u=u0) for kk in weights]
-    kappa1 = [kappa(b1, k=kk, u=u1) for kk in weights]
-    kappa01 = [kappa(prod, k=m, u=u01) for m in weights]
+    total0, total1, total01 = kappa(b0, u=u0), kappa(b1, u=u1), kappa(prod, u=u01)
+    kappa0 = [total0.homogeneous_part(4 * kk + d0 - n0) for kk in weights]
+    kappa1 = [total1.homogeneous_part(4 * kk + d1 - n1) for kk in weights]
+    kappa01 = [total01.homogeneous_part(4 * m + d0 + d1 - n0 - n1) for m in weights]
     components = []
     all_ok = True
     for m in weights:
@@ -311,15 +310,13 @@ def kappa_product(
         components.append(
             {"weight": m, "ok": ok, "lhs": repr(lhs), "rhs": repr(rhs)}
         )
-    lhs_total = kappa(prod, k=None, u=u01)
-    rhs_total = cross(kappa(b0, k=None, u=u0), kappa(b1, k=None, u=u1)) * sign
-    total_ok = lhs_total == rhs_total
+    total_ok = total01 == cross(total0, total1) * sign
     all_ok = all_ok and total_ok
 
     certificate = {
         "labels": [b0.label, b1.label],
         "fiber_dims": [n0, n1],
-        "u_degrees": [d0, u1_class.degree()],
+        "u_degrees": [d0, d1],
         "proof_sign_exponent": proof_exp,
         "statement_sign_exponent": headline_exp,
         "statement_vs_proof_discrepancy": (proof_exp - headline_exp) % 2 == 1,
@@ -329,11 +326,11 @@ def kappa_product(
     }
 
     # Collapse: b1 a single closed manifold over a point with 4l + |u1| = n1.
-    if b1.base_space == point() and (n1 - u1_class.degree()) % 4 == 0:
-        ll = (n1 - u1_class.degree()) // 4
+    if b1.base_space == point() and (n1 - d1) % 4 == 0:
+        ll = (n1 - d1) // 4
         if 0 <= ll <= GENUS_WEIGHT_CAP:
-            sig_n = evaluate(
-                _vertical_class(b1, ll, "L-atiyah-singer") * u1_class
+            sig_n = higher_signature(
+                HigherSignatureInput(b1.total, b1.vertical_tangent, u1_class, ll)
             )
             collapse_ok = True
             rows = []
@@ -370,11 +367,7 @@ def odd_index_symbolic(bundle: BundleModel) -> SignAmbiguousClass:
     if n % 2 == 0:
         raise KappaError("even fiber dimension: use even_index_symbolic")
     m = (n - 1) // 2
-    sch = _sch_or_error(bundle)
-    total = _vertical_class(bundle, None, "L-atiyah-singer") * sch
-    return SignAmbiguousClass(
-        gysin_project(total, bundle.fiber_indices) * Fraction(2**m)
-    )
+    return SignAmbiguousClass(kappa(bundle, u=_sch_or_error(bundle)) * Fraction(2**m))
 
 
 def even_index_symbolic(bundle: BundleModel) -> GradedClass:
@@ -383,10 +376,8 @@ def even_index_symbolic(bundle: BundleModel) -> GradedClass:
     if n % 2 == 1:
         raise KappaError("odd fiber dimension: use odd_index_symbolic")
     m = n // 2
-    sch = _sch_or_error(bundle)
-    total = _vertical_class(bundle, None, "L-atiyah-singer") * sch
     scale = Fraction((-1) ** (m % 2) * 2**m)
-    return gysin_project(total, bundle.fiber_indices) * scale
+    return kappa(bundle, u=_sch_or_error(bundle)) * scale
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ for the life of the process (``functools.lru_cache``; clear with
 ``cache_clear()``).  The cache key of a genus is its truncated series, so
 every caller asks for weight k with the series truncated at order 2k, the
 least that determines it: ``genus_components(expand_series(name, 2 * k), k)``.
-Weight 0 then reads the series ``1`` of every name, one entry in all.
+Weight 0, which :func:`l_class` never asks for (it starts from the unit),
+reads the series ``1`` of every name, one entry in all.
 Their results are immutable: a :class:`FormalSeries` is a tuple of
 coefficients, and the ``terms`` of every :class:`CharClassPolynomial` are a
 read-only mapping.

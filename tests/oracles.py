@@ -2,8 +2,8 @@
 
 Everything here is computed by routes the package itself does not use:
 Bernoulli recurrences, literal root expansions reduced to the elementary
-symmetric basis, closed-form twisted spectra, and block-by-block scipy
-and numpy eigensolves.
+symmetric basis, closed-form twisted spectra, block-by-block scipy and
+numpy eigensolves, and kappa classes one genus weight at a time.
 """
 
 import math
@@ -11,6 +11,9 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import numpy as np
+
+from tautsig.graded_ring import gysin_project
+from tautsig.mult_seq import expand_series, genus_components
 
 UNIT = 2.0 * math.pi
 
@@ -102,6 +105,15 @@ def genus_weight_oracle(series_coeffs, k):
         prod = {e: c for e, c in prod.items() if sum(e) <= k}
     weight_k = {e: c for e, c in prod.items() if sum(e) == k}
     return {_trim(e): c for e, c in to_elementary_basis(weight_k, nvars).items()}
+
+
+def kappa_weight_oracle(bundle, k, u, series):
+    """pi_!(L_k(T_v E) u) with L_k evaluated on its own, not read off the total class."""
+    u_class = bundle.pullback_class(u) if isinstance(u, str) else u
+    l_k = genus_components(expand_series(series, 2 * k), k).evaluate(
+        bundle.vertical_tangent.pontryagin_classes, bundle.total
+    )
+    return gysin_project(l_k * u_class, bundle.fiber_indices)
 
 
 def power_sum_oracle(m):

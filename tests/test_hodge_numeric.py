@@ -1801,6 +1801,17 @@ def test_loop_report_needs_a_grid_spanning_the_interval(n):
     assert kernel_constancy_report(fam)["profile"][0] == 2 ** n
 
 
+@pytest.mark.parametrize("loop", [False, True])
+def test_report_refuses_an_empty_grid(loop):
+    fam = family_from_descriptor({
+        "n": 1, "eta": [[1]], "monodromies": [[[1]]],
+        "family": {"connection": [[["t"]]], "grid": 4, "loop": loop},
+    }, cutoff=4)
+    fam.grid = []
+    with pytest.raises(HodgeError, match="grid has no nodes"):
+        kernel_constancy_report(fam)
+
+
 def _count_path_nodes(monkeypatch, maker):
     """Nodes at which the families that ``hodge_numeric.<maker>`` builds
     evaluate their connection paths."""

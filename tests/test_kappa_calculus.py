@@ -34,7 +34,9 @@ from tautsig.kappa_calculus import (
     surface_flat_bundle_sch,
     trivial_flat_model,
 )
-from tautsig.mult_seq import BundleData, genus_components, l_class
+from tautsig.mult_seq import GENUS_WEIGHT_CAP, BundleData, genus_components, l_class
+
+from oracles import kappa_weight_oracle
 
 
 # -- kappa ---------------------------------------------------------------------
@@ -63,6 +65,82 @@ def test_kappa_degree_bookkeeping():
     model = lusztig_model()
     out = kappa(model, k=0, u="c1_L")
     assert out.degrees() == [1]  # 4*0 + 2 - 1
+
+
+def _random_model(rng, i):
+    """A trivial bundle with a random p_1 half the time and a random u."""
+    model = bundle_model(
+        f"m{i}",
+        base=rng.choice([point(), circle(), torus(2)]),
+        fiber=rng.choice([circle(), torus(2), torus(3), surface(2)]),
+    )
+    total = model.total
+    if rng.random() < 0.5 and total.basis(4):
+        p1 = GradedClass(total, {4: {m: rng.randint(-3, 3) for m in total.basis(4)}})
+        model.vertical_tangent = BundleData(
+            space=total, kind="real-oriented", pontryagin_classes=[p1]
+        )
+    deg = rng.randint(0, total.top_degree)
+    u = GradedClass(total, {deg: {m: rng.randint(-3, 3) for m in total.basis(deg)}})
+    return model, u
+
+
+def test_kappa_weights_match_per_weight_oracle():
+    rng = random.Random(2605)
+    for i in range(120):
+        model, u = _random_model(rng, i)
+        for uu in (u, u + 1):
+            for series in ("L-atiyah-singer", "L-hirzebruch"):
+                for k in range(GENUS_WEIGHT_CAP + 1):
+                    assert kappa(model, k, uu, series) == kappa_weight_oracle(
+                        model, k, uu, series
+                    ), (model.label, k, series)
+
+
+@pytest.mark.parametrize("k", [-1, GENUS_WEIGHT_CAP + 1])
+def test_kappa_refuses_weights_outside_the_cap(k):
+    with pytest.raises(KappaError, match="outside"):
+        kappa(lusztig_model(), k, "ch_L")
+
+
+def test_higher_signature_refuses_weight_beyond_the_cap():
+    t24 = torus(24)
+    data = HigherSignatureInput(
+        manifold=t24, tangent=BundleData.trivial_real(t24), u=t24.one(), k=6
+    )
+    with pytest.raises(KappaError, match="outside"):
+        higher_signature(data)
+
+
+def test_kappa_degree_bookkeeping_guard(monkeypatch):
+    import tautsig.kappa_calculus as kc
+
+    model = bundle_model("b", base=circle(), fiber=torus(2))
+    t2 = torus(2)
+    stray = pullback(t2.gen("u1") * t2.gen("u2"), model.total, [1])
+    monkeypatch.setattr(kc, "l_class", lambda bundle, **kw: bundle.space.one() + stray)
+    for k in (None, 0):
+        with pytest.raises(KappaError, match="degree bookkeeping"):
+            kappa(model, k)
+
+
+def test_every_class_reads_l_class(monkeypatch):
+    import tautsig.kappa_calculus as kc
+
+    calls = []
+    real = kc.l_class
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kc, "l_class", counted)
+    cert = kappa_product(lusztig_model(), _surface_over_point(), "c1_L", "w")
+    assert cert["collapse"]["higher_signature"] == "-2"
+    assert len(calls) == 4  # three totals and the collapse scale
+    odd_index_symbolic(lusztig_model())
+    even_index_symbolic(lusztig_squared_model())
+    assert len(calls) == 6
 
 
 def test_kappa_two_paths_on_product():
@@ -189,9 +267,8 @@ def test_kappa_product_computes_each_kappa_once(monkeypatch, collapse):
     cert = kappa_product(lusztig_model(), b1, "c1_L", u1)
     assert cert["ok"]
     assert ("collapse" in cert) is collapse
-    weights = len(cert["components"])
-    assert len(calls) == 3 * weights + 3
-    assert calls.count(None) == 3
+    # One total per side; every weight is read from its total.
+    assert calls == [None, None, None]
 
 
 def test_randomized_two_path_models():
@@ -352,6 +429,8 @@ def test_one_genus_entry_per_weight():
     for series in ("L-atiyah-singer", "L-hirzebruch"):
         for k in range(6):
             kappa(model, k, series=series)
-    # Weights 1..5 of each series, and weight 0 once for both: l_class and
-    # the per-weight kappas read the same entries.
-    assert genus_components.cache_info().currsize == 11
+    # kappa reads its weights from l_class, which starts from the unit
+    # (no weight-0 entry) and stops at the top degree 6 // 4 = 1 here: the
+    # explicit l_class holds weights 1..5 of L-atiyah-singer, and the kappas
+    # add only weight 1 of L-hirzebruch.
+    assert genus_components.cache_info().currsize == 6
