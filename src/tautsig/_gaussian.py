@@ -17,7 +17,7 @@ dimension.  The structural operators of an exterior algebra (exterior and
 Clifford multiplication, Hodge star, tau, the grading, degree projections)
 all live there.  :class:`QiMatrix` is the general sparse matrix over Q(i),
 stored by columns, for everything else: real rational twists, sums of
-operators, and the row reductions of :func:`rref`.  The one way from the
+operators, and the exact ranks of :func:`rank`.  The one way from the
 first to the second is :meth:`PhaseMatrix.to_qi`; every operation that
 leaves the monomial class (a sum, a non-unit scale, a QiMatrix operand)
 goes through it and returns a QiMatrix.
@@ -168,13 +168,6 @@ class QiMatrix:
         for j, v in enumerate(vals):
             if v:
                 m.cols[j] = {j: v}
-        return m
-
-    @classmethod
-    def from_entries(cls, nrows: int, ncols: int, entries) -> "QiMatrix":
-        m = cls(nrows, ncols)
-        for i, j, v in entries:
-            m.put(i, j, as_gaussian(v))
         return m
 
     @classmethod
@@ -549,45 +542,6 @@ def rref(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational
     return rows, pivots
 
 
-def kernel_basis(matrix: QiMatrix) -> list[list[GaussianRational]]:
-    """Exact basis of the null space, as dense column vectors."""
-    rows, pivots = rref(matrix.to_dense())
-    ncols = matrix.ncols
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [G_ZERO] * ncols
-        vec[fc] = G_ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def column_space_basis(matrix: QiMatrix) -> list[list[GaussianRational]]:
-    """Exact basis of the column space, as dense column vectors."""
-    rows, pivots = rref(matrix.transpose().to_dense())
-    return [list(rows[r]) for r in range(len(pivots))]
-
-
-def restrict_operator(op: QiMatrix, basis: list[list[GaussianRational]]) -> QiMatrix:
-    """Matrix of ``op`` on span(basis); requires the span to be invariant."""
-    if not basis:
-        return QiMatrix(0, 0)
-    n = len(basis[0])
-    m = len(basis)
-    bmat = QiMatrix.from_entries(
-        n, m, ((i, j, basis[j][i]) for j in range(m) for i in range(n))
-    )
-    image = op @ bmat
-    # Solve bmat @ X = image column by column via a shared row reduction.
-    aug = [[bmat.entry(i, j) for j in range(m)] + [image.entry(i, j) for j in range(m)]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    if any(p >= m for p in pivots):
-        raise ValueError("operator does not preserve the given subspace")
-    out = QiMatrix(m, m)
-    for r, pc in enumerate(pivots):
-        for j in range(m):
-            out.put(pc, j, red[r][m + j])
-    return out
+def rank(matrix: QiMatrix) -> int:
+    """Exact rank: the number of pivots :func:`rref` finds."""
+    return len(rref(matrix.to_dense())[1])

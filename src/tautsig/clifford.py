@@ -8,7 +8,7 @@ isomorphism) sends each basis form to a power of i times another basis form
 or to zero, so each is a :class:`~tautsig._gaussian.PhaseMatrix` and every
 relation among them is decided exactly by integer work.  QiMatrix appears
 only where real rationals do: the coefficient involution sigma and the Bott
-reduction's row reductions.
+reduction's exact ranks.
 
 Conventions:
 
@@ -26,19 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from ._gaussian import (
     GaussianRational,
     PhaseMatrix,
     QiMatrix,
     anticommutator,
-    column_space_basis,
     commutator,
     i_power,
-    kernel_basis,
-    restrict_operator,
-    rref,
+    rank,
 )
 
 __all__ = [
@@ -323,9 +319,9 @@ def epsilon_sign(m0: int, m1: int) -> tuple[int, dict]:
 
 @dataclass
 class BottReduction:
-    basis: list
-    operator: QiMatrix
-    iota: QiMatrix
+    """Dimension of Eig(epsilon, +1) and the graded index of D restricted there."""
+
+    dimension: int
     graded_index: int
 
 
@@ -345,7 +341,9 @@ def bott_reduce(module: CliffordModule, operator: QiMatrix) -> BottReduction:
 
     Requires a module with exactly two generators and an odd operator
     anticommuting with both; reports the graded kernel index of the
-    restriction.
+    restriction.  P = (epsilon + 1)(+-iota + 1) is 4 times the projection
+    onto Eig(epsilon, +1) n {iota = +-1}, and D commutes with epsilon, so
+    D's kernel there has dimension rank P - rank DP.
     """
     if len(module.generators) != 2:
         raise CliffordError("bott_reduce needs a two-generator module")
@@ -366,38 +364,13 @@ def bott_reduce(module: CliffordModule, operator: QiMatrix) -> BottReduction:
     if not commutator(epsilon, operator).is_zero():
         raise CliffordError("epsilon does not commute with the operator")
 
-    # Basis of Eig(epsilon, +1) split along iota, so iota restricts diagonally.
-    basis: list = []
-    iota_signs: list[int] = []
+    dimension = index = 0
     for sign in (1, -1):
         proj = (epsilon + ident) @ (module.iota.scale(sign) + ident)
-        for vec in column_space_basis(proj):
-            basis.append(vec)
-            iota_signs.append(sign)
-    op_r = restrict_operator(operator, basis)
-    iota_r = QiMatrix.diagonal([Fraction(s) for s in iota_signs])
-    index = _graded_kernel_index(op_r, iota_signs)
-    return BottReduction(basis=basis, operator=op_r, iota=iota_r, graded_index=index)
-
-
-def _graded_kernel_index(op: QiMatrix, iota_signs: Sequence[int]) -> int:
-    kern = kernel_basis(op)
-    plus = minus = 0
-    # Kernel vectors decompose along the diagonal iota; count by spanning
-    # the graded pieces separately.
-    for sign in (1, -1):
-        idx = [i for i, s in enumerate(iota_signs) if s == sign]
-        if not idx:
-            continue
-        rows = [[v[i] for i in idx] for v in kern]
-        if not rows:
-            continue
-        _, pivots = rref(rows)
-        if sign == 1:
-            plus = len(pivots)
-        else:
-            minus = len(pivots)
-    return plus - minus
+        r = rank(proj)
+        dimension += r
+        index += sign * (r - rank(operator @ proj))
+    return BottReduction(dimension=dimension, graded_index=index)
 
 
 # ---------------------------------------------------------------------------

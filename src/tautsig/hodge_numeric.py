@@ -781,22 +781,22 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     return (2 if odd else 1) * int(np.sum(np.abs(vals) < tol))
 
 
-def _kernel_vectors(op: TruncatedOperator, tol: float):
+def _kernel_blocks(op: TruncatedOperator, tol: float) -> list:
+    """One matrix per block with kernel vectors: those vectors, as its columns."""
     _kernel_window(op, tol)
     vals, vecs = op.eigen_system()
     _kernel_guard(vals.ravel(), tol)
-    hits = []
-    for b in range(op.block_count):
-        for j in np.where(np.abs(vals[b]) < tol)[0]:
-            hits.append((b, vecs[b][:, j]))
-    return hits
+    hit = np.abs(vals) < tol
+    return [vecs[b][:, hit[b]] for b in np.flatnonzero(hit.any(axis=1))]
 
 
 def euler_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
-    """Graded kernel count with respect to the parity grading iota."""
-    total = 0.0
-    for _, vec in _kernel_vectors(op, tol):
-        total += float(np.real(np.vdot(vec, op.iota * vec)))
+    """Graded kernel count with respect to the parity grading iota.
+
+    The sum over blocks of Re tr(V^H iota V), V the block's kernel vectors.
+    """
+    total = sum(float(np.vdot(v, op.iota[:, None] * v).real)
+                for v in _kernel_blocks(op, tol))
     rounded = round(total)
     if abs(total - rounded) > 1e-6:
         raise IndeterminateKernelError(f"graded count {total} is not near an integer")
@@ -804,21 +804,16 @@ def euler_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
 
 
 def even_signature_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
-    """Signature of the pairing <x, tau_V y> on the numerical kernel."""
+    """Signature of the pairing <x, tau_V y> on the numerical kernel.
+
+    Kernel vectors of different blocks pair to zero, so the signature is
+    the sum over blocks of that of V^H tau_V V, V the block's kernel vectors.
+    """
     if op.bundle.n % 2 != 0:
         raise HodgeError("even signature needs an even-dimensional torus")
-    hits = _kernel_vectors(op, tol)
-    if not hits:
-        return 0
     signature = 0
-    blocks = sorted(set(b for b, _ in hits))
-    for b in blocks:
-        vecs = [v for bb, v in hits if bb == b]
-        m = len(vecs)
-        form = np.zeros((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                form[i, j] = np.vdot(vecs[i], op.tau_v @ vecs[j])
+    for v in _kernel_blocks(op, tol):
+        form = v.conj().T @ (op.tau_v @ v)
         if np.max(np.abs(form - form.conj().T)) > 1e-9:
             raise HodgeError("kernel pairing is not hermitian")
         eigs = np.linalg.eigvalsh(form)

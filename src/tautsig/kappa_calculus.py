@@ -275,10 +275,12 @@ def kappa_product(
     """Two-path certificate for kappa on a product model.
 
     Compares the product model's own integral with the cross product of
-    the factors', (-1)^(n_1 (|u_0| - n_0)) kappa(b0) x kappa(b1), per total
-    weight and in total (each side's weights are read from its total), and
-    evaluates the collapse to a higher-signature multiple when b1 lives
-    over a point.
+    the factors', (-1)^(n_1 (|u_0| - n_0)) kappa(b0) x kappa(b1), in total
+    and per weight.  The cross product is bilinear and adds degrees, so each
+    side's weight-m row is the degree 4m + |u_0| + |u_1| - n_0 - n_1 part of
+    its total.  When b1 lives over a point it also checks the collapse to a
+    higher-signature multiple sigma, whose rows are the same degree parts of
+    the product's total and of sign * sigma * kappa(b0).
     """
     u0_class, u1_class = b0.pullback_class(u0), b1.pullback_class(u1)
     if not (u0_class.is_homogeneous() and u1_class.is_homogeneous()):
@@ -292,26 +294,18 @@ def kappa_product(
     sign = Fraction(-1 if proof_exp % 2 else 1)
 
     max_weight = min(prod.total.top_degree // 4 + 1, GENUS_WEIGHT_CAP)
-    weights = range(0, max_weight + 1)
     total0, total1, total01 = kappa(b0, u=u0), kappa(b1, u=u1), kappa(prod, u=u01)
-    kappa0 = [total0.homogeneous_part(4 * kk + d0 - n0) for kk in weights]
-    kappa1 = [total1.homogeneous_part(4 * kk + d1 - n1) for kk in weights]
-    kappa01 = [total01.homogeneous_part(4 * m + d0 + d1 - n0 - n1) for m in weights]
+    crossed = cross(total0, total1) * sign
+    shift = d0 + d1 - n0 - n1  # weight m sits in degree 4m + shift on both sides
     components = []
-    all_ok = True
-    for m in weights:
-        lhs = kappa01[m]
-        rhs = None
-        for kk in range(0, m + 1):
-            term = cross(kappa0[kk], kappa1[m - kk]) * sign
-            rhs = term if rhs is None else rhs + term
-        ok = lhs == rhs
-        all_ok = all_ok and ok
+    for m in range(max_weight + 1):
+        lhs = total01.homogeneous_part(4 * m + shift)
+        rhs = crossed.homogeneous_part(4 * m + shift)
         components.append(
-            {"weight": m, "ok": ok, "lhs": repr(lhs), "rhs": repr(rhs)}
+            {"weight": m, "ok": lhs == rhs, "lhs": repr(lhs), "rhs": repr(rhs)}
         )
-    total_ok = total01 == cross(total0, total1) * sign
-    all_ok = all_ok and total_ok
+    total_ok = total01 == crossed
+    all_ok = total_ok and all(c["ok"] for c in components)
 
     certificate = {
         "labels": [b0.label, b1.label],
@@ -332,14 +326,14 @@ def kappa_product(
             sig_n = higher_signature(
                 HigherSignatureInput(b1.total, b1.vertical_tangent, u1_class, ll)
             )
-            collapse_ok = True
+            # kappa_0's weight m - l sits in degree 4m + shift, as d_1 - n_1 = -4l.
+            scaled = total0 * (sign * sig_n)
             rows = []
             for m in range(ll, max_weight + 1):
-                lhs = kappa01[m]
-                rhs = kappa0[m - ll] * (sign * sig_n)
-                ok = lhs == rhs
-                collapse_ok = collapse_ok and ok
+                deg = 4 * m + shift
+                ok = total01.homogeneous_part(deg) == scaled.homogeneous_part(deg)
                 rows.append({"weight": m, "ok": ok})
+            collapse_ok = all(r["ok"] for r in rows)
             certificate["collapse"] = {
                 "l": ll,
                 "higher_signature": str(sig_n),

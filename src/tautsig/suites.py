@@ -605,10 +605,9 @@ def _suite_kappa_products(config: SuiteConfig) -> list[dict]:
         pa = _random_homogeneous(rng2, t2a, 4)
         pb = _random_homogeneous(rng2, t2b, 4)
         va = mult_seq.BundleData(space=t2a, kind="real-oriented",
-                                 pontryagin_classes=[pa] if pa else [])
+                                 pontryagin_classes=[pa] if pa is not None else [])
         vb = mult_seq.BundleData(space=t2b, kind="real-oriented",
-                                 pontryagin_classes=[pb] if pb else [])
-        p_sum = []
+                                 pontryagin_classes=[pb] if pb is not None else [])
         pa_c = pa if pa is not None else t2a.zero()
         pb_c = pb if pb is not None else t2b.zero()
         p_sum = [cross(pa_c, t2b.one()) + cross(t2a.one(), pb_c)]

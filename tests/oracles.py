@@ -3,7 +3,8 @@
 Everything here is computed by routes the package itself does not use:
 Bernoulli recurrences, literal root expansions reduced to the elementary
 symmetric basis, closed-form twisted spectra, block-by-block scipy and
-numpy eigensolves, and kappa classes one genus weight at a time.
+numpy eigensolves, kernel pairings one vector at a time, and kappa
+classes and kappa-product rows one genus weight at a time.
 """
 
 import math
@@ -12,8 +13,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from tautsig.graded_ring import gysin_project
-from tautsig.mult_seq import expand_series, genus_components
+from tautsig.graded_ring import cross, evaluate, gysin_project, point
+from tautsig.kappa_calculus import product_model
+from tautsig.mult_seq import GENUS_WEIGHT_CAP, expand_series, genus_components
 
 UNIT = 2.0 * math.pi
 
@@ -116,6 +118,42 @@ def kappa_weight_oracle(bundle, k, u, series):
     return gysin_project(l_k * u_class, bundle.fiber_indices)
 
 
+def kappa_product_oracle(b0, b1, u0, u1):
+    """The rows of ``kappa_product``, one weight at a time.
+
+    Weight m of the cross side is sum_k kappa_0[k] x kappa_1[m - k] times
+    the sign (-1)^(n_1 (|u_0| - n_0)), and of the product side kappa[m] of
+    the product model with u_0 x u_1.  When b1 lives over a point with
+    4l + |u_1| = n_1, collapse row m is kappa_0[m - l] times the sign and
+    sigma = <L_l(T_v E_1) u_1, [E_1]>.  Every kappa weight comes from
+    :func:`kappa_weight_oracle`.  Returns a list of (product side, cross
+    side) per weight, and a list of (product side, collapse side) per
+    collapse weight from l on, or None without a collapse.
+    """
+    series = "L-atiyah-singer"
+    c0, c1 = b0.pullback_class(u0), b1.pullback_class(u1)
+    n0, n1 = b0.fiber_dimension, b1.fiber_dimension
+    sign = -1 if n1 * (c0.degree() - n0) % 2 else 1
+    prod, u01 = product_model(b0, b1), cross(c0, c1)
+    weights = range(min(prod.total.top_degree // 4 + 1, GENUS_WEIGHT_CAP) + 1)
+    kappa0 = [kappa_weight_oracle(b0, k, c0, series) for k in weights]
+    kappa1 = [kappa_weight_oracle(b1, k, c1, series) for k in weights]
+    lhs = [kappa_weight_oracle(prod, m, u01, series) for m in weights]
+    rows = []
+    for m in weights:
+        rhs = prod.base_space.zero()
+        for k in range(m + 1):
+            rhs = rhs + cross(kappa0[k], kappa1[m - k]) * sign
+        rows.append((lhs[m], rhs))
+    if b1.base_space != point() or (n1 - c1.degree()) % 4:
+        return rows, None
+    ll = (n1 - c1.degree()) // 4
+    if ll > GENUS_WEIGHT_CAP:
+        return rows, None
+    sigma = evaluate(kappa_weight_oracle(b1, ll, c1, series))
+    return rows, [(lhs[m], kappa0[m - ll] * (sign * sigma)) for m in weights if m >= ll]
+
+
 def power_sum_oracle(m):
     """sum x_i^m over m roots, rewritten in e_1..e_m."""
     nvars = m
@@ -188,6 +226,30 @@ def block_flow_oracle(op0, op1, tol):
     ]
     return {tuple(int(x) for x in k): c1 - c0
             for k, c0, c1 in zip(op0.freqs, *counts) if c1 != c0}
+
+
+def even_index_oracle(op, tol):
+    """(kernel count, Euler index, even signature index), one kernel vector at a time.
+
+    Each block is solved on its own by ``np.linalg.eigh``; its eigenvectors
+    with |eigenvalue| * 2*pi < tol are the block's kernel vectors.  The Euler
+    index sums Re <v, iota v> over all of them; the signature adds, per
+    block, that of the matrix <v_i, tau_V v_j> built entry by entry.
+    """
+    count, euler, signature = 0, 0.0, 0
+    for block in op.blocks:
+        vals, vecs = np.linalg.eigh(block)
+        kernel = [vecs[:, j] for j in np.flatnonzero(np.abs(vals) * UNIT < tol)]
+        count += len(kernel)
+        for v in kernel:
+            euler += float(np.real(np.vdot(v, op.iota * v)))
+        form = np.zeros((len(kernel), len(kernel)), dtype=complex)
+        for i, vi in enumerate(kernel):
+            for j, vj in enumerate(kernel):
+                form[i, j] = np.vdot(vi, op.tau_v @ vj)
+        eigs = np.linalg.eigvalsh(form)
+        signature += int(np.sum(eigs > 0)) - int(np.sum(eigs < 0))
+    return count, round(euler), signature
 
 
 def twisted_circle_cohomology_oracle(theta):

@@ -77,6 +77,18 @@ def test_numeric_suites_match_golden_report(tmp_path):
     assert out.read_bytes() == (GOLDEN / "numeric-suites.json").read_bytes()
 
 
+@pytest.mark.parametrize("cutoff", [1, 16])
+def test_all_suites_match_golden_report_at_cutoff(tmp_path, cutoff):
+    # Pins every default suite at the smallest cutoff and at a large one.
+    # Regenerate the files only for a change that means to alter the report:
+    #   tautsig run --suite all --cutoff <cutoff> --format json
+    #       --out tests/golden/all-suites-cutoff-<cutoff>.json
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "all", "--cutoff", str(cutoff), "--format", "json",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"all-suites-cutoff-{cutoff}.json").read_bytes()
+
+
 def test_deterministic_spectral_reports_with_warm_caches(tmp_path):
     from tautsig import hodge_numeric
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tautsig._gaussian import G_I, G_ONE, GaussianRational, QiMatrix
 from tautsig.clifford import (
+    BottReduction,
     CliffordError,
     CliffordModule,
     bott_generator_module,
@@ -24,12 +25,13 @@ from tautsig.clifford import (
 from tautsig.hodge_numeric import HodgeError, _standard_form
 
 
-def direct_sum(a, b):
-    out = QiMatrix(a.nrows + b.nrows, a.ncols + b.ncols)
-    for i, j, v in a.entries():
-        out.put(i, j, v)
-    for i, j, v in b.entries():
-        out.put(a.nrows + i, a.ncols + j, v)
+def direct_sum(*mats):
+    out = QiMatrix(sum(m.nrows for m in mats), sum(m.ncols for m in mats))
+    rows = cols = 0
+    for m in mats:
+        for i, j, v in m.entries():
+            out.put(rows + i, cols + j, v)
+        rows, cols = rows + m.nrows, cols + m.ncols
     return out
 
 
@@ -173,24 +175,53 @@ def test_bott_generator_index_one():
     module, zero = bott_generator_module()
     red = bott_reduce(module, zero)
     assert red.graded_index == 1
-    assert red.operator.nrows == 1
+    assert red.dimension == 1
+
+
+def _invertible_module():
+    """build_exterior(3) with generators c(e_1), c(e_2) and D = i c(e_3).
+
+    D is invertible, and the epsilon = +1 eigenspace has dimension 4.
+    """
+    m3, h3 = build_exterior(3)
+    two_gen = CliffordModule(dim=m3.dim, iota=m3.iota, generators=h3.clifford[:2])
+    return two_gen, h3.clifford[2].scale(G_I)
 
 
 def test_bott_invertible_odd_index_zero():
-    m3, h3 = build_exterior(3)
-    two_gen = CliffordModule(dim=m3.dim, iota=m3.iota, generators=h3.clifford[:2])
-    d_op = h3.clifford[2].scale(G_I)
-    assert bott_reduce(two_gen, d_op).graded_index == 0
+    assert bott_reduce(*_invertible_module()).graded_index == 0
 
 
-def test_bott_direct_sum_additivity():
-    module, _ = bott_generator_module()
-    doubled = CliffordModule(
-        dim=4,
-        iota=direct_sum(module.iota, module.iota),
-        generators=[direct_sum(g, g) for g in module.generators],
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(4) for b in range(4) if a or b])
+def test_bott_direct_sum_additivity(a, b):
+    # a copies of the generator G plus b of the invertible module I.
+    parts = [bott_generator_module()] * a + [_invertible_module()] * b
+    module = CliffordModule(
+        dim=sum(m.dim for m, _ in parts),
+        iota=direct_sum(*(m.iota for m, _ in parts)),
+        generators=[direct_sum(*(m.generators[j] for m, _ in parts)) for j in (0, 1)],
     )
-    assert bott_reduce(doubled, QiMatrix.zero(4, 4)).graded_index == 2
+    red = bott_reduce(module, direct_sum(*(d for _, d in parts)))
+    assert red.graded_index == a
+    assert red.dimension == a + 4 * b
+
+
+def test_bott_index_counts_the_operator_kernel():
+    # G plus G with iota negated: the two +1 eigenvectors of epsilon have
+    # opposite grading.  D = iota from the first copy to the second kills
+    # only the second one, so the index is -1, while iota's trace on the
+    # eigenspace (the index of D = 0) is 0.
+    gen, _ = bott_generator_module()
+    module = CliffordModule(
+        dim=4,
+        iota=direct_sum(gen.iota, -gen.iota),
+        generators=[direct_sum(g, g) for g in gen.generators],
+    )
+    d_op = QiMatrix(4, 4)
+    for i, j, v in gen.iota.entries():
+        d_op.put(2 + i, j, v)
+    assert bott_reduce(module, d_op) == BottReduction(dimension=2, graded_index=-1)
+    assert bott_reduce(module, QiMatrix.zero(4, 4)).graded_index == 0
 
 
 def test_bott_rejects_bad_operator():
@@ -379,11 +410,8 @@ def test_qimatrix_operations_stay_canonical(data, p, q, r):
     b = data.draw(matrix(p, q))
     c = data.draw(matrix(q, r))
     s = data.draw(st.sampled_from(ENTRIES))
-    entries = [(i, j, v) for j, col in a.cols.items() for i, v in col.items()]
-    entries += [(i, j, 0) for i in range(p) for j in range(q)][: data.draw(st.integers(0, 3))]
     results = {
         "from_rows": a,
-        "from_entries": QiMatrix.from_entries(p, q, entries),
         "matmul": a @ c,
         "add": a + b,
         "sub": a - b,

@@ -40,6 +40,7 @@ from oracles import (
     abs_eta,
     block_flow_oracle,
     circle_spectrum_oracle,
+    even_index_oracle,
     full_stack_kernel_oracle,
     original_frame_spectrum,
     twisted_circle_cohomology_oracle,
@@ -390,6 +391,22 @@ def test_even_signature_globally_flat_indefinite():
         np.diag([1.0, -1.0]), [zero, zero], globally_flat=True
     )
     assert even_signature_index(assemble(bundle, cutoff=3)) == 0
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["line", "indefinite", "complex-eta"])
+def test_even_indices_match_per_vector_oracle(kind, cutoff):
+    # A non-diagonal eta gives complex kernel vectors in the standard frame.
+    zero = np.zeros((2, 2), dtype=complex)
+    if kind == "line":
+        bundle = line_bundle([0.0, 0.0])
+    else:
+        eta = np.diag([1.0, -1.0]) if kind == "indefinite" else np.array([[1, 2j], [-2j, -1]])
+        bundle = MonodromyBundle.from_connection(eta, [zero, zero], globally_flat=True)
+    op = assemble(bundle, cutoff)
+    count, euler, signature = even_index_oracle(op, 1e-8)
+    assert count == kernel_dimension(op) > 0
+    assert (euler_index(op), even_signature_index(op)) == (euler, signature)
 
 
 def test_even_signature_requires_even_dimension():

@@ -36,7 +36,7 @@ from tautsig.kappa_calculus import (
 )
 from tautsig.mult_seq import GENUS_WEIGHT_CAP, BundleData, genus_components, l_class
 
-from oracles import kappa_weight_oracle
+from oracles import kappa_product_oracle, kappa_weight_oracle
 
 
 # -- kappa ---------------------------------------------------------------------
@@ -288,6 +288,45 @@ def test_randomized_two_path_models():
         assert cert["ok"], cert
         ran += 1
     assert ran == 12
+
+
+def test_kappa_product_rows_match_per_weight_oracle():
+    rng = random.Random(2706)
+    pairs = [(lusztig_model(), "c1_L", _surface_over_point(), "w")]
+    for i in range(40):
+        (b0, u0), (b1, u1) = _random_model(rng, 2 * i), _random_model(rng, 2 * i + 1)
+        if u0.is_zero() or u1.is_zero():
+            continue
+        b0.pullbacks["u"], b1.pullbacks["u"] = u0, u1
+        pairs.append((b0, "u", b1, "u"))
+    # Collapsing pairs: a closed fibre over a point with 4l + |u_1| = n_1,
+    # l = 1 on T^4 with a random p_1.
+    for fiber, deg in [(circle(), 1), (torus(2), 2), (surface(2), 2), (torus(3), 3),
+                       (torus(4), 4), (torus(4), 0)]:
+        b1 = bundle_model(f"{fiber.name}-over-point", base=point(), fiber=fiber)
+        total = b1.total
+        if deg == 0:
+            b1.vertical_tangent = BundleData(space=total, kind="real-oriented", pontryagin_classes=[
+                GradedClass(total, {4: {m: rng.randint(1, 3) for m in total.basis(4)}})])
+        b1.pullbacks["u"] = GradedClass(total, {deg: {m: rng.randint(1, 3) for m in total.basis(deg)}})
+        b0, u0 = _random_model(rng, len(pairs))
+        b0.pullbacks["u"] = u0 if not u0.is_zero() else b0.total.one()
+        pairs.append((b0, "u", b1, "u"))
+    collapses = 0
+    for b0, u0, b1, u1 in pairs:
+        cert = kappa_product(b0, b1, u0, u1)
+        rows, collapse = kappa_product_oracle(b0, b1, u0, u1)
+        assert [(c["weight"], c["ok"], c["lhs"], c["rhs"]) for c in cert["components"]] == [
+            (m, lhs == rhs, repr(lhs), repr(rhs)) for m, (lhs, rhs) in enumerate(rows)
+        ], (b0.label, b1.label)
+        assert ("collapse" in cert) is (collapse is not None)
+        if collapse is not None:
+            collapses += 1
+            ll = cert["collapse"]["l"]
+            assert cert["collapse"]["rows"] == [
+                {"weight": ll + j, "ok": lhs == rhs} for j, (lhs, rhs) in enumerate(collapse)
+            ]
+    assert len(pairs) > 35 and collapses >= 9
 
 
 # -- index expressions -------------------------------------------------------------
