@@ -173,7 +173,11 @@ def _whitney_pontryagin(
 
 
 def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleModel:
-    """The product bundle E0 x E1 -> X0 x X1 with Whitney vertical data."""
+    """The product bundle E0 x E1 -> X0 x X1 with Whitney vertical data.
+
+    The factors' ``sch`` classes are crossed; their pullbacks are not, and
+    the product declares none (:func:`kappa_product` crosses its own u0 x u1).
+    """
     total = product_space(b0.total, b1.total)
     shift = len(b0.total.factors)
     fiber_indices = tuple(b0.fiber_indices) + tuple(
@@ -184,13 +188,6 @@ def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleMo
         kind="real-oriented",
         pontryagin_classes=_whitney_pontryagin(b0, b1, total),
     )
-    pullbacks = {}
-    for n0, c0 in b0.pullbacks.items():
-        for n1, c1 in b1.pullbacks.items():
-            pullbacks[f"{n0}x{n1}"] = cross(c0, c1)
-        pullbacks[f"{n0}x1"] = cross(c0, b1.total.one())
-    for n1, c1 in b1.pullbacks.items():
-        pullbacks[f"1x{n1}"] = cross(b0.total.one(), c1)
     sch = None
     if b0.sch_class is not None and b1.sch_class is not None:
         sch = cross(b0.sch_class, b1.sch_class)
@@ -199,7 +196,6 @@ def product_model(b0: BundleModel, b1: BundleModel, label: str = "") -> BundleMo
         total=total,
         fiber_indices=fiber_indices,
         vertical_tangent=vertical,
-        pullbacks=pullbacks,
         sch_class=sch,
     )
 

@@ -6,11 +6,13 @@ its weight-k polynomials in Pontryagin classes, and provides the Chern
 character and super Chern character.  All coefficients are exact
 rationals.
 
-The weight-k polynomial of a genus f is computed through the logarithm:
-with log f(x) = sum_j c_j x^(2j) and p_j the elementary symmetric
-functions of the squared formal roots, the total class is
-exp(sum_j c_j s_j(p)) where s_j is the j-th power sum rewritten via the
-Newton identities.
+The weight-k polynomial of a genus f comes from one recursion.  With
+log f(x) = sum_j c_j x^(2j), p_j the elementary symmetric functions of the
+squared formal roots and s_j their j-th power sum (written in the p_j by
+Newton's identities), the total class is K = exp(sum_j c_j s_j).  Its
+weight-m part satisfies m K_m = sum_{j=1..m} j c_j s_j K_(m-j), K_0 = 1, so
+it needs no exponential and no truncation by weight, and one table of
+power sums serves every weight up to k.
 
 Caching
 -------
@@ -47,7 +49,6 @@ __all__ = [
     "expand_series",
     "CharClassPolynomial",
     "genus_components",
-    "power_sum_polynomial",
     "BundleData",
     "l_class",
     "chern_character",
@@ -139,10 +140,6 @@ class FormalSeries:
         return " + ".join(terms) if terms else "0"
 
 
-def _exp_series(order: int) -> FormalSeries:
-    return FormalSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)])
-
-
 def _x_over_tanh(order: int) -> FormalSeries:
     # x/tanh(x) = cosh(x) / (sinh(x)/x), both unit series.
     cosh = FormalSeries(
@@ -157,7 +154,6 @@ def _x_over_tanh(order: int) -> FormalSeries:
 _SERIES_BUILDERS = {
     "L-hirzebruch": _x_over_tanh,
     "L-atiyah-singer": lambda order: _x_over_tanh(order).scale_variable(Fraction(1, 2)),
-    "exp": _exp_series,
 }
 
 
@@ -189,14 +185,12 @@ def _strip(exps: Sequence[int]) -> ExpVector:
     return tuple(exps)
 
 
-def _poly_mul(a: Mapping[ExpVector, Fraction], b: Mapping[ExpVector, Fraction], cap: int):
+def _poly_mul(a: Mapping[ExpVector, Fraction], b: Mapping[ExpVector, Fraction]):
     out: dict[ExpVector, Fraction] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             n = max(len(e1), len(e2))
-            e = _strip([ (e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0) for i in range(n) ])
-            if _weight(e) > cap:
-                continue
+            e = _strip([(e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0) for i in range(n)])
             acc = out.get(e, Fraction(0)) + c1 * c2
             if acc:
                 out[e] = acc
@@ -216,38 +210,19 @@ def _poly_add(a, b):
     return out
 
 
-def _poly_exp(p: Mapping[ExpVector, Fraction], cap: int):
-    """exp of a polynomial with no constant term, truncated by weight."""
-    out = {(): Fraction(1)}
-    term = {(): Fraction(1)}
-    for m in range(1, cap + 1):
-        term = _poly_mul(term, p, cap)
-        if not term:
-            break
-        out = _poly_add(out, {e: c / math.factorial(m) for e, c in term.items()})
-    return out
-
-
-def power_sum_polynomial(m: int) -> dict[ExpVector, Fraction]:
-    """m-th power sum as a polynomial in elementary symmetric functions.
+def _power_sums(k: int) -> list[dict[ExpVector, Fraction]]:
+    """[s_1, ..., s_k]: the power sums as polynomials in elementary symmetric functions.
 
     Newton identity: s_m = (-1)^(m-1) m e_m + sum_{i=1}^{m-1} (-1)^(i-1) e_i s_{m-i}.
     """
-    if m == 0:
-        raise SeriesError("power sums start at m = 1")
-    table: list[dict[ExpVector, Fraction]] = [{}]
-    for mm in range(1, m + 1):
-        e_mm = _strip([0] * (mm - 1) + [1])
-        acc: dict[ExpVector, Fraction] = {
-            e_mm: Fraction(mm) * (1 if (mm - 1) % 2 == 0 else -1)
-        }
-        for i in range(1, mm):
-            e_i = _strip([0] * (i - 1) + [1])
-            sign = 1 if (i - 1) % 2 == 0 else -1
-            contrib = _poly_mul({e_i: Fraction(sign)}, table[mm - i], 10**9)
-            acc = _poly_add(acc, contrib)
-        table.append(acc)
-    return table[m]
+    sums: list[dict[ExpVector, Fraction]] = []
+    for m in range(1, k + 1):
+        acc = {(0,) * (m - 1) + (1,): Fraction((-1) ** (m - 1) * m)}
+        for i in range(1, m):
+            e_i = {(0,) * (i - 1) + (1,): Fraction((-1) ** (i - 1))}
+            acc = _poly_add(acc, _poly_mul(e_i, sums[m - i - 1]))
+        sums.append(acc)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -329,40 +304,40 @@ class CharClassPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def genus_components(f: FormalSeries, k: int) -> CharClassPolynomial:
-    """Weight-k Pontryagin polynomial of the genus generated by f."""
+    """Weight-k Pontryagin polynomial of the genus generated by f.
+
+    With c_j = (log f)[2j], the weight-m parts of the total class satisfy
+    m K_m = sum_{j=1..m} j c_j s_j K_(m-j) from K_0 = 1; K_k is returned.
+    """
     if f[0] != 1:
         raise GenusError("not a genus")
     if not f.is_even():
         raise GenusError("genus series must be even")
     if k < 0 or k > GENUS_WEIGHT_CAP:
         raise GenusError(f"weight {k} outside [0, {GENUS_WEIGHT_CAP}]")
-    if k == 0:
-        return CharClassPolynomial(0, "p", {(): Fraction(1)})
     if f.order < 2 * k:
         raise GenusError(f"series order {f.order} too small for weight {k}")
     logf = f.log()
-    exponent: dict[ExpVector, Fraction] = {}
-    for j in range(1, k + 1):
-        c_j = logf[2 * j]
-        if c_j == 0:
-            continue
-        exponent = _poly_add(
-            exponent,
-            {e: c_j * c for e, c in power_sum_polynomial(j).items()},
-        )
-    exponent = {e: c for e, c in exponent.items() if _weight(e) <= k}
-    total = _poly_exp(exponent, k)
-    terms = {e: c for e, c in total.items() if _weight(e) == k}
-    return CharClassPolynomial(k, "p", terms)
+    # jg[j - 1] = j c_j s_j, weight j.
+    jg = [
+        {e: j * logf[2 * j] * v for e, v in s_j.items() if logf[2 * j]}
+        for j, s_j in enumerate(_power_sums(k), 1)
+    ]
+    parts = [{(): Fraction(1)}]
+    for m in range(1, k + 1):
+        acc: dict[ExpVector, Fraction] = {}
+        for j in range(1, m + 1):
+            acc = _poly_add(acc, _poly_mul(jg[j - 1], parts[m - j]))
+        parts.append({e: v / m for e, v in acc.items()})
+    return CharClassPolynomial(k, "p", parts[k])
 
 
 def chern_character_polynomial(m: int) -> CharClassPolynomial:
     """ch_m = s_m(c_1..c_m) / m! as a weight-m Chern polynomial."""
     if m == 0:
         return CharClassPolynomial(0, "c", {(): Fraction(1)})
-    s_m = power_sum_polynomial(m)
     return CharClassPolynomial(
-        m, "c", {e: c / math.factorial(m) for e, c in s_m.items()}
+        m, "c", {e: c / math.factorial(m) for e, c in _power_sums(m)[-1].items()}
     )
 
 
@@ -413,17 +388,23 @@ def l_class(
 ) -> GradedClass:
     """Total multiplicative class of the given series on Pontryagin data.
 
-    Pontryagin classes the bundle does not list count as zero.
+    Pontryagin classes the bundle does not list count as zero.  Without
+    ``max_k`` every weight up to a quarter of the top degree is summed, and
+    a weight beyond ``GENUS_WEIGHT_CAP`` is refused (``GenusError``) unless
+    every listed class is zero, when the class is 1.
     """
     if bundle.kind != "real-oriented":
         raise SeriesError("l_class needs real-oriented bundle data")
     space = bundle.space
     if max_k is None:
-        max_k = min(space.top_degree // 4, GENUS_WEIGHT_CAP)
+        max_k = space.top_degree // 4
+        if all(p.is_zero() for p in bundle.pontryagin_classes):
+            max_k = min(max_k, GENUS_WEIGHT_CAP)
     expand_series(series, 0)  # an unknown name is refused even when max_k is 0
+    # Every polynomial first, so a weight past the cap is refused before any evaluation.
+    polys = [genus_components(expand_series(series, 2 * k), k) for k in range(1, max_k + 1)]
     result = space.one()
-    for k in range(1, max_k + 1):
-        poly = genus_components(expand_series(series, 2 * k), k)
+    for poly in polys:
         result = result + poly.evaluate(bundle.pontryagin_classes, space)
     return result
 

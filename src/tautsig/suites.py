@@ -596,26 +596,24 @@ def _suite_kappa_products(config: SuiteConfig) -> list[dict]:
             detail=f"higher signature {cert['collapse']['higher_signature']}",
         )
     )
-    # Multiplicative class of a direct sum on crossed data.
-    t2a, t2b = torus(2), torus(2)
-    prod = product_space(t2a, t2b)
+    # Multiplicative class of a direct sum on crossed data: on T^4 x T^4 the
+    # Whitney classes are p1 = pa x 1 + 1 x pb and p2 = pa x pb, and L_2 of
+    # the sum is the nonzero degree-8 part pa x pb / 144.
+    t4a, t4b = torus(4), torus(4)
+    prod = product_space(t4a, t4b)
     rng2 = random.Random(5150)
     ok = True
     for _ in range(5):
-        pa = _random_homogeneous(rng2, t2a, 4)
-        pb = _random_homogeneous(rng2, t2b, 4)
-        va = mult_seq.BundleData(space=t2a, kind="real-oriented",
-                                 pontryagin_classes=[pa] if pa is not None else [])
-        vb = mult_seq.BundleData(space=t2b, kind="real-oriented",
-                                 pontryagin_classes=[pb] if pb is not None else [])
-        pa_c = pa if pa is not None else t2a.zero()
-        pb_c = pb if pb is not None else t2b.zero()
-        p_sum = [cross(pa_c, t2b.one()) + cross(t2a.one(), pb_c)]
+        pa = _random_homogeneous(rng2, t4a, 4)
+        pb = _random_homogeneous(rng2, t4b, 4)
+        va = mult_seq.BundleData(space=t4a, kind="real-oriented", pontryagin_classes=[pa])
+        vb = mult_seq.BundleData(space=t4b, kind="real-oriented", pontryagin_classes=[pb])
+        p_sum = [cross(pa, t4b.one()) + cross(t4a.one(), pb), cross(pa, pb)]
         vsum = mult_seq.BundleData(space=prod, kind="real-oriented",
                                    pontryagin_classes=p_sum)
-        lhs = mult_seq.l_class(vsum, max_k=1)
-        rhs = cross(mult_seq.l_class(va, max_k=1), mult_seq.l_class(vb, max_k=1))
-        ok = ok and (lhs == rhs)
+        lhs = mult_seq.l_class(vsum, max_k=2)
+        rhs = cross(mult_seq.l_class(va, max_k=2), mult_seq.l_class(vb, max_k=2))
+        ok = ok and lhs == rhs and not lhs.homogeneous_part(8).is_zero()
     cases.append(
         _case(
             "kappa-products",

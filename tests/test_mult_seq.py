@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from tautsig.graded_ring import (
     torus,
 )
 from tautsig.mult_seq import (
+    GENUS_WEIGHT_CAP,
     BundleData,
     CharClassPolynomial,
     FormalSeries,
@@ -29,6 +31,7 @@ from tautsig.mult_seq import (
     super_chern_character,
 )
 
+from characteristic_class_tables import render as render_tables
 from oracles import genus_weight_oracle, power_sum_oracle, x_over_tanh_oracle
 
 
@@ -50,10 +53,6 @@ def test_halved_series_is_substituted_oracle():
     oracle = x_over_tanh_oracle(10)
     assert list(s.coeffs) == [c / F(2) ** k for k, c in enumerate(oracle)]
     assert s[2] == F(1, 12)
-
-
-def test_exp_series():
-    assert expand_series("exp", 2).coeffs == (F(1), F(1), F(1, 2))
 
 
 def test_series_order_cap():
@@ -119,11 +118,26 @@ def test_genus_requires_unit_constant_term():
 
 
 def test_genus_matches_root_expansion_oracle():
-    for k in range(1, 5):
-        f = expand_series("L-hirzebruch", 2 * k)
-        got = genus_components(f, k)
-        oracle = genus_weight_oracle(list(f.coeffs), k)
-        assert dict(got.terms) == oracle, k
+    order = 2 * GENUS_WEIGHT_CAP
+    rng = random.Random(2718)
+    # An even series with constant term 1 and random rational coefficients.
+    drawn = FormalSeries([1] + [F(rng.randint(-9, 9), rng.randint(1, 9)) if j % 2 == 0 else 0
+                                for j in range(1, order + 1)])
+    for full in (expand_series("L-hirzebruch", order), expand_series("L-atiyah-singer", order),
+                 drawn):
+        for k in range(1, GENUS_WEIGHT_CAP + 1):
+            f = full.truncate(2 * k)
+            got = genus_components(f, k)
+            oracle = genus_weight_oracle(list(f.coeffs), k)
+            assert dict(got.terms) == oracle, (full, k)
+
+
+def test_characteristic_class_tables_match_golden():
+    # Regenerate (standard library only) with
+    #   PYTHONPATH=src python tests/characteristic_class_tables.py \
+    #       > tests/golden/characteristic-classes.json
+    golden = Path(__file__).resolve().parent / "golden" / "characteristic-classes.json"
+    assert render_tables() == golden.read_text()
 
 
 def test_power_of_two_ratio():
@@ -155,7 +169,7 @@ def test_polynomial_json_form():
 def test_ch2_newton_oracle():
     ch2 = chern_character_polynomial(2)
     assert dict(ch2.terms) == {(2,): F(1, 2), (0, 1): F(-1)}
-    for m in range(1, 5):
+    for m in range(1, 6):
         assert dict(chern_character_polynomial(m).terms) == {
             e: c / math.factorial(m) for e, c in power_sum_oracle(m).items()
         }
@@ -248,6 +262,26 @@ def test_missing_classes_flagged():
     result = l_class(data, max_k=2)
     assert result.homogeneous_part(4) == p1 * F(1, 12)
     assert result.homogeneous_part(8).is_zero()  # p2 is missing and counts as zero
+
+
+def test_l_class_refuses_weights_past_the_cap():
+    # p1 = u1u2u3u4 + u5u6u7u8 + ... + u21u22u23u24 on T^24 has p1^6 != 0, so
+    # L_6 is part of the class and cannot be dropped.
+    t24 = torus(24)
+    u = [t24.gen(f"u{i + 1}") for i in range(24)]
+    p1 = sum((u[i] * u[i + 1] * u[i + 2] * u[i + 3] for i in range(0, 24, 4)), t24.zero())
+    assert not (p1 ** 6).is_zero()
+    bundle = BundleData(space=t24, kind="real-oriented", pontryagin_classes=[p1])
+    for max_k in (None, GENUS_WEIGHT_CAP + 1):
+        with pytest.raises(GenusError, match=rf"weight 6 outside \[0, {GENUS_WEIGHT_CAP}\]"):
+            l_class(bundle, max_k=max_k)
+    # Up to the cap the class is still computed when asked for explicitly.
+    assert l_class(bundle, max_k=GENUS_WEIGHT_CAP).homogeneous_part(20) == (
+        p1 ** 5 * expand_series("L-atiyah-singer", 10)[10])
+    # A bundle with no nonzero class has L = 1 at any dimension.
+    for classes in ([], [t24.zero()]):
+        trivial = BundleData(space=t24, kind="real-oriented", pontryagin_classes=classes)
+        assert l_class(trivial) == t24.one()
 
 
 def test_genus_multiplicative_on_whitney_sums():
