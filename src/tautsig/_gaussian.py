@@ -4,10 +4,10 @@ Every sign identity checked by :mod:`tautsig.clifford` is a statement about
 matrices whose entries are rational multiples of powers of i; nearly all of
 them are 0, ±1 or ±i.  A scalar is a pair of exact parts, each a plain
 ``int`` when it is integral and a :class:`fractions.Fraction` only when a
-real denominator appears (the 3/5 and 4/5 of a reflection, a quotient in
-:func:`rref`).  A ``Fraction`` result with denominator 1 goes back to
-``int``, and division always goes through ``Fraction``, so no part is ever
-a ``float``.
+real denominator appears (the 3/5 and 4/5 of a reflection, a quotient of
+scalars; :func:`rank` eliminates without quotients).  A ``Fraction``
+result with denominator 1 goes back to ``int``, and division always goes
+through ``Fraction``, so no part is ever a ``float``.
 
 Two matrix types hold them.  :class:`PhaseMatrix` is a monomial matrix
 (at most one nonzero per row and per column) whose entries are powers of
@@ -517,31 +517,23 @@ def commutator(a: QiMatrix, b: QiMatrix) -> QiMatrix:
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: list[list[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Row-reduce in place over Q(i); returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((k for k in range(r, nrows) if rows[k][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = G_ONE / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for k in range(nrows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [vk - f * vr for vk, vr in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def rank(matrix: QiMatrix) -> int:
-    """Exact rank: the number of pivots :func:`rref` finds."""
-    return len(rref(matrix.to_dense())[1])
+    """Exact rank: the number of pivots of a fraction-free elimination.
+
+    Each step takes the first column of what is left, picks a row r with a
+    nonzero entry p there, and clears the column from every other row k by
+    row_k <- p row_k - f row_r (f = row_k's entry), with no quotient; then
+    row r and the column are dropped.  Gaussian-integer entries stay ints.
+    """
+    rows = matrix.to_dense()
+    pivots = 0
+    while rows and rows[0]:
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is not None:
+            pivots += 1
+            p = pivot[0]
+            rows = [[p * v - row[0] * w for v, w in zip(row[1:], pivot[1:])] if row[0]
+                    else row[1:] for row in rows if row is not pivot]
+        else:
+            rows = [row[1:] for row in rows]
+    return pivots

@@ -24,8 +24,9 @@ diagonal a_ij and the frame: the restriction's generators G_j are checked
 once per frame to be a line-diagonal Clifford frame, so line i's block at
 frequency k has eigenvalues +-|k + a_i| (:func:`_closed_odd_spectrum`).
 Everything else in the connection is one frequency-independent remainder
-E, whose norm is the one Weyl band of the operator; a stack with some
-|k + a_i| within that band of a level at which tol is decided is solved by
+E, read from the restricted zero block, whose norm is the one Weyl band of
+the operator; only when some |k + a_i| lies within that band of a level at
+which tol is decided is the restriction's stack built and solved by
 eigvalsh, as a bundle that is not split usually is.  For any continuous
 family, :func:`shell_bound` gives the cutoff from which the truncated flow
 no longer changes (Weyl's inequality).  Its one-bundle form guards every kernel
@@ -68,7 +69,11 @@ C the connection term, so an operator holds only its zero-frequency block
 C + C^H.  The odd restriction is built from that block and the frame's
 restricted generators; the (B, d, d) block stack is built only when asked
 for (eigensystems, contracts, even tori), so odd-torus kernel dimensions
-and flows never allocate it.
+and flows never allocate it.  From T^3 on they allocate no restricted
+(B, d/2, d/2) stack either unless the Weyl band fails: the closed form
+needs only the restricted zero block, checked hermitian.  S^1 still builds
+its small (B, r, r) stack and reads the closed form from its diagonal, as
+the benchmark's tracer and self-test count one odd stack per S^1 operator.
 
 A flat bundle is its connection.  Each bundle checks once, when built, that
 the A_j commute (flatness) and that A_j^H eta = eta A_j (eta is parallel),
@@ -513,23 +518,25 @@ def _check_odd_frame(odd: np.ndarray, r: int) -> None:
                          "line-diagonal Clifford frame")
 
 
-def _closed_odd_spectrum(op: "TruncatedOperator", stack: np.ndarray,
-                         tol: float) -> Optional[np.ndarray]:
+def _closed_odd_spectrum(op: "TruncatedOperator", zero: np.ndarray, tol: float,
+                         diagonal: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Eigenvalues (B, M) in lattice units of an operator's odd stack, or None.
 
+    ``zero`` is the restricted zero block alpha_1 Z|even, checked hermitian
+    (:meth:`TruncatedOperator.restricted_zero_block`); no stack is read.
     With a_ij = Re A'_j[i, i] (``standard_connection``) the odd block at k
     is sum_j G_j (I_m (x) diag(k_j + a_.j)) + E, where G_j =
-    ``lattice_odd[j]`` and the remainder E = alpha_1 Z|even - sum_j G_j (I_m
-    (x) diag(a_.j)) does not depend on k; alpha_1 Z|even is the stack's
-    block at k = 0, the middle point of the symmetric lattice.  The G_j are
-    a line-diagonal Clifford frame (:func:`_check_odd_frame`), so without E
-    line i's block squares to |k + a_i|^2 I and has eigenvalues +-|k + a_i|:
-    half of each sign for n >= 3, where its trace vanishes, and t_i (k + a_i)
-    for n = 1, where G_1 = diag(t).  By Weyl's inequality every sorted
-    eigenvalue of a block lies within ||E||_2 of these.  E is hermitian only
-    to the stack's check, so the band is sqrt(2) ||E||_F: it bounds ||E||_2
-    and the norm of the hermitian matrix that eigvalsh reads from E's lower
-    triangle.
+    ``lattice_odd[j]`` and the remainder E = ``zero`` - sum_j G_j (I_m (x)
+    diag(a_.j)) does not depend on k.  The G_j are a line-diagonal Clifford
+    frame (:func:`_check_odd_frame`), so without E line i's block squares
+    to |k + a_i|^2 I and has eigenvalues +-|k + a_i|: half of each sign for
+    n >= 3, where its trace vanishes, and t_i (k + a_i) for n = 1, where
+    G_1 = diag(t).  On S^1 these are ``diagonal``, the real diagonal (B, r)
+    of the stack, which holds k t_i + Z_ii with one rounding.  By Weyl's
+    inequality every sorted eigenvalue of a block lies within ||E||_2 of
+    these.  E is hermitian only to the zero block's check, so the band is
+    sqrt(2) ||E||_F: it bounds ||E||_2 and the norm of the hermitian matrix
+    that eigvalsh reads from E's lower triangle.
 
     The values decide every comparison of |eigenvalue| with a multiple of
     tol as the eigenvalues would when no |k + a_i| lies within the
@@ -544,16 +551,14 @@ def _closed_odd_spectrum(op: "TruncatedOperator", stack: np.ndarray,
     # Column p r + i of G_j (I_m (x) diag(a_.j)) is G_j's scaled by a_ij.
     if n == 1:
         line = frame.lattice_odd[0] * a[0]
-        # The real diagonal of block k is k t_i + a_i t_i with one rounding:
-        # the closed form, as the stack holds it.
-        vals = np.diagonal(stack, axis1=1, axis2=2).real
+        vals = diagonal
         root = np.abs(vals)
     else:
         m = size // a.shape[1]
         line = (frame.lattice_odd * np.tile(a, m)[:, None, :]).sum(axis=0)
         root = np.sqrt(((op.freqs[:, None, :] + a.T) ** 2).sum(axis=2))  # (B, r)
         vals = np.tile(np.concatenate([root, -root], axis=1), m // 2)
-    err = stack[len(stack) // 2] - line
+    err = zero - line
     width = math.sqrt(2 * np.vdot(err, err).real) + ROUNDING_RTOL * root.max()
     low, high = _DECISION_WINDOW
     unit = tol / UNIT
@@ -636,16 +641,15 @@ class TruncatedOperator:
                 raise HodgeError(f"contract {key} violated: residual {value}")
         return report
 
-    def restricted_odd_stack(self) -> np.ndarray:
-        """(alpha_1 D) restricted to the even-parity subspace, per block.
+    def restricted_zero_block(self) -> np.ndarray:
+        """alpha_1 Z restricted to the even-parity subspace, checked hermitian.
 
-        Built from the frame's restricted generators and the restricted
-        zero-frequency block, never from ``blocks``.  alpha_1 = diag(iota)
-        tau_V is a signed phase permutation, so its products distribute
-        exactly and the entries equal those of alpha_1 D.  Only the zero
-        block is checked hermitian: the generators are exactly hermitian
-        (:func:`_check_odd_frame`), so block k = sum_j k_j G_j + Z has Z's
-        anti-hermitian part up to the one rounding of each sum.
+        alpha_1 = diag(iota) tau_V is a signed phase permutation, so its
+        products distribute exactly and the entries equal those of alpha_1
+        Z.  It is block k = 0 of :meth:`restricted_odd_stack`, and the one
+        part of that stack that is checked: the generators are exactly
+        hermitian (:func:`_check_odd_frame`), so block k = sum_j k_j G_j + Z
+        has Z's anti-hermitian part up to the one rounding of each sum.
         """
         if self.bundle.n % 2 == 0:
             raise HodgeError("the odd restriction needs an odd-dimensional torus")
@@ -654,21 +658,44 @@ class TruncatedOperator:
         herm = np.max(np.abs(zero - zero.conj().T))
         if herm > BUNDLE_ATOL:
             raise HodgeError(f"restricted operator is not self-adjoint ({herm})")
-        return self._stack(frame.lattice_odd, zero)
+        return zero
+
+    def restricted_odd_stack(self) -> np.ndarray:
+        """(alpha_1 D) restricted to the even-parity subspace, per block.
+
+        Built from the frame's restricted generators and the checked
+        restricted zero block (:meth:`restricted_zero_block`), never from
+        ``blocks``; the entries equal those of alpha_1 D.  Every odd stack
+        the program builds comes from here: on S^1, for its closed form's
+        diagonal, and from T^3 on only when the closed form's Weyl band
+        cannot decide (:meth:`odd_spectrum`).
+        """
+        return self._stack(self.frame.lattice_odd, self.restricted_zero_block())
 
     def odd_spectrum(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Sorted eigenvalues of the odd restriction in physical units.
 
         :func:`_closed_odd_spectrum` reads them from the connection's diagonal
         and the frame when its Weyl band decides every comparison with tol;
-        otherwise eigvalsh solves the stack, which is built and checked
-        hermitian either way.  Cached for the last tol asked for.
+        otherwise eigvalsh solves the stack.  From T^3 on the closed form
+        needs only the restricted zero block, so the (B, d/2, d/2) stack is
+        built only when the band fails.  S^1 builds its (B, r, r) stack
+        either way and reads the closed form from its real diagonal: the
+        benchmark's tracer and self-test count one odd stack per assembled
+        S^1 operator.  Cached for the last tol asked for.
         """
         if self._odd is None or self._odd[0] != tol:
-            stack = self.restricted_odd_stack()
-            vals = _closed_odd_spectrum(self, stack, tol)
+            if self.bundle.n == 1:
+                # Block k = 0, the middle of the symmetric lattice, is the
+                # restricted zero block.
+                stack = self.restricted_odd_stack()
+                vals = _closed_odd_spectrum(self, stack[len(stack) // 2], tol,
+                                            np.diagonal(stack, axis1=1, axis2=2).real)
+            else:
+                stack = None
+                vals = _closed_odd_spectrum(self, self.restricted_zero_block(), tol)
             if vals is None:
-                vals = np.linalg.eigvalsh(stack)
+                vals = np.linalg.eigvalsh(self.restricted_odd_stack() if stack is None else stack)
             self._odd = (tol, _read_only(np.sort(vals.ravel()) * UNIT))
         return self._odd[1]
 
@@ -766,7 +793,9 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     from its cached half-size spectrum, the one the flow reads; that
     spectrum is read in closed form from the connection's diagonal, or
     solved when its Weyl band cannot decide against tol
-    (:meth:`TruncatedOperator.odd_spectrum`).  Even tori solve the full stack.
+    (:meth:`TruncatedOperator.odd_spectrum`).  From T^3 on B's stack is
+    built only in that second case; the restricted zero block's hermitian
+    check refuses either way.  Even tori solve the full stack.
     alpha = diag(iota) tau_V squares to -1,
     anticommutes with D and swaps the parities, so B = alpha D on even forms
     has B^2 = D^2 there, and alpha maps the even kernel of D onto the odd

@@ -1,7 +1,7 @@
 """Independent oracles shared by the test modules.
 
 Everything here is computed by routes the package itself does not use:
-Bernoulli recurrences, literal root expansions reduced to the elementary
+Bernoulli recurrences, reduced row echelon forms over Q(i), literal root expansions reduced to the elementary
 symmetric basis, closed-form twisted spectra, block-by-block scipy and
 numpy eigensolves, kernel pairings one vector at a time, and kappa
 classes and kappa-product rows one genus weight at a time.
@@ -13,6 +13,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from tautsig._gaussian import G_ONE
 from tautsig.graded_ring import cross, evaluate, gysin_project, point
 from tautsig.kappa_calculus import product_model
 from tautsig.mult_seq import GENUS_WEIGHT_CAP, expand_series, genus_components
@@ -255,6 +256,32 @@ def even_index_oracle(op, tol):
 def twisted_circle_cohomology_oracle(theta):
     """Total twisted cohomology rank of the circle, character exp(2*pi*i*theta)."""
     return 2 if abs(theta - round(theta)) < 1e-12 else 0
+
+
+def rref(rows):
+    """Row-reduce over Q(i), dividing each pivot row by its pivot; returns
+    (rows, pivot column indices).  Every row is cleared, above and below."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((k for k in range(r, nrows) if rows[k][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = G_ONE / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for k in range(nrows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [vk - f * vr for vk, vr in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
 
 
 def exterior_oracle(n):

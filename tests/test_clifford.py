@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautsig._gaussian import G_I, G_ONE, GaussianRational, QiMatrix
+from tautsig._gaussian import G_I, G_ONE, GaussianRational, QiMatrix, rank
 from tautsig.clifford import (
     BottReduction,
     CliffordError,
@@ -222,6 +222,49 @@ def test_bott_index_counts_the_operator_kernel():
         d_op.put(2 + i, j, v)
     assert bott_reduce(module, d_op) == BottReduction(dimension=2, graded_index=-1)
     assert bott_reduce(module, QiMatrix.zero(4, 4)).graded_index == 0
+
+
+def _random_qi_matrix(rng):
+    """A random Q(i) matrix of up to 7 x 7, often rank-deficient: some rows
+    are Q(i)-combinations of others, and entries include 3/5-type parts."""
+    parts = [0, 0, 0, 1, -1, 2, F(3, 5), F(-4, 5), F(1, 3)]
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    rows = [[GaussianRational(rng.choice(parts), rng.choice(parts)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    for k in range(1, nrows):
+        if rng.random() < 0.4:
+            a = GaussianRational(rng.choice(parts), rng.choice(parts))
+            b = GaussianRational(rng.choice(parts), rng.choice(parts))
+            i, j = rng.randrange(k), rng.randrange(k)
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return QiMatrix(nrows, ncols) if not nrows else QiMatrix.from_rows(rows)
+
+
+def test_fraction_free_rank_matches_rref():
+    import random
+
+    from oracles import rref
+
+    rng = random.Random(2718)
+    deficient = 0
+    for _ in range(400):
+        m = _random_qi_matrix(rng)
+        expected = len(rref(m.to_dense())[1])
+        assert rank(m) == expected
+        deficient += expected < min(m.nrows, m.ncols)
+    assert deficient > 50
+
+
+def test_rank_of_bott_projections_stays_integral(monkeypatch):
+    from tautsig import _gaussian
+
+    # P and D P have Gaussian-integer entries, so no Fraction is ever made.
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(_gaussian, "_exact", no_fraction)
+    monkeypatch.setattr(_gaussian, "Fraction", no_fraction)
+    assert bott_reduce(*_invertible_module()) == BottReduction(dimension=4, graded_index=0)
 
 
 def test_bott_rejects_bad_operator():

@@ -1199,17 +1199,36 @@ def _flat_bundle(kind):
         globally_flat=True)
 
 
-@pytest.mark.parametrize("kind", ["t1-line", "t3-line", "indefinite", "offdiagonal"])
-def test_flat_profiles_make_no_full_stack_eigh(monkeypatch, kind):
+@pytest.mark.parametrize(
+    "kind,stacks",
+    # Each profile's one operator is certified.  S^1 reads its closed form
+    # from its stack's diagonal; T^3 reads it from the restricted zero block
+    # and builds no stack.
+    [("t1-line", 1), ("t3-line", 0), ("indefinite", 1), ("offdiagonal", 1)],
+    ids=["t1-line", "t3-line", "indefinite", "offdiagonal"],
+)
+def test_flat_profiles_make_no_full_stack_eigh(monkeypatch, kind, stacks):
     counts = _count_stack_solves(monkeypatch)
     report = kernel_constancy_report(
         constant_family(_flat_bundle(kind), cutoff=3, resolution=16))
     assert report["constant"] and report["flow_plus"] == report["flow_minus"] == 0
-    assert counts == {"stacks": 1, "solves": 0, "full": 0}
+    assert counts == {"stacks": stacks, "solves": 0, "full": 0}
 
 
 def _eigvalsh_spectrum(op):
     return np.sort(np.linalg.eigvalsh(op.restricted_odd_stack()).ravel()) * UNIT
+
+
+def _closed_form(op, tol=DEFAULT_TOL):
+    """``_closed_odd_spectrum`` of an operator, given what ``odd_spectrum``
+    gives it: the restricted zero block, and on S^1 its stack's diagonal."""
+    import tautsig.hodge_numeric as hn
+
+    zero = op.restricted_zero_block()
+    if op.bundle.n > 1:
+        return hn._closed_odd_spectrum(op, zero, tol)
+    diagonal = np.diagonal(op.restricted_odd_stack(), axis1=1, axis2=2).real
+    return hn._closed_odd_spectrum(op, zero, tol, diagonal)
 
 
 # Angles on a grid of eighths (integers give kernels) and a few off it.
@@ -1264,12 +1283,10 @@ def _counts_on_both_paths(make):
 @settings(max_examples=40, deadline=None)
 @given(_split_loops())
 def test_certified_odd_spectra_match_eigvalsh(make):
-    import tautsig.hodge_numeric as hn
-
     fam = make()
     for t in (0, 1):
         op = fam.operator(t)
-        assert hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL) is not None
+        assert _closed_form(op) is not None
         ref = _eigvalsh_spectrum(op)
         assert np.max(np.abs(op.odd_spectrum() - ref)) <= 1e-12 * np.max(np.abs(ref))
     closed, solved = _counts_on_both_paths(make)
@@ -1344,7 +1361,7 @@ def test_closed_odd_spectra_stay_within_their_weyl_band(make):
     fam = make()
     for t in (0, 1):
         op = fam.operator(t)
-        closed = hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL)
+        closed = _closed_form(op)
         if closed is None:
             continue
         ref = _eigvalsh_spectrum(op) / UNIT
@@ -1357,8 +1374,6 @@ def test_closed_odd_spectra_stay_within_their_weyl_band(make):
 @pytest.mark.parametrize("signs", [(1.0, 1.0), (1.0, -1.0)], ids=["definite", "indefinite"])
 @pytest.mark.parametrize("eps", [1e-12, 1e-8])
 def test_coupling_that_splits_a_double_kernel_is_solved(signs, eps):
-    import tautsig.hodge_numeric as hn
-
     # Two lines at angle 0 coupled by eps: the double kernel at k = 0 splits
     # into +-eps |P_01| at first order.  At 1e-12 that stays below tol / 2 pi
     # and the closed form keeps the kernel; at 1e-8 it passes tol / 2 pi,
@@ -1367,7 +1382,7 @@ def test_coupling_that_splits_a_double_kernel_is_solved(signs, eps):
     s = np.array(signs)
     coupling = np.array([[0.0, 0.6 + 0.8j], [s[0] * s[1] * (0.6 - 0.8j), 0.0]])
     op = assemble(MonodromyBundle.from_connection(np.diag(s), [eps * coupling]), cutoff=2)
-    closed = hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL)
+    closed = _closed_form(op)
     if eps < 1e-9:
         assert closed is not None and kernel_dimension(op) == 4
     else:
@@ -1378,8 +1393,6 @@ def test_coupling_that_splits_a_double_kernel_is_solved(signs, eps):
 
 @pytest.mark.parametrize("n", [1, 3], ids=["S1", "T3"])
 def test_u11_bundle_is_solved_once(monkeypatch, n):
-    import tautsig.hodge_numeric as hn
-
     # Its standard-frame connection is not diagonal: the remainder band
     # covers every level, so the profile's one operator is solved once.
     bundle = MonodromyBundle.from_connection(
@@ -1387,7 +1400,7 @@ def test_u11_bundle_is_solved_once(monkeypatch, n):
         [np.diag([0.2 - 0.3j, 0.2 + 0.3j])] * n, globally_flat=True)
     fam = constant_family(bundle, cutoff=3, resolution=16)
     op = fam.operator(0)
-    assert hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL) is None
+    assert _closed_form(op) is None
     counts = _count_stack_solves(monkeypatch)
     report = kernel_constancy_report(fam)
     assert report["profile"] == [0] * 17 and report["flow_plus"] == report["flow_minus"] == 0
@@ -1455,8 +1468,6 @@ def test_odd_generators_coupling_lines_raise():
 
 
 def test_one_dimensional_closed_form_is_the_stack_diagonal():
-    import tautsig.hodge_numeric as hn
-
     # On S^1 each line is a 1x1 block, t_i (k + a_i) read from the
     # connection, and the stack's real diagonal holds exactly that, also for
     # an imaginary part the bundle check allows and for a non-diagonal eta.
@@ -1465,8 +1476,10 @@ def test_one_dimensional_closed_form_is_the_stack_diagonal():
         op = assemble(MonodromyBundle.from_connection(eta, [conn]), cutoff=4)
         a = np.diagonal(op.bundle.standard_connection[0]).real
         t = np.diagonal(op.frame.lattice_odd[0]).real
-        closed = hn._closed_odd_spectrum(op, op.restricted_odd_stack(), DEFAULT_TOL)
+        closed = _closed_form(op)
         assert np.array_equal(closed, t * (op.freqs + a))
+        # The same bits from the lattice and the restricted zero block alone.
+        assert np.array_equal(closed, op.freqs * t + op.restricted_zero_block().diagonal().real)
 
 
 @pytest.mark.parametrize(
@@ -1588,6 +1601,22 @@ def test_restricted_odd_stack_refuses_a_non_hermitian_zero_block():
     bad = dataclasses.replace(op, zero=op.zero + 1e-6 * defect)
     with pytest.raises(HodgeError, match="restricted operator is not self-adjoint"):
         bad.restricted_odd_stack()
+
+
+def test_odd_kernel_refuses_a_non_hermitian_zero_block_without_a_stack(monkeypatch):
+    # T^3 reads its closed form from the restricted zero block alone, so that
+    # block's hermiticity check is the one that refuses; no stack is built.
+    import dataclasses
+
+    op = assemble(line_bundle([0.0, 1 / 3, 0.5]), cutoff=2)
+    rng = np.random.default_rng(3)
+    defect = rng.normal(size=op.zero.shape) + 1j * rng.normal(size=op.zero.shape)
+    bad = dataclasses.replace(op, zero=op.zero + 1e-6 * defect)
+    counts = _count_stack_solves(monkeypatch)
+    with pytest.raises(HodgeError, match="restricted operator is not self-adjoint"):
+        kernel_dimension(bad)
+    assert counts == {"stacks": 0, "solves": 0, "full": 0}
+    assert kernel_dimension(op) == 0 and counts["stacks"] == 0
 
 
 # ---------------------------------------------------------------------------
