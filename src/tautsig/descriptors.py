@@ -9,10 +9,13 @@ compiled.  Entries are numbers, [re, im] pairs or expression strings
 (:func:`_compile_entry`); relation coefficients are integers or strings p or
 p/q (:func:`json_rational`).  Malformed content raises
 :class:`DescriptorError`, whose messages quote at most 40 characters of it.
-What the content means is checked where it is used: ``hodge_numeric``
-refuses, for example, a singular eta, a declared signature (p, q) that is
-not eta's or a connection that is not flat, and ``graded_ring`` relations
-that define no graded ring.
+A family's nodes are evaluated as one array where its entries use only real
++ - * / of t; a call, a power or complex arithmetic of t, any floating-point
+exception or a value that is not finite sends the run to the node-by-node
+reader, which names the first bad node.  What the content means is checked
+where it is used: ``hodge_numeric`` refuses, for example, a singular eta, a
+declared signature (p, q) that is not eta's or a connection that is not
+flat, and ``graded_ring`` relations that define no graded ring.
 
 A bundle descriptor gives the torus dimension ``n``, ``eta``, and
 ``monodromies``, a ``connection`` or both, one matrix per circle factor,
@@ -183,7 +186,17 @@ def _bounded(value):
     return value
 
 
+def _number(value):
+    """``value`` if it is one node's number.  Calls and powers read one node
+    at a time: given a run of nodes (an array) they raise, so that the run's
+    reader rereads it node by node."""
+    if isinstance(value, (int, float, complex)):
+        return value
+    raise DescriptorError("calls and powers are read one node at a time")
+
+
 def _power(base, exponent):
+    base, exponent = _number(base), _number(exponent)
     if isinstance(base, int) and isinstance(exponent, int) and (
         abs(exponent) * base.bit_length() > MAX_INT_BITS
     ):
@@ -231,7 +244,7 @@ def _compile_node(node: ast.AST) -> Callable:
         and not node.keywords
     ):
         fn, arg = _FUNCTIONS[node.func.id], _compile_node(node.args[0])
-        return lambda t: fn(arg(t))
+        return lambda t: fn(_number(arg(t)))
     raise DescriptorError(f"disallowed expression {shown(ast.unparse(node))}")
 
 
@@ -240,14 +253,21 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
+def _compile_entry(entry) -> Callable:
     """Parse one matrix entry into a function of the family parameter t.
 
     Entries are numbers, [re, im] pairs of numbers or strings of at most
     MAX_ENTRY_CHARS characters; booleans are not numbers.  Strings may use
     numbers, + - * / **, unary minus, the names pi, i, j and t, and calls
-    to exp, cos, sin and sqrt; nothing else is evaluated.  A value that is
-    not finite (JSON NaN or Infinity, an overflow) raises.
+    to exp, cos, sin and sqrt; nothing else is evaluated.
+
+    The function reads one node t (a float, or None outside a family) with
+    cmath: its value is a complex number, and one that is not finite (JSON
+    NaN or Infinity, an overflow) raises.  With ``run``, t is a float array
+    of nodes; + - * / and unary minus apply to it as to one float, a call or
+    a power of it raises, and the value is returned as computed, unchecked.
+    The caller checks the run, and rereads a run that fails one node at a
+    time.
     """
     if isinstance(entry, str):
         if len(entry) > MAX_ENTRY_CHARS:
@@ -266,9 +286,12 @@ def _compile_entry(entry) -> Callable[[Optional[float]], complex]:
     else:
         raise DescriptorError(f"unsupported matrix entry {shown(entry)}")
 
-    def evaluate(t: Optional[float]) -> complex:
+    def evaluate(t, run=False):
         try:
-            value = complex(fn(t))
+            value = fn(t)
+            if run:
+                return value
+            value = complex(value)
         except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
             raise DescriptorError(f"cannot evaluate entry {shown(entry)}: {exc}") from exc
         if not cmath.isfinite(value):
@@ -304,13 +327,15 @@ def _matrices(value, what: str, n: int, r: int) -> list:
     return value
 
 
-def _reader(matrices: list) -> Callable[[Optional[float]], list]:
-    """The one matrix reader: t -> the matrices at t, nested lists of complex.
+def _reader(matrices: list) -> Callable[..., list]:
+    """The one matrix reader: (t, run) -> the matrices at t, nested lists of
+    each entry's value (:func:`_compile_entry`'s evaluate).
 
     Each entry is compiled once; the matrices have passed their shape checks.
     """
     entries = [[[_compile_entry(e) for e in row] for row in rows] for rows in matrices]
-    return lambda t=None: [[[f(t) for f in row] for row in rows] for rows in entries]
+    return lambda t=None, run=False: [[[f(t, run) for f in row] for row in rows]
+                                      for rows in entries]
 
 
 def _header(data: dict, label: str) -> dict:
@@ -368,8 +393,9 @@ def read_family(data: dict, resolution: int) -> dict:
     globally_flat and label.
 
     ``connection`` maps t to the n connection matrices at t, nested lists of
-    complex numbers; ``grid`` is the family's resolution, ``resolution``
-    when it gives none.  Families present ``connection`` entries;
+    complex numbers, and a run of nodes (``run=True``) to the entries' values
+    there (:func:`_compile_entry`); ``grid`` is the family's resolution,
+    ``resolution`` when it gives none.  Families present ``connection`` entries;
     ``monodromies`` are refused, since their logarithms are defined only up
     to a branch.
     """

@@ -84,13 +84,14 @@ a family's loop check compares the endpoints' flat classes, read from their
 connections (:func:`_flat_class`).  Given monodromies are checked as well.
 The check works over leading axes (:func:`_standard_connection`), so a
 family checks a stack of nodes in one pass and raises what building them
-one by one would.  A family is eta and a connection path that maps nodes
-to a stack of connections.  An operator keeps its block stack once built,
-its eigensystem, its odd spectrum and the largest tol its cutoff window
-passed.  A family keeps no operators: a kernel profile walks the grid once,
-keeping the first node's operator and the current one, and reads a loop's
-flow from the walk's ends.  Each :func:`spectral_flow` assembles the two
-endpoints and checks the interior nodes' connections as one stack.
+one by one would.  A family is eta and a connection path that maps a float
+array of nodes to their stack of connections.  An operator keeps its block
+stack once built, its eigensystem, its odd spectrum and the largest tol its
+cutoff window passed.  A family keeps no operators: a kernel profile walks
+the grid once, keeping the first node's operator and the current one, and
+reads a loop's flow from the walk's ends.  Each :func:`spectral_flow` reads
+the nodes after t = 0 as one stack, checks the interior ones and assembles
+the two endpoints.
 An assembly whose block stack would exceed ``MAX_ASSEMBLY_BYTES`` is refused
 before anything is allocated, whether or not the stack is ever built
 (:func:`tautsig.descriptors.assembly_refusal`).  Bundles and families are
@@ -876,14 +877,14 @@ def _node(t) -> Fraction:
 class OperatorFamily:
     """One-parameter family t in [0,1] of flat bundles: eta and a connection path.
 
-    ``path`` maps a list of N nodes to their connections, an (N, n, r, r)
-    array; a node's bundle is eta with its connection, or ``fixed``, the one
+    ``path`` maps a float array of N nodes to their connections, an (N, n, r,
+    r) array; a node's bundle is eta with its connection, or ``fixed``, the one
     bundle of a constant family, at every node.  A family keeps no operators:
     each :meth:`operator` call assembles its node's bundle.
     """
 
     eta: np.ndarray
-    path: Callable[[list], np.ndarray]
+    path: Callable[[np.ndarray], np.ndarray]
     grid: list
     loop: bool = False
     cutoff: int = DEFAULT_CUTOFF
@@ -898,7 +899,7 @@ class OperatorFamily:
         if self.fixed is not None:
             return self.fixed
         if connection is None:
-            connection = self.path([t])[0]
+            connection = self.path(np.array([float(t)]))[0]
         return MonodromyBundle.from_connection(self.eta, connection,
                                                globally_flat=self.globally_flat,
                                                label=f"{self.label}(t={t})")
@@ -909,19 +910,21 @@ class OperatorFamily:
     def _stacks(self, nodes: list, node_bytes: int) -> Iterator[np.ndarray]:
         """The nodes' connections in grid order, as (N, n, r, r) stacks.
 
-        The path is read once per run of nodes whose stack holds at most
-        ``_STACK_BYTES``, which is every node of any family the suites run.
-        A run in which some node's connection cannot be evaluated is read one
-        node at a time, so that the first bad node in grid order raises when
-        it is reached.
+        The nodes are converted to floats once, as float(Fraction) converts
+        them, and the path is read once per run of nodes whose stack holds at
+        most ``_STACK_BYTES``, which is every node of any family the suites
+        run.  A run in which some node's connection cannot be evaluated is
+        read one node at a time, so that the first bad node in grid order
+        raises when it is reached.
         """
+        values = np.array([t.numerator / t.denominator for t in map(_node, nodes)])
         step = max(1, _STACK_BYTES // max(node_bytes, 1))
-        for i in range(0, len(nodes), step):
-            run = nodes[i:i + step]
+        for i in range(0, len(values), step):
+            run = values[i:i + step]
             try:
                 stack = self.path(run)
             except DescriptorError:
-                yield from (self.path([t]) for t in run)
+                yield from (self.path(run[k:k + 1]) for k in range(len(run)))
             else:
                 yield stack
 
@@ -975,16 +978,12 @@ def _verify_loop(b0: MonodromyBundle, b1: MonodromyBundle) -> None:
         raise HodgeError("family endpoints are not conjugate: not a loop")
 
 
-def _node_values(nodes: list) -> np.ndarray:
-    return np.array([float(t) for t in nodes])
-
-
 def lusztig_family(cutoff: int = DEFAULT_CUTOFF, resolution: int = 64,
                    speed: int = 1) -> OperatorFamily:
     """The monodromy-z line family on the circle, traversed ``speed`` times."""
 
-    def path(nodes: list) -> np.ndarray:
-        return (_node_values(nodes) * speed).astype(complex).reshape(-1, 1, 1, 1)
+    def path(t: np.ndarray) -> np.ndarray:
+        return (t * speed).astype(complex).reshape(-1, 1, 1, 1)
 
     return OperatorFamily(
         eta=np.eye(1),
@@ -1003,7 +1002,7 @@ def constant_family(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF,
     connection = np.array(bundle.connection)
     return OperatorFamily(
         eta=bundle.eta,
-        path=lambda nodes: connection[None].repeat(len(nodes), axis=0),
+        path=lambda t: connection[None].repeat(len(t), axis=0),
         grid=grid_nodes(resolution),
         loop=True,
         cutoff=cutoff,
@@ -1016,9 +1015,8 @@ def lusztig_pair_family(cutoff: int = DEFAULT_CUTOFF,
                         resolution: int = 64) -> OperatorFamily:
     """Rank-2 direct sum of the line family with its conjugate-inverse twist."""
 
-    def path(nodes: list) -> np.ndarray:
-        t = _node_values(nodes)
-        stack = np.zeros((len(nodes), 1, 2, 2), dtype=complex)
+    def path(t: np.ndarray) -> np.ndarray:
+        stack = np.zeros((len(t), 1, 2, 2), dtype=complex)
         stack[:, 0, 0, 0], stack[:, 0, 1, 1] = t, -t
         return stack
 
@@ -1063,15 +1061,20 @@ def spectral_flow(
         raise HodgeError("spectral flow is defined for loop families")
     nodes = family.grid
     _check_span(nodes)
-    # In grid order: t = 0, the interior nodes' connections in one pass over
-    # their stack, then t = 1.  A constant family's one bundle is checked.
+    # In grid order: t = 0, the interior nodes' connections checked as one
+    # stack, then t = 1, read in that stack.  A constant family's one bundle
+    # is checked.
     first = last = family.operator(0)
     if family.fixed is None:
         bundle = first.bundle
         signs, basis = _standard_form(bundle.eta.tobytes(), bundle.rank)
-        for stack in family._stacks(nodes[1:-1], bundle.standard_connection.nbytes):
+        unread = len(nodes) - 1
+        for stack in family._stacks(nodes[1:], bundle.standard_connection.nbytes):
+            unread -= len(stack)
+            if not unread:
+                stack, end = stack[:-1], stack[-1]
             _standard_connection(stack, bundle.n, signs, basis)
-        last = family.operator(1)
+        last = assemble(family._bundle(_node(nodes[-1]), end), family.cutoff)
     flow_plus, flow_minus = _endpoint_flow(first, last, tol)
     if _counters is not None:
         _counters["nodes"] = len(nodes)
@@ -1192,10 +1195,36 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
     if not 1 <= cutoff <= MAX_CUTOFF:
         raise HodgeError(f"cutoff {cutoff} outside [1, {MAX_CUTOFF}]")
     fields = read_family(data, resolution)
-    connection = fields.pop("connection")
+    connection, eta = fields.pop("connection"), np.array(fields.pop("eta"), dtype=complex)
 
-    def path(nodes: list) -> np.ndarray:
-        return np.array([connection(float(t)) for t in nodes], dtype=complex)
+    def read_run(t: np.ndarray) -> Optional[np.ndarray]:
+        """The run's stack read as float arrays, by real + - * / alone, so
+        that each value is the one-node value; None if an entry makes a call,
+        a power or complex arithmetic of t, raises a floating-point
+        exception or has a value that is not finite."""
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                values = connection(t, run=True)
+        except DescriptorError:
+            return None
+        stack = np.empty((len(t), len(values)) + eta.shape, dtype=complex)
+        for j, a, b in np.ndindex(stack.shape[1:]):
+            value = values[j][a][b]
+            if isinstance(value, np.ndarray) and value.dtype != float:
+                return None
+            try:
+                stack[:, j, a, b] = value
+            except OverflowError:
+                return None
+        return stack if np.isfinite(stack).all() else None
 
-    return OperatorFamily(eta=np.array(fields.pop("eta"), dtype=complex), path=path,
-                          grid=grid_nodes(fields.pop("grid")), cutoff=cutoff, **fields)
+    def path(t: np.ndarray) -> np.ndarray:
+        # A run read_run refuses is read node by node with cmath, which
+        # raises at the first node that cannot be evaluated.
+        stack = read_run(t) if len(t) > 1 else None
+        if stack is None:
+            stack = np.array([connection(x) for x in t.tolist()], dtype=complex)
+        return stack
+
+    return OperatorFamily(eta=eta, path=path, grid=grid_nodes(fields.pop("grid")),
+                          cutoff=cutoff, **fields)

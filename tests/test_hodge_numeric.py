@@ -1,12 +1,13 @@
 import cmath
 import math
 import re
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tautsig.hodge_numeric import (
@@ -1087,6 +1088,140 @@ def test_descriptor_family_parses_entries_once(monkeypatch):
     fam = family_from_descriptor(data, cutoff=4)
     spectral_flow(fam)
     assert calls.count("t") == 1
+
+
+def _line_family(entry, grid=8):
+    return family_from_descriptor(
+        {"n": 1, "eta": [[1]], "monodromies": [[[1]]],
+         "family": {"connection": [[[entry]]], "grid": grid, "loop": True}}, cutoff=4)
+
+
+def _recording(fam):
+    """The runs of nodes that ``fam.path`` reads, as lists of floats."""
+    runs, path = [], fam.path
+    fam.path = lambda t: runs.append(t.tolist()) or path(t)
+    return runs
+
+
+def test_flow_reads_its_endpoint_with_the_interior():
+    fam = _line_family("t")
+    runs = _recording(fam)
+    spectral_flow(fam)
+    assert runs == [[0.0], [i / 8 for i in range(1, 9)]]
+
+
+@pytest.mark.parametrize("z", ["1/4", "exp(2*pi*i*t)/4"], ids=["real", "complex"])
+def test_flow_endpoint_is_the_one_node_bundle(monkeypatch, z):
+    # t = 1 is taken from the stack of the nodes after t = 0; its connection
+    # is the one that family.bundle(1) reads, to the bit.
+    import tautsig.hodge_numeric as hn
+
+    conj = z.replace("i*t", "-i*t") if "i*t" in z else z
+    fam = family_from_descriptor(
+        {"n": 1, "eta": np.eye(2).tolist(), "monodromies": [np.eye(2).tolist()],
+         "family": {"connection": [[["t", z], [conj, "t"]]], "grid": 8, "loop": True}},
+        cutoff=4)
+    built, assemble = [], hn.assemble
+    monkeypatch.setattr(hn, "assemble", lambda b, cutoff: built.append(b) or assemble(b, cutoff))
+    spectral_flow(fam)
+    assert [b.label[-5:] for b in built] == ["(t=0)", "(t=1)"]
+    assert np.array(built[-1].connection).tobytes() == np.array(fam.bundle(1).connection).tobytes()
+
+
+@pytest.mark.parametrize("report", [spectral_flow, kernel_constancy_report],
+                         ids=["flow", "profile"])
+@pytest.mark.parametrize(
+    "entry,message,node",
+    # A call or a power of t sends the run to the one-node reader.  Real
+    # arithmetic over the run raises on division by zero (numpy alone would
+    # read 1/(1/0) as 0) and on overflow (Python reads 1e300 * 1e300 as inf).
+    [("1/exp(1000*t)", "math range error", 0.75),
+     ("1/cos(1000j*t)", "math range error", 0.75),
+     ("t**-1", "0.0 cannot be raised to a negative power", 0.0),
+     ("t + 0*1/(4*t-2)", "float division by zero", 0.5),
+     ("1/(1/(4*t-2))", "float division by zero", 0.5),
+     ("exp(1000*t)*0", "math range error", 0.75),
+     ("t + 0*(2*t - 1)**exp(i)", "0.0 to a negative or complex power", 0.5),
+     ("1e999**t", None, 0.125),
+     ("1e300*t*1e300", None, 0.125)],
+)
+def test_run_refusals_are_the_one_node_reader_s(report, entry, message, node):
+    # A run read as arrays is refused as a whole and reread one node at a
+    # time, so the first bad node in grid order raises cmath's message.
+    fam = _line_family(entry)
+    runs = _recording(fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DescriptorError) as exc:
+            report(fam)
+    assert type(exc.value) is DescriptorError
+    assert str(exc.value) == (f"cannot evaluate entry {entry!r}: {message}" if message
+                              else f"entry {entry!r} is not finite: (inf+0j)")
+    assert runs[-1] == [node]
+
+
+@pytest.mark.parametrize(
+    "entry,arrays",
+    # 1e300*t*1e300 overflows, which Python reads as inf and numpy refuses.
+    # numpy reads (-0.0)**0.5 as -0.0 and Python as 0.0, and numpy's complex
+    # quotients and products round the last two differently from Python's,
+    # so powers and complex arithmetic of t are read node by node.
+    [("3*t", True), ("2**-1*t - pi*t*t/3", True), ("t + 1/(1e300*t*1e300 + 1)", False),
+     ("(-0.0*t)**0.5", False), ("(t+i)/(t-i)", False), ("(1+2*i)*(t+0.1)*(1-3*i)", False)],
+)
+def test_real_arithmetic_is_read_as_one_array(monkeypatch, entry, arrays):
+    from tautsig import descriptors
+
+    t = np.array([float(x) for x in grid_nodes(8)])
+    one_node = np.array([[[[_compile_entry(entry)(x)]]] for x in t.tolist()])
+    reads, read_t = [], descriptors._read_t
+    monkeypatch.setattr(descriptors, "_read_t", lambda t: reads.append(np.ndim(t)) or read_t(t))
+    assert _line_family(entry).path(t).tobytes() == one_node.tobytes()
+    assert (0 not in reads) is arrays
+
+
+def _entries():
+    """Expressions in t over every whitelisted operation."""
+    leaves = st.sampled_from(["t", "0", "1", "2", "3", "0.5", "pi", "i", "1e999"])
+
+    def extend(inner):
+        binary = st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner).map(
+            lambda x: f"({x[0]}){x[1]}({x[2]})")
+        call = st.tuples(st.sampled_from(["exp", "cos", "sin", "sqrt"]), inner).map(
+            lambda x: f"{x[0]}({x[1]})")
+        return st.one_of(binary, call, inner.map(lambda x: f"-({x})"))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _refusal(read):
+    try:
+        return read(), None
+    except DescriptorError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_entries(), min_size=4, max_size=4), st.integers(2, 16))
+@example(["t", "t + 1e999", "0", "t"], 8)  # infinite with no floating-point exception
+def test_run_reading_matches_the_one_node_reader(entries, grid):
+    # The whole grid as one run, as a flow reads it (with the reread of a run
+    # in which some node fails) and one node at a time.
+    fam = family_from_descriptor(
+        {"n": 1, "eta": np.eye(2).tolist(), "monodromies": [np.eye(2).tolist()],
+         "family": {"connection": [[entries[:2], entries[2:]]], "grid": grid, "loop": True}},
+        cutoff=2)
+    nodes = fam.grid
+    t = np.array([float(x) for x in nodes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array, array_refusal = _refusal(lambda: fam.path(t))
+        stacked, stacked_refusal = _refusal(lambda: np.concatenate(list(fam._stacks(nodes, 1))))
+        single, refusal = _refusal(
+            lambda: np.concatenate([fam.path(t[k:k + 1]) for k in range(len(t))]))
+    assert array_refusal == stacked_refusal == refusal
+    if single is not None:
+        assert array.tobytes() == stacked.tobytes() == single.tobytes()
 
 
 # ---------------------------------------------------------------------------
