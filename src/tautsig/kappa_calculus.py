@@ -5,7 +5,9 @@ fiber factors; fiber integration along those factors realizes the bundle
 projection.  On top of that the module computes kappa classes
 pi_!(L(T_v E) u), higher signatures, the product/collapse identities with
 their Koszul signs, and the symbolic sides of the odd and even index
-expressions 2^m pi_!(L(T_v E) sch(V)).
+expressions 2^m pi_!(L(T_v E) sch(V)).  The surface coefficient class is an
+input: its pairing 2 - 2g is the constant ``surface_flat_bundle_sch``, not a
+computation.  The module builds no report cases; the suites do.
 
 Each takes one route from Pontryagin data: ``l_class``, times u, then
 ``gysin_project`` or ``evaluate``.  No weight is evaluated on its own:
@@ -34,7 +36,6 @@ from .graded_ring import (
     gysin_project,
     point,
     product_space,
-    pullback,
     surface,
 )
 from .mult_seq import (
@@ -57,10 +58,8 @@ __all__ = [
     "even_index_symbolic",
     "surface_flat_bundle_sch",
     "surface_coefficient_class",
-    "main_theorem_witnesses",
     "lusztig_model",
     "lusztig_squared_model",
-    "globally_flat_surface_model",
     "trivial_flat_model",
 ]
 
@@ -395,7 +394,7 @@ def surface_coefficient_class(g: int) -> GradedClass:
 
 
 # ---------------------------------------------------------------------------
-# Shipped witnesses
+# Shipped models
 # ---------------------------------------------------------------------------
 
 
@@ -418,84 +417,7 @@ def lusztig_squared_model() -> BundleModel:
     return product_model(lusztig_model(), lusztig_model(), label="lusztig (x) lusztig")
 
 
-def globally_flat_surface_model(g: int) -> BundleModel:
-    """Odd product model with hyperbolic flat (1,1) coefficients.
-
-    Fiber surface(g) x circle carries the globally flat coefficient bundle
-    pulled back from the surface; the declared super class has no top
-    fiber component, so every fiber integral of it vanishes.
-    """
-    model = bundle_model(
-        f"globally-flat-surface(g={g})",
-        base=circle(),
-        fiber=product_space(surface(g), circle()),
-    )
-    surf_pos = model.total.factors.index(surface(g).factors[0])
-    sch1 = pullback(surface_coefficient_class(g), model.total, [surf_pos])
-    model.sch_class = sch1  # degree-0 part p - q = 0 for signature (1,1)
-    model.pullbacks["sch1"] = sch1
-    return model
-
-
 def trivial_flat_model(rank: int, base: ProductSpace, fiber: ProductSpace) -> BundleModel:
     model = bundle_model(f"trivial-rank-{rank}", base=base, fiber=fiber)
     model.sch_class = model.total.one() * Fraction(rank)
     return model
-
-
-def main_theorem_witnesses() -> dict:
-    """Assembled vanishing/nontriviality evidence on the shipped models."""
-    report: dict = {"cases": []}
-
-    lus = lusztig_model()
-    k1 = kappa(lus, k=0, u="ch_L")
-    genus1_nonzero = not k1.is_zero()
-    report["cases"].append(
-        {
-            "anchor": "mainthm:surfacegroup(2)",
-            "case": "genus-1 witness: monodromy-z line family over the circle",
-            "value": repr(k1),
-            "pairing": str(evaluate(k1)),
-            "ok": genus1_nonzero and abs(evaluate(k1)) == 1,
-        }
-    )
-
-    for g in (2, 3):
-        model = globally_flat_surface_model(g)
-        idx = odd_index_symbolic(model)
-        report["cases"].append(
-            {
-                "anchor": "thm:vanishing",
-                "case": f"globally flat genus-{g} coefficients on an odd model",
-                "value": repr(idx.magnitude),
-                "ok": idx.is_zero(),
-            }
-        )
-
-    # Product with a fixed closed manifold scales the witness by its
-    # higher signature.
-    g = 2
-    surf_bundle = bundle_model(
-        f"surface({g})-over-point",
-        base=point(),
-        fiber=surface(g),
-        pullbacks={"w": surface_coefficient_class(g)},
-        sch_class=None,
-    )
-    cert = kappa_product(lus, surf_bundle, "c1_L", "w")
-    scale = Fraction(cert["collapse"]["higher_signature"])
-    report["cases"].append(
-        {
-            "anchor": "eqn:productformula-kappanovikov",
-            "case": "genus-1 witness scaled by a fixed-manifold higher signature",
-            "value": f"scale {scale}",
-            "ok": cert["ok"] and scale == Fraction(2 - 2 * g),
-        }
-    )
-
-    report["out_of_scope"] = (
-        "full nontriviality beyond constructed product witnesses relies on "
-        "moduli-space machinery outside this artifact"
-    )
-    report["ok"] = all(c["ok"] for c in report["cases"])
-    return report

@@ -1,0 +1,89 @@
+"""Report cases fail under named mutations of the program.
+
+A case that no change of the program can fail certifies nothing.  The table
+maps a case of ``tautsig run --suite all``, by suite and case name, to a
+monkeypatch of program code.  Under it the case reports ``ok=False`` and the
+run exits 1; without it the case passes.
+"""
+
+import json
+
+import pytest
+
+from tautsig import hodge_numeric, kappa_calculus
+from tautsig.cli import main
+
+
+def surface_diagonal_factor_three(monkeypatch):
+    monkeypatch.setattr(kappa_calculus, "SURFACE_DIAGONAL_FACTOR", 3)
+
+
+def zero_fiber_integral(monkeypatch):
+    real = kappa_calculus.gysin_project
+    monkeypatch.setattr(kappa_calculus, "gysin_project",
+                        lambda cls, fiber: real(cls, fiber) * 0)
+
+
+def higher_signature_plus_one(monkeypatch):
+    real = kappa_calculus.higher_signature
+    monkeypatch.setattr(kappa_calculus, "higher_signature", lambda data: real(data) + 1)
+
+
+def eigenvalues_relative_error_1e7(monkeypatch):
+    real = hodge_numeric.TruncatedOperator.eigenvalues
+    monkeypatch.setattr(hodge_numeric.TruncatedOperator, "eigenvalues",
+                        lambda self: real(self) * (1 + 1e-7))
+
+
+def profile_flow_plus_one(monkeypatch):
+    real = hodge_numeric.kernel_constancy_report
+
+    def report(family, tol):
+        out = real(family, tol=tol)
+        out["flow_plus"] += 1
+        return out
+
+    monkeypatch.setattr(hodge_numeric, "kernel_constancy_report", report)
+
+
+MUTATIONS = {
+    ("surface", "higher signature equals the Euler characteristic value"):
+        surface_diagonal_factor_three,
+    ("lusztig", "kappa side integrates to a degree-one generator"):
+        zero_fiber_integral,
+    ("lusztig", "truncated spectra match the closed-form twisted oracle"):
+        eigenvalues_relative_error_1e7,
+    ("vanishing", "constant kernel and zero flow for constant(trivial-line)"):
+        profile_flow_plus_one,
+    ("kappa-products", "collapse onto a fixed-manifold higher signature"):
+        higher_signature_plus_one,
+}
+
+
+def _run(suite, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["run", "--suite", suite, "--out", str(out)])
+    report = json.loads(out.read_text())
+    return code, {c["case"]: c for s in report["suites"] for c in s["cases"]}
+
+
+@pytest.mark.parametrize("suite, case", sorted(MUTATIONS))
+def test_case_passes_unmutated(tmp_path, suite, case):
+    code, cases = _run(suite, tmp_path)
+    assert code == 0 and cases[case]["ok"]
+
+
+@pytest.mark.parametrize("suite, case", sorted(MUTATIONS))
+def test_case_fails_under_its_mutation(tmp_path, monkeypatch, suite, case):
+    MUTATIONS[suite, case](monkeypatch)
+    code, cases = _run(suite, tmp_path)
+    assert code == 1
+    assert cases[case]["ok"] is False
+
+
+def test_vanishing_detail_reads_the_report_flows(tmp_path, monkeypatch):
+    # A failing case names the flows its report read, not a fixed 0.
+    profile_flow_plus_one(monkeypatch)
+    _, cases = _run("vanishing", tmp_path)
+    detail = cases["constant kernel and zero flow for constant(trivial-line)"]["detail"]
+    assert detail.endswith("flow=1 (shift +), 0 (shift -)")

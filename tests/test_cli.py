@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -646,6 +647,25 @@ def test_describe_text_mentions_all_anchors():
     for name in ("vanishing", "even-index", "stability"):
         text = describe_suite(name)
         assert name in text
+
+
+def test_suite_anchor_lists_match_their_cases():
+    # Each suite lists exactly the anchors its cases carry; a sub-anchor
+    # "label(k)" counts for "label".  The descriptor suite's cases come from
+    # both shipped descriptors, a bundle family and a model space.
+    from tautsig.suites import SUITES
+
+    reports = [run_suites(SuiteConfig(suites=["all"]))]
+    reports += [run_suites(SuiteConfig(suites=["descriptor"], descriptor=str(SHIPPED / name)))
+                for name in ("lusztig_family.json", "surface_genus2.json")]
+    carried = {name: set() for name in SUITES}
+    for report in reports:
+        for suite in report["suites"]:
+            carried[suite["name"]] |= {re.sub(r"\(\d+\)$", "", case["anchor"])
+                                       for case in suite["cases"]}
+    listed = {name: set(suite.anchors) for name, suite in SUITES.items()}
+    assert all(len(suite.anchors) == len(listed[name]) for name, suite in SUITES.items())
+    assert listed == carried
 
 
 def _conjugated_pair_descriptor():

@@ -21,13 +21,11 @@ from tautsig.kappa_calculus import (
     SignAmbiguousClass,
     bundle_model,
     even_index_symbolic,
-    globally_flat_surface_model,
     higher_signature,
     kappa,
     kappa_product,
     lusztig_model,
     lusztig_squared_model,
-    main_theorem_witnesses,
     odd_index_symbolic,
     product_model,
     surface_coefficient_class,
@@ -332,12 +330,6 @@ def test_kappa_product_rows_match_per_weight_oracle():
 # -- index expressions -------------------------------------------------------------
 
 
-def test_odd_index_globally_flat_vanishes():
-    for g in (2, 3):
-        model = globally_flat_surface_model(g)
-        assert odd_index_symbolic(model).is_zero()
-
-
 def test_odd_index_lusztig_consistent_with_flow():
     model = lusztig_model()
     idx = odd_index_symbolic(model)
@@ -414,18 +406,6 @@ def test_surface_values_and_pipeline():
 def test_surface_genus_guard():
     with pytest.raises(KappaError, match="genus"):
         surface_flat_bundle_sch(1)
-
-
-# -- witnesses -------------------------------------------------------------------
-
-
-def test_main_theorem_witnesses_all_pass():
-    report = main_theorem_witnesses()
-    assert report["ok"], report
-    anchors = {c["anchor"] for c in report["cases"]}
-    assert "thm:vanishing" in anchors
-    assert "mainthm:surfacegroup(2)" in anchors
-    assert "eqn:productformula-kappanovikov" in anchors
 
 
 # -- model construction guards ----------------------------------------------------
