@@ -11,26 +11,32 @@ through ``Fraction``, so no part is ever a ``float``.
 
 Two matrix types hold them.  :class:`PhaseMatrix` is a monomial matrix
 (at most one nonzero per row and per column) whose entries are powers of
-i: a row index and a phase exponent mod 4 per column, so products,
-Kronecker products, adjoints and equality are integer work linear in the
-dimension.  The structural operators of an exterior algebra (exterior and
-Clifford multiplication, Hodge star, tau, the grading, degree projections)
-all live there.  :class:`QiMatrix` is the general sparse matrix over Q(i),
-stored by columns, for everything else: real rational twists, sums of
-operators, and the exact ranks of :func:`rank`.  The one way from the
-first to the second is :meth:`PhaseMatrix.to_qi`; every operation that
-leaves the monomial class (a sum, a non-unit scale, a QiMatrix operand)
-goes through it and returns a QiMatrix.
+i: a tuple of row indices and a ``bytes`` object of phase exponents mod 4,
+one byte per column.  A product gathers both by the right factor's rows
+and adds all its phases as one big-integer sum, masked to two bits per
+byte; Kronecker products, adjoints and equality are likewise integer and
+byte work linear in the dimension.  The structural operators of an
+exterior algebra (exterior and Clifford multiplication, Hodge star, tau,
+the grading, degree projections) all live there.  :class:`QiMatrix` is
+the general sparse matrix over Q(i), stored by columns, for everything
+else: real rational twists, sums of operators, and the exact ranks of
+:func:`rank`.  The one way from the first to the second is
+:meth:`PhaseMatrix.to_qi`; every operation that leaves the monomial class
+(a sum, a non-unit scale, a QiMatrix operand) goes through it and returns
+a QiMatrix.
 
 QiMatrix storage is canonical: no stored zero and no empty column.  Every
 constructor and operation produces this form, and :meth:`QiMatrix.__eq__`
 and :meth:`QiMatrix.is_zero` rely on it.  PhaseMatrix is canonical too: a
-zero column has row -1 and phase 0, so equality is a tuple compare.
+zero column has row -1 and phase 0, so equality compares one tuple and one
+``bytes`` object.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -350,15 +356,47 @@ def _qi(m) -> QiMatrix:
 _UNIT_PHASE = {G_ONE: 0, G_I: 1, -G_ONE: 2, -G_I: 3}
 # complex(i**k), so to_numpy matches QiMatrix.to_numpy bit for bit.
 _PHASE_COMPLEX = tuple(complex(i_power(k)) for k in range(4))
+_CONJ = bytes(-k & 3 for k in range(256))
+
+
+@functools.lru_cache(maxsize=64)
+def _lane(n: int, k: int) -> int:
+    """The little-endian integer of n bytes that each hold k."""
+    return int.from_bytes(bytes((k,)) * n, "little")
+
+
+def _gather(seq, idx: tuple) -> tuple:
+    """(seq[i] for i in idx) as a tuple, by one itemgetter call."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return tuple(seq[i] for i in idx)
+
+
+def _lane_sum(perm: tuple, a: bytes, b: int) -> bytes:
+    """Phases (a + b) mod 4 of the columns perm, with one byte lane per column.
+
+    b is a little-endian integer of len(a) lanes of 0-3.  Two phases sum to
+    at most 6, so no lane carries into the next: one big-integer sum adds
+    every column, and the 0x03 mask in each lane reduces it.  A masked pass,
+    run only when a zero column (row -1) is present, sets its phase to 0.
+    """
+    n = len(a)
+    phase = ((int.from_bytes(a, "little") + b) & _lane(n, 3)).to_bytes(n, "little")
+    if -1 in perm:
+        phase = bytes([k if r >= 0 else 0 for r, k in zip(perm, phase)])
+    return phase
 
 
 class PhaseMatrix:
     """Monomial matrix whose nonzero entries are powers of i.
 
     Column j holds i**phase[j] in row perm[j], or nothing when perm[j] is
-    -1 (its phase is then 0).  Rows are distinct, so products, Kronecker
-    products, adjoints and unit scalings stay in the class.  Instances are
-    immutable; every operation returns a new matrix.
+    -1 (its phase is then 0).  ``perm`` is a tuple of ints and ``phase`` a
+    ``bytes`` object with one byte lane (0-3) per column, so a product or a
+    unit scaling adds all its phases as one big-integer sum.  Rows are
+    distinct, so products, Kronecker products, adjoints and unit scalings
+    stay in the class.  Instances are immutable; every operation returns a
+    new matrix.
     """
 
     __slots__ = ("nrows", "ncols", "perm", "phase")
@@ -371,25 +409,19 @@ class PhaseMatrix:
         if perm and (min(perm) < -1 or max(perm) >= nrows
                      or len(set(perm)) != len(perm) - max(zeros - 1, 0)):
             raise ValueError("not a monomial matrix")
-        if zeros:
-            phase = [k if r >= 0 else 0 for r, k in zip(perm, phase)]
-        self._set(nrows, perm, tuple([k & 3 for k in phase]))
-
-    def _set(self, nrows: int, perm: tuple, phase: tuple) -> "PhaseMatrix":
-        self.nrows = nrows
-        self.ncols = len(perm)
-        self.perm = perm
-        self.phase = phase
-        return self
+        self.nrows, self.ncols, self.perm = nrows, len(perm), perm
+        self.phase = bytes([k & 3 if r >= 0 else 0 for r, k in zip(perm, phase)])
 
     @classmethod
-    def _of(cls, nrows: int, perm: tuple, phase: tuple) -> "PhaseMatrix":
-        """Trusted constructor: perm and phase are already canonical tuples."""
-        return object.__new__(cls)._set(nrows, perm, phase)
+    def _of(cls, nrows: int, perm: tuple, phase: bytes) -> "PhaseMatrix":
+        """Trusted constructor: perm and phase are already canonical."""
+        m = object.__new__(cls)
+        m.nrows, m.ncols, m.perm, m.phase = nrows, len(perm), perm, phase
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "PhaseMatrix":
-        return cls._of(n, tuple(range(n)), (0,) * n)
+        return cls._of(n, tuple(range(n)), bytes(n))
 
     # -- element access -------------------------------------------------
 
@@ -405,11 +437,8 @@ class PhaseMatrix:
 
     def _shift(self, k: int) -> "PhaseMatrix":
         perm = self.perm
-        if -1 in perm:
-            phase = [(h + k) & 3 if r >= 0 else 0 for r, h in zip(perm, self.phase)]
-        else:
-            phase = [(h + k) & 3 for h in self.phase]
-        return PhaseMatrix._of(self.nrows, perm, tuple(phase))
+        phase = _lane_sum(perm, self.phase, _lane(self.ncols, k))
+        return PhaseMatrix._of(self.nrows, perm, phase)
 
     def __neg__(self) -> "PhaseMatrix":
         return self._shift(2)
@@ -428,37 +457,41 @@ class PhaseMatrix:
                 f"({other.nrows},{other.ncols})"
             )
         # A row of -1 indexes the appended sentinel column, which is zero.
-        pa, ha = self.perm + (-1,), self.phase + (0,)
-        perm = tuple([pa[r] for r in other.perm])
-        if -1 in perm:
-            phase = [(ha[r] + k) & 3 if p >= 0 else 0
-                     for r, k, p in zip(other.perm, other.phase, perm)]
-        else:
-            phase = [(ha[r] + k) & 3 for r, k in zip(other.perm, other.phase)]
-        return PhaseMatrix._of(self.nrows, perm, tuple(phase))
+        perm = _gather(self.perm + (-1,), other.perm)
+        gathered = bytes(_gather(self.phase + b"\0", other.perm))
+        phase = _lane_sum(perm, gathered, int.from_bytes(other.phase, "little"))
+        return PhaseMatrix._of(self.nrows, perm, phase)
 
     def kron(self, other):
         if type(other) is not PhaseMatrix:
             return self.to_qi().kron(other)
-        bn = other.nrows
+        bn, bperm = other.nrows, other.perm
+        zero_perm, zero_phase = (-1,) * other.ncols, bytes(other.ncols)
+        blocks = {}  # other's phases shifted by k, one lane sum per k
         perm, phase = [], []
         for ra, ka in zip(self.perm, self.phase):
-            for rb, kb in zip(other.perm, other.phase):
-                if ra < 0 or rb < 0:
-                    perm.append(-1)
-                    phase.append(0)
-                else:
-                    perm.append(ra * bn + rb)
-                    phase.append((ka + kb) & 3)
-        return PhaseMatrix._of(self.nrows * bn, tuple(perm), tuple(phase))
+            if ra < 0:
+                perm += zero_perm
+                phase.append(zero_phase)
+                continue
+            base = ra * bn
+            perm += [base + rb if rb >= 0 else -1 for rb in bperm]
+            block = blocks.get(ka)
+            if block is None:
+                block = blocks[ka] = other._shift(ka).phase
+            phase.append(block)
+        return PhaseMatrix._of(self.nrows * bn, tuple(perm), b"".join(phase))
 
     def _flip(self, conj: bool) -> "PhaseMatrix":
-        perm, phase = [-1] * self.nrows, [0] * self.nrows
-        for j, (r, k) in enumerate(zip(self.perm, self.phase)):
-            if r >= 0:
-                perm[r] = j
-                phase[r] = -k & 3 if conj else k
-        return PhaseMatrix._of(self.ncols, tuple(perm), tuple(phase))
+        # Row r of self is column r of the flip; a zero column of self
+        # writes only the spare last slot, and an empty row of self stays
+        # -1 and gathers the appended zero phase.
+        inv = [-1] * (self.nrows + 1)
+        for j, r in enumerate(self.perm):
+            inv[r] = j
+        perm = tuple(inv[:-1])
+        source = self.phase.translate(_CONJ) if conj else self.phase
+        return PhaseMatrix._of(self.ncols, perm, bytes(_gather(source + b"\0", perm)))
 
     def adjoint(self) -> "PhaseMatrix":
         """Conjugate transpose."""

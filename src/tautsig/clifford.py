@@ -10,6 +10,11 @@ relation among them is decided exactly by integer work.  QiMatrix appears
 only where real rationals do: the coefficient involution sigma and the Bott
 reduction's exact ranks.
 
+The structures of one exterior algebra (the Clifford action, star, tau, the
+grading and the volume element c(omega)) are built once per n and per
+process, and every caller shares them.  They are frozen dataclasses holding
+tuples of immutable matrices, so a shared value cannot be mutated.
+
 Conventions:
 
 * c(e_j) = ext_j - ext_j^* has square -1 and is skew-adjoint; it sends e_S
@@ -24,6 +29,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +48,6 @@ __all__ = [
     "CliffordModule",
     "HodgeData",
     "build_exterior",
-    "volume_element",
     "graded_tensor",
     "exterior_tensor_iso",
     "epsilon_sign",
@@ -66,32 +71,52 @@ class CliffordError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# Byte tables for bytes.translate: d -> d + 1, and d -> 2 * (d mod 2), the
+# phase of (-1)^d.
+_INCREMENT = bytes(range(1, 256)) + b"\0"
+_TWICE_PARITY = bytes(2 * (d & 1) for d in range(256))
+
+
+def _degrees(n: int) -> bytes:
+    """|S| for every S in [0, 2^n), one byte each.
+
+    S and S + 2^t (S < 2^t) differ by one member, so each doubling appends
+    the table so far, incremented.
+    """
+    out = b"\0"
+    for _ in range(n):
+        out += out.translate(_INCREMENT)
+    return out
+
+
+# The structural matrices below are built from closed forms that are already
+# canonical, so they skip the validating constructor; the tests check every
+# one against a dense builder from the definitions.
+
+
 def _ext_matrix(n: int, j: int) -> PhaseMatrix:
-    """Exterior multiplication by e_{j+1} on Lambda^*(R^n)."""
+    """Exterior multiplication by e_{j+1} on Lambda^*(R^n).
+
+    e_S goes to (-1)^|S n {1..j}| e_{S u {j+1}} when j+1 is not in S; the
+    sign depends on S mod 2^j alone, so the phases repeat with period
+    2^(j+1): the signs on [0, 2^j), then 2^j zero columns.
+    """
     dim, bit = 1 << n, 1 << j
-    below = bit - 1
-    perm = [-1] * dim
-    phase = [0] * dim
-    for s in range(dim):
-        if not s & bit:
-            perm[s] = s | bit
-            phase[s] = 2 * ((s & below).bit_count() & 1)
-    return PhaseMatrix(dim, perm, phase)
+    phase = (_degrees(j).translate(_TWICE_PARITY) + bytes(bit)) * (dim >> (j + 1))
+    perm = tuple([-1 if s & bit else s | bit for s in range(dim)])
+    return PhaseMatrix._of(dim, perm, phase)
 
 
 def _clifford_matrix(n: int, j: int) -> PhaseMatrix:
     """c(e_{j+1}) = ext - ext^*, sending e_S to +-e_{S xor {j+1}}.
 
     The sign is that of moving e_{j+1} past the members of S below it,
-    negated when j+1 is in S.
+    negated when j+1 is in S: (-1)^|S n {1..j+1}|, which repeats with
+    period 2^(j+1).
     """
     dim, bit = 1 << n, 1 << j
-    below = bit - 1
-    return PhaseMatrix(
-        dim,
-        [s ^ bit for s in range(dim)],
-        [2 * ((s & below).bit_count() + (s >> j & 1)) for s in range(dim)],
-    )
+    phase = _degrees(j + 1).translate(_TWICE_PARITY) * (dim >> (j + 1))
+    return PhaseMatrix._of(dim, tuple([s ^ bit for s in range(dim)]), phase)
 
 
 def _shuffle_parities(n: int) -> list:
@@ -109,38 +134,41 @@ def _shuffle_parities(n: int) -> list:
     return parity
 
 
-@dataclass
+@dataclass(frozen=True)
 class HodgeData:
-    """Star, tau and Clifford actions on one exterior algebra."""
+    """Star, tau, Clifford and exterior actions on one exterior algebra."""
 
     n: int
     star: PhaseMatrix
     tau: PhaseMatrix
-    clifford: list  # c(e_1), ..., c(e_n)
+    clifford: tuple  # c(e_1), ..., c(e_n)
+    volume: PhaseMatrix  # c(omega) = c(e_1) ... c(e_n)
 
-    @property
-    def ext(self) -> list:
-        """Exterior multiplications e_1 ^, ..., e_n ^ (built on each access)."""
-        return [_ext_matrix(self.n, j) for j in range(self.n)]
+    @functools.cached_property
+    def ext(self) -> tuple:
+        """Exterior multiplications e_1 ^, ..., e_n ^ (built on first access)."""
+        return tuple(_ext_matrix(self.n, j) for j in range(self.n))
 
     def degree_projector(self, p: int) -> PhaseMatrix:
-        dim = 1 << self.n
-        return PhaseMatrix(
-            dim, [s if s.bit_count() == p else -1 for s in range(dim)], [0] * dim
-        )
+        perm = [s if d == p else -1 for s, d in enumerate(_degrees(self.n))]
+        return PhaseMatrix._of(len(perm), tuple(perm), bytes(len(perm)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliffordModule:
     """Graded module with anticommuting skew-adjoint generator actions.
 
     ``generators[j]`` realizes the j-th Clifford generator; each squares to
     -1, anticommutes with the others and with the parity grading ``iota``.
+    The generators are stored as a tuple, whatever sequence was given.
     """
 
     dim: int
     iota: PhaseMatrix
-    generators: list
+    generators: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
 
     def verify_contract(self) -> None:
         ident = PhaseMatrix.identity(self.dim)
@@ -167,43 +195,37 @@ def build_exterior(n: int) -> tuple[CliffordModule, HodgeData]:
     return _exterior(n)
 
 
+@functools.lru_cache(maxsize=None)
 def _exterior(n: int) -> tuple[CliffordModule, HodgeData]:
-    """:func:`build_exterior` without its dimension cap.
+    """:func:`build_exterior` without its dimension cap, built once per n.
 
     The structural matrices are cheap at any n; the product sign chain
-    needs dimensions up to 10.
+    needs dimensions up to 10.  Every caller shares the one frozen value.
     """
     dim = 1 << n
-    full = dim - 1
-    cliff = [_clifford_matrix(n, j) for j in range(n)]
-    star_phase = [2 * parity for parity in _shuffle_parities(n)]
-    # tau = i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms.
+    degrees = _degrees(n)
+    cliff = tuple(_clifford_matrix(n, j) for j in range(n))
+    star = PhaseMatrix._of(dim, tuple(range(dim - 1, -1, -1)),
+                           bytes([2 * parity for parity in _shuffle_parities(n)]))
+    ident = tuple(range(dim))
+    # tau = i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms: star after the
+    # diagonal of those powers, read off each form's degree p <= n.
     base = n * (n + 1) // 2
-    tau_phase = []
-    for s, k in enumerate(star_phase):
-        p = s.bit_count()
-        tau_phase.append(base + 2 * n * p + p * (p - 1) + k)
-    swap = [full ^ s for s in range(dim)]
+    powers = bytes([(base + 2 * n * p + p * (p - 1)) & 3 for p in range(n + 1)])
+    tau_diagonal = PhaseMatrix._of(dim, ident, degrees.translate(powers.ljust(256, b"\0")))
     module = CliffordModule(
         dim=dim,
-        iota=PhaseMatrix(dim, range(dim), [2 * (s.bit_count() & 1) for s in range(dim)]),
-        generators=list(cliff),
+        iota=PhaseMatrix._of(dim, ident, degrees.translate(_TWICE_PARITY)),
+        generators=cliff,
     )
     hodge = HodgeData(
         n=n,
-        star=PhaseMatrix(dim, swap, star_phase),
-        tau=PhaseMatrix(dim, swap, tau_phase),
-        clifford=list(cliff),
+        star=star,
+        tau=star @ tau_diagonal,
+        clifford=cliff,
+        volume=functools.reduce(PhaseMatrix.__matmul__, cliff, PhaseMatrix.identity(dim)),
     )
     return module, hodge
-
-
-def volume_element(hodge: HodgeData) -> PhaseMatrix:
-    """c(omega) for the Clifford volume word e_1 ... e_n."""
-    out = PhaseMatrix.identity(1 << hodge.n)
-    for c in hodge.clifford:
-        out = out @ c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +312,8 @@ def epsilon_sign(m0: int, m1: int) -> tuple[int, dict]:
     eq5_ok = tau_tensor == tau_big.scale(eq5_scalar)
 
     # And the volume elements correspond under the same isomorphism.
-    omega_tensor = graded_operator_tensor(
-        volume_element(h0), volume_element(h1), mod0.iota, parity_b=n1
-    )
-    omega_big = iso_inv @ volume_element(h_big) @ iso
+    omega_tensor = graded_operator_tensor(h0.volume, h1.volume, mod0.iota, parity_b=n1)
+    omega_big = iso_inv @ h_big.volume @ iso
     volume_ok = omega_tensor == omega_big
 
     expected = 1 if (m0 + m1) % 2 == 0 else -1
@@ -450,7 +470,7 @@ def verify_exterior_identities(n: int) -> list[dict]:
         n=n,
     )
 
-    omega = volume_element(hodge)
+    omega = hodge.volume
     want_sq = ident.scale((-1) ** (n * (n + 1) // 2))
     _record(
         results,

@@ -46,6 +46,11 @@ def profile_flow_plus_one(monkeypatch):
     monkeypatch.setattr(hodge_numeric, "kernel_constancy_report", report)
 
 
+def endpoint_flow_one(monkeypatch):
+    # Constancy does not decide the flow: the suite's flow == 0 test does.
+    monkeypatch.setattr(hodge_numeric, "_endpoint_flow", lambda first, last, tol: (1, 1))
+
+
 MUTATIONS = {
     ("surface", "higher signature equals the Euler characteristic value"):
         surface_diagonal_factor_three,
@@ -55,6 +60,8 @@ MUTATIONS = {
         eigenvalues_relative_error_1e7,
     ("vanishing", "constant kernel and zero flow for constant(trivial-line)"):
         profile_flow_plus_one,
+    ("vanishing", "constant kernel and zero flow for constant(twisted-line)"):
+        endpoint_flow_one,
     ("kappa-products", "collapse onto a fixed-manifold higher signature"):
         higher_signature_plus_one,
 }

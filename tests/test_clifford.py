@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,7 +21,7 @@ from tautsig.clifford import (
     standard_indefinite_pair,
     verify_exterior_identities,
     verify_twisted_involution,
-    volume_element,
+    _exterior,
 )
 from tautsig.hodge_numeric import HodgeError, _standard_form
 
@@ -39,10 +40,36 @@ def direct_sum(*mats):
 
 
 def test_build_exterior_range_guard():
+    before = _exterior.cache_info()
     with pytest.raises(CliffordError):
         build_exterior(0)
     with pytest.raises(CliffordError):
         build_exterior(9)
+    after = _exterior.cache_info()
+    # The refusal comes ahead of the cache: neither dimension was looked up.
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_exterior_structures_are_shared_and_frozen(n):
+    module, hodge = build_exterior(n)
+    assert build_exterior(n) is build_exterior(n)
+    assert hodge.ext is hodge.ext
+    for value in (module.generators, hodge.clifford, hodge.ext):
+        assert type(value) is tuple and len(value) == n
+    for obj, field in [(module, "dim"), (module, "iota"), (module, "generators"),
+                       (hodge, "n"), (hodge, "star"), (hodge, "tau"), (hodge, "clifford"),
+                       (hodge, "volume"), (hodge, "ext")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+
+
+def test_clifford_module_stores_its_generators_as_a_tuple():
+    module, hodge = build_exterior(3)
+    two_gen = CliffordModule(dim=module.dim, iota=module.iota, generators=list(hodge.clifford[:2]))
+    assert two_gen.generators == hodge.clifford[:2]
+    assert type(two_gen.generators) is tuple
 
 
 def test_star_normalization_dim_one():
@@ -76,21 +103,21 @@ def test_module_contract(n):
 
 def test_volume_square_signs():
     _, h1 = build_exterior(1)
-    omega = volume_element(h1)
+    omega = h1.volume
     assert omega @ omega == QiMatrix.identity(2).scale(F(-1))
     _, h4 = build_exterior(4)
-    omega4 = volume_element(h4)
+    omega4 = h4.volume
     assert omega4 @ omega4 == QiMatrix.identity(16)
 
 
 def test_tau_from_volume_dim_three():
     _, h3 = build_exterior(3)
-    assert h3.tau == volume_element(h3).scale(F(-1))  # i^6 = -1
+    assert h3.tau == h3.volume.scale(F(-1))  # i^6 = -1
 
 
 def test_volume_vs_star_degreewise_dim_four():
     _, h4 = build_exterior(4)
-    omega = volume_element(h4)
+    omega = h4.volume
     for p in range(5):
         proj = h4.degree_projector(p)
         sign = F((-1) ** ((p * (p - 1) // 2 + 4 * p) % 2))
@@ -122,9 +149,9 @@ def test_exterior_tensor_isomorphism(dims):
     assert iso @ tens.iota == big.iota @ iso
     # Volume elements correspond.
     omega_tensor = graded_operator_tensor(
-        volume_element(ha), volume_element(hb), a.iota, parity_b=n1
+        ha.volume, hb.volume, a.iota, parity_b=n1
     )
-    assert iso @ omega_tensor == volume_element(hbig) @ iso
+    assert iso @ omega_tensor == hbig.volume @ iso
 
 
 def test_operator_sum_square_rule():

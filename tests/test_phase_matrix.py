@@ -1,6 +1,7 @@
 """The monomial kernel: PhaseMatrix against its QiMatrix image, and the
 structural operators against dense builders from the definitions."""
 
+import functools
 from fractions import Fraction as F
 
 import numpy as np
@@ -91,10 +92,69 @@ def test_phase_constructor_rejects_non_monomial():
     with pytest.raises(ValueError):
         PhaseMatrix(2, [0, 1], [0])
     m = PhaseMatrix(3, [2, -1, -1], [5, 3, 1])
-    assert (m.perm, m.phase) == ((2, -1, -1), (1, 0, 0))
+    assert (m.perm, tuple(m.phase)) == ((2, -1, -1), (1, 0, 0))
+    assert type(m.phase) is bytes
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def assert_matches(phase, exact, name):
+    """phase is a canonical PhaseMatrix equal to the QiMatrix exact."""
+    assert type(phase) is PhaseMatrix, name
+    assert phase.to_qi() == exact, name
+    # The validating constructor zeroes the phase of every zero column.
+    assert PhaseMatrix(phase.nrows, phase.perm, phase.phase) == phase, name
+
+
+def assert_kernel_matches(a, b):
+    """@, adjoint, transpose, - and the unit scalings of a against QiMatrix."""
+    qa, qb = a.to_qi(), b.to_qi()
+    assert_matches(a @ b, qa @ qb, "matmul")
+    assert_matches(a.adjoint(), qa.adjoint(), "adjoint")
+    assert_matches(a.transpose(), qa.transpose(), "transpose")
+    assert_matches(-a, -qa, "neg")
+    for s in (G_ONE, G_I, -G_ONE, -G_I):
+        assert_matches(a.scale(s), qa.scale(s), f"scale {s}")
+
+
+def _structures_8():
+    module, hodge = clifford.build_exterior(8)
+    return {
+        "c1": hodge.clifford[0], "c4": hodge.clifford[3], "c8": hodge.clifford[7],
+        "tau": hodge.tau, "star": hodge.star, "iota": module.iota,
+        "p0": hodge.degree_projector(0), "p3": hodge.degree_projector(3),
+        "p8": hodge.degree_projector(8),
+    }
+
+
+@pytest.mark.parametrize("left, right", [
+    ("c1", "tau"), ("c8", "c4"), ("tau", "p3"), ("p3", "star"), ("p0", "p8"),
+    ("p3", "p3"), ("star", "c4"), ("iota", "p8"),
+])
+def test_phase_kernel_at_256_columns(left, right):
+    mats = _structures_8()
+    assert_kernel_matches(mats[left], mats[right])
+
+
+def test_phase_kernel_at_the_1024_column_kron():
+    # epsilon_sign(2, 2) multiplies two 1024-column Kronecker products of
+    # Lambda^*(R^5) structures; the projector products add zero columns.
+    module, hodge = clifford.build_exterior(5)
+    alpha = module.iota @ hodge.tau
+    factors = [
+        (alpha, PhaseMatrix.identity(32)), (module.iota, alpha),
+        (hodge.degree_projector(2), hodge.clifford[1]),
+        (hodge.star, hodge.degree_projector(3)),
+    ]
+    krons = []
+    for a, b in factors:
+        kron = a.kron(b)
+        assert kron.ncols == 1024
+        assert_matches(kron, a.to_qi().kron(b.to_qi()), "kron")
+        krons.append(kron)
+    for a, b in zip(krons, krons[1:] + krons[:1]):
+        assert_kernel_matches(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_exterior_matches_the_definitions(n):
     want = exterior_oracle(n)
     module, hodge = clifford._exterior(n)
@@ -111,9 +171,11 @@ def test_exterior_matches_the_definitions(n):
             assert all(np.array_equal(g, w) for g, w in zip(got[key], value)), key
         else:
             assert np.array_equal(got[key], value), key
+    volume = functools.reduce(np.matmul, want["clifford"], np.eye(1 << n, dtype=complex))
+    assert np.array_equal(hodge.volume.to_numpy(), volume)
     assert module.generators == hodge.clifford
-    for m in [hodge.star, hodge.tau, module.iota, *hodge.clifford, *hodge.ext]:
-        assert type(m) is PhaseMatrix
+    for m in [hodge.star, hodge.tau, module.iota, hodge.volume, *hodge.clifford, *hodge.ext]:
+        assert_matches(m, m.to_qi(), "structure")
 
 
 SIGMA_ENTRIES = [0, 1, -1, 2, F(3, 5), F(-4, 5), G_I, -G_I]
