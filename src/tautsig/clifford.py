@@ -89,30 +89,27 @@ def _degrees(n: int) -> bytes:
     return out
 
 
-# The structural matrices below are built from closed forms that are already
-# canonical, so they skip the validating constructor; the tests check every
-# one against a dense builder from the definitions.
-
-
 def _ext_matrix(n: int, j: int) -> PhaseMatrix:
-    """Exterior multiplication by e_{j+1} on Lambda^*(R^n).
-
-    e_S goes to (-1)^|S n {1..j}| e_{S u {j+1}} when j+1 is not in S; the
-    sign depends on S mod 2^j alone, so the phases repeat with period
-    2^(j+1): the signs on [0, 2^j), then 2^j zero columns.
-    """
+    """Exterior multiplication by e_{j+1} on Lambda^*(R^n)."""
     dim, bit = 1 << n, 1 << j
-    phase = (_degrees(j).translate(_TWICE_PARITY) + bytes(bit)) * (dim >> (j + 1))
-    perm = tuple([-1 if s & bit else s | bit for s in range(dim)])
-    return PhaseMatrix._of(dim, perm, phase)
+    below = bit - 1
+    perm = [-1] * dim
+    phase = [0] * dim
+    for s in range(dim):
+        if not s & bit:
+            perm[s] = s | bit
+            phase[s] = 2 * ((s & below).bit_count() & 1)
+    return PhaseMatrix(dim, perm, phase)
 
 
 def _clifford_matrix(n: int, j: int) -> PhaseMatrix:
     """c(e_{j+1}) = ext - ext^*, sending e_S to +-e_{S xor {j+1}}.
 
     The sign is that of moving e_{j+1} past the members of S below it,
-    negated when j+1 is in S: (-1)^|S n {1..j+1}|, which repeats with
-    period 2^(j+1).
+    negated when j+1 is in S: (-1)^|S n {1..j+1}|.  It depends on S mod
+    2^(j+1) alone, so the phases are the first 2^(j+1) repeated, read from
+    the degree table.  These n matrices are the bulk of an algebra's build;
+    the tests check them against the definition.
     """
     dim, bit = 1 << n, 1 << j
     phase = _degrees(j + 1).translate(_TWICE_PARITY) * (dim >> (j + 1))
@@ -144,9 +141,9 @@ class HodgeData:
     clifford: tuple  # c(e_1), ..., c(e_n)
     volume: PhaseMatrix  # c(omega) = c(e_1) ... c(e_n)
 
-    @functools.cached_property
+    @property
     def ext(self) -> tuple:
-        """Exterior multiplications e_1 ^, ..., e_n ^ (built on first access)."""
+        """Exterior multiplications e_1 ^, ..., e_n ^ (built on each access)."""
         return tuple(_ext_matrix(self.n, j) for j in range(self.n))
 
     def degree_projector(self, p: int) -> PhaseMatrix:
@@ -203,25 +200,25 @@ def _exterior(n: int) -> tuple[CliffordModule, HodgeData]:
     needs dimensions up to 10.  Every caller shares the one frozen value.
     """
     dim = 1 << n
-    degrees = _degrees(n)
+    full = dim - 1
     cliff = tuple(_clifford_matrix(n, j) for j in range(n))
-    star = PhaseMatrix._of(dim, tuple(range(dim - 1, -1, -1)),
-                           bytes([2 * parity for parity in _shuffle_parities(n)]))
-    ident = tuple(range(dim))
-    # tau = i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms: star after the
-    # diagonal of those powers, read off each form's degree p <= n.
+    star_phase = [2 * parity for parity in _shuffle_parities(n)]
+    # tau = i^(n(n+1)/2 + 2np + p(p-1)) star on p-forms.
     base = n * (n + 1) // 2
-    powers = bytes([(base + 2 * n * p + p * (p - 1)) & 3 for p in range(n + 1)])
-    tau_diagonal = PhaseMatrix._of(dim, ident, degrees.translate(powers.ljust(256, b"\0")))
+    tau_phase = []
+    for s, k in enumerate(star_phase):
+        p = s.bit_count()
+        tau_phase.append(base + 2 * n * p + p * (p - 1) + k)
+    swap = [full ^ s for s in range(dim)]
     module = CliffordModule(
         dim=dim,
-        iota=PhaseMatrix._of(dim, ident, degrees.translate(_TWICE_PARITY)),
+        iota=PhaseMatrix(dim, range(dim), [2 * (s.bit_count() & 1) for s in range(dim)]),
         generators=cliff,
     )
     hodge = HodgeData(
         n=n,
-        star=star,
-        tau=star @ tau_diagonal,
+        star=PhaseMatrix(dim, swap, star_phase),
+        tau=PhaseMatrix(dim, swap, tau_phase),
         clifford=cliff,
         volume=functools.reduce(PhaseMatrix.__matmul__, cliff, PhaseMatrix.identity(dim)),
     )

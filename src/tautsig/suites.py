@@ -363,6 +363,12 @@ def _globally_flat_families(cutoff: int, grid: int) -> list:
     return fams
 
 
+def _flow_text(report: dict) -> str:
+    """A report's flow, one number when both endpoint shifts agree."""
+    plus, minus = report["flow_plus"], report["flow_minus"]
+    return str(plus) if plus == minus else f"{plus} (shift +), {minus} (shift -)"
+
+
 def _suite_vanishing(config: SuiteConfig) -> list[dict]:
     from . import hodge_numeric
 
@@ -371,14 +377,13 @@ def _suite_vanishing(config: SuiteConfig) -> list[dict]:
         report = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
         plus, minus = report["flow_plus"], report["flow_minus"]
         ok = report["constant"] and plus == 0 and minus == 0
-        flow = plus if plus == minus else f"{plus} (shift +), {minus} (shift -)"
         cases.append(
             _case(
                 "vanishing",
                 f"constant kernel and zero flow for {fam.label}",
                 "thm:abstract-vanishing-thm",
                 ok,
-                detail=f"profile={report['profile'][:3]}..., flow={flow}",
+                detail=f"profile={report['profile'][:3]}..., flow={_flow_text(report)}",
                 cutoff=fam.cutoff,
             )
         )
@@ -751,13 +756,18 @@ def _suite_descriptor(config: SuiteConfig) -> list[dict]:
         )
         report = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
         detail = f"profile={report['profile']}"
-        # A constant profile's flow is zero, or the report raises.
-        if "flow_plus" in report and not report["constant"]:
-            detail += f", flow={report['flow_plus']}"
-        # A globally flat family's kernel cannot jump (thm:abstract-vanishing-thm).
-        ok = report["constant"] or not fam.globally_flat
-        if not ok:
+        flow = (report["flow_plus"], report["flow_minus"]) if "flow_plus" in report else None
+        if flow is not None:
+            detail += f", flow={_flow_text(report)}"
+        # A globally flat family's kernel cannot jump, and on an odd torus
+        # its flow is zero (thm:abstract-vanishing-thm).
+        ok = True
+        if fam.globally_flat and not report["constant"]:
+            ok = False
             detail += "; declared globally flat, but the profile is not constant and determinate"
+        elif fam.globally_flat and flow not in (None, (0, 0)):
+            ok = False
+            detail += "; declared globally flat, but the flow is not zero"
         cases.append(
             _case(
                 "descriptor",

@@ -1,9 +1,10 @@
 """Report cases fail under named mutations of the program.
 
 A case that no change of the program can fail certifies nothing.  The table
-maps a case of ``tautsig run --suite all``, by suite and case name, to a
-monkeypatch of program code.  Under it the case reports ``ok=False`` and the
-run exits 1; without it the case passes.
+maps a case of ``tautsig run --suite all``, or of the descriptor suite run on
+FLAT_FAMILY, by suite and case name, to a monkeypatch of program code.  Under
+it the case reports ``ok=False`` and the run exits 1; without it the case
+passes.
 """
 
 import json
@@ -64,12 +65,26 @@ MUTATIONS = {
         endpoint_flow_one,
     ("kappa-products", "collapse onto a fixed-manifold higher signature"):
         higher_signature_plus_one,
+    ("descriptor", "family flat-line: kernel profile computed"):
+        endpoint_flow_one,
+}
+
+# A globally flat loop family on the circle: constant kernel, zero flow.
+FLAT_FAMILY = {
+    "label": "flat-line", "n": 1, "eta": [[1]], "connection": [[[0.25]]],
+    "globally_flat": True,
+    "family": {"connection": [[["0.25"]]], "grid": 8, "loop": True},
 }
 
 
 def _run(suite, tmp_path):
     out = tmp_path / "report.json"
-    code = main(["run", "--suite", suite, "--out", str(out)])
+    args = ["run", "--suite", suite, "--out", str(out)]
+    if suite == "descriptor":
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(FLAT_FAMILY))
+        args += ["--descriptor", str(path)]
+    code = main(args)
     report = json.loads(out.read_text())
     return code, {c["case"]: c for s in report["suites"] for c in s["cases"]}
 
@@ -94,3 +109,12 @@ def test_vanishing_detail_reads_the_report_flows(tmp_path, monkeypatch):
     _, cases = _run("vanishing", tmp_path)
     detail = cases["constant kernel and zero flow for constant(trivial-line)"]["detail"]
     assert detail.endswith("flow=1 (shift +), 0 (shift -)")
+
+
+def test_descriptor_detail_reads_the_report_flows(tmp_path, monkeypatch):
+    # A constant profile's flow is shown, and a nonzero one is named as the fault.
+    endpoint_flow_one(monkeypatch)
+    _, cases = _run("descriptor", tmp_path)
+    assert cases["family flat-line: kernel profile computed"]["detail"] == (
+        "profile=[0, 0, 0, 0, 0, 0, 0, 0, 0], flow=1; declared globally flat, "
+        "but the flow is not zero")

@@ -273,7 +273,7 @@ def test_globally_flat_constant_family_passes(tmp_path):
         "n": 1, "eta": [[1]], "connection": [[[0.25]]], "globally_flat": True,
         "family": {"connection": [[["0.25"]]], "grid": 8, "loop": True},
     })["descriptor:family"]
-    assert family["ok"] and family["detail"] == "profile=[0, 0, 0, 0, 0, 0, 0, 0, 0]"
+    assert family["ok"] and family["detail"] == "profile=[0, 0, 0, 0, 0, 0, 0, 0, 0], flow=0"
 
 
 def test_non_unitary_eta_descriptor_runs(tmp_path):
