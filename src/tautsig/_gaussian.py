@@ -9,15 +9,15 @@ scalars; :func:`rank` eliminates without quotients).  A ``Fraction``
 result with denominator 1 goes back to ``int``, and division always goes
 through ``Fraction``, so no part is ever a ``float``.
 
-Two matrix types hold them.  :class:`PhaseMatrix` is a monomial matrix
-(at most one nonzero per row and per column) whose entries are powers of
-i: a tuple of row indices and a ``bytes`` object of phase exponents mod 4,
+Two matrix types hold them.  :class:`PhaseMatrix` is a unitary monomial
+matrix (one nonzero per row and per column) whose entries are powers of
+i: a permutation of the rows and a ``bytes`` object of phase exponents mod 4,
 one byte per column.  A product gathers both by the right factor's rows
 and adds all its phases as one big-integer sum, masked to two bits per
 byte; Kronecker products, adjoints and equality are likewise integer and
 byte work linear in the dimension.  The structural operators of an
-exterior algebra (exterior and Clifford multiplication, Hodge star, tau,
-the grading, degree projections) all live there.  :class:`QiMatrix` is
+exterior algebra (Clifford multiplication, Hodge star, tau, the
+grading, degree-diagonal signs) all live there.  :class:`QiMatrix` is
 the general sparse matrix over Q(i), stored by columns, for everything
 else: real rational twists, sums of operators, and the exact ranks of
 :func:`rank`.  The one way from the first to the second is
@@ -27,8 +27,8 @@ a QiMatrix.
 
 QiMatrix storage is canonical: no stored zero and no empty column.  Every
 constructor and operation produces this form, and :meth:`QiMatrix.__eq__`
-and :meth:`QiMatrix.is_zero` rely on it.  PhaseMatrix is canonical too: a
-zero column has row -1 and phase 0, so equality compares one tuple and one
+and :meth:`QiMatrix.is_zero` rely on it.  PhaseMatrix is canonical too: every
+phase lies in 0-3, so equality compares one tuple and one
 ``bytes`` object.
 """
 
@@ -350,7 +350,7 @@ def _qi(m) -> QiMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Monomial matrices with entries in {0, 1, i, -1, -i}
+# Unitary monomial matrices: one power of i in each row and each column
 # ---------------------------------------------------------------------------
 
 _UNIT_PHASE = {G_ONE: 0, G_I: 1, -G_ONE: 2, -G_I: 3}
@@ -372,31 +372,27 @@ def _gather(seq, idx: tuple) -> tuple:
     return tuple(seq[i] for i in idx)
 
 
-def _lane_sum(perm: tuple, a: bytes, b: int) -> bytes:
-    """Phases (a + b) mod 4 of the columns perm, with one byte lane per column.
+def _lane_sum(a: bytes, b: int) -> bytes:
+    """Phases (a + b) mod 4, with one byte lane per column.
 
     b is a little-endian integer of len(a) lanes of 0-3.  Two phases sum to
     at most 6, so no lane carries into the next: one big-integer sum adds
-    every column, and the 0x03 mask in each lane reduces it.  A masked pass,
-    run only when a zero column (row -1) is present, sets its phase to 0.
+    every column, and the 0x03 mask in each lane reduces it.
     """
     n = len(a)
-    phase = ((int.from_bytes(a, "little") + b) & _lane(n, 3)).to_bytes(n, "little")
-    if -1 in perm:
-        phase = bytes([k if r >= 0 else 0 for r, k in zip(perm, phase)])
-    return phase
+    return ((int.from_bytes(a, "little") + b) & _lane(n, 3)).to_bytes(n, "little")
 
 
 class PhaseMatrix:
-    """Monomial matrix whose nonzero entries are powers of i.
+    """Unitary monomial matrix whose entries are powers of i.
 
-    Column j holds i**phase[j] in row perm[j], or nothing when perm[j] is
-    -1 (its phase is then 0).  ``perm`` is a tuple of ints and ``phase`` a
-    ``bytes`` object with one byte lane (0-3) per column, so a product or a
-    unit scaling adds all its phases as one big-integer sum.  Rows are
-    distinct, so products, Kronecker products, adjoints and unit scalings
-    stay in the class.  Instances are immutable; every operation returns a
-    new matrix.
+    Column j holds i**phase[j] in row perm[j].  ``perm`` is a permutation
+    of range(nrows) as a tuple, so the matrix is square (``ncols`` equals
+    ``nrows``), and ``phase`` a ``bytes`` object with one byte lane (0-3)
+    per column, so a product or a unit scaling adds all its phases as one
+    big-integer sum.  Products, Kronecker products, adjoints and unit
+    scalings stay in the class.  Instances are immutable; every operation
+    returns a new matrix.
     """
 
     __slots__ = ("nrows", "ncols", "perm", "phase")
@@ -405,18 +401,16 @@ class PhaseMatrix:
         perm, phase = tuple(perm), list(phase)
         if len(phase) != len(perm):
             raise ValueError("perm and phase differ in length")
-        zeros = perm.count(-1)
-        if perm and (min(perm) < -1 or max(perm) >= nrows
-                     or len(set(perm)) != len(perm) - max(zeros - 1, 0)):
-            raise ValueError("not a monomial matrix")
-        self.nrows, self.ncols, self.perm = nrows, len(perm), perm
-        self.phase = bytes([k & 3 if r >= 0 else 0 for r, k in zip(perm, phase)])
+        if sorted(perm) != list(range(nrows)):
+            raise ValueError("not a unitary monomial matrix")
+        self.nrows, self.ncols, self.perm = nrows, nrows, perm
+        self.phase = bytes([k & 3 for k in phase])
 
     @classmethod
     def _of(cls, nrows: int, perm: tuple, phase: bytes) -> "PhaseMatrix":
         """Trusted constructor: perm and phase are already canonical."""
         m = object.__new__(cls)
-        m.nrows, m.ncols, m.perm, m.phase = nrows, len(perm), perm, phase
+        m.nrows, m.ncols, m.perm, m.phase = nrows, nrows, perm, phase
         return m
 
     @classmethod
@@ -430,15 +424,13 @@ class PhaseMatrix:
 
     def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
         for j, (r, k) in enumerate(zip(self.perm, self.phase)):
-            if r >= 0:
-                yield r, j, i_power(k)
+            yield r, j, i_power(k)
 
     # -- algebra within the class ----------------------------------------
 
     def _shift(self, k: int) -> "PhaseMatrix":
-        perm = self.perm
-        phase = _lane_sum(perm, self.phase, _lane(self.ncols, k))
-        return PhaseMatrix._of(self.nrows, perm, phase)
+        phase = _lane_sum(self.phase, _lane(self.ncols, k))
+        return PhaseMatrix._of(self.nrows, self.perm, phase)
 
     def __neg__(self) -> "PhaseMatrix":
         return self._shift(2)
@@ -456,26 +448,20 @@ class PhaseMatrix:
                 f"shape mismatch: ({self.nrows},{self.ncols}) @ "
                 f"({other.nrows},{other.ncols})"
             )
-        # A row of -1 indexes the appended sentinel column, which is zero.
-        perm = _gather(self.perm + (-1,), other.perm)
-        gathered = bytes(_gather(self.phase + b"\0", other.perm))
-        phase = _lane_sum(perm, gathered, int.from_bytes(other.phase, "little"))
+        perm = _gather(self.perm, other.perm)
+        gathered = bytes(_gather(self.phase, other.perm))
+        phase = _lane_sum(gathered, int.from_bytes(other.phase, "little"))
         return PhaseMatrix._of(self.nrows, perm, phase)
 
     def kron(self, other):
         if type(other) is not PhaseMatrix:
             return self.to_qi().kron(other)
         bn, bperm = other.nrows, other.perm
-        zero_perm, zero_phase = (-1,) * other.ncols, bytes(other.ncols)
         blocks = {}  # other's phases shifted by k, one lane sum per k
         perm, phase = [], []
         for ra, ka in zip(self.perm, self.phase):
-            if ra < 0:
-                perm += zero_perm
-                phase.append(zero_phase)
-                continue
             base = ra * bn
-            perm += [base + rb if rb >= 0 else -1 for rb in bperm]
+            perm += [base + rb for rb in bperm]
             block = blocks.get(ka)
             if block is None:
                 block = blocks[ka] = other._shift(ka).phase
@@ -483,15 +469,13 @@ class PhaseMatrix:
         return PhaseMatrix._of(self.nrows * bn, tuple(perm), b"".join(phase))
 
     def _flip(self, conj: bool) -> "PhaseMatrix":
-        # Row r of self is column r of the flip; a zero column of self
-        # writes only the spare last slot, and an empty row of self stays
-        # -1 and gathers the appended zero phase.
-        inv = [-1] * (self.nrows + 1)
+        # Row r of self is column r of the flip: perm is inverted.
+        inv = [0] * self.nrows
         for j, r in enumerate(self.perm):
             inv[r] = j
-        perm = tuple(inv[:-1])
+        perm = tuple(inv)
         source = self.phase.translate(_CONJ) if conj else self.phase
-        return PhaseMatrix._of(self.ncols, perm, bytes(_gather(source + b"\0", perm)))
+        return PhaseMatrix._of(self.nrows, perm, bytes(_gather(source, perm)))
 
     def adjoint(self) -> "PhaseMatrix":
         """Conjugate transpose."""
@@ -516,9 +500,6 @@ class PhaseMatrix:
 
     # -- predicates and conversion ----------------------------------------
 
-    def is_zero(self) -> bool:
-        return max(self.perm, default=-1) < 0
-
     def __eq__(self, other) -> bool:
         if type(other) is PhaseMatrix:
             return (self.nrows == other.nrows and self.perm == other.perm
@@ -532,8 +513,7 @@ class PhaseMatrix:
 
         arr = np.zeros((self.nrows, self.ncols), dtype=complex)
         for j, (r, k) in enumerate(zip(self.perm, self.phase)):
-            if r >= 0:
-                arr[r, j] = _PHASE_COMPLEX[k]
+            arr[r, j] = _PHASE_COMPLEX[k]
         return arr
 
 

@@ -1,13 +1,13 @@
 """Exact Clifford-module structures on exterior algebras.
 
 The basis of Lambda^*(R^n) is indexed by bitmasks S in [0, 2^n); bit j set
-means e_{j+1} divides the basis form.  Every structural operator (exterior
-multiplication, the Clifford action, Hodge star, the modified star tau,
-parity grading, degree projections, volume elements, the tensor
-isomorphism) sends each basis form to a power of i times another basis form
-or to zero, so each is a :class:`~tautsig._gaussian.PhaseMatrix` and every
-relation among them is decided exactly by integer work.  QiMatrix appears
-only where real rationals do: the coefficient involution sigma and the Bott
+means e_{j+1} divides the basis form.  Every structural operator (the
+Clifford action, Hodge star, the modified star tau, parity grading,
+degree-diagonal signs, volume elements, the tensor isomorphism) sends each
+basis form to a power of i times another basis form, one-to-one, so each
+is a unitary :class:`~tautsig._gaussian.PhaseMatrix` and every relation
+among them is decided exactly by integer work.  QiMatrix appears only where
+real rationals do: the coefficient involution sigma and the Bott
 reduction's exact ranks.
 
 The structures of one exterior algebra (the Clifford action, star, tau, the
@@ -89,17 +89,11 @@ def _degrees(n: int) -> bytes:
     return out
 
 
-def _ext_matrix(n: int, j: int) -> PhaseMatrix:
-    """Exterior multiplication by e_{j+1} on Lambda^*(R^n)."""
-    dim, bit = 1 << n, 1 << j
-    below = bit - 1
-    perm = [-1] * dim
-    phase = [0] * dim
-    for s in range(dim):
-        if not s & bit:
-            perm[s] = s | bit
-            phase[s] = 2 * ((s & below).bit_count() & 1)
-    return PhaseMatrix(dim, perm, phase)
+def _degree_signs(n: int, exponent) -> PhaseMatrix:
+    """The diagonal matrix (-1)^exponent(p) on p-forms of Lambda^*(R^n)."""
+    phases = [2 * (exponent(p) & 1) for p in range(n + 1)]
+    dim = 1 << n
+    return PhaseMatrix._of(dim, tuple(range(dim)), bytes([phases[p] for p in _degrees(n)]))
 
 
 def _clifford_matrix(n: int, j: int) -> PhaseMatrix:
@@ -133,22 +127,18 @@ def _shuffle_parities(n: int) -> list:
 
 @dataclass(frozen=True)
 class HodgeData:
-    """Star, tau, Clifford and exterior actions on one exterior algebra."""
+    """Star, tau, the Clifford action and its volume element on one exterior
+    algebra, each a unitary phase matrix.
+
+    Exterior multiplication e_j ^ is not kept: it is the part of c(e_j) that
+    lands on forms containing e_j, and the numeric side reads it there.
+    """
 
     n: int
     star: PhaseMatrix
     tau: PhaseMatrix
     clifford: tuple  # c(e_1), ..., c(e_n)
     volume: PhaseMatrix  # c(omega) = c(e_1) ... c(e_n)
-
-    @property
-    def ext(self) -> tuple:
-        """Exterior multiplications e_1 ^, ..., e_n ^ (built on each access)."""
-        return tuple(_ext_matrix(self.n, j) for j in range(self.n))
-
-    def degree_projector(self, p: int) -> PhaseMatrix:
-        perm = [s if d == p else -1 for s, d in enumerate(_degrees(self.n))]
-        return PhaseMatrix._of(len(perm), tuple(perm), bytes(len(perm)))
 
 
 @dataclass(frozen=True)
@@ -416,7 +406,8 @@ def verify_exterior_identities(n: int) -> list[dict]:
     Covers star^2 = (-1)^(p(n-p)), tau^2 = 1, iota tau = (-1)^n tau iota,
     the symbol-level adjoint relations, omega^2 = (-1)^(n(n+1)/2),
     c(omega) = (-1)^(p(p-1)/2 + np) star degreewise and
-    tau = i^(n(n+1)/2) c(omega).
+    tau = i^(n(n+1)/2) c(omega).  A degreewise identity X = sign_p Y is one
+    product X = Y D, with D the diagonal of sign_p on p-forms.
     """
     module, hodge = build_exterior(n)
     module.verify_contract()
@@ -424,13 +415,7 @@ def verify_exterior_identities(n: int) -> list[dict]:
     ident = PhaseMatrix.identity(1 << n)
     iota, tau = module.iota, hodge.tau
 
-    star2 = hodge.star @ hodge.star
-    ok = True
-    for p in range(n + 1):
-        proj = hodge.degree_projector(p)
-        want = proj.scale((-1) ** (p * (n - p)))
-        if not (star2 @ proj == want):
-            ok = False
+    ok = hodge.star @ hodge.star == _degree_signs(n, lambda p: p * (n - p))
     _record(results, "eqn:starsquare", f"star^2 on Lambda*(R^{n})", ok, n=n)
 
     _record(
@@ -476,12 +461,7 @@ def verify_exterior_identities(n: int) -> list[dict]:
         omega @ omega == want_sq,
         n=n,
     )
-    ok = True
-    for p in range(n + 1):
-        proj = hodge.degree_projector(p)
-        sign = (-1) ** (p * (p - 1) // 2 + n * p)
-        if not (omega @ proj == (hodge.star @ proj).scale(sign)):
-            ok = False
+    ok = omega == hodge.star @ _degree_signs(n, lambda p: p * (p - 1) // 2 + n * p)
     _record(results, "lem:cliffordvolume(2)", f"c(omega) vs star in dim {n}", ok, n=n)
     _record(
         results,
@@ -494,7 +474,7 @@ def verify_exterior_identities(n: int) -> list[dict]:
 
 
 def _kron_equal(a: PhaseMatrix, x: QiMatrix, b: PhaseMatrix, y: QiMatrix) -> bool:
-    """a (x) x == b (x) y, exactly, for unitary phase matrices a and b.
+    """a (x) x == b (x) y, exactly.
 
     b (x) 1 is invertible, so the question is m (x) x == 1 (x) y with the
     unitary m = b^* a.  Column c of m has one unit u_c, in row r_c; block

@@ -52,7 +52,8 @@ the connection's eigenbasis (:func:`_joint_eigensystem`).
 Spectral work is done once per process for each distinct input, and all
 cached arrays are read-only:
 
-* per n: the structural arrays (the stacked ext_j, the parity vector, tau);
+* per n: the structural arrays (the stacked ext_j, read from the exact
+  c(e_j), the parity vector, tau);
 * per (n, cutoff): the frequency lattice;
 * per eta: the hermitian and singularity checks, the signs s and the basis
   change (L^H, L^-H) (None when eta is diag(+-1)); a bad eta is not cached
@@ -441,9 +442,17 @@ def _frequency_lattice(n: int, cutoff: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _structure(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exterior multiplications ext_j stacked (n, 2^n, 2^n), parity vector and tau."""
+    """Exterior multiplications ext_j stacked (n, 2^n, 2^n), parity vector and tau.
+
+    c(e_j) = ext_j - ext_j^H, and the two parts land on disjoint rows: ext_j
+    on the forms that contain e_j, its adjoint on the others.  So ext_j is
+    c(e_j) on those rows and 0 elsewhere.
+    """
     module, hodge = build_exterior(n)
-    ext = _read_only(np.stack([e.to_numpy() for e in hodge.ext]))
+    rows = np.arange(1 << n)[:, None]
+    # np.where, not a product with a 0/1 mask, which would write -0.0.
+    ext = _read_only(np.stack([np.where(rows >> j & 1, c.to_numpy(), 0)
+                               for j, c in enumerate(hodge.clifford)]))
     iota = np.diag(module.iota.to_numpy()).real.copy()
     return ext, _read_only(iota), _read_only(hodge.tau.to_numpy())
 

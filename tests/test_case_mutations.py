@@ -7,11 +7,13 @@ it the case reports ``ok=False`` and the run exits 1; without it the case
 passes.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from tautsig import hodge_numeric, kappa_calculus
+from tautsig import clifford, hodge_numeric, kappa_calculus
+from tautsig._gaussian import PhaseMatrix
 from tautsig.cli import main
 
 
@@ -52,6 +54,31 @@ def endpoint_flow_one(monkeypatch):
     monkeypatch.setattr(hodge_numeric, "_endpoint_flow", lambda first, last, tol: (1, 1))
 
 
+def _replace_hodge(monkeypatch, **changes):
+    # A changed copy of the shared value: the cached structures stay as they are.
+    real = clifford.build_exterior
+
+    def build(n):
+        module, hodge = real(n)
+        fields = {name: change(getattr(hodge, name)) for name, change in changes.items()}
+        return module, dataclasses.replace(hodge, **fields)
+
+    monkeypatch.setattr(clifford, "build_exterior", build)
+
+
+def star_phase_off_by_i(monkeypatch):
+    _replace_hodge(monkeypatch, star=lambda star: PhaseMatrix(
+        star.nrows, star.perm, [star.phase[0] + 1, *star.phase[1:]]))
+
+
+def volume_negated(monkeypatch):
+    _replace_hodge(monkeypatch, volume=lambda volume: -volume)
+
+
+STAR_CASES = [f"star^2 on Lambda*(R^{n})" for n in range(1, 7)]
+VOLUME_CASES = [f"c(omega) vs star in dim {n}" for n in range(1, 7)]
+TAU_CASES = [f"tau = i^(n(n+1)/2) c(omega) in dim {n}" for n in range(1, 7)]
+
 MUTATIONS = {
     ("surface", "higher signature equals the Euler characteristic value"):
         surface_diagonal_factor_three,
@@ -67,6 +94,8 @@ MUTATIONS = {
         higher_signature_plus_one,
     ("descriptor", "family flat-line: kernel profile computed"):
         endpoint_flow_one,
+    **{("clifford-signs", case): star_phase_off_by_i for case in STAR_CASES},
+    **{("clifford-signs", case): volume_negated for case in VOLUME_CASES + TAU_CASES},
 }
 
 # A globally flat loop family on the circle: constant kernel, zero flow.
@@ -118,3 +147,4 @@ def test_descriptor_detail_reads_the_report_flows(tmp_path, monkeypatch):
     assert cases["family flat-line: kernel profile computed"]["detail"] == (
         "profile=[0, 0, 0, 0, 0, 0, 0, 0, 0], flow=1; declared globally flat, "
         "but the flow is not zero")
+

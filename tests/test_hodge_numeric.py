@@ -42,6 +42,7 @@ from oracles import (
     block_flow_oracle,
     circle_spectrum_oracle,
     even_index_oracle,
+    exterior_oracle,
     full_stack_kernel_oracle,
     original_frame_spectrum,
     twisted_circle_cohomology_oracle,
@@ -2090,10 +2091,8 @@ def test_connection_term_matches_kron_sum(n, r):
 def _kron_sum_blocks(op):
     """d + d^H stacked over the lattice, d = sum_j ext_j (x) i (k_j + A_j);
     the connection must be in the frame's basis (h = 1)."""
-    from tautsig.clifford import _ext_matrix
-
     n, r = op.bundle.n, op.bundle.rank
-    ext = [_ext_matrix(n, j).to_numpy() for j in range(n)]
+    ext = exterior_oracle(n)["ext"]
     d_const = sum(np.kron(e, 1j * a) for e, a in zip(ext, op.bundle.connection))
     lattice = np.stack([np.kron(e, 1j * np.eye(r, dtype=complex)) for e in ext])
     d_stack = d_const[None] + np.einsum("bj,jkl->bkl", op.freqs.astype(float), lattice)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exterior_oracle
-from tautsig import clifford
+from tautsig import clifford, hodge_numeric
 from tautsig._gaussian import G_I, G_ONE, GaussianRational, PhaseMatrix, QiMatrix
 from tautsig.suites import SuiteConfig, run_suites
 
@@ -20,13 +20,10 @@ NON_UNITS = [0, 2, F(3, 5), GaussianRational(1, 1)]
 
 
 @st.composite
-def phase_matrices(draw, nrows, ncols):
-    """Random partial monomial matrix: some columns zero, distinct rows."""
+def phase_matrices(draw, n):
+    """Random n x n unitary monomial matrix with phases drawn outside 0-3 too."""
     rnd = draw(st.randoms(use_true_random=False))
-    rows = rnd.sample(range(nrows), nrows)
-    zero = rnd.random() / 2  # share of zero columns among the first nrows
-    perm = [rows[j] if j < nrows and rnd.random() >= zero else -1 for j in range(ncols)]
-    return PhaseMatrix(nrows, perm, [rnd.randrange(-8, 9) for _ in range(ncols)])
+    return PhaseMatrix(n, rnd.sample(range(n), n), [rnd.randrange(-8, 9) for _ in range(n)])
 
 
 def same_bits(a, b):
@@ -38,11 +35,11 @@ SMALL = st.integers(1, 8)
 
 
 @PROPERTY
-@given(st.data(), SIDE, SIDE, SIDE)
-def test_phase_operations_match_qimatrix(data, p, q, r):
-    a = data.draw(phase_matrices(p, q))
-    b = data.draw(phase_matrices(q, r))
-    c = data.draw(phase_matrices(p, q))
+@given(st.data(), SIDE)
+def test_phase_operations_match_qimatrix(data, n):
+    a = data.draw(phase_matrices(n))
+    b = data.draw(phase_matrices(n))
+    c = data.draw(phase_matrices(n))
     s = data.draw(st.sampled_from(UNITS))
     qa, qb, qc = a.to_qi(), b.to_qi(), c.to_qi()
     results = {
@@ -60,19 +57,18 @@ def test_phase_operations_match_qimatrix(data, p, q, r):
     assert same_bits(a.to_numpy(), qa.to_numpy())
     assert sorted(a.entries(), key=repr) == sorted(qa.entries(), key=repr)
     assert all(a.entry(i, j) == qa.entry(i, j)
-               for j in range(q) for i in {0, p - 1, a.perm[j] % p})
+               for j in range(n) for i in {0, n - 1, a.perm[j]})
     assert (a == c) is (qa == qc)
     assert (a != c) is (qa != qc)
-    assert a.is_zero() is qa.is_zero()
 
 
 @PROPERTY
-@given(st.data(), SMALL, SMALL, SMALL, SMALL)
-def test_phase_kron_and_leaving_the_class(data, p, q, r, t):
-    a = data.draw(phase_matrices(p, q))
-    b = data.draw(phase_matrices(r, t))
-    c = data.draw(phase_matrices(p, q))
-    d = data.draw(phase_matrices(q, t))
+@given(st.data(), SMALL, SMALL)
+def test_phase_kron_and_leaving_the_class(data, p, r):
+    a = data.draw(phase_matrices(p))
+    b = data.draw(phase_matrices(r))
+    c = data.draw(phase_matrices(p))
+    d = data.draw(phase_matrices(p))
     s = data.draw(st.sampled_from(NON_UNITS))
     qa, qb, qc, qd = a.to_qi(), b.to_qi(), c.to_qi(), d.to_qi()
     kron = a.kron(b)
@@ -86,13 +82,17 @@ def test_phase_kron_and_leaving_the_class(data, p, q, r, t):
 
 
 def test_phase_constructor_rejects_non_monomial():
-    for nrows, perm in [(2, [0, 0]), (2, [2, 0]), (2, [-2, 0])]:
+    # Out of range, a row -1 (no zero column), a repeated row, and a perm
+    # that does not cover range(nrows).
+    for nrows, perm in [(2, [0, 0]), (2, [2, 0]), (2, [-2, 0]), (2, [-1, 0]),
+                        (3, [0, 1, 1]), (3, [0, 2])]:
         with pytest.raises(ValueError):
-            PhaseMatrix(nrows, perm, [0, 0])
+            PhaseMatrix(nrows, perm, [0] * len(perm))
     with pytest.raises(ValueError):
         PhaseMatrix(2, [0, 1], [0])
-    m = PhaseMatrix(3, [2, -1, -1], [5, 3, 1])
-    assert (m.perm, tuple(m.phase)) == ((2, -1, -1), (1, 0, 0))
+    m = PhaseMatrix(3, [2, 0, 1], [5, 3, -1])
+    assert (m.perm, tuple(m.phase)) == ((2, 0, 1), (1, 3, 3))
+    assert (m.nrows, m.ncols) == (3, 3)
     assert type(m.phase) is bytes
 
 
@@ -100,7 +100,7 @@ def assert_matches(phase, exact, name):
     """phase is a canonical PhaseMatrix equal to the QiMatrix exact."""
     assert type(phase) is PhaseMatrix, name
     assert phase.to_qi() == exact, name
-    # The validating constructor zeroes the phase of every zero column.
+    # The validating constructor checks the permutation and reduces phases.
     assert PhaseMatrix(phase.nrows, phase.perm, phase.phase) == phase, name
 
 
@@ -115,19 +115,25 @@ def assert_kernel_matches(a, b):
         assert_matches(a.scale(s), qa.scale(s), f"scale {s}")
 
 
+def degree_signs(n, exponent):
+    """The diagonal (-1)^exponent(p) on p-forms, from the bit counts."""
+    dim = 1 << n
+    return PhaseMatrix(dim, range(dim), [2 * exponent(s.bit_count()) for s in range(dim)])
+
+
 def _structures_8():
     module, hodge = clifford.build_exterior(8)
     return {
         "c1": hodge.clifford[0], "c4": hodge.clifford[3], "c8": hodge.clifford[7],
         "tau": hodge.tau, "star": hodge.star, "iota": module.iota,
-        "p0": hodge.degree_projector(0), "p3": hodge.degree_projector(3),
-        "p8": hodge.degree_projector(8),
+        "d1": degree_signs(8, lambda p: p * (8 - p)),
+        "d2": degree_signs(8, lambda p: p * (p - 1) // 2 + 8 * p),
     }
 
 
 @pytest.mark.parametrize("left, right", [
-    ("c1", "tau"), ("c8", "c4"), ("tau", "p3"), ("p3", "star"), ("p0", "p8"),
-    ("p3", "p3"), ("star", "c4"), ("iota", "p8"),
+    ("c1", "tau"), ("c8", "c4"), ("tau", "d1"), ("d2", "star"), ("d1", "d2"),
+    ("d2", "d2"), ("star", "c4"), ("iota", "d2"),
 ])
 def test_phase_kernel_at_256_columns(left, right):
     mats = _structures_8()
@@ -136,13 +142,13 @@ def test_phase_kernel_at_256_columns(left, right):
 
 def test_phase_kernel_at_the_1024_column_kron():
     # epsilon_sign(2, 2) multiplies two 1024-column Kronecker products of
-    # Lambda^*(R^5) structures; the projector products add zero columns.
+    # Lambda^*(R^5) structures; the degree-sign factors add diagonal phases.
     module, hodge = clifford.build_exterior(5)
     alpha = module.iota @ hodge.tau
     factors = [
         (alpha, PhaseMatrix.identity(32)), (module.iota, alpha),
-        (hodge.degree_projector(2), hodge.clifford[1]),
-        (hodge.star, hodge.degree_projector(3)),
+        (degree_signs(5, lambda p: p * (5 - p)), hodge.clifford[1]),
+        (hodge.star, degree_signs(5, lambda p: p * (p - 1) // 2 + 5 * p)),
     ]
     krons = []
     for a, b in factors:
@@ -159,12 +165,13 @@ def test_exterior_matches_the_definitions(n):
     want = exterior_oracle(n)
     module, hodge = clifford._exterior(n)
     got = {
-        "ext": [e.to_numpy() for e in hodge.ext],
         "clifford": [c.to_numpy() for c in hodge.clifford],
         "star": hodge.star.to_numpy(),
         "tau": hodge.tau.to_numpy(),
         "iota": module.iota.to_numpy(),
     }
+    # The numeric side reads e_j ^ from c(e_j): the bits, so no -0.0.
+    assert same_bits(hodge_numeric._structure(n)[0], np.stack(want.pop("ext")))
     for key, value in want.items():
         if isinstance(value, list):
             assert len(got[key]) == n
@@ -174,7 +181,7 @@ def test_exterior_matches_the_definitions(n):
     volume = functools.reduce(np.matmul, want["clifford"], np.eye(1 << n, dtype=complex))
     assert np.array_equal(hodge.volume.to_numpy(), volume)
     assert module.generators == hodge.clifford
-    for m in [hodge.star, hodge.tau, module.iota, hodge.volume, *hodge.clifford, *hodge.ext]:
+    for m in [hodge.star, hodge.tau, module.iota, hodge.volume, *hodge.clifford]:
         assert_matches(m, m.to_qi(), "structure")
 
 
