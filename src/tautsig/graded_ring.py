@@ -41,9 +41,13 @@ Spaces are not mutated after construction, so pure per-space values are
 computed once and live as long as their space: each :class:`ModelSpace`
 keeps the normal forms of the raw products it has normalized and its basis
 per degree, and each :class:`ProductSpace` keeps the products of the
-monomial pairs it has multiplied and each monomial's degree profile (its
-degree in every factor).  Cached values are returned as tuples or
-read-only mappings, so no caller can change them.
+monomial pairs it has multiplied, each monomial's degree profile (its
+degree in every factor) and its basis per degree.  Cached values are
+returned as tuples, read-only mappings or new lists, so no caller can
+change them.  Every space this module builds comes from :func:`product_of`,
+a bounded cache of one shared space per tuple of factors, so these tables
+stay warm across calls that rebuild the same product; calling
+``ProductSpace(...)`` directly gives a new space with cold tables.
 
 Products skip pairs that cannot survive
 ---------------------------------------
@@ -57,13 +61,32 @@ grouped when one component has a single term, since grouping would then
 cost as much as the pairs it skips, or when the two components' degrees
 add up to at most the smallest factor top degree, since no factor can then
 overflow; on a one-factor space that is every pair the total degree check
-lets through.
+lets through.  This product and fiber integration add up their pairs in one
+loop, and :meth:`ProductSpace.mul_monomials` reads the Koszul sign of a
+pair from the two monomials' cached profiles.
+
+Fiber integration
+-----------------
+``gysin_project(x, fiber, times=y)`` is pi_!(x * y) in one pass.  Both
+classes' terms are grouped by their degrees in the fiber factors, and a
+pair of terms is multiplied only when, in every fiber factor, their
+degrees add up to that factor's top degree.  This skips nothing the
+projection keeps: relations are graded within their factor (checked when
+a presentation is built), so a product's part in a fiber factor has the
+sum of the two parts' degrees there, and the projection keeps only
+monomials whose fiber parts are the fundamental monomials, which have the
+top degree.  The products of the kept pairs are summed before they are
+projected, exactly as in ``gysin_project(x * y, fiber)``.  The ring
+operations build their results with the unchecked ``GradedClass._of``,
+since they are canonical by construction; the public constructor checks
+what it is given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -86,6 +109,7 @@ __all__ = [
     "model_space",
     "space_from_descriptor",
     "product_space",
+    "product_of",
     "GYSIN_CIRCLE_SIGN",
 ]
 
@@ -131,6 +155,7 @@ class ModelSpace:
         for sym, deg in self.generators:
             if deg < 1:
                 raise SpaceError(f"generator {sym} must have degree >= 1")
+        self._degrees = tuple(d for _, d in self.generators)
         self.gen_index = {s: i for i, (s, _) in enumerate(self.generators)}
         if len(self.gen_index) != len(self.generators):
             raise SpaceError("duplicate generator symbols")
@@ -172,14 +197,15 @@ class ModelSpace:
             self.top_degree,
             self.fundamental_monomial,
         )
+        self._hash = hash(self._key)
 
     # -- structure ------------------------------------------------------
 
     def gen_degree(self, idx: int) -> int:
-        return self.generators[idx][1]
+        return self._degrees[idx]
 
     def monomial_degree(self, mon: Monomial) -> int:
-        return sum(self.gen_degree(i) for i in mon)
+        return sum(map(self._degrees.__getitem__, mon))
 
     def monomial_str(self, mon: Monomial) -> str:
         if not mon:
@@ -305,7 +331,7 @@ class ModelSpace:
         return isinstance(other, ModelSpace) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"ModelSpace({self.name!r})"
@@ -328,7 +354,8 @@ class ProductSpace:
     """Flattened product of presentations with Koszul multiplication.
 
     The only space a :class:`GradedClass` lives on; the point is the empty
-    product.
+    product.  Calling the class builds a new space with cold caches;
+    :func:`product_of` returns the shared space of a tuple of factors.
     """
 
     def __init__(self, factors: Sequence[ModelSpace]):
@@ -345,10 +372,13 @@ class ProductSpace:
             self.fundamental_monomial = None
         self.name = " x ".join(f.name for f in self.factors) or "point"
         self._key = ("product", tuple(f._key for f in self.factors))
+        self._hash = hash(self._key)
         # (m1, m2) -> read-only product of the two monomials.
         self._mul_cache: dict[tuple, Mapping[Monomial, Coeff]] = {}
         # monomial -> its degree in each factor.
         self._profiles: dict[Monomial, tuple[int, ...]] = {}
+        # degree -> its basis monomials.
+        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
 
     def monomial_degree(self, mon: Monomial) -> int:
         return sum(f.monomial_degree(m) for f, m in zip(self.factors, mon))
@@ -373,10 +403,11 @@ class ProductSpace:
         # Koszul sign for interleaving: each m2[i] passes every m1[j], j > i,
         # which flips the sign when m2[i] and the m1 parts right of i are odd.
         negate = right_odd = False
-        for f, a, b in zip(reversed(self.factors), reversed(m1), reversed(m2)):
-            if right_odd and f.monomial_degree(b) % 2:
+        for a, b in zip(reversed(self.profile(m1)), reversed(self.profile(m2))):
+            if right_odd and b & 1:
                 negate = not negate
-            right_odd ^= f.monomial_degree(a) % 2 == 1
+            if a & 1:
+                right_odd = not right_odd
         # Each factor's normal form has distinct monomials, so the products
         # of their terms are distinct too and need no accumulation.
         result: dict[Monomial, Coeff] = {(): -1 if negate else 1}
@@ -392,6 +423,13 @@ class ProductSpace:
         return cached
 
     def basis(self, degree: int) -> list[Monomial]:
+        """Basis monomials of the given degree, as a new list."""
+        found = self._basis_cache.get(degree)
+        if found is None:
+            found = self._basis_cache[degree] = tuple(self._build_basis(degree))
+        return list(found)
+
+    def _build_basis(self, degree: int) -> list[Monomial]:
         out: list[Monomial] = []
         # reach[i]: the largest degree factors i, i+1, ... can make up together.
         reach = [0] * (len(self.factors) + 1)
@@ -412,11 +450,11 @@ class ProductSpace:
         return out
 
     def zero(self) -> "GradedClass":
-        return GradedClass(self, {})
+        return GradedClass._of(self, {})
 
     def one(self) -> "GradedClass":
         unit = tuple(() for _ in self.factors)
-        return GradedClass(self, {0: {unit: 1}})
+        return GradedClass._of(self, {0: {unit: 1}})
 
     def gen(self, symbol: str) -> "GradedClass":
         """The generator ``symbol`` of a one-factor space."""
@@ -426,7 +464,7 @@ class ProductSpace:
         idx = f.gen_index.get(symbol)
         if idx is None:
             raise SpaceError(f"unknown generator {symbol!r} on {self.name}")
-        return GradedClass(self, {f.gen_degree(idx): {((idx,),): 1}})
+        return GradedClass._of(self, {f.gen_degree(idx): {((idx,),): 1}})
 
     def __eq__(self, other):
         if self is other:
@@ -434,7 +472,7 @@ class ProductSpace:
         return isinstance(other, ProductSpace) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"ProductSpace({self.name!r})"
@@ -444,7 +482,10 @@ class GradedClass:
     """Cohomology class on a model space, stored by homogeneous components.
 
     Every stored coefficient is nonzero, and an ``int`` unless it has a
-    real denominator, in which case it is a ``Fraction``.
+    real denominator, in which case it is a ``Fraction``.  The constructor
+    checks that each monomial has one part per factor and is filed under
+    its degree, and drops zero terms and degrees above the top; the ring
+    operations build their already canonical results with :meth:`_of`.
     """
 
     __slots__ = ("space", "components")
@@ -453,15 +494,35 @@ class GradedClass:
         self, space: ProductSpace, components: Mapping[int, Mapping[Monomial, Coeff]]
     ):
         self.space = space
+        nparts = len(space.factors)
         comps: dict[int, dict[Monomial, Coeff]] = {}
         for deg, mons in components.items():
-            if deg < 0 or deg > space.top_degree:
-                continue
-            clean = {tuple(m): c if type(c) is int else _exact(c)
-                     for m, c in mons.items() if c}
-            if clean:
+            clean = _canonical({tuple(m): c for m, c in mons.items()})
+            for m in clean:
+                if len(m) != nparts:
+                    raise SpaceError(
+                        f"monomial {m} has {len(m)} parts, not one per factor of {space.name}")
+                try:
+                    degree = sum(space.profile(m))
+                except (IndexError, TypeError):
+                    raise SpaceError(f"{m!r} is not a monomial of {space.name}") from None
+                if degree != deg:
+                    raise SpaceError(
+                        f"monomial {space.monomial_str(m)} of degree {degree} "
+                        f"is filed under degree {deg}")
+            if clean and deg <= space.top_degree:
                 comps[int(deg)] = clean
         self.components = comps
+
+    @classmethod
+    def _of(
+        cls, space: ProductSpace, components: dict[int, dict[Monomial, Coeff]]
+    ) -> "GradedClass":
+        """Wrap components that are already canonical, without a check or a copy."""
+        out = object.__new__(cls)
+        out.space = space
+        out.components = components
+        return out
 
     # -- inspection ---------------------------------------------------------
 
@@ -484,7 +545,7 @@ class GradedClass:
 
     def homogeneous_part(self, degree: int) -> "GradedClass":
         part = self.components.get(degree)
-        return GradedClass(self.space, {degree: part} if part else {})
+        return GradedClass._of(self.space, {degree: part} if part else {})
 
     def coefficient(self, mon: Monomial) -> Fraction:
         deg = self.space.monomial_degree(mon)
@@ -500,14 +561,22 @@ class GradedClass:
         if isinstance(other, (int, Fraction)):
             other = self.space.one() * other
         self._require_same_space(other)
-        comps: dict[int, dict[Monomial, Coeff]] = {
-            d: dict(m) for d, m in self.components.items()
-        }
+        # Degrees that only one side has are canonical already.
+        comps = dict(self.components)
         for d, mons in other.components.items():
-            dst = comps.setdefault(d, {})
+            mine = comps.get(d)
+            if mine is None:
+                comps[d] = mons
+                continue
+            dst = dict(mine)
             for m, c in mons.items():
                 dst[m] = dst.get(m, 0) + c
-        return GradedClass(self.space, comps)
+            dst = _canonical(dst)
+            if dst:
+                comps[d] = dst
+            else:
+                del comps[d]
+        return GradedClass._of(self.space, comps)
 
     __radd__ = __add__
 
@@ -525,13 +594,9 @@ class GradedClass:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             s = _exact(other)
-            return GradedClass(
-                self.space,
-                {
-                    d: {m: c * s for m, c in mons.items()}
-                    for d, mons in self.components.items()
-                },
-            )
+            return GradedClass._of(self.space, _canonical_components({
+                d: {m: c * s for m, c in mons.items()} for d, mons in self.components.items()
+            }))
         self._require_same_space(other)
         space = self.space
         mul = space.mul_monomials
@@ -548,18 +613,8 @@ class GradedClass:
                     blocks = _surviving_blocks(space, m1s, m2s)
                 dst = comps.setdefault(d, {})
                 for terms1, terms2 in blocks:
-                    for m1, c1 in terms1:
-                        for m2, c2 in terms2:
-                            c12 = c1 * c2
-                            for m, c in mul(m1, m2).items():
-                                # Koszul and relation coefficients are mostly +-1.
-                                if c == 1:
-                                    dst[m] = dst.get(m, 0) + c12
-                                elif c == -1:
-                                    dst[m] = dst.get(m, 0) - c12
-                                else:
-                                    dst[m] = dst.get(m, 0) + c12 * c
-        return GradedClass(space, comps)
+                    _add_products(dst, mul, terms1, terms2)
+        return GradedClass._of(space, _canonical_components(comps))
 
     __rmul__ = __mul__
 
@@ -600,6 +655,36 @@ class GradedClass:
         return " + ".join(terms)
 
 
+def _add_products(dst: dict, mul, terms1: Iterable, terms2: Iterable) -> None:
+    """Add the product of every pair of terms of the two lists to ``dst``."""
+    for m1, c1 in terms1:
+        for m2, c2 in terms2:
+            c12 = c1 * c2
+            for m, c in mul(m1, m2).items():
+                # Koszul and relation coefficients are mostly +-1.
+                if c == 1:
+                    dst[m] = dst.get(m, 0) + c12
+                elif c == -1:
+                    dst[m] = dst.get(m, 0) - c12
+                else:
+                    dst[m] = dst.get(m, 0) + c12 * c
+
+
+def _canonical(terms: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:
+    """The nonzero terms, with integral values stored as ints."""
+    return {m: c if type(c) is int else _exact(c) for m, c in terms.items() if c}
+
+
+def _canonical_components(comps: Mapping[int, Mapping[Monomial, Coeff]]) -> dict:
+    """Each degree's canonical terms; degrees left without terms are dropped."""
+    out = {}
+    for d, mons in comps.items():
+        clean = _canonical(mons)
+        if clean:
+            out[d] = clean
+    return out
+
+
 def _surviving_blocks(space: ProductSpace, m1s: Mapping, m2s: Mapping):
     """Yield (terms of m1s, terms of m2s) for every block whose products may survive.
 
@@ -629,8 +714,23 @@ def _profile_groups(space: ProductSpace, mons: Mapping[Monomial, Coeff]) -> list
 # ---------------------------------------------------------------------------
 
 
+# A ring-calculus benchmark op list asks for about 110 distinct products and
+# ``tautsig run --suite all`` for about 40.
+PRODUCT_SPACE_CACHE = 256
+
+
+@lru_cache(maxsize=PRODUCT_SPACE_CACHE)
+def product_of(factors: tuple[ModelSpace, ...]) -> ProductSpace:
+    """The shared product space of a tuple of factors.
+
+    Equal factor tuples give the same space, so its product, profile and
+    basis tables stay warm from one call to the next.
+    """
+    return ProductSpace(factors)
+
+
 def product_space(*spaces: ProductSpace) -> ProductSpace:
-    return ProductSpace([f for s in spaces for f in s.factors])
+    return product_of(tuple(f for s in spaces for f in s.factors))
 
 
 def cross(a: GradedClass, b: GradedClass) -> GradedClass:
@@ -638,17 +738,26 @@ def cross(a: GradedClass, b: GradedClass) -> GradedClass:
     comps: dict[int, dict[Monomial, Coeff]] = {}
     for d1, m1s in a.components.items():
         for d2, m2s in b.components.items():
+            # Distinct pairs concatenate to distinct monomials, and no
+            # product of two nonzero coefficients is zero.
             dst = comps.setdefault(d1 + d2, {})
             for m1, c1 in m1s.items():
                 for m2, c2 in m2s.items():
-                    dst[m1 + m2] = c1 * c2
-    return GradedClass(product_space(a.space, b.space), comps)
+                    c = c1 * c2
+                    dst[m1 + m2] = c if type(c) is int else _exact(c)
+    return GradedClass._of(product_space(a.space, b.space), comps)
 
 
-def gysin_project(x: GradedClass, fiber_indices: Iterable[int]) -> GradedClass:
-    """Fiber integration along the projection that drops the given factors."""
+def gysin_project(
+    x: GradedClass, fiber_indices: Iterable[int], times: GradedClass | None = None
+) -> GradedClass:
+    """Fiber integration pi_!(x * times) along the projection that drops the
+    given factors; pi_!(x) when ``times`` is None.  Only the products that
+    can reach the fiber's fundamental class are formed; see "Fiber
+    integration" above."""
+    space = x.space
     fiber = tuple(sorted(set(int(i) for i in fiber_indices)))
-    factors = x.space.factors
+    factors = space.factors
     for j in fiber:
         if j < 0 or j >= len(factors):
             raise SpaceError(f"factor index {j} out of range")
@@ -656,11 +765,16 @@ def gysin_project(x: GradedClass, fiber_indices: Iterable[int]) -> GradedClass:
             raise SpaceError(
                 f"factor {factors[j].name} has no fundamental class"
             )
-    target = ProductSpace([f for i, f in enumerate(factors) if i not in fiber])
+    target = product_of(tuple(f for i, f in enumerate(factors) if i not in fiber))
+    if times is None:
+        terms = x.components.values()
+    else:
+        x._require_same_space(times)
+        terms = (_fiber_top_products(space, fiber, x, times),)
     # A surviving monomial is its kept parts plus the fundamental fiber
     # parts, so distinct monomials project to distinct monomials.
     comps: dict[int, dict[Monomial, Coeff]] = {}
-    for mons in x.components.values():
+    for mons in terms:
         for mon, coeff in mons.items():
             sign_exp = 0
             kept_deg = 0
@@ -676,7 +790,36 @@ def gysin_project(x: GradedClass, fiber_indices: Iterable[int]) -> GradedClass:
             else:
                 c = coeff if sign_exp % 2 == 0 else -coeff
                 comps.setdefault(kept_deg, {})[tuple(kept_parts)] = c
-    return GradedClass(target, comps)
+    return GradedClass._of(target, comps)
+
+
+def _fiber_top_products(
+    space: ProductSpace, fiber: tuple[int, ...], x: GradedClass, y: GradedClass
+) -> dict[Monomial, Coeff]:
+    """The terms of x * y, canonical, from the pairs whose degrees add up
+    to the top degree in every fiber factor.
+
+    Both classes' terms are grouped by their degrees in the fiber factors;
+    each group of x meets only the group of y with the complementary
+    degrees.
+    """
+    tops = tuple(space.factors[j].top_degree for j in fiber)
+    profile = space.profile
+
+    def groups(cls: GradedClass) -> dict[tuple, list]:
+        out: dict[tuple, list] = {}
+        for mons in cls.components.values():
+            for m, c in mons.items():
+                out.setdefault(tuple(map(profile(m).__getitem__, fiber)), []).append((m, c))
+        return out
+
+    y_groups = groups(y)
+    dst: dict[Monomial, Coeff] = {}
+    for degrees, terms1 in groups(x).items():
+        terms2 = y_groups.get(tuple(map(sub, tops, degrees)))
+        if terms2 is not None:
+            _add_products(dst, space.mul_monomials, terms1, terms2)
+    return _canonical(dst)
 
 
 def pullback(y: GradedClass, target: ProductSpace, positions: Sequence[int]) -> GradedClass:
@@ -701,7 +844,7 @@ def pullback(y: GradedClass, target: ProductSpace, positions: Sequence[int]) -> 
             for p, part in zip(positions, mon):
                 out[p] = part
             dst[tuple(out)] = c
-    return GradedClass(target, comps)
+    return GradedClass._of(target, comps)
 
 
 def evaluate(x: GradedClass) -> Fraction:
@@ -719,13 +862,13 @@ def evaluate(x: GradedClass) -> Fraction:
 
 @lru_cache(maxsize=None)
 def point() -> ProductSpace:
-    return ProductSpace(())
+    return product_of(())
 
 
 @lru_cache(maxsize=None)
 def circle() -> ProductSpace:
-    return ProductSpace(
-        [ModelSpace("circle", [("u", 1)], {}, top_degree=1, fundamental_class=(0,))]
+    return product_of(
+        (ModelSpace("circle", [("u", 1)], {}, top_degree=1, fundamental_class=(0,)),)
     )
 
 
@@ -735,8 +878,8 @@ def torus(n: int) -> ProductSpace:
     if n < 1:
         raise SpaceError("torus dimension must be >= 1")
     gens = [(f"u{i + 1}", 1) for i in range(n)]
-    return ProductSpace(
-        [ModelSpace(f"torus({n})", gens, {}, top_degree=n, fundamental_class=tuple(range(n)))]
+    return product_of(
+        (ModelSpace(f"torus({n})", gens, {}, top_degree=n, fundamental_class=tuple(range(n))),)
     )
 
 
@@ -758,8 +901,8 @@ def surface(g: int) -> ProductSpace:
                 relations[(i, j)] = {(z,): 1}  # a_k b_k = z
             else:
                 relations[(i, j)] = {}
-    return ProductSpace(
-        [ModelSpace(f"surface({g})", gens, relations, top_degree=2, fundamental_class=(z,))]
+    return product_of(
+        (ModelSpace(f"surface({g})", gens, relations, top_degree=2, fundamental_class=(z,)),)
     )
 
 
@@ -816,4 +959,4 @@ def space_from_descriptor(data: Mapping) -> ProductSpace:
         raise DescriptorError(f"malformed space descriptor: {shown(exc.args[0])}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:
         raise DescriptorError(f"malformed space descriptor: {exc}") from exc
-    return ProductSpace([ModelSpace(name, generators, relations, top, fund_mon)])
+    return product_of((ModelSpace(name, generators, relations, top, fund_mon),))

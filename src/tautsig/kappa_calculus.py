@@ -10,8 +10,11 @@ input: its pairing 2 - 2g is the constant ``surface_flat_bundle_sch``, not a
 computation.  The module builds no report cases; the suites do.
 
 Each takes one route from Pontryagin data: ``l_class``, times u, then
-``gysin_project`` or ``evaluate``.  No weight is evaluated on its own:
-kappa_{L_k,u} is the degree 4k + |u| - n part of the total pi_!(L(T_v E) u).
+``gysin_project`` or ``evaluate``.  :func:`kappa` integrates in one pass,
+``gysin_project(L(T_v E), fiber, times=u_d)`` per degree d of u, which
+multiplies only the pairs of terms that reach the fiber's fundamental
+class.  No weight is evaluated on its own: kappa_{L_k,u} is the degree
+4k + |u| - n part of the total pi_!(L(T_v E) u).
 
 The global sign of the odd expression is structurally undetermined and is
 carried by :class:`SignAmbiguousClass`, never resolved.  The product
@@ -35,6 +38,7 @@ from .graded_ring import (
     evaluate,
     gysin_project,
     point,
+    product_of,
     product_space,
     surface,
 )
@@ -116,7 +120,7 @@ class BundleModel:
     @property
     def base_space(self) -> ProductSpace:
         factors = self.total.factors
-        return ProductSpace([f for i, f in enumerate(factors) if i not in self.fiber_indices])
+        return product_of(tuple(f for i, f in enumerate(factors) if i not in self.fiber_indices))
 
     def pullback_class(self, name: str) -> GradedClass:
         if name == "1":
@@ -221,7 +225,7 @@ def kappa(
     n = bundle.fiber_dimension
     result = bundle.base_space.zero()
     for d in u_class.degrees():
-        total = gysin_project(vertical * u_class.homogeneous_part(d), bundle.fiber_indices)
+        total = gysin_project(vertical, bundle.fiber_indices, times=u_class.homogeneous_part(d))
         bad = [e for e in total.degrees() if (e - d + n) % 4]
         if bad:
             raise KappaError(f"degree bookkeeping violated: {bad} not 4k + {d} - {n}")

@@ -7,12 +7,14 @@ it the case reports ``ok=False`` and the run exits 1; without it the case
 passes.
 """
 
+import __future__
 import dataclasses
+import inspect
 import json
 
 import pytest
 
-from tautsig import clifford, hodge_numeric, kappa_calculus
+from tautsig import clifford, graded_ring, hodge_numeric, kappa_calculus
 from tautsig._gaussian import PhaseMatrix
 from tautsig.cli import main
 
@@ -24,7 +26,39 @@ def surface_diagonal_factor_three(monkeypatch):
 def zero_fiber_integral(monkeypatch):
     real = kappa_calculus.gysin_project
     monkeypatch.setattr(kappa_calculus, "gysin_project",
-                        lambda cls, fiber: real(cls, fiber) * 0)
+                        lambda cls, fiber, times=None: real(cls, fiber, times) * 0)
+
+
+def _mutant(monkeypatch, module, name, old, new, *homes):
+    """Replace the function ``module.name``, and its imports in ``homes``, by
+    a copy whose source has the one expression ``old`` changed to ``new``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<mutant of {module.__name__}.{name}>", "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    for home in (module, *homes):
+        monkeypatch.setattr(home, name, namespace[name])
+
+
+def fiber_sign_counts_fiber_degrees(monkeypatch):
+    # Collapsing fiber factor j reads the degree of every factor left of j,
+    # fiber factors included, instead of the retained ones only.
+    _mutant(monkeypatch, graded_ring, "gysin_project",
+            "sign_exp += f.top_degree * kept_deg",
+            "sign_exp += f.top_degree * sum(space.profile(mon)[:i])", kappa_calculus)
+
+
+def fiber_sign_with_own_degree(monkeypatch):
+    _mutant(monkeypatch, graded_ring, "gysin_project",
+            "sign_exp += f.top_degree * kept_deg",
+            "sign_exp += f.top_degree * (kept_deg + 1)", kappa_calculus)
+
+
+def unit_product_subtracted(monkeypatch):
+    # The +1 fast path of the pair loop shared by products and fiber integrals.
+    _mutant(monkeypatch, graded_ring, "_add_products",
+            "dst[m] = dst.get(m, 0) + c12\n", "dst[m] = dst.get(m, 0) - c12\n")
 
 
 def higher_signature_plus_one(monkeypatch):
@@ -79,6 +113,21 @@ STAR_CASES = [f"star^2 on Lambda*(R^{n})" for n in range(1, 7)]
 VOLUME_CASES = [f"c(omega) vs star in dim {n}" for n in range(1, 7)]
 TAU_CASES = [f"tau = i^(n(n+1)/2) c(omega) in dim {n}" for n in range(1, 7)]
 
+# The kappa-products suite's random two-path identities that some mutation of
+# the ring kernel fails.  Each of the other 17 compares 0 with 0 (see
+# test_unmapped_product_identities_are_zero_on_both_sides), so no change of
+# a sign, of the pair filter or of a product can fail them: a Koszul parity
+# read from the wrong end, a fiber filter off by one degree or one that
+# groups by the first fiber factor only leave all 22 passing.
+PRODUCT_IDENTITY_MUTATIONS = {
+    3: fiber_sign_counts_fiber_degrees,
+    12: fiber_sign_with_own_degree,
+    13: fiber_sign_with_own_degree,
+    16: fiber_sign_counts_fiber_degrees,
+    20: unit_product_subtracted,
+}
+PRODUCT_IDENTITIES = 22
+
 MUTATIONS = {
     ("surface", "higher signature equals the Euler characteristic value"):
         surface_diagonal_factor_three,
@@ -92,6 +141,8 @@ MUTATIONS = {
         endpoint_flow_one,
     ("kappa-products", "collapse onto a fixed-manifold higher signature"):
         higher_signature_plus_one,
+    **{("kappa-products", f"two-path product identity #{i}"): mutation
+       for i, mutation in PRODUCT_IDENTITY_MUTATIONS.items()},
     ("descriptor", "family flat-line: kernel profile computed"):
         endpoint_flow_one,
     **{("clifford-signs", case): star_phase_off_by_i for case in STAR_CASES},
@@ -148,3 +199,21 @@ def test_descriptor_detail_reads_the_report_flows(tmp_path, monkeypatch):
         "profile=[0, 0, 0, 0, 0, 0, 0, 0, 0], flow=1; declared globally flat, "
         "but the flow is not zero")
 
+
+def test_unmapped_product_identities_are_zero_on_both_sides(tmp_path, monkeypatch):
+    # One of the two factor bundles has kappa 0 by degree, so the product's
+    # integral is 0 as well: these identities certify nothing yet.
+    certificates = []
+    real = kappa_calculus.kappa_product
+
+    def recorded(*args):
+        certificates.append(real(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(kappa_calculus, "kappa_product", recorded)
+    code, _ = _run("kappa-products", tmp_path)
+    assert code == 0
+    for i, cert in enumerate(certificates[:PRODUCT_IDENTITIES]):
+        rows = [(row["lhs"], row["rhs"]) for row in cert["components"]]
+        vacuous = all(side == "0" for row in rows for side in row)
+        assert vacuous == (i not in PRODUCT_IDENTITY_MUTATIONS), (i, rows)

@@ -4,11 +4,12 @@ from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tautsig.graded_ring import (
     GYSIN_CIRCLE_SIGN,
+    PRODUCT_SPACE_CACHE,
     GradedClass,
     ModelSpace,
     ProductSpace,
@@ -19,6 +20,7 @@ from tautsig.graded_ring import (
     gysin_project,
     model_space,
     point,
+    product_of,
     product_space,
     pullback,
     space_from_descriptor,
@@ -530,6 +532,7 @@ def test_int_backed_ring_matches_fraction_reference(data, base_names, fiber_name
         (x * s, ref_clean({m: c * s for m, c in rx.items()})),
         (x ** n, rpow),
         (gysin_project(x, fiber), ref_gysin(space, rx, fiber)),
+        (gysin_project(x, fiber, times=y), ref_gysin(space, ref_mul(space, rx, ry), fiber)),
     ]
     for got, want in cases:
         assert_canonical(got)
@@ -612,6 +615,139 @@ def test_square_multiplies_only_degree_compatible_pairs(monkeypatch, terms, mult
     assert as_reference(square) == want
 
 
+# -- one-pass fiber integration ----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), dense_spaces)
+def test_one_pass_fiber_integral_matches_product_then_projection(data, space):
+    # Any nonempty set of fiber factors: first, middle or last, one or more.
+    n = len(space.factors)
+    assume(n > 0)
+    fiber = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    x = data.draw(dense_classes(space)) + data.draw(dense_classes(space))
+    y = data.draw(dense_classes(space))
+    got = gysin_project(x, fiber, times=y)
+    assert_canonical(got)
+    assert got == gysin_project(x * y, fiber)
+
+
+FIBER_SETS = [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("fiber", FIBER_SETS, ids=map(str, FIBER_SETS))
+def test_one_pass_fiber_integral_at_every_position(fiber):
+    space = product_space(torus(2), surface(2), circle())
+    rng = random.Random(31)
+    for _ in range(10):
+        x, y = rand_class(rng, space), rand_class(rng, space)
+        assert gysin_project(x, fiber, times=y) == gysin_project(x * y, fiber)
+    with pytest.raises(SpaceError, match="space mismatch"):
+        gysin_project(x, fiber, times=torus(2).one())
+
+
+def fiber_top(space, fiber, m1, m2):
+    """In every fiber factor the two monomials' degrees add up to its top degree."""
+    p1, p2 = factor_profile(space, m1), factor_profile(space, m2)
+    return all(p1[j] + p2[j] == space.factors[j].top_degree for j in fiber)
+
+
+@pytest.mark.parametrize("fiber", [[1], [0, 2], [1, 2]], ids=["middle", "ends", "last-two"])
+def test_fiber_integral_multiplies_only_fiber_top_pairs(monkeypatch, fiber):
+    space = product_space(torus(2), surface(2), circle())
+    rng = random.Random(17)
+    x, y = rand_class(rng, space, density=1.0), rand_class(rng, space, density=1.0)
+    want = gysin_project(x * y, fiber)
+    terms = lambda cls: [m for mons in cls.components.values() for m in mons]
+    top_pairs = [(m1, m2) for m1 in terms(x) for m2 in terms(y)
+                 if fiber_top(space, fiber, m1, m2)]
+    calls = []
+    real = ProductSpace.mul_monomials
+
+    def counted(self, m1, m2):
+        calls.append((m1, m2))
+        return real(self, m1, m2)
+
+    monkeypatch.setattr(ProductSpace, "mul_monomials", counted)
+    got = gysin_project(x, fiber, times=y)
+    assert sorted(calls) == sorted(top_pairs)
+    assert 0 < len(calls) < len(terms(x)) * len(terms(y))
+    assert got == want
+
+
+# -- shared product spaces -----------------------------------------------------------
+
+
+def test_equal_factor_tuples_share_one_space():
+    a, b = torus(2), surface(2)
+    shared = product_space(a, b)
+    assert shared is product_space(a, b) is product_of(a.factors + b.factors)
+    # Equal factors built apart find the same space.
+    assert product_space(fresh_copy(a), fresh_copy(b)) is shared
+    x = rand_class(random.Random(2), product_space(a, circle(), b))
+    assert gysin_project(x, [1]).space is shared
+    assert gysin_project(x, [1], times=x).space is shared
+
+
+def test_product_space_constructor_builds_a_fresh_space():
+    shared = product_space(torus(2), surface(2))
+    x = rand_class(random.Random(4), shared)
+    assert not (x * x).is_zero() and shared.basis(2)
+    fresh = ProductSpace(shared.factors)
+    assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
+    assert not fresh._mul_cache and not fresh._profiles and not fresh._basis_cache
+
+
+def test_product_basis_is_cached_and_handed_out_as_a_copy():
+    space = product_space(torus(2), surface(2))
+    first = space.basis(2)
+    first.append("junk")
+    assert space.basis(2) == first[:-1] == brute_force_basis(space, 2)
+    assert space.basis(2) is not space.basis(2)
+
+
+def test_shared_space_cache_is_bounded():
+    models = [ModelSpace(f"bounded-{i}", [("x", 2)], top_degree=2)
+              for i in range(PRODUCT_SPACE_CACHE + 1)]
+    first = product_of((models[0],))
+    assert product_of((models[0],)) is first
+    for m in models[1:]:
+        product_of((m,))
+    info = product_of.cache_info()
+    assert info.maxsize == PRODUCT_SPACE_CACHE == info.currsize
+    # The least recently used space went first; it is rebuilt, equal and cold.
+    again = product_of((models[0],))
+    assert again is not first and again == first
+
+
+# -- the public constructor checks its monomials ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "components,match",
+    [({1: {((0,),): 1}}, r"has 1 parts, not one per factor"),
+     ({2: {((0,), (0,), ()): 1}}, r"has 3 parts, not one per factor"),
+     ({1: {((0,), (0,)): 1}}, r"u x u of degree 2 is filed under degree 1"),
+     ({-1: {((), ()): 1}}, r"1 x 1 of degree 0 is filed under degree -1"),
+     ({1: {((7,), ()): 1}}, r"is not a monomial of circle x circle")],
+    ids=["one-part", "three-parts", "misfiled", "negative-degree", "unknown-generator"],
+)
+def test_constructor_refuses_misfiled_monomials(components, match):
+    # Accepted, a misfiled monomial prints like a class, yet evaluate and
+    # coefficient read 0 for it.
+    t2 = product_space(circle(), circle())
+    with pytest.raises(SpaceError, match=match):
+        GradedClass(t2, components)
+
+
+def test_constructor_keeps_dropping_zero_terms_and_degrees_above_the_top():
+    t2 = product_space(circle(), circle())
+    cls = GradedClass(t2, {2: {((0,), (0,)): F(2, 2)}, 1: {((0,), ()): 0}})
+    assert cls.components == {2: {((0,), (0,)): 1}} and evaluate(cls) == 1
+    # u * u in one circle factor has degree 2 and is zero in the ring.
+    assert GradedClass(circle(), {2: {((0, 0),): 1}}).is_zero()
+
+
 def test_shared_rewrites_are_normalized_once(monkeypatch):
     # Two products per level, each rewritten to the sum of the next level's
     # two: 2**40 paths to the last level, 80 distinct products.
@@ -658,6 +794,12 @@ def test_integral_fractions_are_stored_as_ints():
     assert type((half * 4).components[1][((0,),)]) is int
     assert type(evaluate(t2.gen("u1") * t2.gen("u2"))) is F
     assert type(t2.one().coefficient(((),))) is F
+    # A product of two Fractions can be integral.
+    third, three_halves = t2.gen("u1") * F(2, 3), t2.gen("u2") * F(3, 2)
+    assert type((third * three_halves).components[2][((0, 1),)]) is int
+    assert type(gysin_project(third, [0], times=three_halves).components[0][()]) is int
+    u = circle().gen("u")
+    assert type(cross(u * F(2, 3), u * F(3, 2)).components[2][((0,), (0,))]) is int
 
 
 def test_power_beyond_top_degree_is_zero_without_multiplying(monkeypatch):

@@ -8,6 +8,7 @@ from tautsig.graded_ring import (
     circle,
     cross,
     evaluate,
+    gysin_project,
     point,
     product_space,
     pullback,
@@ -120,6 +121,27 @@ def test_kappa_degree_bookkeeping_guard(monkeypatch):
     for k in (None, 0):
         with pytest.raises(KappaError, match="degree bookkeeping"):
             kappa(model, k)
+
+
+def test_kappa_integrates_in_one_pass_on_the_shared_base(monkeypatch):
+    import tautsig.kappa_calculus as kc
+
+    t2 = torus(2)
+    model = bundle_model("b", base=t2, fiber=surface(2))
+    u = cross(t2.gen("u1"), surface(2).gen("z")) + cross(t2.one(), surface(2).gen("a1"))
+    factors = []
+    real = kc.gysin_project
+
+    def recorded(x, fiber, times=None):
+        factors.append(times)
+        return real(x, fiber, times)
+
+    monkeypatch.setattr(kc, "gysin_project", recorded)
+    result = kappa(model, u=u)
+    # One integral per degree of u, each of the L class times that part.
+    assert factors == [u.homogeneous_part(1), u.homogeneous_part(3)]
+    assert result == gysin_project(l_class(model.vertical_tangent) * u, model.fiber_indices)
+    assert result.space is model.base_space is product_space(t2)
 
 
 def test_every_class_reads_l_class(monkeypatch):
