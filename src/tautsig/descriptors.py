@@ -67,8 +67,8 @@ DEFAULT_TOL = 1e-8
 MAX_GRID = 4096
 # Largest Fourier cutoff a descriptor family or run may ask for.  On a
 # 2-vCPU Xeon host (Python 3.11, numpy 2.4), `tautsig run --suite all` at
-# 1024 and MAX_GRID took 2.2 s and 38 MB peak RSS and passed; the cost grows
-# linearly in the cutoff (n = 1 families).
+# 1024 and MAX_GRID took 0.32 s and 36 MB peak RSS in a fresh process and
+# passed; the cost grows linearly in the cutoff (n = 1 families).
 MAX_CUTOFF = 1024
 # Refuse assemblies whose stacked complex blocks would exceed this many bytes.
 MAX_ASSEMBLY_BYTES = 256 << 20

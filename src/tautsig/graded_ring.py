@@ -478,14 +478,27 @@ class ProductSpace:
         return f"ProductSpace({self.name!r})"
 
 
+def _check_parts(space: ProductSpace, mon: Monomial) -> None:
+    """Refuse a monomial unless each part is a tuple of generator indices in
+    range (checked first, so no bad index enters the normal-form cache) that
+    is its own normal form (one cached lookup)."""
+    for factor, part in zip(space.factors, mon):
+        count = len(factor.generators)
+        if type(part) is not tuple or not all(type(g) is int and 0 <= g < count for g in part):
+            raise SpaceError(f"{mon!r} is not a monomial of {space.name}")
+        if factor.normalize(part) != {part: 1}:
+            raise SpaceError(f"monomial {space.monomial_str(mon)} is not a "
+                             f"normal-form basis monomial of {space.name}")
+
+
 class GradedClass:
     """Cohomology class on a model space, stored by homogeneous components.
 
     Every stored coefficient is nonzero, and an ``int`` unless it has a
     real denominator, in which case it is a ``Fraction``.  The constructor
-    checks that each monomial has one part per factor and is filed under
-    its degree, and drops zero terms and degrees above the top; the ring
-    operations build their already canonical results with :meth:`_of`.
+    checks that each monomial has one basis monomial per factor
+    (:func:`_check_parts`) and is filed under its degree, and drops zero
+    terms; the ring operations build their canonical results with :meth:`_of`.
     """
 
     __slots__ = ("space", "components")
@@ -502,15 +515,13 @@ class GradedClass:
                 if len(m) != nparts:
                     raise SpaceError(
                         f"monomial {m} has {len(m)} parts, not one per factor of {space.name}")
-                try:
-                    degree = sum(space.profile(m))
-                except (IndexError, TypeError):
-                    raise SpaceError(f"{m!r} is not a monomial of {space.name}") from None
+                _check_parts(space, m)
+                degree = sum(space.profile(m))
                 if degree != deg:
                     raise SpaceError(
                         f"monomial {space.monomial_str(m)} of degree {degree} "
                         f"is filed under degree {deg}")
-            if clean and deg <= space.top_degree:
+            if clean:
                 comps[int(deg)] = clean
         self.components = comps
 

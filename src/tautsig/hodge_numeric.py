@@ -62,8 +62,7 @@ cached arrays are read-only:
   L_j + L_j^H with L_j = ext_j (x) i and their odd restriction, checked on
   odd tori to be a line-diagonal Clifford frame, and the odd restriction's
   alpha_1 rows and even-parity indices.  Nothing in it grows with the
-  cutoff;
-* per resolution: the grid nodes, handed out as a new list on each call.
+  cutoff.
 
 In lattice units block k of D is sum_j k_j (L_j + L_j^H) + (C + C^H), with
 C the connection term, so an operator holds only its zero-frequency block
@@ -85,11 +84,12 @@ a family's loop check compares the endpoints' flat classes, read from their
 connections (:func:`_flat_class`).  Given monodromies are checked as well.
 The check works over leading axes (:func:`_standard_connection`), so a
 family checks a stack of nodes in one pass and raises what building them
-one by one would.  A family is eta and a connection path that maps a float
-array of nodes to their stack of connections.  An operator keeps its block
+one by one would.  A family is eta, a connection path that maps a float
+array of nodes to their stack of connections, and a resolution N: it is
+sampled at the nodes i/N, i = 0..N, as floats.  An operator keeps its block
 stack once built, its eigensystem, its odd spectrum and the largest tol its
 cutoff window passed.  A family keeps no operators: a kernel profile walks
-the grid once, keeping the first node's operator and the current one, and
+the nodes once, keeping the first node's operator and the current one, and
 reads a loop's flow from the walk's ends.  Each :func:`spectral_flow` reads
 the nodes after t = 0 as one stack, checks the interior ones and assembles
 the two endpoints.
@@ -139,7 +139,6 @@ __all__ = [
     "spectral_flow_both",
     "shell_bound",
     "kernel_constancy_report",
-    "grid_nodes",
     "line_bundle",
     "lusztig_bundle",
     "lusztig_family",
@@ -868,65 +867,60 @@ def even_signature_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _grid(resolution: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(i, resolution) for i in range(resolution + 1))
-
-
-def grid_nodes(resolution: int) -> list[Fraction]:
-    """The nodes i / resolution, i = 0..resolution, as a new list on each call."""
-    return list(_grid(resolution))
-
-
-def _node(t) -> Fraction:
-    return t if type(t) is Fraction else Fraction(t)
-
-
 @dataclass
 class OperatorFamily:
     """One-parameter family t in [0,1] of flat bundles: eta and a connection path.
 
-    ``path`` maps a float array of N nodes to their connections, an (N, n, r,
-    r) array; a node's bundle is eta with its connection, or ``fixed``, the one
-    bundle of a constant family, at every node.  A family keeps no operators:
-    each :meth:`operator` call assembles its node's bundle.
+    The family is sampled at the nodes i/N, i = 0..N, for its ``resolution``
+    N >= 1, read as the floats :attr:`nodes`.  ``path`` maps a float array of
+    nodes to their connections, an (N, n, r, r) array; a node's bundle is eta
+    with its connection, or ``fixed``, the one bundle of a constant family,
+    which has no path.  A family keeps no operators: each :meth:`operator`
+    call assembles its node's bundle.
     """
 
     eta: np.ndarray
-    path: Callable[[np.ndarray], np.ndarray]
-    grid: list
+    path: Optional[Callable[[np.ndarray], np.ndarray]]
+    resolution: int
     loop: bool = False
     cutoff: int = DEFAULT_CUTOFF
     label: str = ""
     globally_flat: bool = False
     fixed: Optional[MonodromyBundle] = None
 
-    def bundle(self, t) -> MonodromyBundle:
-        return self._bundle(_node(t))
+    def __post_init__(self):
+        if type(self.resolution) is not int or self.resolution < 1:
+            raise HodgeError(f"family resolution {self.resolution!r} is not an integer >= 1")
 
-    def _bundle(self, t: Fraction, connection: Optional[np.ndarray] = None) -> MonodromyBundle:
+    @property
+    def nodes(self) -> np.ndarray:
+        """The floats i/N, i = 0..N, each rounded correctly, as float(Fraction(i, N)) is."""
+        return np.arange(self.resolution + 1) / self.resolution
+
+    def bundle(self, t, connection: Optional[np.ndarray] = None) -> MonodromyBundle:
+        """The bundle at the node t, read as a float; ``connection`` if already read."""
         if self.fixed is not None:
             return self.fixed
+        t = float(t)
         if connection is None:
-            connection = self.path(np.array([float(t)]))[0]
+            connection = self.path(np.array([t]))[0]
         return MonodromyBundle.from_connection(self.eta, connection,
                                                globally_flat=self.globally_flat,
-                                               label=f"{self.label}(t={t})")
+                                               label=f"{self.label}(t={t:g})")
 
     def operator(self, t) -> TruncatedOperator:
         return assemble(self.bundle(t), self.cutoff)
 
-    def _stacks(self, nodes: list, node_bytes: int) -> Iterator[np.ndarray]:
-        """The nodes' connections in grid order, as (N, n, r, r) stacks.
+    def _stacks(self, node_bytes: int) -> Iterator[np.ndarray]:
+        """The connections of the nodes after t = 0, in order, as (N, n, r, r) stacks.
 
-        The nodes are converted to floats once, as float(Fraction) converts
-        them, and the path is read once per run of nodes whose stack holds at
-        most ``_STACK_BYTES``, which is every node of any family the suites
-        run.  A run in which some node's connection cannot be evaluated is
-        read one node at a time, so that the first bad node in grid order
-        raises when it is reached.
+        The path is read once per run of nodes whose stack holds at most
+        ``_STACK_BYTES``, which is every node of any family the suites run.
+        A run in which some node's connection cannot be evaluated is read one
+        node at a time, so that the first bad node in order raises when it is
+        reached.
         """
-        values = np.array([t.numerator / t.denominator for t in map(_node, nodes)])
+        values = self.nodes[1:]
         step = max(1, _STACK_BYTES // max(node_bytes, 1))
         for i in range(0, len(values), step):
             run = values[i:i + step]
@@ -997,7 +991,7 @@ def lusztig_family(cutoff: int = DEFAULT_CUTOFF, resolution: int = 64,
     return OperatorFamily(
         eta=np.eye(1),
         path=path,
-        grid=grid_nodes(resolution),
+        resolution=resolution,
         loop=True,
         cutoff=cutoff,
         label=f"lusztig-x{speed}" if speed != 1 else "lusztig",
@@ -1008,11 +1002,10 @@ def constant_family(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF,
                     resolution: int = 64) -> OperatorFamily:
     if not bundle.globally_flat:
         raise HodgeError("constant families model globally flat bundles")
-    connection = np.array(bundle.connection)
     return OperatorFamily(
         eta=bundle.eta,
-        path=lambda t: connection[None].repeat(len(t), axis=0),
-        grid=grid_nodes(resolution),
+        path=None,
+        resolution=resolution,
         loop=True,
         cutoff=cutoff,
         label=f"constant({bundle.label})",
@@ -1032,7 +1025,7 @@ def lusztig_pair_family(cutoff: int = DEFAULT_CUTOFF,
     return OperatorFamily(
         eta=np.eye(2),
         path=path,
-        grid=grid_nodes(resolution),
+        resolution=resolution,
         loop=True,
         cutoff=cutoff,
         label="lusztig-pair",
@@ -1056,44 +1049,38 @@ def spectral_flow(
     A positive-slope crossing counts +1.  For a path of hermitian matrices
     the net count is the change in positive index from t = 0 to t = 1
     (Phillips, Canad. Math. Bull. 39, 1996): only the endpoints are assembled,
-    checked to form a loop and have their odd spectra read.  The interior
-    nodes' connections are read as one stack and checked in one pass, by the
-    test each bundle applies (:func:`_standard_connection`); the first bad
-    node in grid order raises its bundle's error.  Each endpoint's cutoff
-    must pass :func:`_kernel_window`, which bounds the blocks that can cross
-    zero (see :func:`shell_bound`).  If an endpoint eigenvalue lies within
-    tol of zero, the flow is read with the family shifted by +10*tol and by
-    -10*tol; a shift that leaves one within tol of zero raises
-    :class:`EndpointKernelError`.
+    checked to form a loop and have their odd spectra read.  The connections
+    of the nodes i/N after t = 0 are read as one stack and the interior ones
+    checked in one pass, by the test each bundle applies
+    (:func:`_standard_connection`); the first bad node in order raises its
+    bundle's error.  Each endpoint's cutoff must pass :func:`_kernel_window`,
+    which bounds the blocks that can cross zero (see :func:`shell_bound`).
+    If an endpoint eigenvalue lies within tol of zero, the flow is read with
+    the family shifted by +10*tol and by -10*tol; a shift that leaves one
+    within tol of zero raises :class:`EndpointKernelError`.
     """
     if not family.loop:
         raise HodgeError("spectral flow is defined for loop families")
-    nodes = family.grid
-    _check_span(nodes)
-    # In grid order: t = 0, the interior nodes' connections checked as one
-    # stack, then t = 1, read in that stack.  A constant family's one bundle
-    # is checked.
+    # In order: t = 0, the interior nodes' connections checked as one stack,
+    # then t = 1, read in that stack.  A constant family's one bundle is
+    # checked.
     first = last = family.operator(0)
     if family.fixed is None:
         bundle = first.bundle
         signs, basis = _standard_form(bundle.eta.tobytes(), bundle.rank)
-        unread = len(nodes) - 1
-        for stack in family._stacks(nodes[1:], bundle.standard_connection.nbytes):
+        unread = family.resolution
+        for stack in family._stacks(bundle.standard_connection.nbytes):
             unread -= len(stack)
             if not unread:
                 stack, end = stack[:-1], stack[-1]
             _standard_connection(stack, bundle.n, signs, basis)
-        last = assemble(family._bundle(_node(nodes[-1]), end), family.cutoff)
+        last = assemble(family.bundle(1, end), family.cutoff)
     flow_plus, flow_minus = _endpoint_flow(first, last, tol)
+    nodes = family.resolution + 1
     if _counters is not None:
-        _counters["nodes"] = len(nodes)
+        _counters["nodes"] = nodes
     return SpectralFlowResult(flow_plus=flow_plus, flow_minus=flow_minus,
-                              nodes_used=len(nodes))
-
-
-def _check_span(nodes: Sequence) -> None:
-    if not nodes or nodes[0] != 0 or nodes[-1] != 1:
-        raise HodgeError("family grid must span [0, 1]")
+                              nodes_used=nodes)
 
 
 def _endpoint_flow(first: TruncatedOperator, last: TruncatedOperator,
@@ -1140,35 +1127,30 @@ def shell_bound(family: OperatorFamily) -> tuple[int, float]:
 
 
 def kernel_constancy_report(family: OperatorFamily, tol: float = DEFAULT_TOL) -> dict:
-    """Kernel dimension along the family's grid, and an odd loop's flow.
+    """Kernel dimension at the family's nodes i/N, and an odd loop's flow.
 
-    One walk in grid order keeps the first node's operator and the current
-    one (a constant family's one operator is sized once).  A loop's grid
-    must span [0, 1]; on an odd torus, which alone has a flow (it is defined
-    through the odd restriction), the flow is read from the walk's ends.
+    One walk from t = 0 to t = 1 keeps the first node's operator and the
+    current one (a constant family's one operator is sized once).  On an odd
+    torus, which alone has a flow (it is defined through the odd
+    restriction), a loop's flow is read from the walk's ends.  Nodes whose
+    kernel dimension is indeterminate are reported as "i/N" in lowest terms.
     Constancy forces zero flow; the report carries both, and a constant
     profile with a nonzero flow is the caller's failed check, not an error.
     """
-    nodes = [_node(t) for t in family.grid]
-    if not nodes:
-        raise HodgeError("family grid has no nodes")
-    if family.loop:
-        _check_span(nodes)
-    first = op = family.operator(nodes[0])
-    profile = [_kernel_count(first, tol)] * (1 if family.fixed is None else len(nodes))
+    first = op = family.operator(0)
+    profile = [_kernel_count(first, tol)] * (1 if family.fixed is None else len(family.nodes))
     if family.fixed is None:
-        rest = iter(nodes[1:])
-        for stack in family._stacks(nodes[1:], first.bundle.standard_connection.nbytes):
-            for connection, t in zip(stack, rest):
-                op = assemble(family._bundle(t, connection), family.cutoff)
+        nodes = iter(family.nodes[1:])
+        for stack in family._stacks(first.bundle.standard_connection.nbytes):
+            for connection, t in zip(stack, nodes):
+                op = assemble(family.bundle(t, connection), family.cutoff)
                 profile.append(_kernel_count(op, tol))
-    flagged = [str(t) for t, dim in zip(nodes, profile) if dim is None]
-    constant = not flagged and len(set(profile)) == 1
+    flagged = [str(Fraction(i, family.resolution)) for i, dim in enumerate(profile)
+               if dim is None]
     report = {
         "label": family.label,
-        "grid": [str(t) for t in nodes],
         "profile": profile,
-        "constant": constant,
+        "constant": not flagged and len(set(profile)) == 1,
         "indeterminate_points": flagged,
     }
     if family.loop and first.bundle.n % 2 == 1:
@@ -1233,5 +1215,5 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
             stack = np.array([connection(x) for x in t.tolist()], dtype=complex)
         return stack
 
-    return OperatorFamily(eta=eta, path=path, grid=grid_nodes(fields.pop("grid")),
+    return OperatorFamily(eta=eta, path=path, resolution=fields.pop("grid"),
                           cutoff=cutoff, **fields)

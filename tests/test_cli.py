@@ -468,10 +468,10 @@ def test_grid_out_of_bounds_exit_two_before_allocation(tmp_path, monkeypatch, ca
 
     from tautsig import hodge_numeric
 
-    def forbidden(resolution):
-        raise AssertionError(f"grid of {resolution} built")
+    def forbidden(*args, resolution, **kwargs):
+        raise AssertionError(f"family of resolution {resolution} built")
 
-    monkeypatch.setattr(hodge_numeric, "grid_nodes", forbidden)
+    monkeypatch.setattr(hodge_numeric, "OperatorFamily", forbidden)
     if grid is not None:
         path = tmp_path / "family.json"
         path.write_text(json.dumps(
@@ -631,6 +631,16 @@ def test_cli_subprocess_entry():
     result = run_cli(["describe", "lusztig"])
     assert result.returncode == 0
     assert "lem:spectralflow" in result.stdout
+
+
+def test_largest_run_limits_pass():
+    # The one run that samples a family at MAX_GRID + 1 nodes, at MAX_CUTOFF.
+    from tautsig.descriptors import MAX_CUTOFF, MAX_GRID
+
+    result = run_cli(["run", "--suite", "all", "--cutoff", str(MAX_CUTOFF),
+                      "--grid", str(MAX_GRID)])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["summary"]["failed"] == 0
 
 
 def test_config_validation():

@@ -740,12 +740,44 @@ def test_constructor_refuses_misfiled_monomials(components, match):
         GradedClass(t2, components)
 
 
-def test_constructor_keeps_dropping_zero_terms_and_degrees_above_the_top():
+def test_constructor_drops_zero_terms():
     t2 = product_space(circle(), circle())
     cls = GradedClass(t2, {2: {((0,), (0,)): F(2, 2)}, 1: {((0,), ()): 0}})
     assert cls.components == {2: {((0,), (0,)): 1}} and evaluate(cls) == 1
-    # u * u in one circle factor has degree 2 and is zero in the ring.
-    assert GradedClass(circle(), {2: {((0, 0),): 1}}).is_zero()
+
+
+@pytest.mark.parametrize(
+    "space,components,match",
+    # Accepted, a1*b1 would evaluate to 0 although it is z, u2*u1 would be
+    # unequal to u2 * u1, and (-1,) would read as u.
+    [(lambda: surface(1), {2: {((0, 1),): 1}}, r"a1\*b1 is not a normal-form basis monomial"),
+     (lambda: torus(2), {2: {((1, 0),): 1}}, r"u2\*u1 is not a normal-form basis monomial"),
+     (lambda: circle(), {1: {((-1,),): 1}}, r"\(\(-1,\),\) is not a monomial of circle"),
+     (lambda: torus(2), {1: {((2,),): 1}}, r"\(\(2,\),\) is not a monomial of torus"),
+     # u * u in one circle factor has degree 2 and is zero in the ring.
+     (lambda: circle(), {2: {((0, 0),): 1}}, r"u\*u is not a normal-form basis monomial")],
+    ids=["relation", "unsorted", "negative-index", "index-past-end", "above-top"],
+)
+def test_constructor_refuses_parts_that_are_not_basis_monomials(space, components, match):
+    space = space()
+    with pytest.raises(SpaceError, match=match):
+        GradedClass(space, components)
+    [[(part,)]] = [mons for mons in components.values()]
+    factor = space.factors[0]
+    if min(part) < 0 or max(part) >= len(factor.generators):
+        # A bad index is refused before the normal form is read.
+        assert part not in factor._norm_cache
+
+
+def test_constructor_reads_one_normal_form_per_part(monkeypatch):
+    factor = ModelSpace("pair", [("x", 1), ("y", 1)], top_degree=2, fundamental_class=(0, 1))
+    space = product_of((factor, circle().factors[0]))
+    calls = []
+    real = ModelSpace.normalize
+    monkeypatch.setattr(ModelSpace, "normalize",
+                        lambda self, seq, *a: calls.append(seq) or real(self, seq, *a))
+    GradedClass(space, {2: {((0,), (0,)): 1, ((1,), (0,)): 2, ((0, 1), ()): 3}})
+    assert sorted(calls) == [(), (0,), (0,), (0,), (0, 1), (1,)]
 
 
 def test_shared_rewrites_are_normalized_once(monkeypatch):

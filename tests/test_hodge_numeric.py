@@ -24,7 +24,6 @@ from tautsig.hodge_numeric import (
     euler_index,
     even_signature_index,
     family_from_descriptor,
-    grid_nodes,
     kernel_constancy_report,
     kernel_dimension,
     line_bundle,
@@ -459,7 +458,7 @@ def test_loop_flag_verified_by_flat_class():
         return np.array([float(t) * 0.5 for t in nodes], dtype=complex).reshape(-1, 1, 1, 1)
 
     broken = OperatorFamily(
-        eta=np.eye(1), path=half_twist, grid=grid_nodes(8), loop=True, cutoff=4
+        eta=np.eye(1), path=half_twist, resolution=8, loop=True, cutoff=4
     )
     with pytest.raises(HodgeError, match="loop"):
         _verify_loop(broken.bundle(0), broken.bundle(1))
@@ -469,7 +468,7 @@ def test_loop_flag_verified_by_flat_class():
         return np.array([[np.diag(theta)] for theta in thetas], dtype=complex)
 
     permuted = OperatorFamily(
-        eta=np.eye(2), path=swapped_endpoint, grid=grid_nodes(4), loop=True, cutoff=3
+        eta=np.eye(2), path=swapped_endpoint, resolution=4, loop=True, cutoff=3
     )
     _verify_loop(permuted.bundle(0), permuted.bundle(1))  # conjugate by the swap, accepted
 
@@ -488,7 +487,7 @@ def _rotating_rank_one_family(v_imag):
             out.append([0.1 * np.eye(3) + 0.2 * np.outer(v, v.conj())])
         return np.array(out)
 
-    return OperatorFamily(eta=np.eye(3), path=path, grid=grid_nodes(16), loop=True,
+    return OperatorFamily(eta=np.eye(3), path=path, resolution=16, loop=True,
                           cutoff=4, globally_flat=True, label="rotating")
 
 
@@ -620,7 +619,7 @@ def test_flow_rejects_bad_interior_nodes(connection, error, message):
 
 def _grid_walk_flows(fam, tol=1e-8):
     """(plus, minus) flows as sums of #pos changes over consecutive grid nodes."""
-    spectra = [assemble(fam.bundle(t), fam.cutoff).odd_spectrum() for t in fam.grid]
+    spectra = [assemble(fam.bundle(t), fam.cutoff).odd_spectrum() for t in fam.nodes]
     at_zero = min(np.min(np.abs(spectra[0])), np.min(np.abs(spectra[-1]))) < tol
     flows = []
     for sign in (1, -1):
@@ -707,7 +706,7 @@ def _built_in_grid_order(fam):
     """Each node's bundle, built and assembled one by one in grid order: the
     first bad node's error, or the flows of the walk over the grid."""
     try:
-        for t in fam.grid:
+        for t in fam.nodes:
             fam.bundle(t)
     except (HodgeError, DescriptorError) as exc:
         return str(exc)
@@ -790,8 +789,8 @@ def test_connections_read_in_several_runs_match_one_run(monkeypatch, stack_bytes
     runs = []
     real_stacks = hn.OperatorFamily._stacks
 
-    def stacks(self, nodes, node_bytes):
-        for stack in real_stacks(self, nodes, node_bytes):
+    def stacks(self, node_bytes):
+        for stack in real_stacks(self, node_bytes):
             runs.append(len(stack))
             yield stack
 
@@ -853,7 +852,7 @@ def _conjugated_pair_family(cutoff):
     def path(nodes):
         return np.array([[p @ np.diag([float(t), -float(t)]) @ p_inv] for t in nodes])
 
-    return OperatorFamily(eta=eta, path=path, grid=grid_nodes(16), loop=True,
+    return OperatorFamily(eta=eta, path=path, resolution=16, loop=True,
                           cutoff=cutoff, label="conjugated-pair")
 
 
@@ -931,13 +930,14 @@ def test_constant_report_sizes_its_operator_once(monkeypatch, theta, tol, dim):
         constant_family(line_bundle([theta]), cutoff=6, resolution=16), tol=tol)
     assert len(ops) == 1
     assert report["profile"] == [dim] * 17
-    assert report["indeterminate_points"] == ([] if dim is not None else report["grid"])
+    assert report["indeterminate_points"] == ([] if dim is not None
+                                              else [str(F(i, 16)) for i in range(17)])
 
 
 def test_loop_report_sizes_every_node(monkeypatch):
     fam = lusztig_family(cutoff=8, resolution=16)
     expected = []
-    for t in fam.grid:
+    for t in fam.nodes:
         try:
             expected.append(kernel_dimension(assemble(fam.bundle(t), 8)))
         except IndeterminateKernelError:
@@ -1002,18 +1002,18 @@ def test_family_descriptor_diagonal_monodromies():
     assert spectral_flow(family_from_descriptor(data, cutoff=4)).flow_plus == 1
 
 
-def test_grid_nodes_span():
-    nodes = grid_nodes(4)
-    assert nodes[0] == 0 and nodes[-1] == 1 and len(nodes) == 5
+@pytest.mark.parametrize("resolution", [1, 16, 32, 64, 96, 128, 4096])
+def test_nodes_are_the_correctly_rounded_quotients(resolution):
+    nodes = lusztig_family(resolution=resolution).nodes
+    expected = np.array([float(F(i, resolution)) for i in range(resolution + 1)])
+    assert nodes.dtype == float and nodes.tobytes() == expected.tobytes()
+    assert nodes[0] == 0 and nodes[-1] == 1
 
 
-def test_grid_nodes_are_built_once_and_never_shared():
-    first = grid_nodes(64)
-    first.append(F(2))
-    first[0] = F(-1)
-    again = grid_nodes(64)
-    assert again is not first and again == [F(i, 64) for i in range(65)]
-    assert all(x is y for x, y in zip(again, grid_nodes(64)))
+@pytest.mark.parametrize("resolution", [0, -1, 2.5, True, None, "8"])
+def test_family_resolution_must_be_a_positive_int(resolution):
+    with pytest.raises(HodgeError, match="resolution .* is not an integer >= 1"):
+        OperatorFamily(eta=np.eye(1), path=None, resolution=resolution)
 
 
 def test_hostile_entries_rejected():
@@ -1129,6 +1129,34 @@ def test_flow_endpoint_is_the_one_node_bundle(monkeypatch, z):
     assert np.array(built[-1].connection).tobytes() == np.array(fam.bundle(1).connection).tobytes()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: lusztig_family(cutoff=4, resolution=16),
+     lambda: family_from_descriptor(
+         _split_loop_descriptor([1, -1], [1, 2], [0.25, 0.5], [[0, 0], [0, 0]], 8),
+         cutoff=4)],
+    ids=["line", "t3-split"],
+)
+def test_every_node_bundle_is_built_by_family_bundle(monkeypatch, make):
+    # A flow builds its two endpoints and a profile its N + 1 nodes, each
+    # through OperatorFamily.bundle and nowhere else.
+    import tautsig.hodge_numeric as hn
+
+    calls, built = [], []
+    real_bundle, real_post_init = OperatorFamily.bundle, MonodromyBundle.__post_init__
+    monkeypatch.setattr(OperatorFamily, "bundle",
+                        lambda self, *args: calls.append(args) or real_bundle(self, *args))
+    monkeypatch.setattr(hn.MonodromyBundle, "__post_init__",
+                        lambda self: built.append(self) or real_post_init(self))
+    fam = make()
+    spectral_flow(fam)
+    assert len(calls) == len(built) == 2
+    calls.clear(), built.clear()
+    kernel_constancy_report(fam)
+    assert len(calls) == len(built) == fam.resolution + 1
+    assert [b.label[-5:] for b in built[::fam.resolution]] == ["(t=0)", "(t=1)"]
+
+
 @pytest.mark.parametrize("report", [spectral_flow, kernel_constancy_report],
                          ids=["flow", "profile"])
 @pytest.mark.parametrize(
@@ -1173,7 +1201,7 @@ def test_run_refusals_are_the_one_node_reader_s(report, entry, message, node):
 def test_real_arithmetic_is_read_as_one_array(monkeypatch, entry, arrays):
     from tautsig import descriptors
 
-    t = np.array([float(x) for x in grid_nodes(8)])
+    t = _line_family(entry).nodes
     one_node = np.array([[[[_compile_entry(entry)(x)]]] for x in t.tolist()])
     reads, read_t = [], descriptors._read_t
     monkeypatch.setattr(descriptors, "_read_t", lambda t: reads.append(np.ndim(t)) or read_t(t))
@@ -1212,12 +1240,12 @@ def test_run_reading_matches_the_one_node_reader(entries, grid):
         {"n": 1, "eta": np.eye(2).tolist(), "monodromies": [np.eye(2).tolist()],
          "family": {"connection": [[entries[:2], entries[2:]]], "grid": grid, "loop": True}},
         cutoff=2)
-    nodes = fam.grid
-    t = np.array([float(x) for x in nodes])
+    t = fam.nodes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         array, array_refusal = _refusal(lambda: fam.path(t))
-        stacked, stacked_refusal = _refusal(lambda: np.concatenate(list(fam._stacks(nodes, 1))))
+        stacked, stacked_refusal = _refusal(
+            lambda: np.concatenate([fam.path(t[:1]), *fam._stacks(1)]))
         single, refusal = _refusal(
             lambda: np.concatenate([fam.path(t[k:k + 1]) for k in range(len(t))]))
     assert array_refusal == stacked_refusal == refusal
@@ -1391,7 +1419,7 @@ def _split_loops(draw):
         stack[:, 0] += np.array([float(t) for t in nodes])[:, None, None] * np.diag(speeds)
         return stack
 
-    return lambda: OperatorFamily(eta=np.diag(signs), path=path, grid=grid_nodes(4),
+    return lambda: OperatorFamily(eta=np.diag(signs), path=path, resolution=4,
                                   loop=True, cutoff=cutoff)
 
 
@@ -1485,7 +1513,7 @@ def _near_split_loops(draw):
         stack[:, 0] += np.array([float(t) for t in nodes])[:, None, None] * np.diag(speeds)
         return stack
 
-    return lambda: OperatorFamily(eta=np.diag(signs), path=path, grid=grid_nodes(4),
+    return lambda: OperatorFamily(eta=np.diag(signs), path=path, resolution=4,
                                   loop=True, cutoff=cutoff)
 
 
@@ -1896,10 +1924,10 @@ def test_flow_validates_per_family_invariants_once(monkeypatch):
         counts.update(eta_solves=0, bundles=0)
         checked.clear()
         spectral_flow(fam)
-        # In grid order: the bundle at t = 0, one stacked check of the interior
+        # In order: the bundle at t = 0, one stacked check of the interior
         # nodes and the bundle at t = 1.
         assert counts["bundles"] == 2
-        assert checked == [(), (len(fam.grid) - 2,), ()]
+        assert checked == [(), (fam.resolution - 1,), ()]
         assert hn._standard_form.cache_info().misses == 1
         assert counts["eta_solves"] == solves
 
@@ -1970,30 +1998,6 @@ def test_report_walk_keeps_two_operators(monkeypatch):
     assert len(alive) == 257 and report["flow_plus"] == report["flow_minus"] == 1
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_loop_report_needs_a_grid_spanning_the_interval(n):
-    fam = family_from_descriptor({
-        "n": n, "eta": [[1]], "monodromies": [[[1]]] * n,
-        "family": {"connection": [[["t"]]] + [[["0"]]] * (n - 1), "grid": 4, "loop": True},
-    }, cutoff=4)
-    fam.grid = fam.grid[:-1]
-    with pytest.raises(HodgeError, match=r"grid must span \[0, 1\]"):
-        kernel_constancy_report(fam)
-    fam.loop = False
-    assert kernel_constancy_report(fam)["profile"][0] == 2 ** n
-
-
-@pytest.mark.parametrize("loop", [False, True])
-def test_report_refuses_an_empty_grid(loop):
-    fam = family_from_descriptor({
-        "n": 1, "eta": [[1]], "monodromies": [[[1]]],
-        "family": {"connection": [[["t"]]], "grid": 4, "loop": loop},
-    }, cutoff=4)
-    fam.grid = []
-    with pytest.raises(HodgeError, match="grid has no nodes"):
-        kernel_constancy_report(fam)
-
-
 def _count_path_nodes(monkeypatch, maker):
     """Nodes at which the families that ``hodge_numeric.<maker>`` builds
     evaluate their connection paths."""
@@ -2027,7 +2031,7 @@ def test_suite_reads_each_path_node_once(monkeypatch, suite, descriptor, maker, 
     config = suites.SuiteConfig(suites=[suite],
                                 descriptor=descriptor and str(_SHIPPED / descriptor))
     assert suites.run_suites(config)["ok"]
-    assert sorted(nodes) == grid_nodes(grid)
+    assert sorted(nodes) == [F(i, grid) for i in range(grid + 1)]
 
 
 # ---------------------------------------------------------------------------
