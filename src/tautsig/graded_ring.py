@@ -180,6 +180,8 @@ class ModelSpace:
         self._check_graded_relations()
         fund = self.fundamental_monomial
         if fund is not None:
+            if not _is_index_tuple(fund, len(self.generators)):
+                raise SpaceError(f"fundamental class {fund!r} is not a monomial of {name}")
             if self.monomial_degree(fund) != self.top_degree:
                 raise SpaceError("fundamental class must live in the top degree")
             # evaluate reads the coefficient of this monomial, so an unsorted
@@ -478,13 +480,17 @@ class ProductSpace:
         return f"ProductSpace({self.name!r})"
 
 
+def _is_index_tuple(part, count: int) -> bool:
+    """Whether ``part`` is a tuple of generator indices in ``range(count)``."""
+    return type(part) is tuple and all(type(g) is int and 0 <= g < count for g in part)
+
+
 def _check_parts(space: ProductSpace, mon: Monomial) -> None:
     """Refuse a monomial unless each part is a tuple of generator indices in
     range (checked first, so no bad index enters the normal-form cache) that
     is its own normal form (one cached lookup)."""
     for factor, part in zip(space.factors, mon):
-        count = len(factor.generators)
-        if type(part) is not tuple or not all(type(g) is int and 0 <= g < count for g in part):
+        if not _is_index_tuple(part, len(factor.generators)):
             raise SpaceError(f"{mon!r} is not a monomial of {space.name}")
         if factor.normalize(part) != {part: 1}:
             raise SpaceError(f"monomial {space.monomial_str(mon)} is not a "

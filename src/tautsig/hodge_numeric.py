@@ -17,7 +17,8 @@ floating point.
 Spectral flow follows the restriction of alpha(e_1) D to the even-parity
 subspace, a self-adjoint family with no residual symmetry.  Its flow is
 the change in positive index from t = 0 to t = 1; zeros at these
-endpoints are pushed off zero by +-10*tol and both readings are reported.
+endpoints are pushed off zero by +-GUARD_FACTOR*tol and both readings are
+reported.
 On odd tori the kernel dimension is read from the same restriction's
 spectrum.  That spectrum is read in closed form from the connection's
 diagonal a_ij and the frame: the restriction's generators G_j are checked
@@ -27,13 +28,13 @@ Everything else in the connection is one frequency-independent remainder
 E, read from the restricted zero block, whose norm is the one Weyl band of
 the operator; only when some |k + a_i| lies within that band of a level at
 which tol is decided is the restriction's stack built and solved by
-eigvalsh, as a bundle that is not split usually is.  For any continuous
-family, :func:`shell_bound` gives the cutoff from which the truncated flow
-no longer changes (Weyl's inequality).  Its one-bundle form guards every kernel
-count and both endpoints of every flow: a cutoff is refused unless it
-exceeds the norm of the zero-frequency block minus one, so no kernel vector
-lies outside the truncation and no block outside it changes its index
-(:func:`_kernel_window`).
+eigvalsh, as a bundle that is not split usually is.  One Weyl bound
+certifies every cutoff: every kernel count and both endpoints of every
+flow pass :func:`_kernel_window`, which refuses a cutoff unless cutoff + 1
+exceeds the norm of the zero-frequency block by GUARD_FACTOR tol / 2 pi, so
+no kernel vector lies outside the truncation and no block outside it
+changes its positive index from t = 0 to t = 1.  :func:`smallest_cutoff`
+is the smallest cutoff it accepts.
 
 The numerics are numpy's, and every floating-point decision about eta is
 made here: its hermitian and nonsingular rule and its standard form.  The
@@ -68,7 +69,7 @@ In lattice units block k of D is sum_j k_j (L_j + L_j^H) + (C + C^H), with
 C the connection term, so an operator holds only its zero-frequency block
 C + C^H.  The odd restriction is built from that block and the frame's
 restricted generators; the (B, d, d) block stack is built only when asked
-for (eigensystems, contracts, even tori), so odd-torus kernel dimensions
+for (eigensystems and even tori), so odd-torus kernel dimensions
 and flows never allocate it.  From T^3 on they allocate no restricted
 (B, d/2, d/2) stack either unless the Weyl band fails: the closed form
 needs only the restricted zero block, checked hermitian.  S^1 still builds
@@ -127,6 +128,7 @@ __all__ = [
     "HodgeError",
     "IndeterminateKernelError",
     "EndpointKernelError",
+    "CutoffError",
     "MonodromyBundle",
     "TruncatedOperator",
     "OperatorFamily",
@@ -137,7 +139,7 @@ __all__ = [
     "even_signature_index",
     "spectral_flow",
     "spectral_flow_both",
-    "shell_bound",
+    "smallest_cutoff",
     "kernel_constancy_report",
     "line_bundle",
     "lusztig_bundle",
@@ -160,10 +162,18 @@ _STACK_BYTES = 4 << 20
 # relative to the operator's largest |eigenvalue|: thousands of units of
 # machine epsilon, for the closed form's rounding and an eigensolver's.
 ROUNDING_RTOL = 1e-12
-# The multiples of tol against which kernel_dimension (tol, and 10 tol for its
-# guard) and spectral_flow (tol, and 9, 10 and 11 tol for its shifted readings)
-# compare |eigenvalue| all lie in [tol, 11 tol].
-_DECISION_WINDOW = (1.0, 11.0)
+# An |eigenvalue| below tol is a kernel value, and one that is not must be at
+# least GUARD_FACTOR tol: a decade between the two keeps eigensolver error far
+# below tol from moving a value across the decision.  The kernel guard refuses
+# a count with a value in [tol, GUARD_FACTOR tol), a flow pushes its endpoint
+# zeros off zero by +-GUARD_FACTOR tol, and the cutoff window asks that no
+# block outside the truncation come within GUARD_FACTOR tol of zero.
+GUARD_FACTOR = 10.0
+# The multiples of tol against which kernel_dimension (tol, and GUARD_FACTOR
+# tol for its guard) and spectral_flow (tol, and GUARD_FACTOR - 1,
+# GUARD_FACTOR and GUARD_FACTOR + 1 tol for its shifted readings) compare
+# |eigenvalue| all lie in [tol, (GUARD_FACTOR + 1) tol].
+_DECISION_WINDOW = (1.0, GUARD_FACTOR + 1.0)
 
 
 def __getattr__(name: str):
@@ -186,6 +196,10 @@ class IndeterminateKernelError(HodgeError):
 
 class EndpointKernelError(HodgeError):
     pass
+
+
+class CutoffError(HodgeError):
+    """A cutoff below the one :func:`_kernel_window` accepts."""
 
 
 # ---------------------------------------------------------------------------
@@ -633,23 +647,6 @@ class TruncatedOperator:
         vals, _ = self.eigen_system()
         return np.sort(vals.ravel())
 
-    def check_contracts(self) -> dict:
-        """Residuals of the structural identities; one above 1e-12 raises."""
-        d = self.blocks
-        iota = self.iota
-        selfadj = float(np.max(np.abs(d - np.conj(np.swapaxes(d, 1, 2)))))
-        graded = float(np.max(np.abs(d * iota[None, None, :] + d * iota[None, :, None])))
-        report = {"selfadjoint": selfadj, "iota_anticommute": graded}
-        t = self.tau_v
-        if self.bundle.n % 2 == 1:
-            report["tau_commute"] = float(np.max(np.abs(d @ t - t @ d)))
-        else:
-            report["tau_anticommute"] = float(np.max(np.abs(d @ t + t @ d)))
-        for key, value in report.items():
-            if value > 1e-12:
-                raise HodgeError(f"contract {key} violated: residual {value}")
-        return report
-
     def restricted_zero_block(self) -> np.ndarray:
         """alpha_1 Z restricted to the even-parity subspace, checked hermitian.
 
@@ -757,42 +754,61 @@ def assemble(bundle: MonodromyBundle, cutoff: int = DEFAULT_CUTOFF) -> Truncated
 
 def _kernel_guard(values: np.ndarray, tol: float) -> None:
     nonzero = np.abs(values)[np.abs(values) >= tol]
-    if nonzero.size and np.min(nonzero) < 10 * tol:
+    if nonzero.size and np.min(nonzero) < GUARD_FACTOR * tol:
         raise IndeterminateKernelError(
             f"indeterminate: smallest nonzero eigenvalue {np.min(nonzero):.3e} "
-            f"is within a factor 10 of tol {tol:.3e}"
+            f"is within a factor {GUARD_FACTOR:g} of tol {tol:.3e}"
         )
 
 
 def _kernel_window(op: TruncatedOperator, tol: float, use: str = "a kernel count") -> None:
     """Refuse a cutoff whose truncation may miss kernel vectors, for ``use``.
 
-    Block k is K_k + Z in lattice units, with ||K_k v|| = |k|_2 ||v|| (see
-    :func:`shell_bound`), so a block outside the truncation, where |k|_2 >=
-    cutoff + 1, has every |eigenvalue| >= cutoff + 1 - ||Z||_2.  When that is
-    at least 10 tol it holds no kernel vector and nothing the factor-10 guard
-    would flag, so the truncated count is the operator's.  A smaller tol has
-    a wider margin, so the operator remembers the largest tol that passed;
-    a failure is not remembered and raises, for its own ``use``, each time.
+    In lattice units block k of D is K_k + Z, where Z is the k = 0 block and
+    K_k = sum_j k_j (L_j + L_j^H) is hermitian with K_k^2 = |k|_2^2, so every
+    singular value of K_k, also between the parity subspaces, is |k|_2.  By
+    Weyl's inequality (Kato, Perturbation Theory) a block outside the
+    truncation, where |k|_2 >= cutoff + 1, has every |eigenvalue| >= cutoff +
+    1 - ||Z||_2.  When that is at least GUARD_FACTOR tol it holds no kernel
+    vector and nothing the kernel guard would flag, so the truncated count is
+    the operator's.  A flow is the sum over blocks of their changes in
+    positive index, and it passes when both endpoints do: a block with |k|_2
+    > ||Z(t)||_2 at t = 0 and at t = 1 is joined to K_k at both ends by s ->
+    K_k + s Z(t), s in [0, 1], through invertible matrices, so it keeps its
+    positive index.  :func:`smallest_cutoff` is the smallest cutoff that
+    passes, and the refusal names it.  A smaller tol has a wider margin, so
+    the operator remembers the largest tol that passed; a failure is not
+    remembered and raises, for its own ``use``, each time.
     """
     if tol <= op._window:
         return
-    margin = op.cutoff + 1 - 10 * tol / UNIT
+    margin = op.cutoff + 1 - GUARD_FACTOR * tol / UNIT
     # The largest row sum of |Z| bounds ||Z||_2 and settles most cutoffs
     # without an SVD.
     if np.abs(op.zero).sum(axis=1).max() < margin:
         op._window = tol
         return
-    norm = float(np.linalg.norm(op.zero, 2))
-    if norm < margin:
+    if float(np.linalg.norm(op.zero, 2)) < margin:
         op._window = tol
         return
-    reach = norm + 10 * tol / UNIT
-    needed = f"at least {math.floor(reach)}" if reach <= MAX_CUTOFF else f"over {MAX_CUTOFF}"
-    raise HodgeError(
+    cutoff, norm = smallest_cutoff(op.bundle, tol)
+    needed = f"at least {cutoff}" if cutoff <= MAX_CUTOFF else f"over {MAX_CUTOFF}"
+    raise CutoffError(
         f"cutoff {op.cutoff} may miss kernel vectors of a connection block of norm "
         f"{norm:.6g}; {use} needs a cutoff of {needed}"
     )
+
+
+def smallest_cutoff(bundle: MonodromyBundle, tol: float = DEFAULT_TOL) -> tuple[int, float]:
+    """The smallest cutoff :func:`_kernel_window` accepts for ``bundle`` at
+    tol, and the norm ||Z||_2 of the bundle's zero-frequency block.
+
+    The window accepts c when ||Z||_2 < c + 1 - GUARD_FACTOR tol / 2 pi, so
+    from c = max(1, floor(||Z||_2 + GUARD_FACTOR tol / 2 pi)) on.  A flow
+    needs the larger of its two endpoints' cutoffs.
+    """
+    norm = float(np.linalg.norm(_zero_block(bundle), 2))
+    return max(1, math.floor(norm + GUARD_FACTOR * tol / UNIT)), norm
 
 
 def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
@@ -808,7 +824,7 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     alpha = diag(iota) tau_V squares to -1,
     anticommutes with D and swaps the parities, so B = alpha D on even forms
     has B^2 = D^2 there, and alpha maps the even kernel of D onto the odd
-    one.  So |spec D| is |spec B| counted twice, and the factor-10 guard
+    one.  So |spec D| is |spec B| counted twice, and the kernel guard
     decides alike on both.  A cutoff too small for the connection raises
     (:func:`_kernel_window`).
     """
@@ -1054,10 +1070,11 @@ def spectral_flow(
     checked in one pass, by the test each bundle applies
     (:func:`_standard_connection`); the first bad node in order raises its
     bundle's error.  Each endpoint's cutoff must pass :func:`_kernel_window`,
-    which bounds the blocks that can cross zero (see :func:`shell_bound`).
+    which bounds the blocks that can change their positive index.
     If an endpoint eigenvalue lies within tol of zero, the flow is read with
-    the family shifted by +10*tol and by -10*tol; a shift that leaves one
-    within tol of zero raises :class:`EndpointKernelError`.
+    the family shifted by +GUARD_FACTOR tol and by -GUARD_FACTOR tol; a
+    shift that leaves one within tol of zero raises
+    :class:`EndpointKernelError`.
     """
     if not family.loop:
         raise HodgeError("spectral flow is defined for loop families")
@@ -1093,7 +1110,7 @@ def _endpoint_flow(first: TruncatedOperator, last: TruncatedOperator,
     start, end = first.odd_spectrum(tol), last.odd_spectrum(tol)
     near_zero = min(np.min(np.abs(start)), np.min(np.abs(end))) < tol
     flows = []
-    for shift in (10.0 * tol, -10.0 * tol) if near_zero else (0.0,):
+    for shift in (GUARD_FACTOR * tol, -GUARD_FACTOR * tol) if near_zero else (0.0,):
         if min(np.min(np.abs(start + shift)), np.min(np.abs(end + shift))) < tol:
             raise EndpointKernelError("endpoint shift failed to clear the kernel")
         flows.append(int(np.sum(end + shift > 0)) - int(np.sum(start + shift > 0)))
@@ -1102,28 +1119,6 @@ def _endpoint_flow(first: TruncatedOperator, last: TruncatedOperator,
 
 # The name the benchmark harness calls.
 spectral_flow_both = spectral_flow
-
-
-def shell_bound(family: OperatorFamily) -> tuple[int, float]:
-    """Cutoff S from which the family's truncated flow is constant, and sup.
-
-    In lattice units block k of D(t) is K_k + Z(t), where Z(t) is the k = 0
-    block and K_k = sum_j k_j (L_j + L_j^H) is hermitian with K_k^2 =
-    |k|_2^2, so every singular value of K_k, also between the parity
-    subspaces, is |k|_2.  By Weyl's inequality (Kato, Perturbation Theory) a
-    block with |k|_2 > sup, where sup bounds ||Z(t)||_2 over [0, 1], is
-    invertible at every t and adds nothing to the flow; so every cutoff >=
-    S = floor(sup) + 1 gives the flow of the whole operator.  sup is the
-    larger of ||Z(0)||_2 and ||Z(1)||_2; the endpoints suffice for any
-    continuous family.  The flow is the sum over blocks of their changes in
-    positive index, and a block with |k|_2 > ||Z(t)||_2 at t = 0 and t = 1
-    is joined to K_k at both ends by s -> K_k + s Z(t), s in [0, 1], through
-    invertible matrices, so its index does not change.
-    """
-    sup = 0.0
-    for t in (0, 1):
-        sup = max(sup, float(np.linalg.norm(_zero_block(family.bundle(t)), 2)))
-    return math.floor(sup) + 1, sup
 
 
 def kernel_constancy_report(family: OperatorFamily, tol: float = DEFAULT_TOL) -> dict:

@@ -617,70 +617,72 @@ def _suite_kappa_products(config: SuiteConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _window_edge(bundles: list, read: Callable[[int], str], expected: int,
+                 tol: float) -> tuple[bool, str]:
+    """(ok, detail) of a reading at the kernel window's edge.
+
+    c is the smallest cutoff the window accepts for every bundle in
+    ``bundles`` (:func:`tautsig.hodge_numeric.smallest_cutoff`).  ok says
+    that c is ``expected``, that the window refuses ``read(c - 1)`` (when
+    c > 1) and that ``read(c + 4)`` equals ``read(c)``.  The detail gives
+    ``read(c)``, c and the margin c + 1 - ||Z||_2 of the largest of the
+    bundles' connection blocks, and ``read(c - 1)`` when it was not refused.
+    """
+    from . import hodge_numeric
+
+    def at(cutoff: int) -> Optional[str]:
+        try:
+            return read(cutoff)
+        except hodge_numeric.CutoffError:
+            return None
+
+    cutoffs, norms = zip(*(hodge_numeric.smallest_cutoff(b, tol) for b in bundles))
+    c = max(cutoffs)
+    value, below = at(c), None if c == 1 else at(c - 1)
+    ok = c == expected and below is None and value is not None and value == at(c + 4)
+    detail = f"{value or 'refused'}, c={c}, margin={c + 1 - max(norms):.6g}"
+    return ok, detail if below is None else f"{detail}, c - 1 read {below}"
+
+
 def _suite_stability(config: SuiteConfig) -> list[dict]:
     from . import hodge_numeric
 
-    cases: list[dict] = []
-    # Blocks beyond the shell bound S cannot cross zero, so the flow at S is
-    # the flow at every cutoff from S on, the run's cutoff included.
-    shell, sup = hodge_numeric.shell_bound(
-        hodge_numeric.lusztig_family(cutoff=config.cutoff, resolution=config.grid))
-    flows = [
-        hodge_numeric.spectral_flow(
-            hodge_numeric.lusztig_family(cutoff=cutoff, resolution=config.grid),
-            tol=config.tol,
-        ).flow_plus
-        for cutoff in (shell, max(config.cutoff, shell))
-    ]
-    cases.append(
-        _case(
-            "stability",
-            "line-family flow certified for every cutoff from the shell bound S",
-            "stability:cutoff",
-            flows[0] == flows[1],
-            detail=f"flow={flows[0]}, S={shell}, sup={sup:.6g}, "
-                   f"margin={shell + 1 - sup:.6g}",
-            cutoff=config.cutoff,
-            shell_cutoff=shell,
-        )
-    )
-    kd = []
-    for cutoff in (config.cutoff, config.cutoff + 4):
-        op = hodge_numeric.assemble(
-            hodge_numeric.lusztig_bundle(Fraction(1, 3)), cutoff
-        )
-        kd.append(hodge_numeric.kernel_dimension(op, config.tol))
-    cases.append(
-        _case(
-            "stability",
-            "kernel dimension stable under cutoff + 4",
-            "stability:cutoff",
-            kd[0] == kd[1],
-            detail=f"dims={kd}",
-        )
-    )
-    fams = _globally_flat_families(config.cutoff, 16)
-    ok = True
-    detail_parts = []
-    for fam in fams[:3]:
-        rep_a = hodge_numeric.kernel_constancy_report(fam, tol=config.tol)
-        fam_b = hodge_numeric.constant_family(
-            fam.bundle(0), cutoff=fam.cutoff + 4, resolution=16
-        )
-        rep_b = hodge_numeric.kernel_constancy_report(fam_b, tol=config.tol)
-        same = rep_a["profile"] == rep_b["profile"]
-        ok = ok and same and rep_a["constant"] and rep_b["constant"]
-        detail_parts.append(f"{fam.label}:{rep_a['profile'][0]}")
-    cases.append(
-        _case(
-            "stability",
-            "globally flat profiles stable under cutoff + 4",
-            "stability:cutoff",
-            ok,
-            detail=", ".join(detail_parts),
-        )
-    )
-    return cases
+    # Each input has a crossing or a kernel at |k| = c, the smallest cutoff
+    # the window accepts, so at c - 1 the truncation would read another flow,
+    # kernel or profile: the window must refuse it.
+    tol = config.tol
+    edges = []
+    for speed in (1, 2, 3):
+        def flow(cutoff: int, speed: int = speed) -> str:
+            fam = hodge_numeric.lusztig_family(cutoff, config.grid, speed)
+            result = hodge_numeric.spectral_flow(fam, tol=tol)
+            return f"flow={result.flow_plus}/{result.flow_minus}"
+
+        fam = hodge_numeric.lusztig_family(resolution=config.grid, speed=speed)
+        edges.append(_window_edge([fam.bundle(0), fam.bundle(1)], flow, speed, tol))
+    line = hodge_numeric.line_bundle([3.0])
+
+    def dimension(cutoff: int) -> str:
+        op = hodge_numeric.assemble(line, cutoff)
+        return f"dim={hodge_numeric.kernel_dimension(op, tol)}"
+
+    flat = hodge_numeric.line_bundle([2.0], label="flat-line(2.0)")
+
+    def profile(cutoff: int) -> str:
+        fam = hodge_numeric.constant_family(flat, cutoff=cutoff, resolution=4)
+        report = hodge_numeric.kernel_constancy_report(fam, tol=tol)
+        return f"profile={report['profile']}, flow={_flow_text(report)}"
+
+    cases = [("line-family flows x1..x3 at the window's edge c = speed",
+              all(ok for ok, _ in edges),
+              "; ".join(f"x{speed}: {detail}" for speed, (_, detail) in enumerate(edges, 1)),
+              {"speeds": [1, 2, 3]}),
+             ("kernel dimension of line(3.0) at the window's edge c = 3",
+              *_window_edge([line], dimension, 3, tol), {"theta": 3.0}),
+             ("globally flat profile of line(2.0) at the window's edge c = 2",
+              *_window_edge([flat], profile, 2, tol), {"theta": 2.0})]
+    return [_case("stability", case, "stability:cutoff", ok, detail=detail, **inputs)
+            for case, ok, detail, inputs in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +736,6 @@ def _suite_descriptor(config: SuiteConfig) -> list[dict]:
 
     bundle = hodge_numeric.bundle_from_descriptor(data)
     op = hodge_numeric.assemble(bundle, config.cutoff)
-    op.check_contracts()
     dim = hodge_numeric.kernel_dimension(op, config.tol)
     spectrum = op.eigenvalues()
     low = ", ".join(f"{v:.6g}" for v in spectrum[abs(spectrum).argsort()[:6]])
@@ -742,7 +743,7 @@ def _suite_descriptor(config: SuiteConfig) -> list[dict]:
     cases.append(
         _case(
             "descriptor",
-            f"bundle {bundle.label}: contracts hold, kernel dimension {dim}",
+            f"bundle {bundle.label}: kernel dimension {dim}",
             "descriptor:bundle",
             True,
             detail=f"n={bundle.n}, signature=({bundle.p},{bundle.q}), "
@@ -865,9 +866,11 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "stability",
-            "The line-family flow is certified for every cutoff from the Weyl "
-            "shell bound S on; kernel dimensions and flat profiles are "
-            "unchanged under cutoff + 4.",
+            "A line-family flow, a kernel dimension and a globally flat "
+            "profile, each read at the smallest cutoff c that the kernel "
+            "window's Weyl bound accepts, for an input whose crossing or "
+            "kernel sits at |k| = c: the window refuses c - 1, and the "
+            "reading is unchanged at c + 4.",
             ["stability:cutoff"],
             _suite_stability,
         ),

@@ -2,9 +2,9 @@
 
 A case that no change of the program can fail certifies nothing.  The table
 maps a case of ``tautsig run --suite all``, or of the descriptor suite run on
-FLAT_FAMILY, by suite and case name, to a monkeypatch of program code.  Under
-it the case reports ``ok=False`` and the run exits 1; without it the case
-passes.
+FLAT_FAMILY, by suite and case name, to a monkeypatch of program code, or to
+a tuple of them.  Under each the case reports ``ok=False`` and the run exits
+1; without them the case passes.
 """
 
 import __future__
@@ -88,6 +88,35 @@ def endpoint_flow_one(monkeypatch):
     monkeypatch.setattr(hodge_numeric, "_endpoint_flow", lambda first, last, tol: (1, 1))
 
 
+# The kernel window accepts one cutoff more than it should, on either of its
+# accept paths, or names one cutoff less as the smallest it accepts.
+def row_sum_shortcut_accepts_one_more_cutoff(monkeypatch):
+    _mutant(monkeypatch, hodge_numeric, "_kernel_window",
+            "np.abs(op.zero).sum(axis=1).max() < margin",
+            "np.abs(op.zero).sum(axis=1).max() < margin + 1")
+
+
+def norm_test_accepts_one_more_cutoff(monkeypatch):
+    _mutant(monkeypatch, hodge_numeric, "_kernel_window",
+            "float(np.linalg.norm(op.zero, 2)) < margin",
+            "float(np.linalg.norm(op.zero, 2)) < margin + 1")
+
+
+def smallest_cutoff_one_less(monkeypatch):
+    _mutant(monkeypatch, hodge_numeric, "smallest_cutoff",
+            "math.floor(norm + GUARD_FACTOR * tol / UNIT)",
+            "math.floor(norm + GUARD_FACTOR * tol / UNIT) - 1")
+
+
+WINDOW_MUTATIONS = (row_sum_shortcut_accepts_one_more_cutoff,
+                    norm_test_accepts_one_more_cutoff, smallest_cutoff_one_less)
+STABILITY_CASES = [
+    "line-family flows x1..x3 at the window's edge c = speed",
+    "kernel dimension of line(3.0) at the window's edge c = 3",
+    "globally flat profile of line(2.0) at the window's edge c = 2",
+]
+
+
 def _replace_hodge(monkeypatch, **changes):
     # A changed copy of the shared value: the cached structures stay as they are.
     real = clifford.build_exterior
@@ -147,6 +176,7 @@ MUTATIONS = {
         endpoint_flow_one,
     **{("clifford-signs", case): star_phase_off_by_i for case in STAR_CASES},
     **{("clifford-signs", case): volume_negated for case in VOLUME_CASES + TAU_CASES},
+    **{("stability", case): WINDOW_MUTATIONS for case in STABILITY_CASES},
 }
 
 # A globally flat loop family on the circle: constant kernel, zero flow.
@@ -176,11 +206,14 @@ def test_case_passes_unmutated(tmp_path, suite, case):
 
 
 @pytest.mark.parametrize("suite, case", sorted(MUTATIONS))
-def test_case_fails_under_its_mutation(tmp_path, monkeypatch, suite, case):
-    MUTATIONS[suite, case](monkeypatch)
-    code, cases = _run(suite, tmp_path)
-    assert code == 1
-    assert cases[case]["ok"] is False
+def test_case_fails_under_its_mutation(tmp_path, suite, case):
+    mutations = MUTATIONS[suite, case]
+    for mutation in mutations if isinstance(mutations, tuple) else (mutations,):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            mutation(monkeypatch)
+            code, cases = _run(suite, tmp_path)
+        assert code == 1, mutation.__name__
+        assert cases[case]["ok"] is False, mutation.__name__
 
 
 def test_vanishing_detail_reads_the_report_flows(tmp_path, monkeypatch):

@@ -453,6 +453,17 @@ def test_kernel_count_needs_a_cutoff_past_the_connection(tmp_path, capsys):
     assert "kernel dimension 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_descriptor_bundle_within_the_bundle_tolerance_runs(tmp_path, capsys, n):
+    # A'^H = A' holds up to 1e-11, within BUNDLE_ATOL: the bundle loads, and
+    # the suite reads its kernel instead of refusing the residual.
+    a = [[0.25, 1e-11], [0, 0.25]]
+    path = tmp_path / "near-hermitian.json"
+    path.write_text(json.dumps({"n": n, "eta": [[1, 0], [0, 1]], "connection": [a] * n}))
+    assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 0
+    assert "kernel dimension 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "args,grid",
     [(["--suite", "lusztig", "--grid", "100000000"], None),

@@ -261,6 +261,16 @@ def test_evaluate_needs_fundamental_class():
         evaluate(open_space.gen("x"))
 
 
+@pytest.mark.parametrize("fund", [(-1,), (1,), (0.0,), (True,)])
+def test_fundamental_class_indices_must_be_in_range(fund):
+    # Index -1 would read the last generator for the degree, yet evaluate
+    # would read the coefficient of a monomial that no class holds.
+    with pytest.raises(SpaceError, match="is not a monomial of c"):
+        ModelSpace("c", [("u", 1)], top_degree=1, fundamental_class=fund)
+    space = product_of((ModelSpace("c", [("u", 1)], top_degree=1, fundamental_class=(0,)),))
+    assert evaluate(space.gen("u")) == 1
+
+
 # -- printed form ---------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tautsig.hodge_numeric import (
     DEFAULT_TOL,
     UNIT,
+    CutoffError,
     EndpointKernelError,
     HodgeError,
     IndeterminateKernelError,
@@ -30,7 +31,7 @@ from tautsig.hodge_numeric import (
     lusztig_bundle,
     lusztig_family,
     lusztig_pair_family,
-    shell_bound,
+    smallest_cutoff,
     spectral_flow,
     _standard_form,
 )
@@ -172,6 +173,17 @@ def test_twisted_circle_oracle_equivalence(theta):
     assert np.allclose(op.eigenvalues(), circle_spectrum_oracle(theta, 8), atol=1e-10)
 
 
+def _contract_residuals(op):
+    """Largest residuals of D's structural identities on its block stack: D
+    hermitian, D anticommuting with iota, and D commuting with tau_V on odd
+    tori and anticommuting with it on even ones."""
+    d, t = op.blocks, op.tau_v
+    sign = 1 if op.bundle.n % 2 else -1
+    return {"selfadjoint": np.abs(d - np.conj(np.swapaxes(d, 1, 2))).max(),
+            "iota": np.abs(d * op.iota[None, None, :] + d * op.iota[None, :, None]).max(),
+            "tau": np.abs(d @ t - sign * (t @ d)).max()}
+
+
 def test_structural_contracts_exact_zero():
     for bundle in (
         line_bundle([0.0]),
@@ -182,7 +194,7 @@ def test_structural_contracts_exact_zero():
         ),
     ):
         op = assemble(bundle, cutoff=3)
-        report = op.check_contracts()
+        report = _contract_residuals(op)
         assert all(v == 0.0 for v in report.values()), report
 
 
@@ -286,6 +298,19 @@ def test_kernel_window_failures_raise_each_time():
     for use in ("a kernel count", "a spectral flow", "a kernel count"):
         with pytest.raises(HodgeError, match=f"{use} needs a cutoff of at least 3"):
             kernel_dimension(op) if use == "a kernel count" else spectral_flow(fam)
+
+
+@pytest.mark.parametrize("theta,cutoff,needed",
+                         [(3.0, 3, "at least 3"), (1024.5, 1024, "at least 1024"),
+                          (1025.0, 1025, "over 1024")])
+def test_window_refusal_names_the_smallest_cutoff(theta, cutoff, needed):
+    # ||Z||_2 = |theta|, and the window accepts from floor(|theta| + 10 tol / 2 pi).
+    bundle = line_bundle([theta])
+    assert smallest_cutoff(bundle) == (cutoff, theta)
+    with pytest.raises(CutoffError, match=f"a kernel count needs a cutoff of {needed}$"):
+        kernel_dimension(assemble(bundle, cutoff=cutoff - 1))
+    if cutoff <= 1024:
+        assert kernel_dimension(assemble(bundle, cutoff=cutoff)) == (2 if theta == 3.0 else 0)
 
 
 # The six eta of the odd-kernel checks; diag(2, -1) and [[1, 2], [2, 1]] have
@@ -812,13 +837,18 @@ def test_flow_refuses_a_cutoff_below_its_window():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lattice_blocks_have_singular_values_norm_k(n):
-    # The premise of the shell bound: with no connection, block k is L_k, and
+    # The premise of the kernel window: with no connection, block k is L_k, and
     # every singular value of L_k, also from the even forms, is |k|_2.
     op = assemble(line_bundle([0.0] * n), cutoff=2)
     norms = np.linalg.norm(op.freqs, axis=1)[:, None]
     for cols in (slice(None), op.frame.even):
         svals = np.linalg.svd(op.blocks[:, :, cols], compute_uv=False)
         assert np.allclose(svals, norms, atol=1e-12)
+
+
+def _family_cutoff(fam, tol=DEFAULT_TOL):
+    """The smallest cutoff the kernel window accepts at both ends of a family."""
+    return max(smallest_cutoff(fam.bundle(t), tol)[0] for t in (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -830,15 +860,19 @@ def test_lattice_blocks_have_singular_values_norm_k(n):
      (lambda cutoff: lusztig_pair_family(cutoff, 8), 1, {(-1,): 1, (0,): -1})],
     ids=["line-x1", "line-x2", "line-x3", "pair"],
 )
-def test_shell_bound_certifies_the_flow(make, sup, blocks):
+def test_smallest_cutoff_certifies_the_flow(make, sup, blocks):
     fam = make(8)
-    shell, bound = shell_bound(fam)
-    assert shell == sup + 1 and bound == pytest.approx(sup, abs=1e-12)
+    assert smallest_cutoff(fam.bundle(0)) == (1, 0.0)
+    cutoff, norm = smallest_cutoff(fam.bundle(1))
+    assert cutoff == _family_cutoff(fam) == sup and norm == pytest.approx(sup, abs=1e-12)
     # Only blocks within the bound change their positive index.
     per_block = block_flow_oracle(fam.operator(0), fam.operator(1), 1e-8)
     assert per_block == blocks
-    assert all(math.hypot(*k) <= bound for k in per_block)
-    flows = [spectral_flow(make(cutoff)).flow_plus for cutoff in (shell, shell + 4)]
+    assert all(math.hypot(*k) <= norm for k in per_block)
+    if cutoff > 1:
+        with pytest.raises(CutoffError, match=f"needs a cutoff of at least {cutoff}$"):
+            spectral_flow(make(cutoff - 1))
+    flows = [spectral_flow(make(c)).flow_plus for c in (cutoff, cutoff + 4)]
     assert flows == [sum(blocks.values())] * 2 == [spectral_flow(fam).flow_plus] * 2
 
 
@@ -856,19 +890,42 @@ def _conjugated_pair_family(cutoff):
                           cutoff=cutoff, label="conjugated-pair")
 
 
-def test_shell_bound_certifies_a_non_unitary_family():
+def test_smallest_cutoff_certifies_a_non_unitary_family():
     # As without P: the summand of eta sign +1 and speed +1 crosses at k = -1,
     # that of sign -1 and speed -1 at k = 1, and each counts +1, so the flow
     # is 1*1 + (-1)*(-1) = 2.
     fam = _conjugated_pair_family(8)
-    shell, bound = shell_bound(fam)
-    assert shell == 3 and 2 < bound < 3
+    cutoff, norm = smallest_cutoff(fam.bundle(1))
+    assert cutoff == _family_cutoff(fam) == 2 and 2 < norm < 3
     per_block = block_flow_oracle(fam.operator(0), fam.operator(1), 1e-8)
     assert per_block == {(-1,): 1, (1,): 1}
-    assert all(math.hypot(*k) <= bound for k in per_block)
-    for cutoff in (2, shell, 8):
-        result = spectral_flow(_conjugated_pair_family(cutoff))
+    assert all(math.hypot(*k) <= norm for k in per_block)
+    with pytest.raises(CutoffError, match="a spectral flow needs a cutoff of at least 2$"):
+        spectral_flow(_conjugated_pair_family(1))
+    for c in (cutoff, cutoff + 4, 8):
+        result = spectral_flow(_conjugated_pair_family(c))
         assert (result.flow_plus, result.flow_minus) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "entry,cutoff,flow",
+    [("t + 5*sin(pi*t)", 1, 1),
+     ("3*t - 7*sin(pi*t)**2", 3, 3),
+     ("-2*t + 4.3*sin(2*pi*t)", 2, -2)],
+)
+def test_non_affine_loops_flow_from_their_smallest_cutoff(entry, cutoff, flow):
+    # Only the endpoints set the cutoff, however far the path strays between
+    # them.  Below it, truncations read 1/2 and 2/3 (cutoffs 1 and 2) for the
+    # second loop and -2/-1 (cutoff 1) for the third.
+    data = {"n": 1, "eta": [[1]], "monodromies": [[[1]]],
+            "family": {"connection": [[[entry]]], "grid": 64, "loop": True}}
+    assert _family_cutoff(family_from_descriptor(data)) == cutoff
+    if cutoff > 1:
+        with pytest.raises(CutoffError, match=f"needs a cutoff of at least {cutoff}$"):
+            spectral_flow(family_from_descriptor(data, cutoff=cutoff - 1))
+    for c in range(cutoff, 13):
+        result = spectral_flow(family_from_descriptor(data, cutoff=c))
+        assert (result.flow_plus, result.flow_minus) == (flow, flow), c
 
 
 # ---------------------------------------------------------------------------
@@ -1455,6 +1512,24 @@ def test_certified_odd_spectra_match_eigvalsh(make):
         assert np.max(np.abs(op.odd_spectrum() - ref)) <= 1e-12 * np.max(np.abs(ref))
     closed, solved = _counts_on_both_paths(make)
     assert closed == solved
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_loops())
+def test_flow_at_the_smallest_cutoff_is_the_block_flow(make):
+    fam = make()
+    cutoff = _family_cutoff(fam)
+    if cutoff > 1:
+        fam.cutoff = cutoff - 1
+        with pytest.raises(CutoffError):
+            spectral_flow(fam)
+    flows = []
+    for c in (cutoff + 4, cutoff):
+        fam.cutoff = c
+        result = spectral_flow(fam)
+        flows.append((result.flow_plus, result.flow_minus))
+    blocks = block_flow_oracle(fam.operator(0), fam.operator(1), DEFAULT_TOL)
+    assert flows[0] == flows[1] and flows[1][0] == sum(blocks.values())
 
 
 def _weyl_band(op):
@@ -2074,7 +2149,7 @@ def test_non_unitary_descriptor_matches_the_original_frame():
     bundle = bundle_from_descriptor({"n": 1, "eta": [[2, 0], [0, -1]],
                                      "monodromies": [pairs(m)], "connection": [pairs(a)]})
     op = assemble(bundle, cutoff=8)
-    op.check_contracts()
+    assert all(v <= 1e-12 for v in _contract_residuals(op).values())
     assert kernel_dimension(op) == 0
     ref = original_frame_spectrum(bundle, 8)
     assert np.max(np.abs(op.eigen_system()[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
