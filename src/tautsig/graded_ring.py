@@ -40,14 +40,15 @@ Caching
 Spaces are not mutated after construction, so pure per-space values are
 computed once and live as long as their space: each :class:`ModelSpace`
 keeps the normal forms of the raw products it has normalized and its basis
-per degree, and each :class:`ProductSpace` keeps the products of the
-monomial pairs it has multiplied, each monomial's degree profile (its
-degree in every factor) and its basis per degree.  Cached values are
-returned as tuples, read-only mappings or new lists, so no caller can
-change them.  Every space this module builds comes from :func:`product_of`,
-a bounded cache of one shared space per tuple of factors, so these tables
-stay warm across calls that rebuild the same product; calling
-``ProductSpace(...)`` directly gives a new space with cold tables.
+per degree, and each :class:`ProductSpace` keeps each monomial's degree
+profile (its degree in every factor) and its basis per degree.  A product
+of two monomials is rebuilt from its factors' cached normal forms at each
+call, as a new dict.  Cached values are returned as tuples, read-only
+mappings or new lists, so no caller can change them.  Every space this
+module builds comes from :func:`product_of`, a bounded cache of one shared
+space per tuple of factors, so these tables stay warm across calls that
+rebuild the same product; calling ``ProductSpace(...)`` directly gives a
+new space with cold tables.
 
 Products skip pairs that cannot survive
 ---------------------------------------
@@ -375,8 +376,6 @@ class ProductSpace:
         self.name = " x ".join(f.name for f in self.factors) or "point"
         self._key = ("product", tuple(f._key for f in self.factors))
         self._hash = hash(self._key)
-        # (m1, m2) -> read-only product of the two monomials.
-        self._mul_cache: dict[tuple, Mapping[Monomial, Coeff]] = {}
         # monomial -> its degree in each factor.
         self._profiles: dict[Monomial, tuple[int, ...]] = {}
         # degree -> its basis monomials.
@@ -397,11 +396,8 @@ class ProductSpace:
     def monomial_str(self, mon: Monomial) -> str:
         return " x ".join(f.monomial_str(m) for f, m in zip(self.factors, mon)) or "1"
 
-    def mul_monomials(self, m1: Monomial, m2: Monomial) -> Mapping[Monomial, Coeff]:
-        """Product of two monomials as a read-only {monomial: coefficient}."""
-        cached = self._mul_cache.get((m1, m2))
-        if cached is not None:
-            return cached
+    def mul_monomials(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Coeff]:
+        """Product of two monomials as a new {monomial: coefficient}."""
         # Koszul sign for interleaving: each m2[i] passes every m1[j], j > i,
         # which flips the sign when m2[i] and the m1 parts right of i are odd.
         negate = right_odd = False
@@ -421,8 +417,7 @@ class ProductSpace:
             result = {
                 mon + (m,): c * pc for mon, c in result.items() for m, pc in part.items()
             }
-        cached = self._mul_cache[(m1, m2)] = MappingProxyType(result)
-        return cached
+        return result
 
     def basis(self, degree: int) -> list[Monomial]:
         """Basis monomials of the given degree, as a new list."""
@@ -678,13 +673,7 @@ def _add_products(dst: dict, mul, terms1: Iterable, terms2: Iterable) -> None:
         for m2, c2 in terms2:
             c12 = c1 * c2
             for m, c in mul(m1, m2).items():
-                # Koszul and relation coefficients are mostly +-1.
-                if c == 1:
-                    dst[m] = dst.get(m, 0) + c12
-                elif c == -1:
-                    dst[m] = dst.get(m, 0) - c12
-                else:
-                    dst[m] = dst.get(m, 0) + c12 * c
+                dst[m] = dst.get(m, 0) + c12 * c
 
 
 def _canonical(terms: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:
@@ -740,8 +729,8 @@ PRODUCT_SPACE_CACHE = 256
 def product_of(factors: tuple[ModelSpace, ...]) -> ProductSpace:
     """The shared product space of a tuple of factors.
 
-    Equal factor tuples give the same space, so its product, profile and
-    basis tables stay warm from one call to the next.
+    Equal factor tuples give the same space, so its profile and basis
+    tables stay warm from one call to the next.
     """
     return ProductSpace(factors)
 

@@ -279,10 +279,8 @@ class CharClassPolynomial:
     def evaluate(self, classes: Sequence[GradedClass], space: ProductSpace) -> GradedClass:
         """Plug graded classes in for the variables (index i -> v_{i+1}).
 
-        A variable beyond ``classes`` counts as zero.  Each power
-        ``classes[i] ** e`` is computed once per call.
+        A variable beyond ``classes`` counts as zero.
         """
-        powers: dict[tuple[int, int], GradedClass] = {}
         result = space.zero()
         for exps, coeff in self.terms.items():
             if any(exps[len(classes):]):
@@ -291,10 +289,7 @@ class CharClassPolynomial:
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[(i, e)] = classes[i] ** e
-                term = term * power
+                term = term * classes[i] ** e
                 if term.is_zero():
                     break
             else:

@@ -56,9 +56,9 @@ def fiber_sign_with_own_degree(monkeypatch):
 
 
 def unit_product_subtracted(monkeypatch):
-    # The +1 fast path of the pair loop shared by products and fiber integrals.
-    _mutant(monkeypatch, graded_ring, "_add_products",
-            "dst[m] = dst.get(m, 0) + c12\n", "dst[m] = dst.get(m, 0) - c12\n")
+    # The one accumulation of the pair loop shared by products and fiber
+    # integrals subtracts every product instead of adding it.
+    _mutant(monkeypatch, graded_ring, "_add_products", "+ c12 * c", "- c12 * c")
 
 
 def higher_signature_plus_one(monkeypatch):

@@ -1469,15 +1469,20 @@ def _split_loops(draw):
         for angles in start:
             angles[1] = angles[0]  # two lines with equal angles
     speeds = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
-    cutoff = draw(st.integers(1, 3))
 
     def path(nodes):
         stack = np.array([[np.diag(angles) for angles in start]] * len(nodes), dtype=complex)
         stack[:, 0] += np.array([float(t) for t in nodes])[:, None, None] * np.diag(speeds)
         return stack
 
-    return lambda: OperatorFamily(eta=np.diag(signs), path=path, resolution=4,
-                                  loop=True, cutoff=cutoff)
+    def make(cutoff):
+        return lambda: OperatorFamily(eta=np.diag(signs), path=path, resolution=4,
+                                      loop=True, cutoff=cutoff)
+
+    # From the smallest cutoff the window accepts at both ends, so that every
+    # example reads kernel counts and a flow, not a refusal.
+    smallest = _family_cutoff(make(1)())
+    return make(draw(st.integers(smallest, smallest + 2)))
 
 
 def _counts_on_both_paths(make):
