@@ -10,12 +10,13 @@ compiled.  Entries are numbers, [re, im] pairs or expression strings
 p/q (:func:`json_rational`).  Malformed content raises
 :class:`DescriptorError`, whose messages quote at most 40 characters of it.
 A family's nodes are evaluated as one array where its entries use only real
-+ - * / of t; a call, a power or complex arithmetic of t, any floating-point
-exception or a value that is not finite sends the run to the node-by-node
-reader, which names the first bad node.  What the content means is checked
-where it is used: ``hodge_numeric`` refuses, for example, a singular eta, a
-declared signature (p, q) that is not eta's or a connection that is not
-flat, and ``graded_ring`` relations that define no graded ring.
++ - * / of t; a call, a power or complex arithmetic of t, a divisor that is
+zero at some node, any floating-point exception or a value that is not
+finite sends the run to the node-by-node reader, which names the first bad
+node.  What the content means is checked where it is used:
+``hodge_numeric`` refuses, for example, a singular eta, a declared
+signature (p, q) that is not eta's or a connection that is not flat, and
+``graded_ring`` relations that define no graded ring.
 
 A bundle descriptor gives the torus dimension ``n``, ``eta``, and
 ``monodromies``, a ``connection`` or both, one matrix per circle factor,
@@ -204,11 +205,24 @@ def _power(base, exponent):
     return base ** exponent
 
 
+def _divide(a, b):
+    """a / b.  One node's zero divisor raises ZeroDivisionError; over a run of
+    nodes numpy returns +-inf for +-inf / 0 with no floating-point exception,
+    so a run whose divisor holds a zero of either sign raises, and is reread
+    node by node."""
+    scalars = (int, float, complex)
+    if not (isinstance(a, scalars) and isinstance(b, scalars)) and (
+        b == 0 if isinstance(b, scalars) else (b == 0).any()
+    ):
+        raise DescriptorError("a run of nodes divides by zero")
+    return a / b
+
+
 _BINARY = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
     ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
+    ast.Div: _divide,
     ast.Pow: _power,
 }
 
@@ -264,8 +278,9 @@ def _compile_entry(entry) -> Callable:
     The function reads one node t (a float, or None outside a family) with
     cmath: its value is a complex number, and one that is not finite (JSON
     NaN or Infinity, an overflow) raises.  With ``run``, t is a float array
-    of nodes; + - * / and unary minus apply to it as to one float, a call or
-    a power of it raises, and the value is returned as computed, unchecked.
+    of nodes; + - * / and unary minus apply to it as to one float, a call, a
+    power or a divisor that holds a zero raises (:func:`_divide`), and the
+    value is returned as computed, unchecked.
     The caller checks the run, and rereads a run that fails one node at a
     time.
     """

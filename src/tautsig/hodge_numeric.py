@@ -68,13 +68,15 @@ cached arrays are read-only:
 In lattice units block k of D is sum_j k_j (L_j + L_j^H) + (C + C^H), with
 C the connection term, so an operator holds only its zero-frequency block
 C + C^H.  The odd restriction is built from that block and the frame's
-restricted generators; the (B, d, d) block stack is built only when asked
-for (eigensystems and even tori), so odd-torus kernel dimensions
-and flows never allocate it.  From T^3 on they allocate no restricted
-(B, d/2, d/2) stack either unless the Weyl band fails: the closed form
-needs only the restricted zero block, checked hermitian.  S^1 still builds
-its small (B, r, r) stack and reads the closed form from its diagonal, as
-the benchmark's tracer and self-test count one odd stack per S^1 operator.
+restricted generators; the (B, d, d) block stack is built only for the
+eigenvalues of D, which even-torus kernel dimensions and the tests read,
+so odd-torus kernel dimensions and flows never allocate it.  No operator
+is solved for its eigenvectors.  From T^3 on odd tori allocate no
+restricted (B, d/2, d/2) stack either unless the Weyl band fails: the
+closed form needs only the restricted zero block, checked hermitian.  S^1
+still builds its small (B, r, r) stack and reads the closed form from its
+diagonal, as the benchmark's tracer and self-test count one odd stack per
+S^1 operator.
 
 A flat bundle is its connection.  Each bundle checks once, when built, that
 the A_j commute (flatness) and that A_j^H eta = eta A_j (eta is parallel),
@@ -88,7 +90,7 @@ family checks a stack of nodes in one pass and raises what building them
 one by one would.  A family is eta, a connection path that maps a float
 array of nodes to their stack of connections, and a resolution N: it is
 sampled at the nodes i/N, i = 0..N, as floats.  An operator keeps its block
-stack once built, its eigensystem, its odd spectrum and the largest tol its
+stack once built, its eigenvalues, its odd spectrum and the largest tol its
 cutoff window passed.  A family keeps no operators: a kernel profile walks
 the nodes once, keeping the first node's operator and the current one, and
 reads a loop's flow from the walk's ends.  Each :func:`spectral_flow` reads
@@ -135,8 +137,6 @@ __all__ = [
     "SpectralFlowResult",
     "assemble",
     "kernel_dimension",
-    "euler_index",
-    "even_signature_index",
     "spectral_flow",
     "spectral_flow_both",
     "smallest_cutoff",
@@ -604,17 +604,9 @@ class TruncatedOperator:
     zero: np.ndarray           # (d, d) the zero-frequency block C + C^H
     frame: _Frame = field(repr=False)
     _blocks: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _eig: Optional[tuple] = field(default=None, init=False, repr=False)
+    _eigenvalues: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _odd: Optional[tuple] = field(default=None, init=False, repr=False)  # (tol, spectrum)
     _window: float = field(default=-math.inf, init=False, repr=False)  # largest passed tol
-
-    @property
-    def iota(self) -> np.ndarray:
-        return self.frame.iota
-
-    @property
-    def tau_v(self) -> np.ndarray:
-        return self.frame.tau_v
 
     def _stack(self, generators: np.ndarray, zero: np.ndarray) -> np.ndarray:
         """sum_j k_j generators[j] + zero for every lattice point k.
@@ -636,16 +628,12 @@ class TruncatedOperator:
     def block_count(self) -> int:
         return self.freqs.shape[0]
 
-    def eigen_system(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block eigenvalues (B, d) in physical units and eigenvectors."""
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self.blocks)
-            self._eig = (vals * UNIT, vecs)
-        return self._eig
-
     def eigenvalues(self) -> np.ndarray:
-        vals, _ = self.eigen_system()
-        return np.sort(vals.ravel())
+        """All blocks' eigenvalues, sorted, in physical units: one eigvalsh, kept read-only."""
+        if self._eigenvalues is None:
+            vals = np.linalg.eigvalsh(self.blocks)
+            self._eigenvalues = _read_only(np.sort(vals.ravel()) * UNIT)
+        return self._eigenvalues
 
     def restricted_zero_block(self) -> np.ndarray:
         """alpha_1 Z restricted to the even-parity subspace, checked hermitian.
@@ -704,17 +692,6 @@ class TruncatedOperator:
                 vals = np.linalg.eigvalsh(self.restricted_odd_stack() if stack is None else stack)
             self._odd = (tol, _read_only(np.sort(vals.ravel()) * UNIT))
         return self._odd[1]
-
-    def ellipticity_profile(self) -> dict[int, float]:
-        """Smallest |eigenvalue| per sup-norm frequency shell (physical units)."""
-        vals, _ = self.eigen_system()
-        shells = np.max(np.abs(self.freqs), axis=1)
-        out: dict[int, float] = {}
-        for s in range(self.cutoff + 1):
-            mask = shells == s
-            if mask.any():
-                out[s] = float(np.min(np.abs(vals[mask])))
-        return out
 
 
 def _zero_block(bundle: MonodromyBundle) -> np.ndarray:
@@ -833,49 +810,6 @@ def kernel_dimension(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
     vals = op.odd_spectrum(tol) if odd else op.eigenvalues()
     _kernel_guard(vals, tol)
     return (2 if odd else 1) * int(np.sum(np.abs(vals) < tol))
-
-
-def _kernel_blocks(op: TruncatedOperator, tol: float) -> list:
-    """One matrix per block with kernel vectors: those vectors, as its columns."""
-    _kernel_window(op, tol)
-    vals, vecs = op.eigen_system()
-    _kernel_guard(vals.ravel(), tol)
-    hit = np.abs(vals) < tol
-    return [vecs[b][:, hit[b]] for b in np.flatnonzero(hit.any(axis=1))]
-
-
-def euler_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
-    """Graded kernel count with respect to the parity grading iota.
-
-    The sum over blocks of Re tr(V^H iota V), V the block's kernel vectors.
-    """
-    total = sum(float(np.vdot(v, op.iota[:, None] * v).real)
-                for v in _kernel_blocks(op, tol))
-    rounded = round(total)
-    if abs(total - rounded) > 1e-6:
-        raise IndeterminateKernelError(f"graded count {total} is not near an integer")
-    return int(rounded)
-
-
-def even_signature_index(op: TruncatedOperator, tol: float = DEFAULT_TOL) -> int:
-    """Signature of the pairing <x, tau_V y> on the numerical kernel.
-
-    Kernel vectors of different blocks pair to zero, so the signature is
-    the sum over blocks of that of V^H tau_V V, V the block's kernel vectors.
-    """
-    if op.bundle.n % 2 != 0:
-        raise HodgeError("even signature needs an even-dimensional torus")
-    signature = 0
-    for v in _kernel_blocks(op, tol):
-        form = v.conj().T @ (op.tau_v @ v)
-        if np.max(np.abs(form - form.conj().T)) > 1e-9:
-            raise HodgeError("kernel pairing is not hermitian")
-        eigs = np.linalg.eigvalsh(form)
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        if np.any(np.abs(eigs) < 1e-9 * scale):
-            raise IndeterminateKernelError("kernel pairing is numerically degenerate")
-        signature += int(np.sum(eigs > 0)) - int(np.sum(eigs < 0))
-    return signature
 
 
 # ---------------------------------------------------------------------------
@@ -1184,8 +1118,8 @@ def family_from_descriptor(data: dict, cutoff: int = DEFAULT_CUTOFF,
     def read_run(t: np.ndarray) -> Optional[np.ndarray]:
         """The run's stack read as float arrays, by real + - * / alone, so
         that each value is the one-node value; None if an entry makes a call,
-        a power or complex arithmetic of t, raises a floating-point
-        exception or has a value that is not finite."""
+        a power, complex arithmetic of t or a division by a zero, raises a
+        floating-point exception or has a value that is not finite."""
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
                 values = connection(t, run=True)

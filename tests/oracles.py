@@ -229,30 +229,6 @@ def block_flow_oracle(op0, op1, tol):
             for k, c0, c1 in zip(op0.freqs, *counts) if c1 != c0}
 
 
-def even_index_oracle(op, tol):
-    """(kernel count, Euler index, even signature index), one kernel vector at a time.
-
-    Each block is solved on its own by ``np.linalg.eigh``; its eigenvectors
-    with |eigenvalue| * 2*pi < tol are the block's kernel vectors.  The Euler
-    index sums Re <v, iota v> over all of them; the signature adds, per
-    block, that of the matrix <v_i, tau_V v_j> built entry by entry.
-    """
-    count, euler, signature = 0, 0.0, 0
-    for block in op.blocks:
-        vals, vecs = np.linalg.eigh(block)
-        kernel = [vecs[:, j] for j in np.flatnonzero(np.abs(vals) * UNIT < tol)]
-        count += len(kernel)
-        for v in kernel:
-            euler += float(np.real(np.vdot(v, op.iota * v)))
-        form = np.zeros((len(kernel), len(kernel)), dtype=complex)
-        for i, vi in enumerate(kernel):
-            for j, vj in enumerate(kernel):
-                form[i, j] = np.vdot(vi, op.tau_v @ vj)
-        eigs = np.linalg.eigvalsh(form)
-        signature += int(np.sum(eigs > 0)) - int(np.sum(eigs < 0))
-    return count, round(euler), signature
-
-
 def twisted_circle_cohomology_oracle(theta):
     """Total twisted cohomology rank of the circle, character exp(2*pi*i*theta)."""
     return 2 if abs(theta - round(theta)) < 1e-12 else 0

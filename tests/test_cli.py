@@ -65,10 +65,10 @@ SHIPPED = Path(__file__).resolve().parent.parent / "descriptors"
 
 
 def test_numeric_suites_match_golden_report(tmp_path):
-    # Kernel profiles and dimensions, flows, indices and node counts: the
-    # details are integers, except the descriptor bundle's spectrum near zero
-    # (6 significant digits) and shell gaps (4 decimals).  Regenerate the file
-    # only for a change that means to alter the report:
+    # Kernel profiles and dimensions, flows, window margins and node counts:
+    # every detail is an integer or an exact class, and no float of a
+    # spectrum is printed.  Regenerate the file only for a change that means
+    # to alter the report:
     #   tautsig run --suite <NUMERIC_SUITES> --descriptor descriptors/lusztig_family.json
     #       --format json --out tests/golden/numeric-suites.json
     out = tmp_path / "report.json"
@@ -299,11 +299,29 @@ def test_descriptor_bundle_from_connection_alone(tmp_path, capsys):
     alone = _descriptor_details(tmp_path, {"n": 1, "eta": [[1]], "connection": [[[0.25]]]})
     given = _descriptor_details(tmp_path, {"n": 1, "eta": [[1]],
                                            "monodromies": [[["exp(2*pi*i*0.25)"]]]})
-    assert alone["descriptor:bundle"]["detail"] == given["descriptor:bundle"]["detail"]
+    assert alone["descriptor:bundle"] == given["descriptor:bundle"]
     path = tmp_path / "neither.json"
     path.write_text(json.dumps({"n": 1, "eta": [[1]]}))
     assert main(["run", "--suite", "descriptor", "--descriptor", str(path)]) == 2
     assert "needs monodromies or a connection" in capsys.readouterr().err
+
+
+def test_odd_torus_bundle_case_builds_no_block_stack(tmp_path, monkeypatch):
+    # The kernel is read from the odd restriction and the detail reads no
+    # spectrum, so the (B, d, d) stack of D is never built.
+    from tautsig import hodge_numeric
+
+    def refuse(self):
+        raise AssertionError("the block stack was built")
+
+    monkeypatch.setattr(hodge_numeric.TruncatedOperator, "blocks", property(refuse))
+    diag = lambda a, b: [[a, 0], [0, b]]
+    bundle = _descriptor_details(tmp_path, {
+        "n": 3, "eta": diag(1, 1),
+        "connection": [diag(0.25, 0.5), diag(0, 0.5), diag(0.5, 0)],
+    })["descriptor:bundle"]
+    assert bundle["ok"] and bundle["case"].endswith("kernel dimension 0")
+    assert bundle["detail"] == "n=3, signature=(2,0)"
 
 
 # eta = [[0, 1], [1, 0]] makes the Jordan block J = [[1/4, 1], [0, 1/4]]

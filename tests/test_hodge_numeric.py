@@ -22,8 +22,6 @@ from tautsig.hodge_numeric import (
     assemble,
     bundle_from_descriptor,
     constant_family,
-    euler_index,
-    even_signature_index,
     family_from_descriptor,
     kernel_constancy_report,
     kernel_dimension,
@@ -33,6 +31,7 @@ from tautsig.hodge_numeric import (
     lusztig_pair_family,
     smallest_cutoff,
     spectral_flow,
+    _standard_connection,
     _standard_form,
 )
 from tautsig.descriptors import DescriptorError, _compile_entry, load_descriptor
@@ -41,7 +40,6 @@ from oracles import (
     abs_eta,
     block_flow_oracle,
     circle_spectrum_oracle,
-    even_index_oracle,
     exterior_oracle,
     full_stack_kernel_oracle,
     original_frame_spectrum,
@@ -63,6 +61,55 @@ def test_bundle_invariants_enforced():
         MonodromyBundle(n=2, eta=np.eye(2), monodromies=[m1, m2])
     with pytest.raises(HodgeError, match="singular"):
         MonodromyBundle(n=1, eta=np.zeros((2, 2)), monodromies=[np.eye(2)])
+
+
+# A'_1 = c [[1, 1], [-1, -1]] + d diag(1, -1) is diag(1, -1)-self-adjoint and
+# diagonalizable, with eigenvalues +-(2 c d + d^2)^(1/2) = +-44.7 for
+# c = 1e5, d = 1e-2; its eigenvectors are so nearly parallel that V^-1 A V is
+# off-diagonal by more than 1e-8.
+_NEARLY_DEFECTIVE = np.array([[1e5 + 1e-2, 1e5], [-1e5, -1e5 - 1e-2]])
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [(lambda: MonodromyBundle(n=1, eta=[[1, 0]], connection=[[[0]]]),
+      "expected a square matrix"),
+     # eta's eigenvalues are 2e10 - 1 and 1: its standard frame is off
+     # diag(1, 1) by far more than rounding.
+     (lambda: MonodromyBundle(n=1, eta=[[1e10, 1e10 - 1], [1e10 - 1, 1e10]],
+                              connection=[np.zeros((2, 2))]),
+      "eta is not diag(+-1) in its standard frame"),
+     (lambda: MonodromyBundle(n=0, eta=np.eye(1), connection=[]), "n must be at least 1"),
+     (lambda: MonodromyBundle(n=1, eta=np.eye(1)),
+      "a bundle needs monodromies or a connection"),
+     (lambda: MonodromyBundle(n=2, eta=np.eye(1), monodromies=[np.eye(1)]),
+      "one monodromy per circle factor is required"),
+     (lambda: MonodromyBundle(n=1, eta=np.eye(1), monodromies=[np.eye(2)]),
+      "monodromy rank mismatch"),
+     (lambda: MonodromyBundle(n=1, eta=np.diag([1.0, -1.0]), connection=[_NEARLY_DEFECTIVE],
+                              monodromies=[np.eye(2)]),
+      "connection matrices are not simultaneously diagonalizable"),
+     (lambda: _standard_connection(np.zeros((1, 2, 2)), 1, (1,), None),
+      "one 1x1 connection matrix per circle factor is required"),
+     (lambda: assemble(line_bundle([0.0]), 0), "cutoff must be >= 1"),
+     (lambda: assemble(line_bundle([0.0, 0.0]), 1).restricted_zero_block(),
+      "the odd restriction needs an odd-dimensional torus")],
+    ids=["non-square", "standard-frame", "n", "neither", "monodromy-count",
+         "monodromy-rank", "joint-eigenbasis", "connection-shape", "cutoff", "even-torus"],
+)
+def test_refusals_name_their_fault(make, message):
+    with pytest.raises(HodgeError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_non_diagonal_monodromy_derives_its_connection_in_its_eigenbasis():
+    # U diag(i, 1) U^H with U the Hadamard matrix: the principal logarithms
+    # 1/4 and 0, conjugated back by U, give the connection [[1, 1], [1, 1]] / 8,
+    # whose line of eigenvalue 0 carries a kernel of 2 on the circle.
+    u = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    bundle = MonodromyBundle(n=1, eta=np.eye(2), monodromies=[u @ np.diag([1j, 1]) @ u.T])
+    assert np.allclose(bundle.connection[0], np.full((2, 2), 1 / 8), atol=1e-15)
+    assert kernel_dimension(assemble(bundle, cutoff=2)) == 2
 
 
 def test_signature_derived_from_eta():
@@ -177,10 +224,10 @@ def _contract_residuals(op):
     """Largest residuals of D's structural identities on its block stack: D
     hermitian, D anticommuting with iota, and D commuting with tau_V on odd
     tori and anticommuting with it on even ones."""
-    d, t = op.blocks, op.tau_v
+    d, t, iota = op.blocks, op.frame.tau_v, op.frame.iota
     sign = 1 if op.bundle.n % 2 else -1
     return {"selfadjoint": np.abs(d - np.conj(np.swapaxes(d, 1, 2))).max(),
-            "iota": np.abs(d * op.iota[None, None, :] + d * op.iota[None, :, None]).max(),
+            "iota": np.abs(d * iota[None, None, :] + d * iota[None, :, None]).max(),
             "tau": np.abs(d @ t - sign * (t @ d)).max()}
 
 
@@ -215,14 +262,6 @@ def test_rank_two_block_decomposition():
     assert np.allclose(joint, split, atol=1e-10)
 
 
-def test_ellipticity_gap_growth():
-    op = assemble(line_bundle([0.25]), cutoff=6)
-    profile = op.ellipticity_profile()
-    gaps = [profile[s] for s in range(1, 7)]
-    assert all(b > a for a, b in zip(gaps, gaps[1:]))
-    assert gaps[0] > UNIT / 2
-
-
 # ---------------------------------------------------------------------------
 # Kernel dimensions
 # ---------------------------------------------------------------------------
@@ -250,18 +289,15 @@ def test_torus_kernel_dimension():
 
 
 @pytest.mark.parametrize(
-    "count,thetas,want",
-    [(kernel_dimension, [3.0], 2), (kernel_dimension, [3.0, 0.0], 4),
-     (euler_index, [3.0, 0.0], 0), (even_signature_index, [3.0, 0.0], 0)],
-    ids=["odd-torus", "even-torus", "euler", "signature"],
+    "thetas,want", [([3.0], 2), ([3.0, 0.0], 4)], ids=["odd-torus", "even-torus"],
 )
-def test_kernel_counts_need_a_cutoff_past_the_connection(count, thetas, want):
+def test_kernel_counts_need_a_cutoff_past_the_connection(thetas, want):
     # The kernel sits at frequency -thetas, outside the cutoff-2 truncation:
     # the zero-frequency block has norm 3 >= 2 + 1.
     bundle = line_bundle(thetas)
     with pytest.raises(HodgeError, match="a cutoff of at least 3"):
-        count(assemble(bundle, cutoff=2))
-    assert count(assemble(bundle, cutoff=3)) == want
+        kernel_dimension(assemble(bundle, cutoff=2))
+    assert kernel_dimension(assemble(bundle, cutoff=3)) == want
 
 
 def test_kernel_window_reads_the_norm_past_the_row_sum_bound():
@@ -383,76 +419,9 @@ def test_odd_kernel_guard_raises_on_both_paths(n, eta):
         _kernel_guard(op.eigenvalues(), 1e-8)
 
 
-# ---------------------------------------------------------------------------
-# Euler and signature indices
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "bundle,cutoff",
-    [
-        (line_bundle([0.0]), 6),
-        (line_bundle([0.0, 0.0]), 3),
-        (
-            MonodromyBundle.from_connection(
-                np.eye(2),
-                [np.diag([0.0, 0.5]).astype(complex),
-                 np.diag([0.0, 0.0]).astype(complex)],
-            ),
-            3,
-        ),
-    ],
-)
-def test_euler_index_vanishes_on_tori(bundle, cutoff):
-    assert euler_index(assemble(bundle, cutoff)) == 0
-
-
-def test_even_signature_trivial_line():
-    assert even_signature_index(assemble(line_bundle([0.0, 0.0]), cutoff=3)) == 0
-
-
-def test_even_signature_globally_flat_indefinite():
-    zero = np.zeros((2, 2), dtype=complex)
-    bundle = MonodromyBundle.from_connection(
-        np.diag([1.0, -1.0]), [zero, zero], globally_flat=True
-    )
-    assert even_signature_index(assemble(bundle, cutoff=3)) == 0
-
-
-@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", ["line", "indefinite", "complex-eta"])
-def test_even_indices_match_per_vector_oracle(kind, cutoff):
-    # A non-diagonal eta gives complex kernel vectors in the standard frame.
-    zero = np.zeros((2, 2), dtype=complex)
-    if kind == "line":
-        bundle = line_bundle([0.0, 0.0])
-    else:
-        eta = np.diag([1.0, -1.0]) if kind == "indefinite" else np.array([[1, 2j], [-2j, -1]])
-        bundle = MonodromyBundle.from_connection(eta, [zero, zero], globally_flat=True)
-    op = assemble(bundle, cutoff)
-    count, euler, signature = even_index_oracle(op, 1e-8)
-    assert count == kernel_dimension(op) > 0
-    assert (euler_index(op), even_signature_index(op)) == (euler, signature)
-
-
-def test_even_signature_requires_even_dimension():
-    with pytest.raises(HodgeError):
-        even_signature_index(assemble(line_bundle([0.0]), cutoff=3))
-
-
-def test_squared_line_fiber_matches_symbolic_degree_zero():
-    # Fiber of the doubled line model at the kernel-carrying parameter.
-    op = assemble(line_bundle([0.0, 0.0], globally_flat=False), cutoff=4)
-    numeric = even_signature_index(op)
-    from tautsig.kappa_calculus import even_index_symbolic, lusztig_squared_model
-
-    symbolic_deg0 = even_index_symbolic(lusztig_squared_model()).homogeneous_part(0)
-    assert numeric == 0 and symbolic_deg0.is_zero()
-
-
 def test_homotopy_surrogate_invertibility():
     op = assemble(line_bundle([0.0]), cutoff=4)
-    alpha = np.diag(op.iota).astype(complex) @ op.tau_v
+    alpha = np.diag(op.frame.iota).astype(complex) @ op.frame.tau_v
     for s in (0.0, 0.25, 0.5, 1.0):
         perturbed = op.blocks + 1j * s * alpha[None, :, :]
         squares = perturbed @ perturbed
@@ -1290,6 +1259,8 @@ def _refusal(read):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_entries(), min_size=4, max_size=4), st.integers(2, 16))
 @example(["t", "t + 1e999", "0", "t"], 8)  # infinite with no floating-point exception
+@example(["-((t)/((1e999)/(t)))", "0", "0", "t"], 4)  # inf / 0 at t = 0, then t / inf
+@example(["1" + "0" * 400, "0", "0", "t"], 4)  # an integer past the float range
 def test_run_reading_matches_the_one_node_reader(entries, grid):
     # The whole grid as one run, as a flow reads it (with the reread of a run
     # in which some node fails) and one node at a time.
@@ -1308,6 +1279,22 @@ def test_run_reading_matches_the_one_node_reader(entries, grid):
     assert array_refusal == stacked_refusal == refusal
     if single is not None:
         assert array.tobytes() == stacked.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("read", [spectral_flow, kernel_constancy_report],
+                         ids=["flow", "profile"])
+def test_a_run_dividing_by_zero_is_read_node_by_node(read):
+    # At t = 1/2 the inner quotient is inf / 0, which numpy returns as inf
+    # with no floating-point exception, and the outer one turns it into a
+    # finite 0; one node at a time, Python raises on the zero divisor.
+    entry = "t + (t - 0.5)/(1e999/(t - 0.5))"
+    fam = family_from_descriptor({"n": 1, "eta": [[1]], "family": {
+        "connection": [[[entry]]], "grid": 4, "loop": True}}, cutoff=2)
+    message = f"cannot evaluate entry '{entry}': float division by zero"
+    with pytest.raises(DescriptorError, match=re.escape(message)):
+        fam.path(np.array([0.5]))
+    with pytest.raises(DescriptorError, match=re.escape(message)):
+        read(fam)
 
 
 # ---------------------------------------------------------------------------
@@ -2131,16 +2118,17 @@ def _random_unitary(rng, r):
     return np.linalg.qr(g)[0]
 
 
-def test_eigen_system_with_indefinite_metric_matches_scipy():
+def test_eigenvalues_with_indefinite_metric_match_scipy():
     eta = np.array([[2.0, 1.0], [1.0, -1.0]])
     s = np.array([[0.3, 0.1], [0.1, 0.2]])
     bundle = MonodromyBundle.from_connection(eta, [np.linalg.solve(eta, s)])
     assert _standard_form(bundle.eta.tobytes(), 2)[1] is not None
-    vals, vecs = assemble(bundle, cutoff=3).eigen_system()
-    ref = original_frame_spectrum(bundle, 3)
+    op = assemble(bundle, cutoff=3)
+    vals = op.eigenvalues()
+    ref = np.sort(original_frame_spectrum(bundle, 3).ravel())
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
-    gram = np.conj(np.swapaxes(vecs, 1, 2)) @ vecs
-    assert np.max(np.abs(gram - np.eye(vecs.shape[1]))) <= 1e-12
+    # Solved once, sorted and read-only.
+    assert op.eigenvalues() is vals and not vals.flags.writeable
 
 
 def test_non_unitary_descriptor_matches_the_original_frame():
@@ -2157,7 +2145,7 @@ def test_non_unitary_descriptor_matches_the_original_frame():
     assert all(v <= 1e-12 for v in _contract_residuals(op).values())
     assert kernel_dimension(op) == 0
     ref = original_frame_spectrum(bundle, 8)
-    assert np.max(np.abs(op.eigen_system()[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(op.eigenvalues() - np.sort(ref.ravel()))) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -2185,7 +2173,7 @@ def _kron_sum_blocks(op):
 
 def _full_product_restriction(op):
     iota, even = op.frame.iota, op.frame.even
-    full = (np.diag(iota).astype(complex) @ op.tau_v)[None] @ op.blocks
+    full = (np.diag(iota).astype(complex) @ op.frame.tau_v)[None] @ op.blocks
     return full[:, even][:, :, even]
 
 
@@ -2230,5 +2218,5 @@ def test_odd_tori_never_build_the_block_stack(monkeypatch):
     # bit the kron-sum formula.
     op = assemble(line_bundle([0.3, 0.6]), cutoff=3)
     assert op._blocks is None
-    op.eigen_system()
+    op.eigenvalues()
     assert op._blocks is not None and _same_bits(op.blocks, _kron_sum_blocks(op))
