@@ -419,6 +419,51 @@ def test_odd_kernel_guard_raises_on_both_paths(n, eta):
         _kernel_guard(op.eigenvalues(), 1e-8)
 
 
+# ---------------------------------------------------------------------------
+# Kernels on tori: ker D is H*(T^n; V)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bundle,cutoff,want",
+    [
+        (line_bundle([0.0]), 6, 2),
+        (line_bundle([0.0, 0.0]), 3, 4),
+        # Only the first line is invariant under pi_1: dim V^pi1 = 1.
+        (
+            MonodromyBundle.from_connection(
+                np.eye(2),
+                [np.diag([0.0, 0.5]).astype(complex),
+                 np.diag([0.0, 0.0]).astype(complex)],
+            ),
+            3,
+            4,
+        ),
+    ],
+    ids=["circle-line", "torus-line", "torus-rank-two"],
+)
+def test_torus_kernels_are_twisted_cohomology(bundle, cutoff, want):
+    # dim H*(T^n; V) = 2^n dim V^pi1 on a flat bundle that splits into lines.
+    assert kernel_dimension(assemble(bundle, cutoff)) == want
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["line", "indefinite", "complex-eta"])
+def test_even_kernel_count_matches_full_stack_oracle(kind, cutoff):
+    # A non-diagonal eta gives complex kernel vectors in the standard frame;
+    # the oracle solves D in the original frame.  The trivial connection on
+    # T^2 leaves V^pi1 = V: 4 rank V harmonic forms.
+    zero = np.zeros((2, 2), dtype=complex)
+    if kind == "line":
+        bundle = line_bundle([0.0, 0.0])
+    else:
+        eta = np.diag([1.0, -1.0]) if kind == "indefinite" else np.array([[1, 2j], [-2j, -1]])
+        bundle = MonodromyBundle.from_connection(eta, [zero, zero], globally_flat=True)
+    op = assemble(bundle, cutoff)
+    rank = len(bundle.eta)
+    assert kernel_dimension(op) == full_stack_kernel_oracle(bundle, cutoff, 1e-8) == 4 * rank
+
+
 def test_homotopy_surrogate_invertibility():
     op = assemble(line_bundle([0.0]), cutoff=4)
     alpha = np.diag(op.frame.iota).astype(complex) @ op.frame.tau_v
