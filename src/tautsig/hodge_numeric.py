@@ -59,7 +59,7 @@ cached arrays are read-only:
 * per eta: the hermitian and singularity checks, the signs s and the basis
   change (L^H, L^-H) (None when eta is diag(+-1)); a bad eta is not cached
   and raises on every construction;
-* per (n, s): the assembly frame -- tau_V, the lattice generators
+* per (n, s): the assembly frame -- the lattice generators
   L_j + L_j^H with L_j = ext_j (x) i and their odd restriction, checked on
   odd tori to be a line-diagonal Clifford frame, and the odd restriction's
   alpha_1 rows and even-parity indices.  Nothing in it grows with the
@@ -481,11 +481,9 @@ class _Frame(NamedTuple):
     zero-frequency block to either.
     """
 
-    tau_v: np.ndarray            # (d, d) tau (x) diag(s)
-    iota: np.ndarray             # (d,) +-1 parity vector
     lattice_h: np.ndarray        # (n, d, d) L_j + L_j^H, L_j = ext_j (x) i
     lattice_odd: np.ndarray      # (n, d/2, d/2) alpha1_even @ lattice_h[:, :, even]
-    alpha1_even: np.ndarray      # (d/2, d) the even-parity rows of diag(iota) tau_v
+    alpha1_even: np.ndarray      # (d/2, d) the even-parity rows of diag(iota) tau_V
     even: np.ndarray             # indices of the even-parity subspace
 
 
@@ -503,8 +501,6 @@ def _frame(n: int, signs: tuple[int, ...]) -> _Frame:
     if n % 2:
         _check_odd_frame(lattice_odd, r)
     frame = _Frame(
-        tau_v=tau_v,
-        iota=iota,
         lattice_h=lattice_h,
         lattice_odd=lattice_odd,
         alpha1_even=alpha1_even,

@@ -19,13 +19,14 @@ script uses the standard library only, and pytest does not collect it.
 
 Usage, from the repository root::
 
-    python tests/mutation_sweep.py hodge_numeric [--workers N] > sweep.jsonl
+    python tests/mutation_sweep.py hodge_numeric > sweep.jsonl
 
 Output is one JSON line per mutant, in source order: the function's
 qualified name, the line, the statement's first line and the stage that
 killed it (``null`` for a survivor).  A mutant that runs past its stage's
-time limit counts as killed by that stage.  With two workers on a 2-vCPU
-host the 357 statements of hodge_numeric take about 15 minutes.
+time limit counts as killed by that stage.  The sweep runs one worker per
+CPU; on a 2-vCPU host the 357 statements of hodge_numeric take about 15
+minutes.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def _killer(tree: Path, stages: list, report: tuple) -> Optional[str]:
     return None
 
 
-def sweep(module: str, workers: int) -> None:
+def sweep(module: str) -> None:
+    workers = os.cpu_count() or 1
     path = Path("src") / "tautsig" / f"{module}.py"
     source = (ROOT / path).read_text()
     found = mutants(source)
@@ -188,12 +190,10 @@ def sweep(module: str, workers: int) -> None:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a module of src/tautsig, such as hodge_numeric")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="parallel mutants, at most the CPU count (default: all)")
     args = parser.parse_args(argv)
     if not (ROOT / "src" / "tautsig" / f"{args.module}.py").is_file():
         parser.error(f"no module src/tautsig/{args.module}.py")
-    sweep(args.module, max(1, min(args.workers, os.cpu_count() or 1)))
+    sweep(args.module)
 
 
 if __name__ == "__main__":
